@@ -3,7 +3,7 @@
 // Each benchmark drives one scenario-matrix row through the simulator:
 // mixed traffic (all §5 signing levels, all §6 encryption targets, the
 // scratched degraded disc, interleaved attack-corpus documents) against
-// the composed fleet stack — shared DigestCache/LocateCache, the xkmsd
+// the composed fleet stack — the shared LocateCache, the xkmsd
 // responder, and in the pool rows a worker pool plus an async overload
 // burst. The in-run invariants stay armed: an accepted attack disc, a
 // Valid-after-revoke verdict or a streaming/DOM parity mismatch fails the

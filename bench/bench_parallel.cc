@@ -1,13 +1,13 @@
 // E12 — the parallel verification engine: PlayDisc swept over executor
-// counts (1 = the serial-equivalent pool path, then 2/4/8) and disc sizes,
-// and the content-addressed digest cache measured cold vs warm. The speedup
-// claims only mean anything on a multi-core host (CI runners); on a 1-CPU
-// container the thread sweep degenerates to constant time plus scheduling
-// overhead, while the cache hit-rate win is machine-independent.
+// counts (1 = the serial-equivalent pool path, then 2/4/8) and disc sizes.
+// The speedup claims only mean anything on a multi-core host (CI runners);
+// on a 1-CPU container the sweep degenerates to constant time plus
+// scheduling overhead.
 //
 // Thread accounting: "threads" is the number of EXECUTING threads. The
-// calling thread always participates in ParallelFor, so a pool of N workers
-// gives N+1 executors — the sweep therefore builds ThreadPool(threads - 1).
+// calling thread always participates in a TaskGraph run, so a pool of N
+// workers gives N+1 executors — the sweep therefore builds
+// ThreadPool(threads - 1).
 
 #include <benchmark/benchmark.h>
 
@@ -20,8 +20,6 @@
 #include "authoring/author.h"
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "crypto/digest_cache.h"
-#include "crypto/sha256.h"
 #include "player/engine.h"
 
 namespace discsec {
@@ -79,7 +77,7 @@ const disc::DiscImage& ImageWithTracks(size_t av_tracks) {
 
 /// Full disc insertion: application launch (multi-reference signature
 /// verification) plus a playback plan per AV track. range(0) = executing
-/// threads, range(1) = AV tracks. No digest cache: pure parallel speedup.
+/// threads, range(1) = AV tracks.
 void BM_PlayDisc_Threads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   const size_t tracks = static_cast<size_t>(state.range(1));
@@ -100,109 +98,6 @@ void BM_PlayDisc_Threads(benchmark::State& state) {
 BENCHMARK(BM_PlayDisc_Threads)
     ->ArgsProduct({{1, 2, 4, 8}, {4, 12}})
     ->Unit(benchmark::kMillisecond);
-
-/// The same insertion with a per-iteration (cold) digest cache: every
-/// reference misses, so this is the cache's bookkeeping overhead on top of
-/// the serial baseline above.
-void BM_PlayDisc_ColdCache(benchmark::State& state) {
-  const size_t tracks = static_cast<size_t>(state.range(0));
-  const disc::DiscImage& image = ImageWithTracks(tracks);
-  for (auto _ : state) {
-    crypto::DigestCache cache;
-    PlayerConfig config = SharedWorld().MakePlayerConfig();
-    config.digest_cache = &cache;
-    InteractiveApplicationEngine engine(std::move(config));
-    auto playback = engine.PlayDisc(image);
-    if (!playback.ok()) state.SkipWithError("PlayDisc failed");
-    benchmark::DoNotOptimize(playback.value().played.size());
-  }
-  state.counters["tracks"] = static_cast<double>(tracks);
-  state.counters["hit_rate"] = 0.0;
-}
-BENCHMARK(BM_PlayDisc_ColdCache)
-    ->Arg(4)
-    ->Arg(12)
-    ->Unit(benchmark::kMillisecond);
-
-/// Warm cache: one shared DigestCache seeded by a first insertion, then
-/// every iteration re-verifies the same disc — the repeated-insertion /
-/// fleet-of-players case. hit_rate records the measured fraction of digest
-/// computations served from the cache during the timed loop.
-void BM_PlayDisc_WarmCache(benchmark::State& state) {
-  const size_t tracks = static_cast<size_t>(state.range(0));
-  const disc::DiscImage& image = ImageWithTracks(tracks);
-  crypto::DigestCache cache;
-  {
-    PlayerConfig config = SharedWorld().MakePlayerConfig();
-    config.digest_cache = &cache;
-    InteractiveApplicationEngine engine(std::move(config));
-    if (!engine.PlayDisc(image).ok()) state.SkipWithError("warmup failed");
-  }
-  crypto::DigestCacheStats before = cache.stats();
-  for (auto _ : state) {
-    PlayerConfig config = SharedWorld().MakePlayerConfig();
-    config.digest_cache = &cache;
-    InteractiveApplicationEngine engine(std::move(config));
-    auto playback = engine.PlayDisc(image);
-    if (!playback.ok()) state.SkipWithError("PlayDisc failed");
-    benchmark::DoNotOptimize(playback.value().played.size());
-  }
-  crypto::DigestCacheStats after = cache.stats();
-  const double hits = static_cast<double>(after.hits - before.hits);
-  const double misses = static_cast<double>(after.misses - before.misses);
-  state.counters["tracks"] = static_cast<double>(tracks);
-  state.counters["hit_rate"] =
-      hits + misses > 0 ? hits / (hits + misses) : 0.0;
-}
-BENCHMARK(BM_PlayDisc_WarmCache)
-    ->Arg(4)
-    ->Arg(12)
-    ->Unit(benchmark::kMillisecond);
-
-/// Microbenchmark of the cache itself: digesting `range(0)` bytes through a
-/// CachingDigestSink on a guaranteed miss (fresh content key per iteration
-/// is emulated by clearing) vs a guaranteed hit. The hit skips the real
-/// digest pass entirely, so the gap is the per-reference win a warm cache
-/// delivers independent of core count.
-void BM_DigestSink_Miss(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  Bytes data(len, 0x5A);
-  crypto::DigestCache cache;
-  for (auto _ : state) {
-    cache.Clear();
-    crypto::Sha256 digest;
-    crypto::CachingDigestSink sink(&cache, &digest,
-                                   "http://www.w3.org/2000/09/xmldsig#sha1");
-    sink.Append(data.data(), data.size());
-    benchmark::DoNotOptimize(sink.Finalize());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(len));
-}
-BENCHMARK(BM_DigestSink_Miss)->Arg(4096)->Arg(262144);
-
-void BM_DigestSink_Hit(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  Bytes data(len, 0x5A);
-  crypto::DigestCache cache;
-  {
-    crypto::Sha256 digest;
-    crypto::CachingDigestSink sink(&cache, &digest,
-                                   "http://www.w3.org/2000/09/xmldsig#sha1");
-    sink.Append(data.data(), data.size());
-    benchmark::DoNotOptimize(sink.Finalize());
-  }
-  for (auto _ : state) {
-    crypto::Sha256 digest;
-    crypto::CachingDigestSink sink(&cache, &digest,
-                                   "http://www.w3.org/2000/09/xmldsig#sha1");
-    sink.Append(data.data(), data.size());
-    benchmark::DoNotOptimize(sink.Finalize());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(len));
-}
-BENCHMARK(BM_DigestSink_Hit)->Arg(4096)->Arg(262144);
 
 }  // namespace
 }  // namespace player

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "common/timer_wheel.h"
@@ -21,6 +22,61 @@ void RealSleepUs(int64_t us) {
   if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
+int64_t BackoffFor(const RetryPolicy& policy, int attempt) {
+  double backoff = static_cast<double>(policy.initial_backoff_us);
+  for (int i = 1; i < attempt; ++i) backoff *= policy.backoff_multiplier;
+  backoff = std::min(backoff, static_cast<double>(policy.max_backoff_us));
+  return static_cast<int64_t>(backoff);
+}
+
+/// The verdict ladder both Retryer::Run and RetryAsync climb after attempt
+/// `n` (1-based) settled with `last`. Returns the final status, or nullopt
+/// with `*backoff_us` set to the wait before attempt n + 1. Keeping one copy
+/// is what keeps the sync and async paths identical in messages, edge cases
+/// and jitter stream.
+std::optional<Status> NextRetryStep(const RetryPolicy& policy, Rng* rng,
+                                    int n, int64_t start_us,
+                                    int64_t attempt_start_us, int64_t now_us,
+                                    Status last, int64_t* backoff_us) {
+  if (last.ok() || !last.IsRetryable()) return last;
+  if (policy.attempt_deadline_us > 0 &&
+      now_us - attempt_start_us > policy.attempt_deadline_us) {
+    return Status::DeadlineExceeded(
+        "attempt " + std::to_string(n) + " ran " +
+        std::to_string(now_us - attempt_start_us) +
+        "us, past the per-attempt deadline of " +
+        std::to_string(policy.attempt_deadline_us) + "us: " +
+        last.ToString());
+  }
+  const int max_attempts = std::max(policy.max_attempts, 1);
+  if (n >= max_attempts) {
+    return last.WithContext("after " + std::to_string(max_attempts) +
+                            " attempts");
+  }
+  // A server-supplied hint (an overloaded responder's shed status)
+  // overrides the exponential step: the responder knows how long its
+  // queues need to drain better than our local schedule does. Jitter
+  // still applies below, so a whole shed fleet re-spreads instead of
+  // returning in lockstep at hint expiry.
+  int64_t backoff = last.retry_after_us() > 0 ? last.retry_after_us()
+                                              : BackoffFor(policy, n);
+  if (policy.jitter > 0.0) {
+    double fraction = static_cast<double>(rng->NextUint64() >> 11) *
+                      0x1.0p-53;  // [0, 1)
+    backoff -= static_cast<int64_t>(static_cast<double>(backoff) *
+                                    policy.jitter * fraction);
+  }
+  if (policy.overall_deadline_us > 0 &&
+      (now_us - start_us) + backoff >= policy.overall_deadline_us) {
+    return Status::DeadlineExceeded(
+        "retry budget of " + std::to_string(policy.overall_deadline_us) +
+        "us exhausted after " + std::to_string(n) + " attempt(s): " +
+        last.ToString());
+  }
+  *backoff_us = backoff;
+  return std::nullopt;
+}
+
 }  // namespace
 
 Retryer::Retryer(RetryPolicy policy, Clock clock, SleepFn sleep,
@@ -31,56 +87,21 @@ Retryer::Retryer(RetryPolicy policy, Clock clock, SleepFn sleep,
       rng_(jitter_seed) {}
 
 int64_t Retryer::BackoffForAttempt(int attempt) const {
-  double backoff = static_cast<double>(policy_.initial_backoff_us);
-  for (int i = 1; i < attempt; ++i) backoff *= policy_.backoff_multiplier;
-  backoff = std::min(backoff, static_cast<double>(policy_.max_backoff_us));
-  return static_cast<int64_t>(backoff);
+  return BackoffFor(policy_, attempt);
 }
 
 Status Retryer::Run(const std::function<Status()>& attempt) {
-  const int max_attempts = std::max(policy_.max_attempts, 1);
   const int64_t start_us = clock_();
-  Status last;
-  for (int n = 1; n <= max_attempts; ++n) {
+  for (int n = 1;; ++n) {
     const int64_t attempt_start_us = clock_();
-    last = attempt();
-    const int64_t now_us = clock_();
-    if (last.ok()) return last;
-    if (!last.IsRetryable()) return last;
-    if (policy_.attempt_deadline_us > 0 &&
-        now_us - attempt_start_us > policy_.attempt_deadline_us) {
-      return Status::DeadlineExceeded(
-          "attempt " + std::to_string(n) + " ran " +
-          std::to_string(now_us - attempt_start_us) +
-          "us, past the per-attempt deadline of " +
-          std::to_string(policy_.attempt_deadline_us) + "us: " +
-          last.ToString());
-    }
-    if (n == max_attempts) break;
-    // A server-supplied hint (an overloaded responder's shed status)
-    // overrides the exponential step: the responder knows how long its
-    // queues need to drain better than our local schedule does. Jitter
-    // still applies below, so a whole shed fleet re-spreads instead of
-    // returning in lockstep at hint expiry.
-    int64_t backoff_us = last.retry_after_us() > 0 ? last.retry_after_us()
-                                                   : BackoffForAttempt(n);
-    if (policy_.jitter > 0.0) {
-      double fraction = static_cast<double>(rng_.NextUint64() >> 11) *
-                        0x1.0p-53;  // [0, 1)
-      backoff_us -= static_cast<int64_t>(static_cast<double>(backoff_us) *
-                                         policy_.jitter * fraction);
-    }
-    if (policy_.overall_deadline_us > 0 &&
-        (now_us - start_us) + backoff_us >= policy_.overall_deadline_us) {
-      return Status::DeadlineExceeded(
-          "retry budget of " + std::to_string(policy_.overall_deadline_us) +
-          "us exhausted after " + std::to_string(n) + " attempt(s): " +
-          last.ToString());
-    }
+    Status last = attempt();
+    int64_t backoff_us = 0;
+    std::optional<Status> verdict =
+        NextRetryStep(policy_, &rng_, n, start_us, attempt_start_us, clock_(),
+                      std::move(last), &backoff_us);
+    if (verdict.has_value()) return *std::move(verdict);
     sleep_(backoff_us);
   }
-  return last.WithContext("after " + std::to_string(max_attempts) +
-                          " attempts");
 }
 
 bool CircuitBreaker::Allow(int64_t now_us) {
@@ -134,8 +155,7 @@ struct AsyncRetryLoop : std::enable_shared_from_this<AsyncRetryLoop> {
         clock(c ? std::move(c) : Retryer::Clock(SteadyNowUs)),
         rng(jitter_seed),
         attempt(std::move(a)),
-        done(std::move(d)),
-        max_attempts(std::max(p.max_attempts, 1)) {}
+        done(std::move(d)) {}
 
   RetryPolicy policy;
   TimerWheel* wheel;
@@ -143,18 +163,9 @@ struct AsyncRetryLoop : std::enable_shared_from_this<AsyncRetryLoop> {
   Rng rng;
   RetryAsyncAttempt attempt;
   std::function<void(Status)> done;
-  const int max_attempts;
   int n = 1;
   int64_t start_us = 0;
   int64_t attempt_start_us = 0;
-
-  // Mirrors Retryer::BackoffForAttempt.
-  int64_t BackoffForAttempt(int a) const {
-    double backoff = static_cast<double>(policy.initial_backoff_us);
-    for (int i = 1; i < a; ++i) backoff *= policy.backoff_multiplier;
-    backoff = std::min(backoff, static_cast<double>(policy.max_backoff_us));
-    return static_cast<int64_t>(backoff);
-  }
 
   void Start() {
     start_us = clock();
@@ -167,44 +178,13 @@ struct AsyncRetryLoop : std::enable_shared_from_this<AsyncRetryLoop> {
     attempt([self](Status s) { self->OnAttemptDone(std::move(s)); });
   }
 
-  // The verdict ladder below is Retryer::Run's loop body, verbatim, so the
-  // sync and async paths cannot drift apart in messages or edge cases.
   void OnAttemptDone(Status last) {
-    const int64_t now_us = clock();
-    if (last.ok() || !last.IsRetryable()) {
-      done(std::move(last));
-      return;
-    }
-    if (policy.attempt_deadline_us > 0 &&
-        now_us - attempt_start_us > policy.attempt_deadline_us) {
-      done(Status::DeadlineExceeded(
-          "attempt " + std::to_string(n) + " ran " +
-          std::to_string(now_us - attempt_start_us) +
-          "us, past the per-attempt deadline of " +
-          std::to_string(policy.attempt_deadline_us) + "us: " +
-          last.ToString()));
-      return;
-    }
-    if (n == max_attempts) {
-      done(last.WithContext("after " + std::to_string(max_attempts) +
-                            " attempts"));
-      return;
-    }
-    // Same hint-over-schedule rule as Retryer::Run above.
-    int64_t backoff_us = last.retry_after_us() > 0 ? last.retry_after_us()
-                                                   : BackoffForAttempt(n);
-    if (policy.jitter > 0.0) {
-      double fraction = static_cast<double>(rng.NextUint64() >> 11) *
-                        0x1.0p-53;  // [0, 1)
-      backoff_us -= static_cast<int64_t>(static_cast<double>(backoff_us) *
-                                         policy.jitter * fraction);
-    }
-    if (policy.overall_deadline_us > 0 &&
-        (now_us - start_us) + backoff_us >= policy.overall_deadline_us) {
-      done(Status::DeadlineExceeded(
-          "retry budget of " + std::to_string(policy.overall_deadline_us) +
-          "us exhausted after " + std::to_string(n) + " attempt(s): " +
-          last.ToString()));
+    int64_t backoff_us = 0;
+    std::optional<Status> verdict =
+        NextRetryStep(policy, &rng, n, start_us, attempt_start_us, clock(),
+                      std::move(last), &backoff_us);
+    if (verdict.has_value()) {
+      done(*std::move(verdict));
       return;
     }
     ++n;

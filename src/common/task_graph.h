@@ -81,10 +81,10 @@ class CompletionHandle {
 ///    node_status()/node_cancelled() for callers that fold their own
 ///    reports (degraded-mode playback collects *all* quarantine reasons).
 ///
-/// Scheduling reuses the ParallelFor discipline: the calling thread always
-/// participates in the drain loop and waits on node *completions*, so a
-/// graph run nested inside a pool task (or run with a null pool) makes
-/// progress even when every worker is busy. With a null pool and no async
+/// Scheduling discipline: the calling thread always participates in the
+/// drain loop and waits on node *completions*, not on the helper tasks it
+/// submitted, so a graph run nested inside a pool task (or run with a null
+/// or zero-thread pool) makes progress even when every worker is busy. With a null pool and no async
 /// nodes, execution is serial lowest-ready-id order on the caller — the
 /// deterministic topological order.
 ///

@@ -46,59 +46,4 @@ size_t ThreadPool::HardwareThreads() {
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
-namespace {
-
-/// Shared state of one ParallelFor section. Heap-allocated, owns a copy of
-/// `fn`, and is shared with the helper tasks, so a worker that dequeues a
-/// helper after the section already finished (every index claimed and run
-/// by faster threads) touches valid memory and drains as a no-op instead of
-/// reading the caller's dead stack frame.
-struct ForSection {
-  ForSection(size_t n, std::function<void(size_t)> f)
-      : limit(n), fn(std::move(f)) {}
-
-  void Drain() {
-    for (;;) {
-      size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= limit) return;
-      fn(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == limit) cv.notify_all();
-    }
-  }
-
-  std::atomic<size_t> next{0};
-  const size_t limit;
-  const std::function<void(size_t)> fn;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;  // guarded by mu; fn(i) completions, not helper exits
-};
-
-}  // namespace
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const size_t helpers =
-      (pool == nullptr || n < 2) ? 0 : std::min(pool->thread_count(), n - 1);
-  if (helpers == 0) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  auto section = std::make_shared<ForSection>(n, fn);
-  for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([section] { section->Drain(); });
-  }
-  // The caller always participates, and it waits for iteration COMPLETIONS,
-  // not for the helper tasks to run: when every worker is tied up in outer
-  // sections (nested ParallelFor), the caller simply drains all n indices
-  // itself and returns while the queued helpers later no-op. Waiting for
-  // helper exits here would deadlock that nesting.
-  section->Drain();
-  std::unique_lock<std::mutex> lock(section->mu);
-  section->cv.wait(lock, [&] { return section->done == section->limit; });
-}
-
 }  // namespace discsec

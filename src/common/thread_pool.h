@@ -1,13 +1,11 @@
 #ifndef DISCSEC_COMMON_THREAD_POOL_H_
 #define DISCSEC_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -15,20 +13,18 @@ namespace discsec {
 
 /// A bounded pool of worker threads with a shared FIFO queue — the execution
 /// substrate for the parallel verification engine. Deliberately simple: no
-/// work stealing, no priorities, no futures; parallel sections are expressed
-/// with the blocking ParallelFor/ParallelMap helpers below, which are safe to
-/// nest (the calling thread always participates, so a nested section makes
-/// progress even when every pool worker is busy).
+/// work stealing, no priorities, no futures. Parallel sections are expressed
+/// as a taskgraph::TaskGraph run on the pool (common/task_graph.h), which is
+/// safe to nest: the calling thread always participates, so a nested graph
+/// makes progress even when every pool worker is busy.
 ///
-/// A null pool (or a pool of zero threads) degrades every helper to plain
-/// serial execution with identical results, so callers thread a `ThreadPool*`
-/// through their options and the single-threaded configuration stays the
-/// default.
+/// Callers thread a `ThreadPool*` through their options; null keeps every
+/// path serial with identical results, and stays the default.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers. Zero is allowed: Submit still works (tasks run
-  /// on the submitting thread inside the helpers' drain loop), which keeps a
-  /// 1-thread sweep honest in the benchmarks.
+  /// Spawns `threads` workers. Zero is allowed: submitted tasks queue but
+  /// never run, so a TaskGraph run on the pool executes every node on the
+  /// calling thread.
   explicit ThreadPool(size_t threads);
   ~ThreadPool();
 
@@ -52,29 +48,6 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// Runs `fn(i)` for every i in [0, n), distributing iterations over the pool
-/// workers and the calling thread, and blocks until all n complete. Iteration
-/// order across threads is unspecified; `fn` must be safe to invoke
-/// concurrently with itself. With a null pool (or n < 2) the loop runs
-/// serially on the caller in index order.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
-
-/// Maps `fn` over `items`, preserving order in the returned vector: out[i] is
-/// fn(items[i]). The result type only needs to be movable.
-template <typename T, typename Fn>
-auto ParallelMap(ThreadPool* pool, const std::vector<T>& items, Fn fn)
-    -> std::vector<decltype(fn(items[size_t{0}]))> {
-  using R = decltype(fn(items[size_t{0}]));
-  std::vector<std::optional<R>> slots(items.size());
-  ParallelFor(pool, items.size(),
-              [&](size_t i) { slots[i].emplace(fn(items[i])); });
-  std::vector<R> out;
-  out.reserve(items.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
 
 }  // namespace discsec
 

@@ -53,7 +53,7 @@ class Digest {
 
 namespace internal {
 /// Bumps the process-wide DigestBytesStreamed() counter (one relaxed atomic
-/// add per chunk, not per byte).
+/// add per DigestSink, when it is destroyed).
 void NoteDigestBytes(size_t len);
 }  // namespace internal
 
@@ -68,14 +68,16 @@ uint64_t DigestBytesStreamed();
 class DigestSink final : public ByteSink {
  public:
   explicit DigestSink(Digest* digest) : digest_(digest) {}
+  ~DigestSink() override { internal::NoteDigestBytes(bytes_); }
   using ByteSink::Append;
   void Append(const uint8_t* data, size_t len) override {
-    internal::NoteDigestBytes(len);
+    bytes_ += len;
     digest_->Update(data, len);
   }
 
  private:
   Digest* digest_;
+  size_t bytes_ = 0;
 };
 
 /// Factory keyed by W3C algorithm URI (see crypto/algorithms.h). Returns

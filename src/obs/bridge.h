@@ -1,12 +1,11 @@
 #ifndef DISCSEC_OBS_BRIDGE_H_
 #define DISCSEC_OBS_BRIDGE_H_
 
-/// Bridges between component-local stats structs (DigestCacheStats,
-/// LocateCacheStats, RetryingTransportStats, FaultInjector counters) and a
-/// MetricsRegistry. Header-only on purpose: discsec_obs links only
-/// discsec_common, so it cannot depend on crypto/xkms — instead the *caller*
-/// (player, tool, tests), which already links those libraries, instantiates
-/// these inline absorbers.
+/// Bridges between component-local stats structs (LocateCacheStats,
+/// RetryingTransportStats, FaultInjector counters) and a MetricsRegistry.
+/// Header-only on purpose: discsec_obs links only discsec_common, so it
+/// cannot depend on xkms/xrml — instead the *caller* (player, tool, tests),
+/// which already links those libraries, instantiates these inline absorbers.
 ///
 /// Component stats are cumulative, so absorption uses Counter::MaxTo and is
 /// idempotent: re-absorbing the same snapshot leaves the registry unchanged,
@@ -16,7 +15,6 @@
 
 #include "common/fault.h"
 #include "common/retry.h"
-#include "crypto/digest_cache.h"
 #include "obs/metrics.h"
 #include "xml/arena.h"
 #include "xkms/locate_cache.h"
@@ -26,16 +24,6 @@
 
 namespace discsec {
 namespace obs {
-
-inline void AbsorbDigestCacheStats(const crypto::DigestCacheStats& stats,
-                                   MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  metrics->GetCounter("digest_cache.hits")->MaxTo(stats.hits);
-  metrics->GetCounter("digest_cache.misses")->MaxTo(stats.misses);
-  metrics->GetCounter("digest_cache.evictions")->MaxTo(stats.evictions);
-  metrics->GetCounter("digest_cache.bypasses")->MaxTo(stats.bypasses);
-  metrics->GetCounter("digest_cache.entries")->Set(stats.entries);
-}
 
 inline void AbsorbLocateCacheStats(const xkms::LocateCacheStats& stats,
                                    MetricsRegistry* metrics) {

@@ -95,7 +95,7 @@ struct MetricsSnapshot {
 /// returns a stable pointer; instruments themselves are lock-free, so hot
 /// paths should cache the pointer (or accept one lock per lookup — still
 /// cheap next to crypto work). Metric names use dotted lowercase paths,
-/// e.g. "digest_cache.hits", "player.track.verify_us".
+/// e.g. "locate_cache.hits", "player.track.verify_us".
 class MetricsRegistry {
  public:
   Counter* GetCounter(std::string_view name);

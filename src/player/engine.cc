@@ -5,6 +5,7 @@
 
 #include "access/permission_request.h"
 #include "common/task_graph.h"
+#include "crypto/digest.h"
 #include "obs/bridge.h"
 #include "pki/key_codec.h"
 #include "player/host_api.h"
@@ -87,10 +88,6 @@ obs::Histogram* InteractiveApplicationEngine::Hist(const char* name) const {
 
 void InteractiveApplicationEngine::AbsorbComponentMetrics() {
   if (config_.metrics == nullptr) return;
-  if (config_.digest_cache != nullptr) {
-    obs::AbsorbDigestCacheStats(config_.digest_cache->stats(),
-                                config_.metrics);
-  }
   if (config_.xkms_cache != nullptr) {
     obs::AbsorbLocateCacheStats(config_.xkms_cache->stats(), config_.metrics);
   }
@@ -134,7 +131,6 @@ Status InteractiveApplicationEngine::VerifyPhase(
   options.parse_options = config_.parse_limits;
   options.pool = config_.pool;
   if (config_.streaming_verify) options.source_text = source_text;
-  options.digest_cache = config_.digest_cache;
   options.tracer = config_.tracer;
   options.metrics = config_.metrics;
   // See-what-is-signed: when the signature is load-bearing, its references

@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "crypto/digest_cache.h"
 #include "disc/content.h"
 #include "disc/disc_image.h"
 #include "disc/local_storage.h"
@@ -125,10 +124,6 @@ struct PlayerConfig {
   /// reports keep deterministic (cluster) ordering, and strict-mode
   /// failure still surfaces the first failing track in track order.
   ThreadPool* pool = nullptr;
-  /// Content-addressed digest cache shared across verifications (and, when
-  /// the caller wires it into several engines, across players). Null
-  /// disables caching.
-  crypto::DigestCache* digest_cache = nullptr;
   /// TTL + single-flight cache over XKMS Locate. When set it takes
   /// precedence over `xkms` for key-binding location (Validate always goes
   /// to the live service — revocation verdicts are never cached).
@@ -279,9 +274,9 @@ class InteractiveApplicationEngine {
       const std::string& cluster_xml, Origin origin,
       xmldsig::ExternalResolver resolver = nullptr);
 
-  /// Folds the cumulative stats of the configured components (digest cache,
-  /// XKMS locate cache, retrying-transport stats when registered via
-  /// PlayerConfig, fault injector) into PlayerConfig::metrics. Idempotent;
+  /// Folds the cumulative stats of the configured components (XKMS locate
+  /// cache, retrying-transport stats when registered via PlayerConfig,
+  /// fault injector) into PlayerConfig::metrics. Idempotent;
   /// no-op when metrics is null. Call right before Snapshot()/ToJson().
   void AbsorbComponentMetrics();
 

@@ -33,17 +33,6 @@ std::string DecoyName(uint32_t index) {
   return "fleet-key-" + std::to_string(index);
 }
 
-crypto::DigestCacheStats Delta(const crypto::DigestCacheStats& now,
-                               const crypto::DigestCacheStats& base) {
-  crypto::DigestCacheStats d;
-  d.hits = now.hits - base.hits;
-  d.misses = now.misses - base.misses;
-  d.evictions = now.evictions - base.evictions;
-  d.bypasses = now.bypasses - base.bypasses;
-  d.entries = now.entries;
-  return d;
-}
-
 xkms::LocateCacheStats Delta(const xkms::LocateCacheStats& now,
                              const xkms::LocateCacheStats& base) {
   xkms::LocateCacheStats d;
@@ -180,9 +169,9 @@ std::vector<std::string> FleetSimulator::PristineArchetypeKeys() const {
 // ---------------------------------------------------------------------------
 
 /// All the per-scenario state: seeded injectors, the responder stack, the
-/// fleet-shared caches, the player engines, and the event plan. Member
-/// order is construction order; destruction runs in reverse, so the
-/// engines die before the caches and the responder before its pool.
+/// fleet-shared locate cache, the player engines, and the event plan.
+/// Member order is construction order; destruction runs in reverse, so the
+/// engines die before the cache and the responder before its pool.
 class ScenarioRun {
  public:
   ScenarioRun(const FleetSimulator& simulator, const ScenarioSpec& spec,
@@ -244,8 +233,6 @@ class ScenarioRun {
   std::unique_ptr<xkms::Xkmsd> xkmsd_;
   std::unique_ptr<xkms::XkmsClient> client_;
   std::unique_ptr<xkms::LocateCache> locate_cache_;
-  crypto::DigestCache digest_cache_;
-  crypto::DigestCache shadow_digest_cache_;
   pki::CertStore trust_;
   std::unique_ptr<ThreadPool> engine_pool_;
 
@@ -349,7 +336,6 @@ Status ScenarioRun::Setup() {
   primary.arena_parse = streaming_primary;
   primary.fault = &engine_injector_;
   primary.pool = engine_pool_.get();
-  primary.digest_cache = &digest_cache_;
   primary.xkms = client_.get();
   primary.xkms_cache = locate_cache_.get();
   primary.metrics = &metrics_;
@@ -357,9 +343,9 @@ Status ScenarioRun::Setup() {
       std::move(primary));
 
   if (spec_.route == VerifyRoute::kDifferential) {
-    // The shadow runs the streaming route against mirrored state: its own
-    // caches and an injector with the primary's seed, so serial execution
-    // replays the identical fault decisions. It has no XKMS wiring — the
+    // The shadow runs the streaming route against mirrored state: an
+    // injector with the primary's seed, so serial execution replays the
+    // identical fault decisions. It has no XKMS wiring — the
     // parity claim is about the signature/decrypt/policy/markup/script
     // pipeline; trust-service behavior is pinned by the load suite.
     player::PlayerConfig shadow = BaseConfig();
@@ -367,7 +353,6 @@ Status ScenarioRun::Setup() {
     shadow.streaming_verify = true;
     shadow.arena_parse = true;
     shadow.fault = &shadow_injector_;
-    shadow.digest_cache = &shadow_digest_cache_;
     shadow_ = std::make_unique<player::InteractiveApplicationEngine>(
         std::move(shadow));
   }
@@ -686,7 +671,6 @@ Result<ScenarioResult> ScenarioRun::Execute() {
 
   // Measurement baselines AFTER warm-up, BEFORE chaos: the reported deltas
   // are the measurement window only.
-  const crypto::DigestCacheStats digest_base = digest_cache_.stats();
   const xkms::LocateCacheStats locate_base = locate_cache_->stats();
   const xkms::XkmsdStats responder_base = xkmsd_->stats();
 
@@ -757,7 +741,6 @@ Result<ScenarioResult> ScenarioRun::Execute() {
     result_.chaos_responder_fires += responder_injector_.fires(spec.point);
   }
 
-  result_.digest = Delta(digest_cache_.stats(), digest_base);
   result_.locate = Delta(locate_cache_->stats(), locate_base);
   result_.responder = Delta(xkmsd_->stats(), responder_base);
   result_.event_digest = ToHex(trace_.Finalize());

@@ -10,7 +10,6 @@
 #include "access/policy.h"
 #include "common/bytes.h"
 #include "common/result.h"
-#include "crypto/digest_cache.h"
 #include "disc/content.h"
 #include "disc/disc_image.h"
 #include "obs/metrics.h"
@@ -113,7 +112,6 @@ struct ScenarioResult {
 
   /// Cache / responder activity inside the measurement window (the warm-up
   /// pass, when CacheState::kWarm, is subtracted out).
-  crypto::DigestCacheStats digest;
   xkms::LocateCacheStats locate;
   xkms::XkmsdStats responder;
 

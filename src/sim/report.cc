@@ -145,8 +145,6 @@ std::string FleetBenchJson(const FleetReport& report) {
         static_cast<double>(row.chaos_engine_fires);
     counters["chaos_responder_fires"] =
         static_cast<double>(row.chaos_responder_fires);
-    counters["digest_cache.hit_rate"] =
-        Ratio(row.digest.hits, row.digest.hits + row.digest.misses);
     counters["locate_cache.hit_rate"] =
         Ratio(row.locate.hits, row.locate.hits + row.locate.misses);
     counters["xkmsd.served"] = static_cast<double>(row.responder.served);

@@ -34,9 +34,9 @@ enum class VerifyRoute {
 const char* VerifyRouteName(VerifyRoute route);
 Result<VerifyRoute> VerifyRouteFromName(std::string_view name);
 
-/// Whether the fleet-shared DigestCache / LocateCache start empty or after
-/// a warm-up pass over every pristine archetype (warm-up traffic is
-/// excluded from the reported cache deltas).
+/// Whether the fleet-shared LocateCache starts empty or after a warm-up
+/// pass over every pristine archetype (warm-up traffic is excluded from the
+/// reported cache deltas).
 enum class CacheState {
   kCold,
   kWarm,

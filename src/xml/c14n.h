@@ -65,7 +65,7 @@ std::string CanonicalizeElement(const Element& apex);
 /// take deltas of this to assert hot paths stay constant-memory. The
 /// counter is atomic, so the parallel verification engine's concurrent
 /// reference processing bumps it race-free (deltas remain exact across a
-/// join, since ParallelFor completes before the caller reads the counter).
+/// join, since TaskGraph::Run returns only after every node finished).
 size_t BufferedCanonicalizationCount();
 
 namespace internal {

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "crypto/algorithms.h"
 #include "crypto/digest.h"
-#include "crypto/digest_cache.h"
 #include "crypto/hmac.h"
 #include "crypto/sha1.h"
 #include "pki/key_codec.h"
@@ -489,10 +488,8 @@ Result<VerifyInfo> Verifier::VerifyWithIndex(const xml::Document* doc,
       out.status = digest.status();
       return out;
     }
-    // The reference octets stream into the digest as they are produced —
-    // through the content-addressed cache when one is configured.
-    crypto::CachingDigestSink sink(options.digest_cache, digest->get(),
-                                   digest_alg);
+    // The reference octets stream into the digest as they are produced.
+    crypto::DigestSink sink(digest->get());
     ReferenceResolution resolution;
     bool streamed =
         stream_capable &&
@@ -504,18 +501,7 @@ Result<VerifyInfo> Verifier::VerifyWithIndex(const xml::Document* doc,
       out.status = ProcessReferenceTo(ref, ctx, &sink, &resolution);
     }
     if (!out.status.ok()) return out;
-    Bytes actual = sink.Finalize();
-    if (options.digest_cache != nullptr) {
-      ref_span.SetAttr("cache", sink.was_hit() ? "hit" : "miss");
-      if (options.metrics != nullptr) {
-        options.metrics
-            ->GetCounter(sink.was_hit() ? "xmldsig.cache_hits"
-                                        : "xmldsig.cache_misses")
-            ->Add();
-      }
-    } else {
-      ref_span.SetAttr("cache", "off");
-    }
+    Bytes actual = (*digest)->Finalize();
     auto expected = Base64Decode(digest_value->TextContent());
     if (!expected.ok()) {
       out.status = expected.status();

@@ -17,10 +17,6 @@ namespace discsec {
 
 class ThreadPool;
 
-namespace crypto {
-class DigestCache;
-}  // namespace crypto
-
 namespace xmldsig {
 
 /// How the verifier establishes trust in the signing key — the player-side
@@ -73,12 +69,6 @@ struct VerifyOptions {
   /// reference in document order still decides the error.
   ThreadPool* pool = nullptr;
 
-  /// When set, reference digests are served through this content-addressed
-  /// cache (keyed by digest algorithm + SHA-256 of the exact reference
-  /// octets). Safe to share across verifiers and threads; see DESIGN.md §9
-  /// for why a hit cannot weaken the wrapping defenses.
-  crypto::DigestCache* digest_cache = nullptr;
-
   /// Single-pass streaming verify fast path (DESIGN.md §14). When non-empty
   /// this must be the EXACT source text `doc` was parsed from (same bytes,
   /// and `parse_options` no stricter than the original parse). Same-document
@@ -94,12 +84,12 @@ struct VerifyOptions {
 
   /// Observability (DESIGN.md §10): when `tracer` is set the verifier emits
   /// an "xmldsig.verify" span, one "xmldsig.reference" span per <Reference>
-  /// (attributes: uri, transforms, digest_alg, cache hit/miss — parented
+  /// (attributes: uri, transforms, digest_alg, pipeline — parented
   /// correctly even when references digest on `pool` workers) and an
   /// "xmldsig.signed_info" span for the SignedInfo signature check. When
-  /// `metrics` is set, "xmldsig.references_verified" / ".cache_hits" /
-  /// ".cache_misses" counters and the "xmldsig.verify_us" histogram are
-  /// recorded. Both null (the default) costs nothing.
+  /// `metrics` is set, the "xmldsig.references_verified" counter and the
+  /// "xmldsig.verify_us" histogram are recorded. Both null (the default)
+  /// costs nothing.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -13,8 +13,9 @@
 
 #include "authoring/author.h"
 #include "bench/alloc_tracker.h"
+#include "common/task_graph.h"
 #include "common/thread_pool.h"
-#include "crypto/digest_cache.h"
+#include "crypto/algorithms.h"
 #include "obs/bridge.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -79,12 +80,19 @@ TEST(TracerTest, ExplicitParentNestsCorrectlyAcrossThreadPoolWorkers) {
     root_id = root.context().span_id;
     const obs::SpanContext ctx = root.context();
     ThreadPool pool(4);
-    ParallelFor(&pool, 32, [&](size_t i) {
-      obs::ScopedSpan child(ctx, "child");
-      child.SetAttr("index", static_cast<uint64_t>(i));
-      // Implicit nesting must follow the explicit parent on this worker.
-      obs::ScopedSpan grandchild(&tracer, "grandchild");
-    });
+    taskgraph::TaskGraph graph;
+    for (size_t i = 0; i < 32; ++i) {
+      graph.AddNode("child", [&, i] {
+        obs::ScopedSpan child(ctx, "child");
+        child.SetAttr("index", static_cast<uint64_t>(i));
+        // Implicit nesting must follow the explicit parent on this worker.
+        obs::ScopedSpan grandchild(&tracer, "grandchild");
+        return Status::OK();
+      });
+    }
+    taskgraph::TaskGraph::RunOptions run;
+    run.pool = &pool;
+    ASSERT_TRUE(graph.Run(run).ok());
   }
   spans = tracer.Snapshot();
   std::set<uint64_t> child_ids;
@@ -234,29 +242,16 @@ TEST(MetricsTest, SnapshotIsSortedAndJsonRoundTrips) {
 TEST(MetricsTest, BridgeAbsorbsComponentStatsExactlyAndIdempotently) {
   obs::MetricsRegistry registry;
 
-  crypto::DigestCache cache;
-  Bytes key(32, 0x5a);
-  EXPECT_FALSE(cache.Lookup("alg", key).has_value());  // miss
-  cache.Insert("alg", key, Bytes(20, 1));
-  EXPECT_TRUE(cache.Lookup("alg", key).has_value());  // hit
-  crypto::DigestCacheStats stats = cache.stats();
-  obs::AbsorbDigestCacheStats(stats, &registry);
-  obs::AbsorbDigestCacheStats(stats, &registry);  // idempotent
-  obs::MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counter("digest_cache.hits"), stats.hits);
-  EXPECT_EQ(snapshot.counter("digest_cache.misses"), stats.misses);
-  EXPECT_EQ(snapshot.counter("digest_cache.entries"), stats.entries);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-
   xkms::LocateCacheStats locate;
   locate.hits = 5;
   locate.misses = 2;
   locate.coalesced = 3;
   locate.transport_calls = 2;
   obs::AbsorbLocateCacheStats(locate, &registry);
-  snapshot = registry.Snapshot();
+  obs::AbsorbLocateCacheStats(locate, &registry);  // idempotent
+  obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.counter("locate_cache.hits"), 5u);
+  EXPECT_EQ(snapshot.counter("locate_cache.misses"), 2u);
   EXPECT_EQ(snapshot.counter("locate_cache.coalesced"), 3u);
 
   xkms::RetryingTransportStats transport;
@@ -304,15 +299,14 @@ std::string Attr(const obs::SpanRecord& span, std::string_view key) {
   return {};
 }
 
-TEST_F(ObsPipelineTest, VerifierEmitsReferenceSpansWithCacheAttributes) {
+TEST_F(ObsPipelineTest, VerifierEmitsReferenceSpansWithAttributes) {
   authoring::Author author = world_->MakeAuthor();
-  auto doc = author.BuildSigned(world_->DemoCluster(),
-                                authoring::SignLevel::kCluster);
+  disc::InteractiveCluster cluster = world_->DemoCluster();
+  auto doc = author.BuildSigned(cluster, authoring::SignLevel::kTrack);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
 
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  crypto::DigestCache cache;
   pki::CertStore store;
   ASSERT_TRUE(store.AddTrustedRoot(world_->root_cert).ok());
   xmldsig::VerifyOptions options;
@@ -320,35 +314,21 @@ TEST_F(ObsPipelineTest, VerifierEmitsReferenceSpansWithCacheAttributes) {
   options.now = testing_world::kNow;
   options.tracer = &tracer;
   options.metrics = &metrics;
-  options.digest_cache = &cache;
 
   ASSERT_TRUE(
       xmldsig::Verifier::VerifyFirstSignature(doc.value(), options).ok());
-  auto first_refs = SpansNamed(tracer.Snapshot(), "xmldsig.reference");
-  ASSERT_FALSE(first_refs.empty());
-  for (const obs::SpanRecord& span : first_refs) {
-    EXPECT_EQ(Attr(span, "cache"), "miss");
-    EXPECT_FALSE(Attr(span, "digest_alg").empty());
-    EXPECT_FALSE(Attr(span, "transforms").empty());
-  }
-
-  tracer.Clear();
-  ASSERT_TRUE(
-      xmldsig::Verifier::VerifyFirstSignature(doc.value(), options).ok());
-  auto second_refs = SpansNamed(tracer.Snapshot(), "xmldsig.reference");
-  ASSERT_FALSE(second_refs.empty());
-  for (const obs::SpanRecord& span : second_refs) {
-    EXPECT_EQ(Attr(span, "cache"), "hit");
-  }
+  auto refs = SpansNamed(tracer.Snapshot(), "xmldsig.reference");
+  ASSERT_EQ(refs.size(), 1u);  // one detached reference to the track
+  EXPECT_EQ(Attr(refs[0], "uri"), "#" + cluster.FirstApplicationTrack()->id);
+  EXPECT_EQ(Attr(refs[0], "transforms"), crypto::kAlgC14N);
+  EXPECT_FALSE(Attr(refs[0], "digest_alg").empty());
 
   obs::MetricsSnapshot snapshot = metrics.Snapshot();
-  EXPECT_GE(snapshot.counter("xmldsig.cache_hits"), 1u);
-  EXPECT_GE(snapshot.counter("xmldsig.cache_misses"), 1u);
-  EXPECT_GE(snapshot.counter("xmldsig.references_verified"), 2u);
+  EXPECT_EQ(snapshot.counter("xmldsig.references_verified"), 1u);
   const obs::HistogramSnapshot* verify_us =
       snapshot.histogram("xmldsig.verify_us");
   ASSERT_NE(verify_us, nullptr);
-  EXPECT_EQ(verify_us->count, 2u);
+  EXPECT_EQ(verify_us->count, 1u);
 }
 
 TEST_F(ObsPipelineTest, PlayDiscSpansNestCorrectlyAcrossPoolWorkers) {

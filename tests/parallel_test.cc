@@ -1,9 +1,10 @@
-// Concurrency tests for the parallel verification engine: the ThreadPool
-// substrate, the content-addressed DigestCache, the single-flight XKMS
-// LocateCache, parallel PlayDisc equivalence with the serial path, and the
-// thread-safety retrofits (FaultInjector, retrying transport, GlobalRng).
-// Every assertion here also runs under the ThreadSanitizer CI stage, which
-// is what actually proves the absence of data races.
+// Concurrency tests for the parallel verification engine: the single-flight
+// XKMS LocateCache, parallel PlayDisc equivalence with the serial path, the
+// attack corpus against a pooled verifier, and the thread-safety retrofits
+// (FaultInjector, retrying transport, GlobalRng). The ThreadPool/TaskGraph
+// substrate itself is covered by taskgraph_test. Every assertion here also
+// runs under the ThreadSanitizer CI stage, which is what actually proves
+// the absence of data races.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +18,6 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "crypto/digest_cache.h"
-#include "crypto/sha256.h"
 #include "player/engine.h"
 #include "tests/attacks/attack_corpus.h"
 #include "tests/test_world.h"
@@ -48,183 +47,6 @@ Bytes PatternBytes(uint32_t seed, size_t len) {
     out[i] = static_cast<uint8_t>(x >> 24);
   }
   return out;
-}
-
-Bytes DirectSha256(const Bytes& data) {
-  crypto::Sha256 digest;
-  digest.Update(data.data(), data.size());
-  return digest.Finalize();
-}
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 1000;
-  std::vector<int> touched(kN, 0);
-  std::atomic<size_t> total{0};
-  ParallelFor(&pool, kN, [&](size_t i) {
-    ++touched[i];  // distinct index per task: no two tasks share a slot
-    total.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(total.load(), kN);
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(touched[i], 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, NullPoolRunsSeriallyInOrder) {
-  std::vector<size_t> order;
-  ParallelFor(nullptr, 5, [&](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, ZeroThreadPoolStillCompletes) {
-  ThreadPool pool(0);
-  std::atomic<size_t> total{0};
-  ParallelFor(&pool, 64, [&](size_t) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // PlayDisc nests: per-track verification fans out per-reference digesting
-  // on the same pool. The caller participates in the drain loop, so the
-  // nested section completes even with every worker busy.
-  ThreadPool pool(2);
-  std::atomic<size_t> total{0};
-  ParallelFor(&pool, 8, [&](size_t) {
-    ParallelFor(&pool, 8, [&](size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ThreadPoolTest, ParallelMapPreservesOrder) {
-  ThreadPool pool(3);
-  std::vector<int> items;
-  for (int i = 0; i < 100; ++i) items.push_back(i);
-  std::vector<int> squares =
-      ParallelMap(&pool, items, [](int x) { return x * x; });
-  ASSERT_EQ(squares.size(), items.size());
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[i], i * i);
-}
-
-// --------------------------------------------------------------- DigestCache
-
-constexpr char kAlg[] = "http://www.w3.org/2000/09/xmldsig#sha1";
-
-TEST(DigestCacheTest, SinkMatchesDirectDigestAndHitsOnRepeat) {
-  crypto::DigestCache cache;
-  Bytes data = PatternBytes(7, 4096);
-  Bytes expected = DirectSha256(data);
-
-  crypto::Sha256 first;
-  crypto::CachingDigestSink miss_sink(&cache, &first, kAlg);
-  miss_sink.Append(data.data(), data.size());
-  EXPECT_EQ(miss_sink.Finalize(), expected);
-  EXPECT_FALSE(miss_sink.was_hit());
-
-  crypto::Sha256 second;
-  crypto::CachingDigestSink hit_sink(&cache, &second, kAlg);
-  hit_sink.Append(data.data(), data.size());
-  EXPECT_EQ(hit_sink.Finalize(), expected);
-  EXPECT_TRUE(hit_sink.was_hit());
-
-  crypto::DigestCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(DigestCacheTest, NullCacheIsPassThrough) {
-  Bytes data = PatternBytes(9, 512);
-  crypto::Sha256 digest;
-  crypto::CachingDigestSink sink(nullptr, &digest, kAlg);
-  sink.Append(data.data(), data.size());
-  EXPECT_EQ(sink.Finalize(), DirectSha256(data));
-  EXPECT_FALSE(sink.was_hit());
-}
-
-TEST(DigestCacheTest, DifferentAlgorithmUrisDoNotCollide) {
-  crypto::DigestCache cache;
-  Bytes data = PatternBytes(11, 256);
-  crypto::Sha256 a;
-  crypto::CachingDigestSink sink_a(&cache, &a, "urn:alg:a");
-  sink_a.Append(data.data(), data.size());
-  (void)sink_a.Finalize();
-  // Same content, different algorithm URI: must be a miss, not a cross-
-  // algorithm hit — the key commits to the algorithm too.
-  crypto::Sha256 b;
-  crypto::CachingDigestSink sink_b(&cache, &b, "urn:alg:b");
-  sink_b.Append(data.data(), data.size());
-  (void)sink_b.Finalize();
-  EXPECT_FALSE(sink_b.was_hit());
-  EXPECT_EQ(cache.stats().entries, 2u);
-}
-
-TEST(DigestCacheTest, ConcurrentInsertAndLookupStaysCorrect) {
-  crypto::DigestCache cache;
-  constexpr size_t kPayloads = 128;
-  constexpr size_t kThreads = 4;
-  std::vector<Bytes> payloads;
-  std::vector<Bytes> expected;
-  for (size_t i = 0; i < kPayloads; ++i) {
-    payloads.push_back(PatternBytes(static_cast<uint32_t>(i), 1024 + i));
-    expected.push_back(DirectSha256(payloads[i]));
-  }
-  std::atomic<size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // Every thread walks all payloads from a different offset, so inserts
-      // and hits for the same key race on purpose.
-      for (size_t round = 0; round < 3; ++round) {
-        for (size_t i = 0; i < kPayloads; ++i) {
-          size_t p = (i + t * 31) % kPayloads;
-          crypto::Sha256 digest;
-          crypto::CachingDigestSink sink(&cache, &digest, kAlg);
-          sink.Append(payloads[p].data(), payloads[p].size());
-          if (sink.Finalize() != expected[p]) mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  crypto::DigestCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * 3 * kPayloads);
-  // First-round touches may race (several threads miss the same key and all
-  // insert — benign, the value is content-addressed), but every round-2/3
-  // lookup is a guaranteed hit: the cache never evicts at this size.
-  EXPECT_GE(stats.hits, kThreads * 2 * kPayloads);
-  EXPECT_EQ(stats.entries, kPayloads);
-}
-
-TEST(DigestCacheTest, EvictionKeepsEntryCountBounded) {
-  crypto::DigestCache::Options options;
-  options.max_entries = 8;
-  options.shards = 1;
-  crypto::DigestCache cache(options);
-  for (uint32_t i = 0; i < 100; ++i) {
-    Bytes key = DirectSha256(PatternBytes(i, 64));
-    cache.Insert(kAlg, key, PatternBytes(i, 20));
-  }
-  EXPECT_LE(cache.size(), 8u);
-  EXPECT_EQ(cache.stats().evictions, 92u);
-}
-
-TEST(DigestCacheTest, OversizedStreamBypassesButStaysCorrect) {
-  crypto::DigestCache::Options options;
-  options.max_entry_bytes = 64;
-  crypto::DigestCache cache(options);
-  Bytes data = PatternBytes(13, 1000);
-  crypto::Sha256 digest;
-  crypto::CachingDigestSink sink(&cache, &digest, kAlg);
-  // Feed in chunks so the overflow happens mid-stream (prefix replay path).
-  for (size_t off = 0; off < data.size(); off += 100) {
-    sink.Append(data.data() + off, std::min<size_t>(100, data.size() - off));
-  }
-  EXPECT_EQ(sink.Finalize(), DirectSha256(data));
-  EXPECT_FALSE(sink.was_hit());
-  EXPECT_EQ(cache.stats().bypasses, 1u);
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 // --------------------------------------------------------------- LocateCache
@@ -438,10 +260,8 @@ TEST(ParallelPlayDiscTest, MatchesSerialOnCleanDisc) {
   ASSERT_TRUE(serial_playback.ok()) << serial_playback.status().ToString();
 
   ThreadPool pool(4);
-  crypto::DigestCache digest_cache;
   player::PlayerConfig config = world.MakePlayerConfig();
   config.pool = &pool;
-  config.digest_cache = &digest_cache;
   player::InteractiveApplicationEngine parallel(config);
   auto parallel_playback = parallel.PlayDisc(image);
   ASSERT_TRUE(parallel_playback.ok()) << parallel_playback.status().ToString();
@@ -451,14 +271,6 @@ TEST(ParallelPlayDiscTest, MatchesSerialOnCleanDisc) {
   EXPECT_EQ(QuarantinedIds(*serial_playback),
             QuarantinedIds(*parallel_playback));
   EXPECT_FALSE(parallel_playback->degraded());
-  EXPECT_GT(digest_cache.stats().misses, 0u);
-
-  // A second insertion of the same disc is served from the warm cache.
-  uint64_t cold_misses = digest_cache.stats().misses;
-  auto warm = parallel.PlayDisc(image);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_GT(digest_cache.stats().hits, 0u);
-  EXPECT_EQ(digest_cache.stats().misses, cold_misses);
 }
 
 TEST(ParallelPlayDiscTest, DegradedModeQuarantinesIdentically) {
@@ -480,11 +292,9 @@ TEST(ParallelPlayDiscTest, DegradedModeQuarantinesIdentically) {
   ASSERT_TRUE(serial_playback.ok()) << serial_playback.status().ToString();
 
   ThreadPool pool(4);
-  crypto::DigestCache digest_cache;
   player::PlayerConfig parallel_config = world.MakePlayerConfig();
   parallel_config.allow_degraded_playback = true;
   parallel_config.pool = &pool;
-  parallel_config.digest_cache = &digest_cache;
   player::InteractiveApplicationEngine parallel(parallel_config);
   auto parallel_playback = parallel.PlayDisc(image);
   ASSERT_TRUE(parallel_playback.ok()) << parallel_playback.status().ToString();
@@ -527,26 +337,21 @@ TEST(ParallelPlayDiscTest, StrictModeReportsSameFirstFailure) {
             parallel_playback.status().ToString());
 }
 
-// ----------------------------------------------- warm caches vs the attacks
+// ------------------------------------------------ pooled verifier vs attacks
 
-// A warm digest cache (seeded by verifying the pristine documents) and a
-// thread pool must not weaken a single defense: every attack-corpus mutation
-// is still rejected with the same status code. A cache-poisoning attempt —
-// getting a forged digest served for mutated content — would surface here
-// as an accepted mutation.
-TEST(ParallelAttackSurfaceTest, WarmCacheStillRejectsEntireCorpus) {
+// Digesting references on pool workers must not weaken a single defense:
+// every pristine baseline still verifies, and every attack-corpus mutation
+// is still rejected with the same status code as on the serial path.
+TEST(ParallelAttackSurfaceTest, PooledVerifierStillRejectsEntireCorpus) {
   const World& world = SharedWorld();
   ThreadPool pool(4);
-  crypto::DigestCache digest_cache;
   xmldsig::VerifyOptions options;
   pki::CertStore trust;
   ASSERT_TRUE(trust.AddTrustedRoot(world.root_cert).ok());
   options.cert_store = &trust;
   options.now = kNow;
   options.pool = &pool;
-  options.digest_cache = &digest_cache;
 
-  // Warm the cache with every pristine baseline first.
   for (const attacks::AttackCase& baseline :
        attacks::BuildPristineBaselines(world)) {
     if (baseline.route != attacks::AttackRoute::kVerifier) continue;
@@ -556,17 +361,16 @@ TEST(ParallelAttackSurfaceTest, WarmCacheStillRejectsEntireCorpus) {
         xmldsig::Verifier::VerifyFirstSignature(doc.value(), options).status();
     EXPECT_TRUE(status.ok()) << baseline.name << ": " << status.ToString();
   }
-  ASSERT_GT(digest_cache.stats().entries, 0u);
 
   size_t checked = 0;
   for (const attacks::AttackCase& attack : attacks::BuildAttackCorpus(world)) {
     if (attack.route != attacks::AttackRoute::kVerifier) continue;
     auto doc = xml::Parse(attack.xml);
-    if (!doc.ok()) continue;  // parser-level rejections never reach the cache
+    if (!doc.ok()) continue;  // parser rejections never reach the verifier
     Status status =
         xmldsig::Verifier::VerifyFirstSignature(doc.value(), options).status();
     ASSERT_FALSE(status.ok())
-        << attack.name << ": mutation ACCEPTED with warm cache";
+        << attack.name << ": mutation ACCEPTED by the pooled verifier";
     EXPECT_EQ(static_cast<int>(status.code()),
               static_cast<int>(attack.expected_code))
         << attack.name << ": " << status.ToString();

@@ -255,6 +255,35 @@ TEST(TaskGraphTest, FailFastOffStillRunsIndependentNodes) {
   EXPECT_TRUE(graph.node_status(c).ok());
 }
 
+TEST(TaskGraphTest, GraphNestedInsidePoolTasksDoesNotDeadlock) {
+  // PlayDisc nests: per-track nodes verify signatures, which fan their
+  // references out as a second graph on the same pool. Each inner Run's
+  // caller drains its own graph, so the inner graphs complete even with
+  // every worker busy running an outer node — and with no workers at all.
+  for (size_t threads : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    TaskGraph::RunOptions run;
+    run.pool = &pool;
+    std::atomic<size_t> total{0};
+    TaskGraph outer;
+    for (size_t i = 0; i < 8; ++i) {
+      outer.AddNode("outer", [&] {
+        TaskGraph inner;
+        for (size_t j = 0; j < 8; ++j) {
+          inner.AddNode("inner", [&] {
+            total.fetch_add(1);
+            return Status::OK();
+          });
+        }
+        return inner.Run(run);
+      });
+    }
+    ASSERT_TRUE(outer.Run(run).ok());
+    EXPECT_EQ(total.load(), 64u);
+  }
+}
+
 // ------------------------------------------------------------ async nodes
 
 TEST(TaskGraphTest, AsyncNodeCompletesFromForeignThread) {

@@ -87,9 +87,10 @@ void RunFleetSmoke(uint64_t seed) {
   constexpr size_t kClientThreads = 8;
   constexpr size_t kWarmRequestsPerPlayer = 3;
   constexpr size_t kBurst = 3000;
+  constexpr size_t kWorkers = 4;
 
   fault::FaultInjector injector(seed);
-  ThreadPool pool(4);
+  ThreadPool pool(kWorkers);
   XkmsdOptions options;
   options.pool = &pool;
   options.fault = &injector;
@@ -201,18 +202,21 @@ void RunFleetSmoke(uint64_t seed) {
   EXPECT_GT(storm_fault_fires, 0u);
 
   // ---- Phase 3: overload burst. Fire far more async Locates than the
-  // queue bound admits, all from one thread, faster than four workers can
-  // drain: the surplus must shed with a retry-after hint, and every
-  // submission must complete exactly once. A short injected delay on the
-  // hottest key's store lookup widens its flight window so the zipfian
-  // head demonstrably coalesces (instead of depending on scheduler luck).
-  fault::FaultSpec slow;
-  slow.point = std::string(fault::kXkmsdStore);
-  slow.kind = fault::Kind::kDelay;
-  slow.delay_us = 5000;
-  slow.detail_filter = "locate " + names[0];
-  slow.max_fires = 2;
-  injector.Arm(slow);
+  // queue bound admits, all from one thread: the surplus must shed with a
+  // retry-after hint, and every submission must complete exactly once.
+  // Every store lookup is held until the hold budget (two per worker) is
+  // spent, so all workers sit in held lookups while the producer overfills
+  // the queue — the bound trips by construction, not because one producer
+  // happened to outrun the workers. The burst opens with two Locates of
+  // the hottest key: whichever worker registers its flight first is held,
+  // so the other coalesces onto it.
+  fault::FaultSpec hold;
+  hold.point = std::string(fault::kXkmsdStore);
+  hold.kind = fault::Kind::kDelay;
+  hold.delay_us = 20000;
+  hold.detail_filter = "locate ";
+  hold.max_fires = 2 * kWorkers;
+  injector.Arm(hold);
 
   std::atomic<uint64_t> completions{0};
   std::atomic<uint64_t> shed_with_hint{0};
@@ -221,7 +225,8 @@ void RunFleetSmoke(uint64_t seed) {
   std::condition_variable done_cv;
   Rng burst_rng(seed + 3000);
   for (size_t i = 0; i < kBurst; ++i) {
-    const std::string& name = names[zipf.Sample(&burst_rng)];
+    const std::string& name =
+        i < 2 ? names[0] : names[zipf.Sample(&burst_rng)];
     bool was_revoked = revoked.count(name) > 0;  // storm threads are done
     xkmsd.Submit(
         BuildLocateRequest(name), XkmsdRequestOptions{},
@@ -247,12 +252,15 @@ void RunFleetSmoke(uint64_t seed) {
 
   const XkmsdStats stats = xkmsd.stats();
   EXPECT_EQ(completions.load(), kBurst) << "a submission was dropped";
+  ASSERT_GE(injector.fires(fault::kXkmsdStore), kWorkers)
+      << "the lookup hold never engaged every worker";
   EXPECT_GT(stats.shed_queue_full, 0u)
       << "burst never tripped the queue bound — overload control untested";
   EXPECT_EQ(shed_with_hint.load(), stats.shed_queue_full)
       << "a queue-full shed went out without a retry-after hint";
   EXPECT_EQ(burst_valid_for_revoked.load(), 0u);
-  // The zipfian head made coalescing earn its keep across the run.
+  // The opening pair on the hottest key coalesced (plus whatever the
+  // zipfian head coalesced across the run).
   EXPECT_GT(stats.coalesced_locates, 0u);
   // Accounting closes: everything admitted was eventually served or failed
   // in service; nothing vanished.

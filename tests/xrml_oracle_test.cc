@@ -30,14 +30,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/task_graph.h"
 #include "common/thread_pool.h"
 #include "obs/bridge.h"
 #include "obs/metrics.h"
@@ -685,6 +688,20 @@ TEST(DecisionCache, StatsBridgeIntoMetricsRegistry) {
 // Concurrency properties (the TSan targets)
 // ---------------------------------------------------------------------------
 
+// Runs body(i) for every i in [0, n) as independent task-graph nodes on an
+// 8-worker pool and asserts that every node succeeded.
+void RunOnPool(size_t n, const std::function<Status(size_t)>& body) {
+  ThreadPool pool(8);
+  taskgraph::TaskGraph graph;
+  for (size_t i = 0; i < n; ++i) {
+    graph.AddNode("op#" + std::to_string(i), [&body, i] { return body(i); });
+  }
+  taskgraph::TaskGraph::RunOptions run;
+  run.pool = &pool;
+  Status status = graph.Run(run);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 // Racing exercisers on a nearly-exhausted grant: exactly `limit` of them
 // may win, the recorded counter must equal the limit, and the final state
 // must agree with the oracle evaluated at exhaustion — with the decision
@@ -706,9 +723,8 @@ TEST(XrmlOracleConcurrent, ExhaustionRaceConservesUses) {
   rm.set_decision_cache(&cache);
   ASSERT_TRUE(rm.InstallUnsigned(license).ok());
 
-  ThreadPool pool(8);
   std::atomic<uint32_t> successes{0};
-  ParallelFor(&pool, 64, [&](size_t i) {
+  RunOnPool(64, [&](size_t i) {
     ExerciseContext ctx;
     ctx.principal = "player-" + std::to_string(i % 4);
     ctx.now = kNow;
@@ -716,6 +732,7 @@ TEST(XrmlOracleConcurrent, ExhaustionRaceConservesUses) {
       successes.fetch_add(1, std::memory_order_relaxed);
     }
     (void)rm.IsPermitted(Right::kPlay, "track-1", ctx);  // raced cached reads
+    return Status::OK();
   });
 
   EXPECT_EQ(successes.load(), kLimit);
@@ -741,8 +758,7 @@ TEST(XrmlOracleConcurrent, InstallRaceNeverServesStaleDenial) {
   DecisionCache cache;
   rm.set_decision_cache(&cache);
 
-  ThreadPool pool(8);
-  ParallelFor(&pool, kInstalls * 2, [&](size_t i) {
+  RunOnPool(kInstalls * 2, [&](size_t i) {
     if (i < kInstalls) {
       License license;
       license.license_id = "lic-" + std::to_string(i);
@@ -752,16 +768,16 @@ TEST(XrmlOracleConcurrent, InstallRaceNeverServesStaleDenial) {
       g.right = Right::kPlay;
       g.resource = "res-" + std::to_string(i);
       license.grants.push_back(g);
-      ASSERT_TRUE(rm.InstallUnsigned(license).ok());
-    } else {
-      ExerciseContext ctx;
-      ctx.principal = "player-A";
-      ctx.now = kNow;
-      for (size_t q = 0; q < 100; ++q) {
-        (void)rm.IsPermitted(Right::kPlay,
-                             "res-" + std::to_string(q % kInstalls), ctx);
-      }
+      return rm.InstallUnsigned(license);
     }
+    ExerciseContext ctx;
+    ctx.principal = "player-A";
+    ctx.now = kNow;
+    for (size_t q = 0; q < 100; ++q) {
+      (void)rm.IsPermitted(Right::kPlay,
+                           "res-" + std::to_string(q % kInstalls), ctx);
+    }
+    return Status::OK();
   });
 
   ExerciseContext ctx;
@@ -798,17 +814,20 @@ TEST(XrmlOracleConcurrent, ConcurrentStreamsAgreeWithOracleAtQuiescence) {
     store.push_back(license);
   }
 
-  ThreadPool pool(kThreads);
-  ParallelFor(&pool, kThreads, [&](size_t t) {
-    ExerciseContext ctx;
-    ctx.principal = "player-" + std::to_string(t);
-    ctx.now = kNow;
-    std::string resource = "zone-" + std::to_string(t);
-    for (uint32_t i = 0; i < kLimit + 4; ++i) {
-      (void)rm.IsPermitted(Right::kExtract, resource, ctx);
-      (void)rm.Exercise(Right::kExtract, resource, ctx);
-    }
-  });
+  std::vector<std::thread> streams;
+  for (size_t t = 0; t < kThreads; ++t) {
+    streams.emplace_back([&, t] {
+      ExerciseContext ctx;
+      ctx.principal = "player-" + std::to_string(t);
+      ctx.now = kNow;
+      std::string resource = "zone-" + std::to_string(t);
+      for (uint32_t i = 0; i < kLimit + 4; ++i) {
+        (void)rm.IsPermitted(Right::kExtract, resource, ctx);
+        (void)rm.Exercise(Right::kExtract, resource, ctx);
+      }
+    });
+  }
+  for (std::thread& stream : streams) stream.join();
 
   formal::RuleSet rules = formal::RuleSet::Compile(store);
   formal::UseCounts uses = SnapshotUses(rm, store);

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
-#include "common/thread_pool.h"
 #include "tests/test_world.h"
 #include "xml/serializer.h"
 #include "xmldsig/signer.h"
@@ -336,7 +337,7 @@ TEST_F(XrmlFixture, ValidityWindowBoundaryInstants) {
   }
 }
 
-// Racing exercisers across a thread pool must consume exactly `limit` uses
+// Racing exercisers on eight threads must consume exactly `limit` uses
 // of a nearly-exhausted grant — no lost updates, no over-consumption.
 TEST_F(XrmlFixture, ExerciseLimitExactUnderConcurrency) {
   constexpr uint32_t kLimit = 5;
@@ -352,16 +353,21 @@ TEST_F(XrmlFixture, ExerciseLimitExactUnderConcurrency) {
   RightsManager manager(trust_, kNow);
   ASSERT_TRUE(manager.InstallUnsigned(license).ok());
 
-  ThreadPool pool(8);
   std::atomic<uint32_t> successes{0};
-  ParallelFor(&pool, 40, [&](size_t i) {
-    ExerciseContext context;
-    context.principal = "racer-" + std::to_string(i % 8);
-    context.now = kNow;
-    if (manager.Exercise(Right::kCopy, "quiz", context).ok()) {
-      successes.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
+  std::vector<std::thread> racers;
+  for (size_t t = 0; t < 8; ++t) {
+    racers.emplace_back([&, t] {
+      ExerciseContext context;
+      context.principal = "racer-" + std::to_string(t);
+      context.now = kNow;
+      for (int i = 0; i < 5; ++i) {
+        if (manager.Exercise(Right::kCopy, "quiz", context).ok()) {
+          successes.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& racer : racers) racer.join();
   EXPECT_EQ(successes.load(), kLimit);
   EXPECT_EQ(manager.UsesRecorded("lic-race", 0), kLimit);
   EXPECT_FALSE(manager.IsPermitted(Right::kCopy, "quiz", Context()));

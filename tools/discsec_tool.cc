@@ -44,8 +44,8 @@
 // `play-demo` masters a protected demo disc (signed + encrypted manifest +
 // AV-essence references), stands up an in-process XKMS service behind a
 // retrying transport, and plays the disc --repeat times (default 2, so the
-// second pass shows digest/locate cache hits) — the quickest way to get a
-// real trace of the whole pipeline.
+// second pass shows locate cache hits) — the quickest way to get a real
+// trace of the whole pipeline.
 //
 // `play` is the multi-disc variant: it masters one protected disc and
 // plays --discs copies of it as a batch through the task-graph engine
@@ -87,7 +87,6 @@
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "common/timer_wheel.h"
-#include "crypto/digest_cache.h"
 #include "obs/bridge.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -475,10 +474,10 @@ int CmdC14n(const Args& args) {
 
 /// Shared fixture for the playback commands: a mastered protected demo
 /// disc plus the production trust stack (retrying transport, TTL locate
-/// cache, content-addressed digest cache, optional worker pool, and —
-/// with --async — the timer-wheel async XKMS transport). Member order is
-/// destruction order in reverse: the engine dies first, the wheel outlives
-/// the client whose async transport parks continuations on it.
+/// cache, optional worker pool, and — with --async — the timer-wheel async
+/// XKMS transport). Member order is destruction order in reverse: the
+/// engine dies first, the wheel outlives the client whose async transport
+/// parks continuations on it.
 struct PlayRig {
   testing_world::World world;
   Result<disc::DiscImage> image = Status::Unavailable("not mastered");
@@ -487,7 +486,6 @@ struct PlayRig {
   std::shared_ptr<const xkms::RetryingTransportStats> transport_stats;
   std::unique_ptr<xkms::XkmsClient> client;
   std::unique_ptr<xkms::LocateCache> locate_cache;
-  crypto::DigestCache digest_cache;
   std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<player::InteractiveApplicationEngine> engine;
 
@@ -528,7 +526,6 @@ struct PlayRig {
     player::PlayerConfig config = world.MakePlayerConfig();
     config.xkms = client.get();
     config.xkms_cache = locate_cache.get();
-    config.digest_cache = &digest_cache;
     config.pool = pool.get();
     config.streaming_verify = streaming_verify;
     config.arena_parse = streaming_verify;
@@ -546,11 +543,7 @@ struct PlayRig {
     if (g_metrics != nullptr && transport_stats != nullptr) {
       obs::AbsorbRetryingTransportStats(*transport_stats, g_metrics);
     }
-    crypto::DigestCacheStats cache_stats = digest_cache.stats();
     xkms::LocateCacheStats locate_stats = locate_cache->stats();
-    std::printf("digest cache: %llu hit(s), %llu miss(es)\n",
-                static_cast<unsigned long long>(cache_stats.hits),
-                static_cast<unsigned long long>(cache_stats.misses));
     std::printf("xkms locate cache: %llu hit(s), %llu transport call(s)\n",
                 static_cast<unsigned long long>(locate_stats.hits),
                 static_cast<unsigned long long>(locate_stats.transport_calls));
