@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "bench/bench_json.h"
 
 #include "common/random.h"
@@ -144,6 +146,52 @@ BENCHMARK(BM_BigIntModPow)
     ->Arg(512)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+
+// The Montgomery path's machine-independent gate: one base and exponent
+// against an odd prime modulus (Montgomery multiplication) and against that
+// prime plus one (even, so square-and-multiply with a division per step),
+// probed alternately in the same process. Rows:
+//
+//   odd_modpow_us        best of the probes on the odd (Montgomery) modulus
+//   even_modpow_us       best of the probes on the even modulus
+//   montgomery_speedup   even_modpow_us / odd_modpow_us
+//                        (bench/check_ratios.py gates it at >= 5)
+void BM_ModPowRatio(benchmark::State& state) {
+  Rng rng(10);
+  size_t bits = static_cast<size_t>(state.range(0));
+  BigInt odd = BigInt::GeneratePrime(bits, &rng);
+  BigInt even = odd + BigInt(1);
+  BigInt base = BigInt::RandomBelow(odd, &rng);
+  BigInt exponent = BigInt::RandomWithBits(bits, &rng);
+  auto probe_us = [&](const BigInt& modulus) {
+    auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(BigInt::ModPow(base, exponent, modulus));
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+               .count() /
+           1e3;
+  };
+  // Minimum of a fixed probe count, interleaved so both sides see the
+  // same machine state.
+  constexpr int kProbes = 8;
+  double odd_us = 0.0;
+  double even_us = 0.0;
+  for (int i = 0; i < kProbes; ++i) {
+    double o = probe_us(odd);
+    double e = probe_us(even);
+    if (i == 0 || o < odd_us) odd_us = o;
+    if (i == 0 || e < even_us) even_us = e;
+  }
+
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::ModPow(base, exponent, odd));
+  }
+  state.counters["odd_modpow_us"] = odd_us;
+  state.counters["even_modpow_us"] = even_us;
+  state.counters["montgomery_speedup"] =
+      odd_us > 0.0 ? even_us / odd_us : 0.0;
+}
+BENCHMARK(BM_ModPowRatio)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace crypto

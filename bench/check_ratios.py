@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate for the streaming verify fast path (DESIGN.md §14).
+"""Perf-smoke gate for the streaming verify fast path (DESIGN.md §14) and
+the Montgomery ModPow path (DESIGN.md §3).
 
 Compares the ratio counters of a fresh BENCH_ratio.json run against the
 checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and fails
@@ -15,6 +16,11 @@ from the introducing PR are enforced absolutely:
     streaming_speedup >= 2.0   (streaming verify at least 2x the DOM path)
     alloc_reduction   >= 5.0   (heap allocations per verify down at least 5x)
     dom_over_dcf      <  2.5   (XML verify within the paper's DCF band)
+    montgomery_speedup >= 5.0  (odd-modulus ModPow at least 5x the
+                                even-modulus division loop, BENCH_crypto.json)
+
+A file whose rows have no baseline entry (BENCH_crypto.json) is checked
+against the absolute gates only.
 
 Usage: check_ratios.py BENCH_ratio.json [--baseline FILE] [--slack 0.10]
 """
@@ -37,11 +43,14 @@ RATIO_DIRECTIONS = {
 # row that carries the counter regardless of what the baseline recorded.
 # serialize_allocs pins the serializer's reserve()-once hot path (measured
 # 1 alloc per Serialize; the bound leaves room for allocator jitter only).
+# montgomery_speedup pins ModPow's odd-modulus path against the even-modulus
+# loop, both timed in one process (measured 13-16x at 512/1024 bits).
 ABSOLUTE_GATES = {
     "streaming_speedup": (">=", 2.0),
     "alloc_reduction": (">=", 5.0),
     "dom_over_dcf": ("<", 2.5),
     "serialize_allocs": ("<=", 4.0),
+    "montgomery_speedup": (">=", 5.0),
 }
 
 

@@ -16,6 +16,10 @@ asserts the exit codes and failure messages it MUST produce:
   4. empty results array                     -> fail (zero gates checked
                                                 means the wrong input file)
   5. streaming_over_dcf drifted +5%          -> pass (inside the 10% slack)
+  6. BENCH_crypto.json, montgomery_speedup
+     13x at 512 and 1024 bits                -> pass (no baseline rows, so
+                                                absolute gates only)
+  7. montgomery_speedup 4x at 1024 bits      -> fail (absolute floor >= 5.0)
 
 Runs standalone (python3 bench/check_ratios_test.py) and as the
 check_ratios_gate ctest.
@@ -62,6 +66,22 @@ def scaled(doc, counter, factor):
         if counter in counters:
             counters[counter] *= factor
     return out
+
+
+def crypto_doc(speedup_1024):
+    """A BENCH_crypto.json with BM_ModPowRatio rows at 512 and 1024 bits."""
+    rows = []
+    for params, speedup in (("512", 13.0), ("1024", speedup_1024)):
+        rows.append({
+            "name": "BM_ModPowRatio",
+            "params": params,
+            "counters": {
+                "odd_modpow_us": 100.0,
+                "even_modpow_us": 100.0 * speedup,
+                "montgomery_speedup": speedup,
+            },
+        })
+    return {"schema": "discsec-bench-v1", "bench": "crypto", "results": rows}
 
 
 def expect(name, rc, output, want_rc, want_substrings=()):
@@ -117,6 +137,20 @@ def main():
     rc, out = run_checker(scaled(baseline, "streaming_over_dcf", 1.05))
     expect("5% drift stays inside the slack", rc, out, 0,
            ["check_ratios: OK"])
+
+    rc, out = run_checker(crypto_doc(13.0))
+    expect("13x montgomery_speedup passes", rc, out, 0,
+           ["check_ratios: OK (2 gates"])
+
+    rc, out = run_checker(crypto_doc(4.0))
+    expect(
+        "4x montgomery_speedup fails the absolute floor",
+        rc,
+        out,
+        1,
+        ["BM_ModPowRatio/1024: montgomery_speedup=4.000 violates absolute "
+         "gate >= 5.0"],
+    )
 
     if failures:
         print(f"\ncheck_ratios_test: {len(failures)} failure(s)")

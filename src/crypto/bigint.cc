@@ -14,6 +14,72 @@ const uint32_t kSmallPrimes[] = {
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263,
     269, 271, 277, 281, 283, 293, 307, 311, 313, 317, 331, 337, 347, 349};
+
+using u128 = unsigned __int128;
+
+/// Copies 32-bit little-endian limbs into `k` 64-bit limbs, zero-padded.
+void PackLimbs(const std::vector<uint32_t>& in, size_t k, uint64_t* out) {
+  std::fill(out, out + k, 0);
+  for (size_t i = 0; i < in.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(in[i]) << (32 * (i % 2));
+  }
+}
+
+/// Montgomery multiplication modulo an odd n of `k` 64-bit limbs, with
+/// R = 2^(64k). Borrows its k + 2 words of scratch from the caller.
+struct Montgomery {
+  size_t k;
+  const uint64_t* n;
+  uint64_t n_prime;  // -n^-1 mod 2^64
+  uint64_t* t;
+
+  /// out = a * b * R^-1 mod n for a, b < n (CIOS: multiply and reduce
+  /// interleaved one limb of b at a time). `out` may alias `a` or `b`.
+  void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out) const {
+    std::fill(t, t + k + 2, 0);
+    for (size_t i = 0; i < k; ++i) {
+      u128 c = 0;
+      for (size_t j = 0; j < k; ++j) {
+        c += static_cast<u128>(a[j]) * b[i] + t[j];
+        t[j] = static_cast<uint64_t>(c);
+        c >>= 64;
+      }
+      c += t[k];
+      t[k] = static_cast<uint64_t>(c);
+      t[k + 1] = static_cast<uint64_t>(c >> 64);
+      // Adding m * n clears t[0]; shift t down one limb as we go.
+      const uint64_t m = t[0] * n_prime;
+      c = (static_cast<u128>(m) * n[0] + t[0]) >> 64;
+      for (size_t j = 1; j < k; ++j) {
+        c += static_cast<u128>(m) * n[j] + t[j];
+        t[j - 1] = static_cast<uint64_t>(c);
+        c >>= 64;
+      }
+      c += t[k];
+      t[k - 1] = static_cast<uint64_t>(c);
+      t[k] = t[k + 1] + static_cast<uint64_t>(c >> 64);
+    }
+    // t < 2n. Subtract n once when t >= n, selecting by mask, not branch.
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < k; ++j) {
+      u128 d = static_cast<u128>(t[j]) - n[j] - borrow;
+      out[j] = static_cast<uint64_t>(d);
+      borrow = static_cast<uint64_t>(d >> 64) & 1;
+    }
+    const uint64_t keep_t = 0 - ((t[k] | (borrow ^ 1)) ^ 1);
+    for (size_t j = 0; j < k; ++j) {
+      out[j] = (t[j] & keep_t) | (out[j] & ~keep_t);
+    }
+  }
+};
+
+/// -n0^-1 mod 2^64 for odd n0: Newton's iteration doubles the correct low
+/// bits each step, from 3 (n0 * n0 == 1 mod 8) to 96.
+uint64_t NegInverse64(uint64_t n0) {
+  uint64_t x = n0;
+  for (int i = 0; i < 5; ++i) x *= 2 - n0 * x;
+  return 0 - x;
+}
 }  // namespace
 
 BigInt::BigInt(uint64_t value) : negative_(false) {
@@ -412,9 +478,65 @@ Result<BigInt> BigInt::ModPow(const BigInt& base, const BigInt& exponent,
   if (exponent.IsNegative()) {
     return Status::InvalidArgument("negative exponent");
   }
-  DISCSEC_ASSIGN_OR_RETURN(BigInt acc, BigInt(1).Mod(modulus));
   DISCSEC_ASSIGN_OR_RETURN(BigInt b, base.Mod(modulus));
-  size_t bits = exponent.BitLength();
+  const size_t bits = exponent.BitLength();
+  if (modulus.IsOdd() && bits > 0) {
+    const size_t k = (modulus.limbs_.size() + 1) / 2;
+    DISCSEC_ASSIGN_OR_RETURN(BigInt r2,
+                             BigInt(1).ShiftLeft(128 * k).Mod(modulus));
+    // One allocation: n, R^2 mod n, a plain operand, the accumulator, the
+    // table of b^i in Montgomery form, and the multiplier's scratch.
+    const bool windowed = bits > 64;
+    const size_t entries = windowed ? 16 : 2;
+    std::vector<uint64_t> scratch((entries + 5) * k + 2);
+    uint64_t* n = scratch.data();
+    uint64_t* rr = n + k;
+    uint64_t* plain = rr + k;
+    uint64_t* acc = plain + k;
+    uint64_t* table = acc + k;
+    PackLimbs(modulus.limbs_, k, n);
+    PackLimbs(r2.limbs_, k, rr);
+    const Montgomery mont{k, n, NegInverse64(n[0]), table + entries * k};
+    std::fill(plain, plain + k, 0);
+    plain[0] = 1;
+    mont.Mul(plain, rr, table);  // table[0] = R mod n, Montgomery one
+    PackLimbs(b.limbs_, k, plain);
+    mont.Mul(plain, rr, table + k);  // table[1] = b R mod n
+    if (windowed) {
+      // Fixed 4-bit windows, top down: four squarings and one table
+      // multiply per window whatever its digit (table[0] is one).
+      for (size_t i = 2; i < entries; ++i) {
+        mont.Mul(table + (i - 1) * k, table + k, table + i * k);
+      }
+      std::copy(table, table + k, acc);
+      for (size_t w = (bits + 3) / 4; w-- > 0;) {
+        for (int s = 0; s < 4; ++s) mont.Mul(acc, acc, acc);
+        const uint32_t digit = (exponent.limbs_[w / 8] >> (4 * (w % 8))) & 15;
+        mont.Mul(acc, table + digit * k, acc);
+      }
+    } else {
+      // Short (public) exponents: left-to-right binary from the top bit.
+      std::copy(table + k, table + 2 * k, acc);
+      for (size_t i = bits - 1; i-- > 0;) {
+        mont.Mul(acc, acc, acc);
+        if (exponent.Bit(i)) mont.Mul(acc, table + k, acc);
+      }
+    }
+    std::fill(plain, plain + k, 0);
+    plain[0] = 1;
+    mont.Mul(acc, plain, acc);  // leave Montgomery form
+    BigInt out;
+    out.limbs_.resize(2 * k);
+    for (size_t i = 0; i < k; ++i) {
+      out.limbs_[2 * i] = static_cast<uint32_t>(acc[i]);
+      out.limbs_[2 * i + 1] = static_cast<uint32_t>(acc[i] >> 32);
+    }
+    out.Trim();
+    return out;
+  }
+  // Even moduli (only tests pass them) and zero exponents: square-and-
+  // multiply with a full division after every step.
+  DISCSEC_ASSIGN_OR_RETURN(BigInt acc, BigInt(1).Mod(modulus));
   for (size_t i = bits; i-- > 0;) {
     DISCSEC_ASSIGN_OR_RETURN(acc, (acc * acc).Mod(modulus));
     if (exponent.Bit(i)) {

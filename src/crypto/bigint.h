@@ -19,10 +19,10 @@ namespace crypto {
 /// the sign exists so the extended Euclidean algorithm (ModInverse) can be
 /// written naturally.
 ///
-/// Complexity: schoolbook multiplication and Knuth Algorithm D division,
-/// which keeps 1024-bit RSA well under a millisecond per modular
-/// exponentiation step on current hardware — ample for the player workloads
-/// this library models.
+/// Complexity: schoolbook multiplication and Knuth Algorithm D division for
+/// the general operators. ModPow does not use them per step for an odd
+/// modulus (every RSA and Miller–Rabin modulus): it runs Montgomery
+/// multiplication over 64-bit limbs instead (see ModPow).
 class BigInt {
  public:
   /// Zero.
@@ -88,8 +88,19 @@ class BigInt {
   BigInt ShiftLeft(size_t bits) const;
   BigInt ShiftRight(size_t bits) const;
 
-  /// (this ^ exponent) mod modulus, for non-negative exponent and positive
-  /// modulus. Square-and-multiply, left-to-right.
+  /// (base ^ exponent) mod modulus, for non-negative exponent and positive
+  /// modulus.
+  ///
+  /// An odd modulus takes the Montgomery path: the modulus is packed into
+  /// 64-bit limbs once per call, R^2 mod n comes from one Mod, and every
+  /// step is a CIOS Montgomery multiplication in scratch allocated once per
+  /// call. Exponents over 64 bits use fixed 4-bit windows: four squarings
+  /// and one table multiply per window whatever its digit (table[0] is
+  /// Montgomery one), so the sequence of operations does not depend on the
+  /// exponent's bits. The table index does, so this is not a constant-time
+  /// implementation. Shorter exponents (65537) use left-to-right binary.
+  /// An even modulus or a zero exponent takes square-and-multiply with a
+  /// full division after every step.
   static Result<BigInt> ModPow(const BigInt& base, const BigInt& exponent,
                                const BigInt& modulus);
 

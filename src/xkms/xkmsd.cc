@@ -756,10 +756,10 @@ Result<std::string> Xkmsd::Handle(const std::string& request_xml,
   std::condition_variable cv;
   std::optional<Result<std::string>> out;
   Submit(request_xml, req, [&](Result<std::string> r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      out = std::move(r);
-    }
+    // Notify under the lock: once `out` is set and `mu` released, the
+    // waiter may return and destroy `cv` while a later notify still runs.
+    std::lock_guard<std::mutex> lock(mu);
+    out = std::move(r);
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(mu);

@@ -25,7 +25,7 @@ struct C14NWriter {
   /// used to make: lookups scan backward (nearest rendering wins) and each
   /// element truncates back to its mark on exit — zero allocations per
   /// element once the vector has warmed up.
-  std::vector<std::pair<std::string, std::string>> rendered_;
+  std::vector<std::pair<std::string, std::string>> rendered_ = {};
 
   /// Nearest rendered URI for `prefix`, or null when never rendered.
   const std::string* RenderedValue(std::string_view prefix) const {

@@ -156,6 +156,130 @@ TEST(BigIntTest, ModPowFermat) {
   }
 }
 
+// Square-and-multiply with a full division after every step: the reference
+// the Montgomery path of ModPow (every odd modulus) is checked against.
+BigInt ReferenceModPow(const BigInt& base, const BigInt& exponent,
+                       const BigInt& modulus) {
+  BigInt acc = BigInt(1).Mod(modulus).value();
+  BigInt b = base.Mod(modulus).value();
+  for (size_t i = exponent.BitLength(); i-- > 0;) {
+    acc = (acc * acc).Mod(modulus).value();
+    if (exponent.Bit(i)) acc = (acc * b).Mod(modulus).value();
+  }
+  return acc;
+}
+
+BigInt PowerOfTwo(size_t bits) { return BigInt(1).ShiftLeft(bits); }
+
+BigInt RandomOdd(size_t bits, Rng* rng) {
+  BigInt v = BigInt::RandomWithBits(bits, rng);
+  return v.IsOdd() ? v : v + BigInt(1);
+}
+
+// Bases and exponents that stress the edges of the odd-modulus path: zero
+// and unreduced bases, short exponents (left-to-right binary, up to 64
+// bits), and windowed exponents whose top 4-bit window holds a single bit
+// or whose lower windows are all zero.
+void ExpectModPowMatchesReference(const BigInt& m, Rng* rng) {
+  const BigInt bases[] = {
+      BigInt(),
+      BigInt(1),
+      m - BigInt(1),
+      m,
+      m * BigInt(3) + BigInt(5),
+      BigInt::RandomBelow(m, rng),
+  };
+  const BigInt exponents[] = {
+      BigInt(),
+      BigInt(1),
+      BigInt(2),
+      BigInt(65537),
+      PowerOfTwo(64) - BigInt(1),
+      PowerOfTwo(64),
+      PowerOfTwo(64) + BigInt(1),
+      PowerOfTwo(68),
+      BigInt::RandomWithBits(65, rng),
+      BigInt::RandomWithBits(127, rng),
+      BigInt::RandomWithBits(m.BitLength(), rng),
+  };
+  for (const BigInt& base : bases) {
+    for (const BigInt& exponent : exponents) {
+      auto got = BigInt::ModPow(base, exponent, m);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(), ReferenceModPow(base, exponent, m))
+          << "m=" << m.ToDecimalString() << " (" << m.BitLength()
+          << " bits) base=" << base.ToDecimalString()
+          << " exponent=" << exponent.ToDecimalString();
+    }
+  }
+}
+
+TEST(BigIntTest, ModPowOddModuliMatchReference) {
+  // 3 and 5 32-bit limbs pad a zero high half when packed into 64-bit
+  // limbs; the rest cover one to 32 full 64-bit limbs.
+  Rng rng(1405);
+  for (size_t bits : {65u, 96u, 127u, 128u, 129u, 160u, 255u, 512u, 513u,
+                      1024u, 1055u, 2048u}) {
+    ExpectModPowMatchesReference(RandomOdd(bits, &rng), &rng);
+  }
+}
+
+TEST(BigIntTest, ModPowAllOnesTopLimbMatchesReference) {
+  // A modulus just under a limb boundary (top limb all ones) puts the
+  // Montgomery product in [n, 2n) often, exercising the final subtraction.
+  Rng rng(1406);
+  for (size_t bits : {96u, 128u, 512u, 1024u}) {
+    const BigInt all_ones = PowerOfTwo(bits) - BigInt(1);
+    ExpectModPowMatchesReference(all_ones, &rng);
+    BigInt low = BigInt::RandomBelow(PowerOfTwo(bits - 65), &rng);
+    ExpectModPowMatchesReference(all_ones - low.ShiftLeft(1), &rng);
+  }
+}
+
+TEST(BigIntTest, ModPowZeroResultFromNonzeroBase) {
+  // m = p^2 and base p: every power from the second on is 0 mod m, so a
+  // Montgomery product of two nonzero residues lands exactly on n and only
+  // the final subtraction brings it to 0.
+  Rng rng(1409);
+  for (size_t bits : {33u, 100u, 512u}) {
+    const BigInt p = RandomOdd(bits, &rng);
+    const BigInt m = p * p;
+    for (const BigInt& exponent :
+         {BigInt(2), BigInt(65537), PowerOfTwo(64) + BigInt(1),
+          BigInt::RandomWithBits(200, &rng)}) {
+      EXPECT_EQ(BigInt::ModPow(p, exponent, m).value(), BigInt())
+          << bits << "-bit p, exponent " << exponent.ToDecimalString();
+    }
+  }
+}
+
+TEST(BigIntTest, ModPowSmallOddModuliKeepResults) {
+  EXPECT_EQ(BigInt::ModPow(BigInt(5), BigInt(0), BigInt(1)).value(),
+            BigInt());
+  EXPECT_EQ(BigInt::ModPow(BigInt(5), BigInt(3), BigInt(1)).value(),
+            BigInt());
+  EXPECT_EQ(BigInt::ModPow(BigInt(5), PowerOfTwo(70), BigInt(1)).value(),
+            BigInt());
+  EXPECT_EQ(BigInt::ModPow(BigInt(0), BigInt(0), BigInt(3)).value(),
+            BigInt(1));
+  EXPECT_EQ(BigInt::ModPow(BigInt(2), BigInt(101), BigInt(3)).value(),
+            BigInt(2));
+  EXPECT_EQ(BigInt::ModPow(BigInt(2), PowerOfTwo(70), BigInt(3)).value(),
+            BigInt(1));
+  EXPECT_EQ(BigInt::ModPow(BigInt(4), BigInt(13), BigInt(497)).value(),
+            BigInt(445));
+  Rng rng(1407);
+  for (uint64_t m : {1ULL, 3ULL, 497ULL}) {
+    ExpectModPowMatchesReference(BigInt(m), &rng);
+  }
+}
+
+TEST(BigIntTest, ModPowEvenModulusMatchesReference) {
+  Rng rng(1408);
+  ExpectModPowMatchesReference(BigInt::RandomWithBits(256, &rng).ShiftLeft(1),
+                               &rng);
+}
+
 TEST(BigIntTest, ModInverseKnownValue) {
   auto inv = BigInt::ModInverse(BigInt(3), BigInt(11));
   ASSERT_TRUE(inv.ok());

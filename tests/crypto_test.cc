@@ -418,6 +418,78 @@ TEST_F(RsaTest, DecryptRejectsTamperedCiphertext) {
   }
 }
 
+// m^d mod n by square-and-multiply with a full division per step, without
+// CRT: the reference RsaPrivateOp (CRT over ModPow's odd-modulus path) is
+// checked against.
+BigInt ReferencePrivateOp(const RsaPrivateKey& key, const BigInt& m) {
+  BigInt acc(1);
+  for (size_t i = key.private_exponent.BitLength(); i-- > 0;) {
+    acc = (acc * acc).Mod(key.modulus).value();
+    if (key.private_exponent.Bit(i)) acc = (acc * m).Mod(key.modulus).value();
+  }
+  return acc;
+}
+
+RsaKeyPair SeededKeyPair(size_t bits) {
+  Rng rng(bits);
+  return RsaGenerateKeyPair(bits, &rng).value();
+}
+
+class RsaKeySizeTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  const RsaKeyPair& pair() const {
+    static const RsaKeyPair k512 = SeededKeyPair(512);
+    static const RsaKeyPair k1024 = SeededKeyPair(1024);
+    return GetParam() == 512 ? k512 : k1024;
+  }
+};
+
+TEST_P(RsaKeySizeTest, PrivateOpMatchesReference) {
+  const RsaPrivateKey& key = pair().private_key;
+  Rng rng(GetParam() + 1);
+  const BigInt messages[] = {
+      BigInt(),
+      BigInt(1),
+      BigInt(2),
+      key.modulus - BigInt(1),
+      key.prime_p,
+      BigInt::RandomBelow(key.modulus, &rng),
+      BigInt::RandomBelow(key.modulus, &rng),
+  };
+  for (const BigInt& m : messages) {
+    auto s = RsaPrivateOp(key, m);
+    ASSERT_TRUE(s.ok());
+    EXPECT_EQ(s.value(), ReferencePrivateOp(key, m)) << m.ToDecimalString();
+  }
+  EXPECT_FALSE(RsaPrivateOp(key, key.modulus).ok());
+}
+
+TEST_P(RsaKeySizeTest, SignVerifyRoundTrip) {
+    Bytes digest = Sha256::Hash(ToBytes("downloaded application"));
+  auto sig = RsaSignDigest(pair().private_key, kAlgSha256, digest);
+  ASSERT_TRUE(sig.ok());
+  EXPECT_EQ(sig.value().size(), GetParam() / 8);
+  EXPECT_TRUE(
+      RsaVerifyDigest(pair().public_key, kAlgSha256, digest, sig.value()).ok());
+  Bytes tampered = sig.value();
+  tampered.back() ^= 0x01;
+  EXPECT_TRUE(RsaVerifyDigest(pair().public_key, kAlgSha256, digest, tampered)
+                  .IsVerificationFailed());
+}
+
+TEST_P(RsaKeySizeTest, EncryptDecryptRoundTrip) {
+    Rng rng(GetParam() + 2);
+  Bytes message = rng.NextBytes(GetParam() / 8 - 11);
+  auto ct = RsaEncrypt(pair().public_key, message, &rng);
+  ASSERT_TRUE(ct.ok());
+  auto pt = RsaDecrypt(pair().private_key, ct.value());
+  ASSERT_TRUE(pt.ok());
+  EXPECT_EQ(pt.value(), message);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bits, RsaKeySizeTest,
+                         ::testing::Values<size_t>(512, 1024));
+
 TEST(RsaKeygenTest, RejectsTinyModulus) {
   Rng rng(1);
   EXPECT_FALSE(RsaGenerateKeyPair(128, &rng).ok());

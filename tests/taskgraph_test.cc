@@ -340,7 +340,7 @@ TEST(TaskGraphTest, AsyncNodeParksOnTimerWheel) {
 TEST(TaskGraphTest, AbandonedCompletionHandleFailsTheNode) {
   ThreadPool pool(2);
   TaskGraph graph;
-  NodeId abandoned = graph.AddAsyncNode("leaky", [](CompletionHandle handle) {
+  NodeId abandoned = graph.AddAsyncNode("leaky", [](CompletionHandle) {
     // Drop the handle without completing: the node must fail, not hang.
   });
   Status status = graph.Run();

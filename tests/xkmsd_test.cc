@@ -287,10 +287,8 @@ TEST_F(XkmsdFixture, DeadlineShedsAtDequeueWithoutWheel) {
   req.deadline_us = 1000500;
   server.Submit(BuildLocateRequest("studio-1"), req,
                 [&](Result<std::string> r) {
-                  {
-                    std::lock_guard<std::mutex> lock(mu);
-                    verdict = r.status();
-                  }
+                  std::lock_guard<std::mutex> lock(mu);
+                  verdict = r.status();
                   cv.notify_one();
                 });
   EXPECT_EQ(server.stats().queue_depth, 1u);
@@ -327,10 +325,8 @@ TEST_F(XkmsdFixture, WheelShedsQueuedRequestAtDeadline) {
   req.deadline_us = 1000;
   server.Submit(BuildLocateRequest("studio-1"), req,
                 [&](Result<std::string> r) {
-                  {
-                    std::lock_guard<std::mutex> lock(mu);
-                    verdict = r.status();
-                  }
+                  std::lock_guard<std::mutex> lock(mu);
+                  verdict = r.status();
                   cv.notify_one();
                 });
   ASSERT_FALSE(verdict.has_value());
@@ -391,10 +387,8 @@ TEST_F(XkmsdFixture, PriorityOrderValidateFirstUnderBacklog) {
   std::vector<std::string> order;
   auto record = [&](const char* tag) {
     return [&, tag](Result<std::string>) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back(tag);
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(tag);
       cv.notify_one();
     };
   };
@@ -441,10 +435,8 @@ TEST_F(XkmsdFixture, ConcurrentLocatesCoalesceOntoOneLookup) {
   std::condition_variable cv;
   std::vector<Result<std::string>> responses;
   auto collect = [&](Result<std::string> r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      responses.push_back(std::move(r));
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    responses.push_back(std::move(r));
     cv.notify_one();
   };
 
@@ -493,10 +485,8 @@ TEST_F(XkmsdFixture, RevocationInvalidatesInFlightCoalescing) {
   std::vector<Result<std::string>> slow;
   server.Submit(BuildLocateRequest("studio-1"), {},
                 [&](Result<std::string> r) {
-                  {
-                    std::lock_guard<std::mutex> lock(mu);
-                    slow.push_back(std::move(r));
-                  }
+                  std::lock_guard<std::mutex> lock(mu);
+                  slow.push_back(std::move(r));
                   cv.notify_one();
                 });
   while (injector.hits(fault::kXkmsdStore) == 0) std::this_thread::yield();
@@ -677,10 +667,8 @@ TEST_F(XkmsdFixture, AsyncServerTransportCompletesClientCalls) {
   std::condition_variable cv;
   std::optional<Result<KeyBinding>> found;
   client.LocateAsync("studio-1", [&](Result<KeyBinding> r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      found = std::move(r);
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    found = std::move(r);
     cv.notify_one();
   });
   {
