@@ -53,7 +53,8 @@ xkms::XkmsService RegisteredService() {
 
 /// One batch of identical signed discs through PlayDiscs, with every XKMS
 /// transport hop carrying an injected kDelay of range(1) milliseconds.
-/// `async_mode` switches the client onto the wheel-parking async transport.
+/// `async_mode` parks the delays on a timer wheel; otherwise the pool
+/// worker that issued each hop sleeps through it.
 void RunBatch(benchmark::State& state, bool async_mode) {
   auto& world = SharedWorld();
   const int discs = static_cast<int>(state.range(0));
@@ -70,12 +71,8 @@ void RunBatch(benchmark::State& state, bool async_mode) {
 
   ThreadPool pool(kPoolThreads);
   TimerWheel wheel;
-  xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&service, &injector));
-  if (async_mode) {
-    client.set_async_transport(
-        xkms::XkmsClient::DirectAsyncTransport(&service, &wheel, &injector));
-  }
+  xkms::XkmsClient client(xkms::XkmsClient::DirectTransport(
+      &service, async_mode ? &wheel : nullptr, &injector));
   player::PlayerConfig config = world.MakePlayerConfig();
   config.pool = &pool;
   config.xkms = &client;

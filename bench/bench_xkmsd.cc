@@ -241,15 +241,16 @@ void BM_XkmsdRevocationStorm(benchmark::State& state) {
           // sees both its own flaky link (xkms.transport) and the
           // responder's internal faults.
           xkms::Transport server = xkms::MakeServerTransport(&xkmsd);
-          xkms::XkmsClient client(
-              [&injector, server](const std::string& request) {
-                Status chaos = injector.Hit(fault::kXkmsTransport);
-                if (!chaos.ok()) {
-                  return Result<std::string>(
-                      chaos.WithContext("XKMS transport"));
-                }
-                return server(request);
-              });
+          xkms::XkmsClient client([&injector, server](
+                                      const std::string& request,
+                                      xkms::AsyncCallback done) {
+            Status chaos = injector.Hit(fault::kXkmsTransport);
+            if (!chaos.ok()) {
+              done(chaos.WithContext("XKMS transport"));
+              return;
+            }
+            server(request, std::move(done));
+          });
           Rng rng(kSeed + salt + static_cast<uint64_t>(t));
           std::vector<int64_t> local;
           for (size_t i = static_cast<size_t>(t); i < requests_per_phase;

@@ -123,16 +123,11 @@ class FaultInjector {
     return HitImpl(point, detail, data);
   }
 
-  /// Non-blocking variants for async callers: identical to Hit/HitData
-  /// except that a fired kDelay fault never sleeps here — its latency is
-  /// written to *deferred_delay_us (0 when no delay fired) and the caller
-  /// is expected to park the continuation on a TimerWheel for that long.
+  /// Non-blocking variant for async callers: identical to HitData except
+  /// that a fired kDelay fault never sleeps here — its latency is written
+  /// to *deferred_delay_us (0 when no delay fired) and the caller is
+  /// expected to park the continuation on a TimerWheel for that long.
   /// Every other kind behaves exactly as in the blocking entry points.
-  Status HitDeferred(std::string_view point, std::string_view detail,
-                     int64_t* deferred_delay_us) {
-    return HitImpl(point, detail, static_cast<Bytes*>(nullptr),
-                   deferred_delay_us);
-  }
   Status HitDataDeferred(std::string_view point, std::string* data,
                          std::string_view detail,
                          int64_t* deferred_delay_us) {

@@ -6,6 +6,7 @@
 #include <optional>
 #include <thread>
 
+#include "common/random.h"
 #include "common/timer_wheel.h"
 
 namespace discsec {
@@ -29,11 +30,9 @@ int64_t BackoffFor(const RetryPolicy& policy, int attempt) {
   return static_cast<int64_t>(backoff);
 }
 
-/// The verdict ladder both Retryer::Run and RetryAsync climb after attempt
-/// `n` (1-based) settled with `last`. Returns the final status, or nullopt
-/// with `*backoff_us` set to the wait before attempt n + 1. Keeping one copy
-/// is what keeps the sync and async paths identical in messages, edge cases
-/// and jitter stream.
+/// The verdict ladder RetryAsync climbs after attempt `n` (1-based) settled
+/// with `last`. Returns the final status, or nullopt with `*backoff_us` set
+/// to the wait before attempt n + 1.
 std::optional<Status> NextRetryStep(const RetryPolicy& policy, Rng* rng,
                                     int n, int64_t start_us,
                                     int64_t attempt_start_us, int64_t now_us,
@@ -79,31 +78,6 @@ std::optional<Status> NextRetryStep(const RetryPolicy& policy, Rng* rng,
 
 }  // namespace
 
-Retryer::Retryer(RetryPolicy policy, Clock clock, SleepFn sleep,
-                 uint64_t jitter_seed)
-    : policy_(policy),
-      clock_(clock ? std::move(clock) : Clock(SteadyNowUs)),
-      sleep_(sleep ? std::move(sleep) : SleepFn(RealSleepUs)),
-      rng_(jitter_seed) {}
-
-int64_t Retryer::BackoffForAttempt(int attempt) const {
-  return BackoffFor(policy_, attempt);
-}
-
-Status Retryer::Run(const std::function<Status()>& attempt) {
-  const int64_t start_us = clock_();
-  for (int n = 1;; ++n) {
-    const int64_t attempt_start_us = clock_();
-    Status last = attempt();
-    int64_t backoff_us = 0;
-    std::optional<Status> verdict =
-        NextRetryStep(policy_, &rng_, n, start_us, attempt_start_us, clock_(),
-                      std::move(last), &backoff_us);
-    if (verdict.has_value()) return *std::move(verdict);
-    sleep_(backoff_us);
-  }
-}
-
 bool CircuitBreaker::Allow(int64_t now_us) {
   if (!open_) return true;
   if (now_us - opened_at_us_ < options_.open_duration_us) return false;
@@ -147,19 +121,21 @@ namespace {
 /// wheel entries that reference it; state is only touched by the single
 /// outstanding continuation, so no lock is needed.
 struct AsyncRetryLoop : std::enable_shared_from_this<AsyncRetryLoop> {
-  AsyncRetryLoop(const RetryPolicy& p, TimerWheel* w, Retryer::Clock c,
-                 uint64_t jitter_seed, RetryAsyncAttempt a,
+  AsyncRetryLoop(const RetryPolicy& p, TimerWheel* w, RetryClock c,
+                 RetrySleepFn s, uint64_t jitter_seed, RetryAsyncAttempt a,
                  std::function<void(Status)> d)
       : policy(p),
         wheel(w),
-        clock(c ? std::move(c) : Retryer::Clock(SteadyNowUs)),
+        clock(c ? std::move(c) : RetryClock(SteadyNowUs)),
+        sleep(s ? std::move(s) : RetrySleepFn(RealSleepUs)),
         rng(jitter_seed),
         attempt(std::move(a)),
         done(std::move(d)) {}
 
   RetryPolicy policy;
   TimerWheel* wheel;
-  Retryer::Clock clock;
+  RetryClock clock;
+  RetrySleepFn sleep;  ///< backoff when there is no wheel
   Rng rng;
   RetryAsyncAttempt attempt;
   std::function<void(Status)> done;
@@ -192,7 +168,7 @@ struct AsyncRetryLoop : std::enable_shared_from_this<AsyncRetryLoop> {
     if (wheel != nullptr) {
       wheel->ScheduleAfter(backoff_us, [self] { self->StartAttempt(); });
     } else {
-      RealSleepUs(backoff_us);
+      sleep(backoff_us);
       StartAttempt();
     }
   }
@@ -201,11 +177,11 @@ struct AsyncRetryLoop : std::enable_shared_from_this<AsyncRetryLoop> {
 }  // namespace
 
 void RetryAsync(const RetryPolicy& policy, TimerWheel* wheel,
-                Retryer::Clock clock, uint64_t jitter_seed,
+                RetryClock clock, RetrySleepFn sleep, uint64_t jitter_seed,
                 RetryAsyncAttempt attempt, std::function<void(Status)> done) {
-  auto loop = std::make_shared<AsyncRetryLoop>(policy, wheel, std::move(clock),
-                                               jitter_seed, std::move(attempt),
-                                               std::move(done));
+  auto loop = std::make_shared<AsyncRetryLoop>(
+      policy, wheel, std::move(clock), std::move(sleep), jitter_seed,
+      std::move(attempt), std::move(done));
   loop->Start();
 }
 

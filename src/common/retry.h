@@ -4,7 +4,6 @@
 #include <functional>
 #include <string>
 
-#include "common/random.h"
 #include "common/result.h"
 
 namespace discsec {
@@ -28,73 +27,37 @@ struct RetryPolicy {
   /// (the operation is too slow to be worth hammering). 0 = unbounded.
   int64_t attempt_deadline_us = 0;
   /// Total budget across attempts and backoffs; once the next backoff
-  /// would cross it, the retryer gives up with kDeadlineExceeded.
+  /// would cross it, RetryAsync gives up with kDeadlineExceeded.
   /// 0 = unbounded.
   int64_t overall_deadline_us = 0;
 };
 
-/// Executes an operation under a RetryPolicy. Clock and sleep are
-/// injectable so tests drive deadlines with a fake clock and *no real
-/// sleeping*; the defaults use the steady clock and a real sleep.
-class Retryer {
- public:
-  using Clock = std::function<int64_t()>;        ///< now, microseconds
-  using SleepFn = std::function<void(int64_t)>;  ///< sleep N microseconds
-
-  explicit Retryer(RetryPolicy policy, Clock clock = {}, SleepFn sleep = {},
-                   uint64_t jitter_seed = 0);
-
-  /// Runs `attempt` until it returns OK, a non-retryable status, or the
-  /// policy is exhausted. The returned status keeps the last attempt's
-  /// code; exhaustion annotates the message with the attempt count and
-  /// deadline overruns surface as kDeadlineExceeded.
-  Status Run(const std::function<Status()>& attempt);
-
-  /// Result-returning convenience over Run().
-  template <typename T>
-  Result<T> Call(const std::function<Result<T>()>& attempt) {
-    std::optional<T> value;
-    Status status = Run([&]() -> Status {
-      Result<T> result = attempt();
-      if (!result.ok()) return result.status();
-      value = std::move(result).value();
-      return Status::OK();
-    });
-    if (!status.ok()) return status;
-    return std::move(*value);
-  }
-
-  /// The backoff before retry number `attempt` (1-based, pre-jitter);
-  /// exposed so tests can assert the exponential schedule.
-  int64_t BackoffForAttempt(int attempt) const;
-
- private:
-  RetryPolicy policy_;
-  Clock clock_;
-  SleepFn sleep_;
-  Rng rng_;
-};
+/// Microsecond clock and sleep of a retry loop. Injectable so tests drive
+/// deadlines and backoff with a fake clock and *no real sleeping*; empty
+/// functions select the steady clock and a real sleep.
+using RetryClock = std::function<int64_t()>;
+using RetrySleepFn = std::function<void(int64_t)>;
 
 class TimerWheel;
 
-/// An attempt that completes through a callback — possibly on another
-/// thread — instead of returning. The attempt must invoke its callback
-/// exactly once.
+/// An attempt that completes through a callback — inline or later, on any
+/// thread. The attempt must invoke its callback exactly once.
 using RetryAsyncAttempt =
     std::function<void(std::function<void(Status)> attempt_done)>;
 
-/// Asynchronous counterpart of Retryer::Run with identical verdicts: same
-/// retryability rules, per-attempt and overall deadline messages, backoff
-/// schedule and jitter stream (equal seeds replay equal schedules). The
-/// difference is mechanical — between attempts the continuation parks on
-/// `wheel` instead of a thread sleeping through the backoff, so a pool
-/// worker is never held hostage by a struggling trust service. `done`
-/// fires exactly once, on whatever thread finished the last attempt (or
-/// the wheel thread when the verdict was reached during a backoff wait).
-/// With a null wheel the backoff degrades to a blocking sleep on the
-/// completing thread, which keeps the call usable in fully-sync setups.
+/// Runs `attempt` until it succeeds, fails with a non-retryable status, or
+/// the policy is exhausted, then reports the verdict through `done` exactly
+/// once. The verdict keeps the last attempt's code; exhaustion annotates
+/// the message with the attempt count and deadline overruns surface as
+/// kDeadlineExceeded. Equal jitter seeds replay equal backoff schedules.
+///
+/// Between attempts the loop parks on `wheel`, so no thread is held
+/// hostage by a struggling trust service; `done` then fires on whatever
+/// thread finished the last attempt, or on the wheel thread. With a null
+/// wheel the backoff is `sleep` on the completing thread, so inline
+/// attempts make the whole loop complete before RetryAsync returns.
 void RetryAsync(const RetryPolicy& policy, TimerWheel* wheel,
-                Retryer::Clock clock, uint64_t jitter_seed,
+                RetryClock clock, RetrySleepFn sleep, uint64_t jitter_seed,
                 RetryAsyncAttempt attempt, std::function<void(Status)> done);
 
 /// A minimal circuit breaker (closed -> open -> half-open): after

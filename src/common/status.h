@@ -120,7 +120,7 @@ class Status {
   /// Server-supplied backoff hint: how long the caller should wait before
   /// retrying, microseconds. 0 means "no hint" (the normal case); an
   /// overloaded responder sets it on the kUnavailable it sheds with, and
-  /// common::Retryer then uses it in place of its own exponential step (its
+  /// RetryAsync then uses it in place of its own exponential step (its
   /// jitter still applies, so a shed fleet re-spreads instead of retrying
   /// in lockstep). Carried by value through WithContext/Result plumbing.
   int64_t retry_after_us() const { return retry_after_us_; }

@@ -129,10 +129,9 @@ Result<std::string> Downloader::XkmsExchange(const std::string& request_xml) {
   return ToString(std::move(response).value());
 }
 
-std::function<Result<std::string>(const std::string&)>
-Downloader::XkmsTransport() {
-  return [this](const std::string& request_xml) {
-    return XkmsExchange(request_xml);
+xkms::Transport Downloader::XkmsTransport() {
+  return [this](const std::string& request_xml, xkms::AsyncCallback done) {
+    done(XkmsExchange(request_xml));
   };
 }
 

@@ -101,9 +101,9 @@ class Downloader {
   /// retryable kUnavailable with an "XKMS transport" context.
   Result<std::string> XkmsExchange(const std::string& request_xml);
 
-  /// A transport closure for xkms::XkmsClient bound to XkmsExchange().
-  /// This downloader must outlive the returned closure.
-  std::function<Result<std::string>(const std::string&)> XkmsTransport();
+  /// A transport closure for xkms::XkmsClient bound to XkmsExchange(); it
+  /// completes inline. This downloader must outlive the returned closure.
+  xkms::Transport XkmsTransport();
 
  private:
   /// `service_error`, when non-null, is set to true iff the request reached

@@ -311,8 +311,8 @@ Status InteractiveApplicationEngine::ScriptPhase(
 /// task graph schedules independently:
 ///   security — parse, signature verification (XKMS deferred), decrypt;
 ///   xkms     — deferred signer key-binding validation, asynchronous when
-///              the client carries an async transport (the graph node's
-///              worker is released while requests are in flight);
+///              the transport completes later (the graph node's worker is
+///              released while requests are in flight);
 ///   execute  — cluster parsing, wrapping defense, rights, policy, markup
 ///              and script execution, engine-serialized because
 ///              LocalStorage and the script host API are unsynchronized.
@@ -367,10 +367,11 @@ class InteractiveApplicationEngine::StagedLaunch {
   }
 
   /// Validates the deferred key bindings in signature order, completing
-  /// `handle` with the first failure. Uses the client's async call shape,
-  /// which degrades to inline blocking calls when no async transport is
-  /// configured — either way the verdicts and messages are byte-identical
-  /// to the inline VerifyPhase block.
+  /// `handle` with the first failure; the verdicts and messages are
+  /// byte-identical to the inline VerifyPhase block. Every step is async:
+  /// key i + 1 starts inside key i's completion, which may run on the
+  /// timer-wheel thread or a responder worker, where a blocking call would
+  /// wait on itself.
   static void ValidateDeferredKeys(std::shared_ptr<StagedLaunch> self,
                                    size_t index,
                                    taskgraph::CompletionHandle handle) {
@@ -417,7 +418,7 @@ class InteractiveApplicationEngine::StagedLaunch {
     // Location honors the TTL/single-flight cache exactly like the inline
     // path; the Validate verdict is always fetched live.
     if (config.xkms_cache != nullptr) {
-      on_binding(config.xkms_cache->Locate(name));
+      config.xkms_cache->LocateAsync(name, std::move(on_binding));
     } else {
       client->LocateAsync(name, std::move(on_binding));
     }
@@ -785,8 +786,8 @@ std::vector<Result<DiscPlayback>> InteractiveApplicationEngine::PlayDiscs(
       job.app_security = graph.AddNode(tag + ".app.security", [staged] {
         return staged->RunSecurity(/*defer_xkms=*/true);
       });
-      // The XKMS stage is an async node: with an async transport the pool
-      // worker is released while the trust-service round-trip (and any
+      // The XKMS stage is an async node: with a wheel-backed transport the
+      // pool worker is released while the trust-service round-trip (and any
       // retry backoff) parks on the timer wheel.
       job.app_xkms = graph.AddAsyncNode(
           tag + ".app.xkms", [staged](taskgraph::CompletionHandle handle) {

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/wait.h"
 #include "pki/key_codec.h"
 #include "xml/parser.h"
 
@@ -11,6 +12,20 @@ namespace xkms {
 
 namespace {
 
+/// Runs `fn` once `delay_us` has passed: parked on `wheel` when there is
+/// one, otherwise after sleeping through the delay on this thread.
+void AfterDelay(TimerWheel* wheel, int64_t delay_us,
+                std::function<void()> fn) {
+  if (delay_us > 0 && wheel != nullptr) {
+    wheel->ScheduleAfter(delay_us, std::move(fn));
+    return;
+  }
+  if (delay_us > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+  }
+  fn();
+}
+
 /// Parses response markup, labelling failures as response-layer errors.
 Result<xml::Document> ParseResponse(const std::string& response_xml) {
   Result<xml::Document> doc = xml::Parse(response_xml);
@@ -18,8 +33,8 @@ Result<xml::Document> ParseResponse(const std::string& response_xml) {
   return doc;
 }
 
-/// Response decoding shared by the sync and async call shapes, so the two
-/// paths cannot drift in error taxonomy or field handling.
+/// Response decoding shared by the blocking and async call shapes, so the
+/// two cannot drift in error taxonomy or field handling.
 Result<KeyBinding> ParseLocateResponse(const std::string& name,
                                        const std::string& response_xml) {
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
@@ -62,7 +77,7 @@ Result<KeyBinding> ParseLocateResponse(const std::string& name,
 }
 
 /// `raw_status`, when non-null, receives the Status element's literal text
-/// (what the sync path records as the span attribute).
+/// (recorded as the span attribute).
 Result<KeyStatus> ParseValidateResponse(const std::string& response_xml,
                                         std::string* raw_status) {
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
@@ -85,31 +100,8 @@ XkmsClient XkmsClient::Direct(XkmsService* service) {
   return XkmsClient(DirectTransport(service));
 }
 
-Transport XkmsClient::DirectTransport(XkmsService* service,
+Transport XkmsClient::DirectTransport(XkmsService* service, TimerWheel* wheel,
                                       fault::FaultInjector* injector) {
-  return [service,
-          injector](const std::string& request) -> Result<std::string> {
-    std::string wire_request = request;
-    DISCSEC_RETURN_IF_ERROR(
-        fault::Effective(injector)
-            ->HitData(fault::kXkmsTransport, &wire_request, "request")
-            .WithContext("XKMS transport"));
-    Result<std::string> response = service->HandleRequest(wire_request);
-    if (!response.ok()) {
-      return response.status().WithContext("XKMS service");
-    }
-    std::string wire_response = std::move(response).value();
-    DISCSEC_RETURN_IF_ERROR(
-        fault::Effective(injector)
-            ->HitData(fault::kXkmsTransport, &wire_response, "response")
-            .WithContext("XKMS transport"));
-    return wire_response;
-  };
-}
-
-AsyncTransport XkmsClient::DirectAsyncTransport(XkmsService* service,
-                                                TimerWheel* wheel,
-                                                fault::FaultInjector* injector) {
   return [service, wheel, injector](const std::string& request,
                                     AsyncCallback done) {
     fault::FaultInjector* fi = fault::Effective(injector);
@@ -123,7 +115,7 @@ AsyncTransport XkmsClient::DirectAsyncTransport(XkmsService* service,
       return;
     }
     // The service call plus the response-side fault point; runs after the
-    // request-side latency (if any) has been served off the wheel.
+    // request-side latency (if any) has been served.
     auto respond = [service, wheel, fi,
                     wire_request = std::move(wire_request), done]() {
       Result<std::string> response = service->HandleRequest(wire_request);
@@ -140,30 +132,18 @@ AsyncTransport XkmsClient::DirectAsyncTransport(XkmsService* service,
         done(std::move(hit));
         return;
       }
-      if (response_delay_us > 0) {
-        if (wheel != nullptr) {
-          wheel->ScheduleAfter(
-              response_delay_us,
-              [done, wire_response = std::move(wire_response)]() mutable {
-                done(std::move(wire_response));
-              });
-          return;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(response_delay_us));
-      }
-      done(std::move(wire_response));
+      AfterDelay(wheel, response_delay_us,
+                 [done, wire_response = std::move(wire_response)]() mutable {
+                   done(std::move(wire_response));
+                 });
     };
-    if (request_delay_us > 0) {
-      if (wheel != nullptr) {
-        wheel->ScheduleAfter(request_delay_us, respond);
-        return;
-      }
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(request_delay_us));
-    }
-    respond();
+    AfterDelay(wheel, request_delay_us, std::move(respond));
   };
+}
+
+Result<std::string> XkmsClient::SendAndWait(const std::string& request_xml) {
+  return WaitForCompletion<Result<std::string>>(
+      [&](AsyncCallback done) { transport_(request_xml, std::move(done)); });
 }
 
 Result<KeyBinding> XkmsClient::Locate(const std::string& name) {
@@ -171,7 +151,7 @@ Result<KeyBinding> XkmsClient::Locate(const std::string& name) {
   span.SetAttr("name", name);
   if (metrics_ != nullptr) metrics_->GetCounter("xkms.locate")->Add();
   DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildLocateRequest(name)));
+                           SendAndWait(BuildLocateRequest(name)));
   return ParseLocateResponse(name, response_xml);
 }
 
@@ -181,7 +161,7 @@ Result<KeyStatus> XkmsClient::Validate(const std::string& name,
   span.SetAttr("name", name);
   if (metrics_ != nullptr) metrics_->GetCounter("xkms.validate")->Add();
   DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildValidateRequest(name, key)));
+                           SendAndWait(BuildValidateRequest(name, key)));
   std::string raw_status;
   Result<KeyStatus> parsed = ParseValidateResponse(response_xml, &raw_status);
   if (parsed.ok()) span.SetAttr("status", raw_status);
@@ -190,17 +170,13 @@ Result<KeyStatus> XkmsClient::Validate(const std::string& name,
 
 void XkmsClient::LocateAsync(const std::string& name,
                              std::function<void(Result<KeyBinding>)> done) {
-  if (async_transport_ == nullptr) {
-    done(Locate(name));
-    return;
-  }
   if (metrics_ != nullptr) metrics_->GetCounter("xkms.locate")->Add();
   // The completion may land on another thread, so the span is opened there
   // (around response decoding) instead of spanning the in-flight gap —
   // ScopedSpan's thread-local parent stack must begin and end on one
   // thread.
   obs::Tracer* tracer = tracer_;
-  async_transport_(
+  transport_(
       BuildLocateRequest(name),
       [name, tracer, done = std::move(done)](Result<std::string> response) {
         obs::ScopedSpan span(tracer, "xkms.locate");
@@ -216,13 +192,9 @@ void XkmsClient::LocateAsync(const std::string& name,
 void XkmsClient::ValidateAsync(const std::string& name,
                                const crypto::RsaPublicKey& key,
                                std::function<void(Result<KeyStatus>)> done) {
-  if (async_transport_ == nullptr) {
-    done(Validate(name, key));
-    return;
-  }
   if (metrics_ != nullptr) metrics_->GetCounter("xkms.validate")->Add();
   obs::Tracer* tracer = tracer_;
-  async_transport_(
+  transport_(
       BuildValidateRequest(name, key),
       [name, tracer, done = std::move(done)](Result<std::string> response) {
         obs::ScopedSpan span(tracer, "xkms.validate");
@@ -244,7 +216,7 @@ Status XkmsClient::Register(const KeyBinding& binding) {
   span.SetAttr("name", binding.name);
   if (metrics_ != nullptr) metrics_->GetCounter("xkms.register")->Add();
   DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildRegisterRequest(binding)));
+                           SendAndWait(BuildRegisterRequest(binding)));
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
   const std::string* major = doc.root()->GetAttribute("ResultMajor");
   if (major == nullptr || *major != "Success") {
@@ -258,7 +230,7 @@ Status XkmsClient::Revoke(const std::string& name) {
   span.SetAttr("name", name);
   if (metrics_ != nullptr) metrics_->GetCounter("xkms.revoke")->Add();
   DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildRevokeRequest(name)));
+                           SendAndWait(BuildRevokeRequest(name)));
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
   const std::string* major = doc.root()->GetAttribute("ResultMajor");
   if (major == nullptr || *major != "Success") {

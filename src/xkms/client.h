@@ -14,21 +14,17 @@
 namespace discsec {
 namespace xkms {
 
-/// Transport used by the client: ships a serialized request, returns the
-/// serialized response. The net module provides one over the secure channel;
-/// tests bind it straight to an XkmsService.
-using Transport =
-    std::function<Result<std::string>(const std::string& request_xml)>;
-
-/// Completion callback of an asynchronous transport call. May be invoked
-/// from any thread (a TimerWheel thread, a pool worker); exactly once.
+/// Completion callback of a transport call. Invoked exactly once, inline
+/// or later, from any thread (a TimerWheel thread, a pool worker).
 using AsyncCallback = std::function<void(Result<std::string>)>;
 
-/// Asynchronous transport: ships the request and completes through the
-/// callback instead of blocking the caller. This is what lets an XKMS
-/// round-trip ride a task-graph async node — the pool worker that issued
-/// the request is released while the "network" is in flight.
-using AsyncTransport =
+/// Transport used by the client: ships a serialized request and completes
+/// with the serialized response through the callback. The net module
+/// provides one over the secure channel; tests bind it straight to an
+/// XkmsService. A transport that completes later lets an XKMS round-trip
+/// ride a task-graph async node — the pool worker that issued the request
+/// is released while the "network" is in flight.
+using Transport =
     std::function<void(const std::string& request_xml, AsyncCallback done)>;
 
 /// Player/author-side XKMS client: builds request markup, sends it through
@@ -39,6 +35,10 @@ using AsyncTransport =
 /// trust service raised carry an "XKMS service" context, and a response
 /// that arrived but does not parse as the expected result markup gets an
 /// "XKMS response" context here — three distinct, testable layers.
+///
+/// Locate, Validate, Register and Revoke are blocking wait adapters over the
+/// transport: they must not run on a thread the transport needs in order
+/// to complete (the TimerWheel thread, or the responder's pool workers).
 class XkmsClient {
  public:
   explicit XkmsClient(Transport transport)
@@ -53,10 +53,7 @@ class XkmsClient {
 
   /// Async counterparts: identical request markup, response parsing and
   /// error taxonomy as the blocking calls, completing through `done`
-  /// (invoked exactly once, possibly on another thread). They use the
-  /// async transport when one is set and otherwise degrade to the blocking
-  /// transport with an inline completion, so callers can always take the
-  /// async shape and let configuration decide whether anything overlaps.
+  /// (invoked exactly once, on whatever thread the transport completed).
   void LocateAsync(const std::string& name,
                    std::function<void(Result<KeyBinding>)> done);
   void ValidateAsync(const std::string& name,
@@ -76,20 +73,14 @@ class XkmsClient {
   /// fault injection). Consults `injector` (null = global) at the
   /// fault::kXkmsTransport point on the request and response strings
   /// (details "request"/"response"); service-side failures are labelled
-  /// "XKMS service", injected transport errors "XKMS transport". The
-  /// service must outlive the returned closure.
+  /// "XKMS service", injected transport errors "XKMS transport". A fired
+  /// kDelay fault parks the continuation on `wheel` for its latency, so the
+  /// injected "broadband round-trip" costs wall-clock, not a worker; with
+  /// a null wheel the calling thread sleeps through it and every call
+  /// completes inline. The service and wheel must outlive the closure.
   static Transport DirectTransport(XkmsService* service,
+                                   TimerWheel* wheel = nullptr,
                                    fault::FaultInjector* injector = nullptr);
-
-  /// Async flavor of DirectTransport: same fault points and error labels,
-  /// but a fired kDelay fault at xkms.transport parks the continuation on
-  /// `wheel` for its latency instead of sleeping a thread — the injected
-  /// "broadband round-trip" costs wall-clock, not a worker. With a null
-  /// wheel delays degrade to blocking sleeps. The service and wheel must
-  /// outlive the returned closure.
-  static AsyncTransport DirectAsyncTransport(
-      XkmsService* service, TimerWheel* wheel,
-      fault::FaultInjector* injector = nullptr);
 
   /// Observability (DESIGN.md §10): "xkms.locate" / "xkms.validate" /
   /// "xkms.register" / "xkms.revoke" spans (attributes: name, and the
@@ -99,16 +90,13 @@ class XkmsClient {
     metrics_ = metrics;
   }
 
-  /// Attaches the transport LocateAsync/ValidateAsync ride. The sync calls
-  /// never touch it, so one client can serve both paths.
-  void set_async_transport(AsyncTransport transport) {
-    async_transport_ = std::move(transport);
-  }
-  bool has_async_transport() const { return async_transport_ != nullptr; }
-
  private:
+  /// The wait adapter under the blocking calls: sends `request_xml` and
+  /// blocks the calling thread until the transport completes, so it is
+  /// bound by the thread rule in the class comment.
+  Result<std::string> SendAndWait(const std::string& request_xml);
+
   Transport transport_;
-  AsyncTransport async_transport_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 };

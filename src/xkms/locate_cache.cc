@@ -3,6 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "common/wait.h"
+
 namespace discsec {
 namespace xkms {
 
@@ -22,60 +24,52 @@ LocateCache::LocateCache(XkmsClient* client, Options options)
       clock_(options_.clock ? options_.clock
                             : std::function<int64_t()>(SteadyNowUs)) {}
 
-Result<KeyBinding> LocateCache::Locate(const std::string& name) {
+void LocateCache::LocateAsync(const std::string& name,
+                              std::function<void(Result<KeyBinding>)> done) {
   obs::ScopedSpan span(tracer_, "xkms.locate_cache");
   span.SetAttr("name", name);
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     auto it = entries_.find(name);
     if (it != entries_.end()) {
       if (clock_() < it->second.expires_us) {
         ++stats_.hits;
         span.SetAttr("outcome", "hit");
-        return it->second.binding;
+        KeyBinding binding = it->second.binding;
+        lock.unlock();
+        done(std::move(binding));
+        return;
       }
       entries_.erase(it);
       ++stats_.expirations;
     }
-    auto in_flight = flights_.find(name);
-    if (in_flight != flights_.end()) {
+    auto [flight, leader] = flights_.try_emplace(name);
+    flight->second.push_back(std::move(done));
+    if (!leader) {
       ++stats_.coalesced;
       span.SetAttr("outcome", "coalesced");
-      flight = in_flight->second;
-    } else {
-      leader = true;
-      ++stats_.misses;
-      ++stats_.transport_calls;
-      span.SetAttr("outcome", "miss");
-      flight = std::make_shared<Flight>();
-      flights_.emplace(name, flight);
+      return;
     }
+    ++stats_.misses;
+    ++stats_.transport_calls;
+    span.SetAttr("outcome", "miss");
   }
-
-  if (!leader) {
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    return *flight->result;
-  }
-
   // Leader: the transport call happens outside every cache lock, so slow
   // lookups for one name never block hits on others.
-  Result<KeyBinding> result = client_->Locate(name);
-  // Publish into the flight BEFORE retiring it from flights_. Callers that
-  // attach in between still find the flight and share this verdict —
-  // crucially including an error verdict, which is never cached: without
-  // this ordering a failure storm turns every late arrival into a fresh
-  // leader and each one hammers the struggling upstream in series. After
-  // the erase below, the next caller starts a clean flight (one retry per
+  client_->LocateAsync(name, [this, name](Result<KeyBinding> result) {
+    Land(name, std::move(result));
+  });
+}
+
+void LocateCache::Land(const std::string& name, Result<KeyBinding> result) {
+  // Caching the verdict and retiring the flight happen under one lock, so
+  // every caller attached before this point gets this verdict — crucially
+  // including an error verdict, which is never cached: without the shared
+  // flight a failure storm turns every arrival into a fresh leader and each
+  // one hammers the struggling upstream in series. After the retire, the
+  // next caller hits the cache or starts a clean flight (one retry per
   // storm wave, not one per caller).
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->result = result;
-    flight->done = true;
-  }
-  flight->cv.notify_all();
+  std::vector<Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (result.ok()) {
@@ -88,9 +82,16 @@ Result<KeyBinding> LocateCache::Locate(const std::string& name) {
         entries_.erase(victim);
       }
     }
-    flights_.erase(name);
+    auto flight = flights_.find(name);
+    waiters = std::move(flight->second);
+    flights_.erase(flight);
   }
-  return result;
+  for (Waiter& waiter : waiters) waiter(result);
+}
+
+Result<KeyBinding> LocateCache::Locate(const std::string& name) {
+  return WaitForCompletion<Result<KeyBinding>>(
+      [&](Waiter done) { LocateAsync(name, std::move(done)); });
 }
 
 void LocateCache::Invalidate(const std::string& name) {

@@ -1,14 +1,12 @@
 #ifndef DISCSEC_XKMS_LOCATE_CACHE_H_
 #define DISCSEC_XKMS_LOCATE_CACHE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "xkms/client.h"
@@ -22,21 +20,21 @@ struct LocateCacheStats {
   uint64_t hits = 0;          ///< served from a fresh cached binding
   uint64_t misses = 0;        ///< no usable entry; a transport call resulted
   uint64_t expirations = 0;   ///< entries discarded because their TTL lapsed
-  uint64_t coalesced = 0;     ///< callers that waited on another's in-flight
+  uint64_t coalesced = 0;     ///< callers that joined another's in-flight
                               ///< Locate instead of issuing their own
-  uint64_t transport_calls = 0;  ///< actual XkmsClient::Locate invocations
+  uint64_t transport_calls = 0;  ///< actual XkmsClient::LocateAsync calls
 };
 
-/// A TTL cache with single-flight deduplication over XkmsClient::Locate.
+/// A TTL cache with single-flight deduplication over XkmsClient::LocateAsync.
 ///
 /// N concurrent players resolving the same KeyInfo name issue exactly one
-/// transport call: the first caller becomes the leader and performs the
-/// lookup while the rest block on the shared flight and receive the leader's
-/// result (including its error — errors are delivered to every waiter but
-/// never cached, so the next call retries). Successful bindings are cached
-/// for `ttl_us` of the injected clock; revocation latency is therefore
-/// bounded by the TTL, which is why Validate verdicts are deliberately NOT
-/// cached here — see DESIGN.md §9.
+/// transport call: the first caller becomes the leader and starts the
+/// lookup; the rest attach their callbacks to the shared flight and receive
+/// the leader's result (including its error — errors are delivered to every
+/// attached caller but never cached, so the next call retries). Successful
+/// bindings are cached for `ttl_us` of the injected clock; revocation
+/// latency is therefore bounded by the TTL, which is why Validate verdicts
+/// are deliberately NOT cached here — see DESIGN.md §9.
 class LocateCache {
  public:
   struct Options {
@@ -48,11 +46,19 @@ class LocateCache {
     size_t max_entries = 1024;
   };
 
-  /// `client` must outlive the cache.
+  /// `client` must outlive the cache, and the cache every in-flight lookup.
   explicit LocateCache(XkmsClient* client) : LocateCache(client, Options()) {}
   LocateCache(XkmsClient* client, Options options);
 
-  /// Cached, deduplicated XkmsClient::Locate.
+  /// Cached, deduplicated XkmsClient::LocateAsync. `done` runs exactly
+  /// once: inline on a hit, otherwise on whatever thread completes the
+  /// flight's transport call. Nothing here blocks, so continuations that
+  /// run on the wheel thread or a responder worker may call it.
+  void LocateAsync(const std::string& name,
+                   std::function<void(Result<KeyBinding>)> done);
+
+  /// Blocking wait adapter over LocateAsync; like XkmsClient's blocking
+  /// calls it must not run on a thread the transport needs to complete.
   Result<KeyBinding> Locate(const std::string& name);
 
   /// The wrapped client, for the operations that must stay uncached
@@ -67,7 +73,8 @@ class LocateCache {
   size_t size() const;
 
   /// Observability (DESIGN.md §10): "xkms.locate_cache" spans with an
-  /// "outcome" attribute (hit / miss / coalesced). Null = no-op. The
+  /// "outcome" attribute (hit / miss / coalesced), covering the cache
+  /// decision and, for a leader, issuing the lookup. Null = no-op. The
   /// cache's own counters stay authoritative; obs::AbsorbLocateCacheStats
   /// folds them into a MetricsRegistry.
   void set_observability(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -77,13 +84,11 @@ class LocateCache {
     KeyBinding binding;
     int64_t expires_us = 0;
   };
-  /// One in-flight Locate; waiters block on `cv` until the leader publishes.
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::optional<Result<KeyBinding>> result;
-  };
+  using Waiter = std::function<void(Result<KeyBinding>)>;
+
+  /// Completes the flight for `name`: caches a success, retires the flight
+  /// and hands `result` to every caller attached to it.
+  void Land(const std::string& name, Result<KeyBinding> result);
 
   XkmsClient* client_;
   Options options_;
@@ -91,7 +96,9 @@ class LocateCache {
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
-  std::map<std::string, std::shared_ptr<Flight>> flights_;
+  /// One in-flight lookup per name, holding the callbacks of every caller
+  /// attached to it (the leader's first).
+  std::map<std::string, std::vector<Waiter>> flights_;
   LocateCacheStats stats_;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <string>
 
 namespace discsec {
@@ -17,36 +18,20 @@ int64_t SteadyNowUs() {
 
 /// Shared by every copy of the returned std::function.
 struct TransportState {
-  TransportState(Transport t, const RetryingTransportOptions& o)
-      : inner(std::move(t)),
-        options(o),
-        breaker(o.breaker),
-        clock(o.clock ? o.clock : Retryer::Clock(SteadyNowUs)) {}
-
-  Transport inner;
-  RetryingTransportOptions options;
-  std::mutex breaker_mu;  ///< guards breaker (not thread-safe itself)
-  CircuitBreaker breaker;
-  Retryer::Clock clock;
-  RetryingTransportStats stats;
-};
-
-/// Shared state of the async wrapper; same layout, async inner.
-struct AsyncTransportState {
-  AsyncTransportState(AsyncTransport t, const RetryingTransportOptions& o,
-                      TimerWheel* w)
+  TransportState(Transport t, const RetryingTransportOptions& o,
+                 TimerWheel* w)
       : inner(std::move(t)),
         options(o),
         wheel(w),
         breaker(o.breaker),
-        clock(o.clock ? o.clock : Retryer::Clock(SteadyNowUs)) {}
+        clock(o.clock ? o.clock : RetryClock(SteadyNowUs)) {}
 
-  AsyncTransport inner;
+  Transport inner;
   RetryingTransportOptions options;
   TimerWheel* wheel;
-  std::mutex breaker_mu;
+  std::mutex breaker_mu;  ///< guards breaker (not thread-safe itself)
   CircuitBreaker breaker;
-  Retryer::Clock clock;
+  RetryClock clock;
   RetryingTransportStats stats;
 };
 
@@ -60,73 +45,18 @@ struct AsyncCallScratch {
 }  // namespace
 
 Transport MakeRetryingTransport(
-    Transport inner, RetryingTransportOptions options,
+    Transport inner, RetryingTransportOptions options, TimerWheel* wheel,
     std::shared_ptr<const RetryingTransportStats>* stats) {
-  auto state = std::make_shared<TransportState>(std::move(inner), options);
+  auto state =
+      std::make_shared<TransportState>(std::move(inner), options, wheel);
   if (stats != nullptr) {
     // Aliasing share: the counters live exactly as long as the transport.
     *stats = std::shared_ptr<const RetryingTransportStats>(state,
                                                            &state->stats);
   }
-  return [state](const std::string& request) -> Result<std::string> {
-    const uint64_t call_index = state->stats.calls.fetch_add(1) + 1;
-    {
-      std::lock_guard<std::mutex> lock(state->breaker_mu);
-      if (!state->breaker.Allow(state->clock())) {
-        ++state->stats.breaker_rejections;
-        CircuitBreaker::State breaker_state =
-            state->breaker.state(state->clock());
-        state->stats.breaker_state = breaker_state;
-        return Status::Unavailable(
-                   std::string("circuit breaker is ") +
-                   CircuitStateName(breaker_state) + " after " +
-                   std::to_string(state->breaker.consecutive_failures()) +
-                   " consecutive failures; failing fast")
-            .WithContext("XKMS transport");
-      }
-    }
-    // A per-call Retryer keeps the backoff/jitter RNG off the shared state;
-    // mixing the call index into the seed decorrelates concurrent callers.
-    Retryer retryer(state->options.retry, state->options.clock,
-                    state->options.sleep,
-                    state->options.jitter_seed ^
-                        (call_index * 0x9e3779b97f4a7c15ULL));
-    uint64_t attempts_this_call = 0;
-    Result<std::string> out =
-        retryer.Call<std::string>([&]() -> Result<std::string> {
-          ++attempts_this_call;
-          return state->inner(request);
-        });
-    state->stats.attempts += attempts_this_call;
-    if (attempts_this_call > 0) {
-      state->stats.retries += attempts_this_call - 1;
-    }
-    // One *call* is one breaker verdict, however many attempts it took:
-    // a call that only succeeded on retry is still a success.
-    {
-      std::lock_guard<std::mutex> lock(state->breaker_mu);
-      if (out.ok()) {
-        state->breaker.RecordSuccess();
-      } else {
-        state->breaker.RecordFailure(state->clock());
-      }
-      state->stats.breaker_state = state->breaker.state(state->clock());
-    }
-    return out;
-  };
-}
-
-AsyncTransport MakeAsyncRetryingTransport(
-    AsyncTransport inner, RetryingTransportOptions options, TimerWheel* wheel,
-    std::shared_ptr<const RetryingTransportStats>* stats) {
-  auto state =
-      std::make_shared<AsyncTransportState>(std::move(inner), options, wheel);
-  if (stats != nullptr) {
-    *stats = std::shared_ptr<const RetryingTransportStats>(state,
-                                                           &state->stats);
-  }
   return [state](const std::string& request, AsyncCallback done) {
     const uint64_t call_index = state->stats.calls.fetch_add(1) + 1;
+    std::optional<Status> rejected;
     {
       std::lock_guard<std::mutex> lock(state->breaker_mu);
       if (!state->breaker.Allow(state->clock())) {
@@ -134,18 +64,24 @@ AsyncTransport MakeAsyncRetryingTransport(
         CircuitBreaker::State breaker_state =
             state->breaker.state(state->clock());
         state->stats.breaker_state = breaker_state;
-        done(Status::Unavailable(
-                 std::string("circuit breaker is ") +
-                 CircuitStateName(breaker_state) + " after " +
-                 std::to_string(state->breaker.consecutive_failures()) +
-                 " consecutive failures; failing fast")
-                 .WithContext("XKMS transport"));
-        return;
+        rejected = Status::Unavailable(
+                       std::string("circuit breaker is ") +
+                       CircuitStateName(breaker_state) + " after " +
+                       std::to_string(state->breaker.consecutive_failures()) +
+                       " consecutive failures; failing fast")
+                       .WithContext("XKMS transport");
       }
     }
+    if (rejected.has_value()) {
+      done(*std::move(rejected));
+      return;
+    }
+    // Mixing the call index into the jitter seed decorrelates concurrent
+    // callers' backoff schedules.
     auto scratch = std::make_shared<AsyncCallScratch>();
     RetryAsync(
         state->options.retry, state->wheel, state->options.clock,
+        state->options.sleep,
         state->options.jitter_seed ^ (call_index * 0x9e3779b97f4a7c15ULL),
         /*attempt=*/
         [state, scratch, request](std::function<void(Status)> attempt_done) {
@@ -169,6 +105,8 @@ AsyncTransport MakeAsyncRetryingTransport(
           if (attempts_this_call > 0) {
             state->stats.retries += attempts_this_call - 1;
           }
+          // One *call* is one breaker verdict, however many attempts it
+          // took: a call that only succeeded on retry is still a success.
           {
             std::lock_guard<std::mutex> lock(state->breaker_mu);
             if (verdict.ok()) {

@@ -16,9 +16,10 @@ struct RetryingTransportOptions {
   CircuitBreaker::Options breaker;
   /// Injectable clock/sleep, microseconds — tests drive deadlines and
   /// breaker cool-downs with a fake clock and no real sleeping. Defaults
-  /// (empty) use the steady clock and a real sleep.
-  Retryer::Clock clock;
-  Retryer::SleepFn sleep;
+  /// (empty) use the steady clock and a real sleep. `sleep` only serves
+  /// backoff when there is no wheel.
+  RetryClock clock;
+  RetrySleepFn sleep;
   uint64_t jitter_seed = 0;
 };
 
@@ -38,14 +39,19 @@ struct RetryingTransportStats {
 };
 
 /// Wraps an xkms::Transport with a RetryPolicy and a circuit breaker:
-/// retryable (kUnavailable) failures are retried under the policy, and a
-/// run of consecutive failed *calls* opens the circuit so a struggling
-/// trust service is not hammered — further calls fail fast with
-/// kUnavailable until the cool-down admits a probe.
+/// retryable (kUnavailable) failures are retried under the policy by
+/// RetryAsync, and a run of consecutive failed *calls* opens the circuit so
+/// a struggling trust service is not hammered — further calls fail fast,
+/// inline, with kUnavailable until the cool-down admits a probe.
+///
+/// Backoff between attempts parks on `wheel`; with a null wheel it is
+/// `options.sleep` on the completing thread, so over an inline transport
+/// every call completes before it returns. The wheel must outlive every
+/// copy of the returned transport.
 ///
 /// The wrapper is thread-safe: breaker transitions are mutex-guarded,
-/// counters are atomic, and each call runs its own Retryer (jitter streams
-/// are decorrelated per call), so concurrent players may share one
+/// counters are atomic, and each call runs its own retry loop (jitter
+/// streams are decorrelated per call), so concurrent players may share one
 /// transport. The inner transport is invoked concurrently and must be
 /// thread-safe itself (DirectTransport over XkmsService's read paths is).
 ///
@@ -55,17 +61,7 @@ struct RetryingTransportStats {
 /// copy of the transport lives.
 Transport MakeRetryingTransport(
     Transport inner, RetryingTransportOptions options,
-    std::shared_ptr<const RetryingTransportStats>* stats = nullptr);
-
-/// Async counterpart of MakeRetryingTransport: the same breaker verdicts,
-/// stats accounting and per-call jitter-seed derivation, driven by
-/// RetryAsync so backoff between attempts parks on `wheel` instead of
-/// holding a thread. A call rejected by the open circuit completes
-/// immediately (inline) with the same kUnavailable status the sync wrapper
-/// returns. The wheel must outlive every copy of the returned transport;
-/// null degrades the backoff to blocking sleeps on the completing thread.
-AsyncTransport MakeAsyncRetryingTransport(
-    AsyncTransport inner, RetryingTransportOptions options, TimerWheel* wheel,
+    TimerWheel* wheel = nullptr,
     std::shared_ptr<const RetryingTransportStats>* stats = nullptr);
 
 }  // namespace xkms

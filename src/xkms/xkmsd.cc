@@ -8,6 +8,8 @@
 #include <string_view>
 #include <utility>
 
+#include "common/wait.h"
+
 namespace discsec {
 namespace xkms {
 
@@ -752,19 +754,8 @@ void Xkmsd::Submit(std::string request_xml, XkmsdRequestOptions req,
 
 Result<std::string> Xkmsd::Handle(const std::string& request_xml,
                                   XkmsdRequestOptions req) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<Result<std::string>> out;
-  Submit(request_xml, req, [&](Result<std::string> r) {
-    // Notify under the lock: once `out` is set and `mu` released, the
-    // waiter may return and destroy `cv` while a later notify still runs.
-    std::lock_guard<std::mutex> lock(mu);
-    out = std::move(r);
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return out.has_value(); });
-  return std::move(*out);
+  return WaitForCompletion<Result<std::string>>(
+      [&](Completion done) { Submit(request_xml, req, std::move(done)); });
 }
 
 Status Xkmsd::SeedBinding(const KeyBinding& binding) {
@@ -806,18 +797,6 @@ const ShardedKeyStore& Xkmsd::store() const { return core_->store; }
 const SnapshotStore& Xkmsd::snapshot() const { return core_->snapshot; }
 
 Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us) {
-  return [server, request_budget_us](
-             const std::string& request_xml) -> Result<std::string> {
-    XkmsdRequestOptions req;
-    if (request_budget_us > 0) {
-      req.deadline_us = server->NowUs() + request_budget_us;
-    }
-    return server->Handle(request_xml, req);
-  };
-}
-
-AsyncTransport MakeAsyncServerTransport(Xkmsd* server,
-                                        int64_t request_budget_us) {
   return [server, request_budget_us](const std::string& request_xml,
                                      AsyncCallback done) {
     XkmsdRequestOptions req;

@@ -41,7 +41,7 @@ namespace xkms {
 ///    (Validate > Locate > Register/Revoke), deadline-aware rejection
 ///    (expired requests are shed before any parsing or store work),
 ///    queue-depth load shedding returning kUnavailable with a retry-after
-///    hint the client Retryer honors, and oversized payload rejection
+///    hint the client's RetryAsync honors, and oversized payload rejection
 ///    against the configured ParseOptions limits before the parser runs;
 ///  - *graceful degradation*: when the authoritative store is broken
 ///    (chaos at fault point "xkmsd.store"), Locate falls back to a stale
@@ -264,18 +264,15 @@ class Xkmsd {
   std::shared_ptr<Core> core_;
 };
 
-/// Server-transport glue: binds an XkmsClient (or the retrying transports
+/// Server-transport glue: binds an XkmsClient (or the retrying transport
 /// in retrying_transport.h) straight to an in-process Xkmsd, the fleet
-/// analogue of XkmsClient::DirectTransport. Each call derives its deadline
-/// from `request_budget_us` (0 = none) against the responder's clock, so a
-/// shed at the front door reaches the client with its retry-after hint
-/// intact. The responder must outlive the returned closure.
+/// analogue of XkmsClient::DirectTransport. Each call is a Submit that
+/// completes on whatever thread the responder finished on (inline when it
+/// has no pool). Its deadline derives from `request_budget_us` (0 = none)
+/// against the responder's clock, so a shed at the front door reaches the
+/// client with its retry-after hint intact. The responder must outlive the
+/// returned closure.
 Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us = 0);
-
-/// Async flavor: completes through the callback on whatever thread the
-/// responder finished on. Same deadline derivation.
-AsyncTransport MakeAsyncServerTransport(Xkmsd* server,
-                                        int64_t request_budget_us = 0);
 
 }  // namespace xkms
 }  // namespace discsec

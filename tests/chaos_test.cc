@@ -144,7 +144,8 @@ struct ChaosXkms {
     options.clock = [this] { return fake_now_us; };
     options.sleep = [this](int64_t us) { fake_now_us += us; };
     client = std::make_unique<xkms::XkmsClient>(xkms::MakeRetryingTransport(
-        xkms::XkmsClient::DirectTransport(&service, injector), options));
+        xkms::XkmsClient::DirectTransport(&service, nullptr, injector),
+        options));
   }
 };
 
@@ -594,9 +595,7 @@ TEST(ChaosXkmsd, RevocationStormWithShardFaultNeverServesStaleValid) {
   std::vector<std::thread> clients;
   for (size_t t = 0; t < kClientThreads; ++t) {
     clients.emplace_back([&, t] {
-      xkms::XkmsClient client([&](const std::string& request) {
-        return xkmsd.Handle(request);
-      });
+      xkms::XkmsClient client(xkms::MakeServerTransport(&xkmsd));
       Rng rng(ChaosSeed() + 100 + t);
       while (!storm_done.load()) {
         const std::string& name = names[rng.NextUint64() % kKeys];
@@ -630,9 +629,7 @@ TEST(ChaosXkmsd, RevocationStormWithShardFaultNeverServesStaleValid) {
   // The storm: revoke every key, retrying through injected store faults so
   // each revocation eventually lands while clients hammer away.
   {
-    xkms::XkmsClient revoker([&](const std::string& request) {
-      return xkmsd.Handle(request);
-    });
+    xkms::XkmsClient revoker(xkms::MakeServerTransport(&xkmsd));
     for (const std::string& name : names) {
       Status status;
       do {

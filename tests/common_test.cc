@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "common/base64.h"
@@ -380,15 +381,15 @@ TEST(FaultInjectorTest, KindNamesRoundTrip) {
   EXPECT_TRUE(fault::KindFromName("meltdown").status().IsInvalidArgument());
 }
 
-/// Fake time base for Retryer tests: clock reads a counter, sleep advances
-/// it and records the schedule. No real sleeping anywhere.
+/// Fake time base for the retry-loop tests: clock reads a counter, sleep
+/// advances it and records the schedule. No real sleeping anywhere.
 struct FakeTime {
   int64_t now_us = 0;
   std::vector<int64_t> sleeps;
-  Retryer::Clock clock() {
+  RetryClock clock() {
     return [this] { return now_us; };
   }
-  Retryer::SleepFn sleep() {
+  RetrySleepFn sleep() {
     return [this](int64_t us) {
       sleeps.push_back(us);
       now_us += us;
@@ -396,13 +397,28 @@ struct FakeTime {
   }
 };
 
-TEST(RetryerTest, SucceedsAfterTransientFailuresWithExponentialBackoff) {
+/// RetryAsync with a null wheel over inline attempts: the backoff runs
+/// through the fake sleep and the verdict is in hand when it returns.
+Status RunRetry(const RetryPolicy& policy, FakeTime* time,
+                const std::function<Status()>& attempt,
+                uint64_t jitter_seed = 0) {
+  std::optional<Status> verdict;
+  RetryAsync(
+      policy, /*wheel=*/nullptr, time->clock(), time->sleep(), jitter_seed,
+      [&](std::function<void(Status)> attempt_done) {
+        attempt_done(attempt());
+      },
+      [&](Status s) { verdict = std::move(s); });
+  EXPECT_TRUE(verdict.has_value()) << "null-wheel loop did not complete";
+  return verdict.value_or(Status::Unavailable("retry loop never completed"));
+}
+
+TEST(RetryAsyncTest, SucceedsAfterTransientFailuresWithExponentialBackoff) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = RunRetry(policy, &time, [&]() -> Status {
     ++calls;
     if (calls < 3) return Status::Unavailable("flaky");
     return Status::OK();
@@ -412,11 +428,10 @@ TEST(RetryerTest, SucceedsAfterTransientFailuresWithExponentialBackoff) {
   EXPECT_EQ(time.sleeps, (std::vector<int64_t>{1000, 2000}));
 }
 
-TEST(RetryerTest, TerminalStatusIsNotRetried) {
+TEST(RetryAsyncTest, TerminalStatusIsNotRetried) {
   FakeTime time;
-  Retryer retryer(RetryPolicy{}, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = RunRetry(RetryPolicy{}, &time, [&]() -> Status {
     ++calls;
     return Status::VerificationFailed("bad digest");
   });
@@ -425,13 +440,12 @@ TEST(RetryerTest, TerminalStatusIsNotRetried) {
   EXPECT_TRUE(time.sleeps.empty());
 }
 
-TEST(RetryerTest, ExhaustionKeepsLastCodeAndCountsAttempts) {
+TEST(RetryAsyncTest, ExhaustionKeepsLastCodeAndCountsAttempts) {
   RetryPolicy policy;
   policy.max_attempts = 3;
   FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = RunRetry(policy, &time, [&]() -> Status {
     ++calls;
     return Status::Unavailable("still down");
   });
@@ -441,26 +455,25 @@ TEST(RetryerTest, ExhaustionKeepsLastCodeAndCountsAttempts) {
       << s.ToString();
 }
 
-TEST(RetryerTest, BackoffCapsAtMax) {
+TEST(RetryAsyncTest, BackoffCapsAtMax) {
   RetryPolicy policy;
   policy.initial_backoff_us = 1000;
   policy.backoff_multiplier = 10.0;
   policy.max_backoff_us = 50000;
-  Retryer retryer(policy);
-  EXPECT_EQ(retryer.BackoffForAttempt(1), 1000);
-  EXPECT_EQ(retryer.BackoffForAttempt(2), 10000);
-  EXPECT_EQ(retryer.BackoffForAttempt(3), 50000);  // capped
-  EXPECT_EQ(retryer.BackoffForAttempt(4), 50000);
+  policy.max_attempts = 5;
+  FakeTime time;
+  RunRetry(policy, &time, [] { return Status::Unavailable("down"); });
+  // 1000, 10000, then capped: 100000 and 1000000 both clamp to 50000.
+  EXPECT_EQ(time.sleeps, (std::vector<int64_t>{1000, 10000, 50000, 50000}));
 }
 
-TEST(RetryerTest, JitterStaysWithinWindowAndIsSeeded) {
+TEST(RetryAsyncTest, JitterStaysWithinWindowAndIsSeeded) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.jitter = 0.5;
   auto collect = [&](uint64_t seed) {
     FakeTime time;
-    Retryer retryer(policy, time.clock(), time.sleep(), seed);
-    retryer.Run([] { return Status::Unavailable("x"); });
+    RunRetry(policy, &time, [] { return Status::Unavailable("x"); }, seed);
     return time.sleeps;
   };
   std::vector<int64_t> a = collect(7), b = collect(7), c = collect(8);
@@ -474,14 +487,13 @@ TEST(RetryerTest, JitterStaysWithinWindowAndIsSeeded) {
   }
 }
 
-TEST(RetryerTest, RetryAfterHintOverridesExponentialSchedule) {
+TEST(RetryAsyncTest, RetryAfterHintOverridesExponentialSchedule) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.initial_backoff_us = 1000;  // schedule would be 1000, 2000, 4000
   FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = RunRetry(policy, &time, [&]() -> Status {
     ++calls;
     // A shed responder tells us when its queues should have drained. The
     // second attempt carries no hint, so the schedule falls back to the
@@ -494,7 +506,7 @@ TEST(RetryerTest, RetryAfterHintOverridesExponentialSchedule) {
   EXPECT_EQ(time.sleeps, (std::vector<int64_t>{9000, 2000, 9000}));
 }
 
-TEST(RetryerTest, HintedFleetReSpreadsThroughJitter) {
+TEST(RetryAsyncTest, HintedFleetReSpreadsThroughJitter) {
   // Ten clients shed at the same instant with the same retry-after hint.
   // Without jitter they would all come back at hint expiry in lockstep and
   // re-trigger the shed; with jitter each sleeps a distinct fraction of the
@@ -506,9 +518,10 @@ TEST(RetryerTest, HintedFleetReSpreadsThroughJitter) {
   std::set<int64_t> wakeups;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     FakeTime time;
-    Retryer retryer(policy, time.clock(), time.sleep(), seed);
-    retryer.Run(
-        [&] { return Status::Unavailable("shed").WithRetryAfter(kHintUs); });
+    RunRetry(
+        policy, &time,
+        [&] { return Status::Unavailable("shed").WithRetryAfter(kHintUs); },
+        seed);
     ASSERT_EQ(time.sleeps.size(), 1u);
     // Jitter only ever shortens: every client honors the hint window.
     EXPECT_GE(time.sleeps[0], kHintUs / 2);
@@ -519,14 +532,13 @@ TEST(RetryerTest, HintedFleetReSpreadsThroughJitter) {
   EXPECT_GE(wakeups.size(), 8u) << "fleet woke in lockstep";
 }
 
-TEST(RetryerTest, AttemptDeadlineMakesSlowFailureTerminal) {
+TEST(RetryAsyncTest, AttemptDeadlineMakesSlowFailureTerminal) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.attempt_deadline_us = 100;
   FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = RunRetry(policy, &time, [&]() -> Status {
     ++calls;
     time.now_us += 500;  // the attempt itself burns 500us
     return Status::Unavailable("slow and broken");
@@ -536,14 +548,13 @@ TEST(RetryerTest, AttemptDeadlineMakesSlowFailureTerminal) {
   EXPECT_NE(s.ToString().find("per-attempt deadline"), std::string::npos);
 }
 
-TEST(RetryerTest, OverallDeadlineBoundsTheRetryBudget) {
+TEST(RetryAsyncTest, OverallDeadlineBoundsTheRetryBudget) {
   RetryPolicy policy;
   policy.max_attempts = 100;
   policy.overall_deadline_us = 2500;  // admits sleeps of 1000+2000 > budget
   FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = RunRetry(policy, &time, [&]() -> Status {
     ++calls;
     return Status::Unavailable("down");
   });

@@ -260,8 +260,8 @@ TEST_F(NetFixture, XkmsOverSecureChannel) {
   Downloader downloader(&server, options, rng_);
 
   xkms::XkmsClient client(
-      [&downloader](const std::string& request) {
-        return downloader.XkmsExchange(request);
+      [&downloader](const std::string& request, xkms::AsyncCallback done) {
+        done(downloader.XkmsExchange(request));
       });
   auto binding = client.Locate("studio-key");
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();

@@ -18,7 +18,9 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "common/timer_wheel.h"
 #include "player/engine.h"
+#include "player/session.h"
 #include "tests/attacks/attack_corpus.h"
 #include "tests/test_world.h"
 #include "xkms/client.h"
@@ -26,6 +28,7 @@
 #include "xkms/retrying_transport.h"
 #include "xkms/service.h"
 #include "xml/parser.h"
+#include "xml/serializer.h"
 #include "xmldsig/verifier.h"
 
 namespace discsec {
@@ -66,7 +69,8 @@ TEST(LocateCacheTest, SingleFlightCoalescesConcurrentLookups) {
 
   std::atomic<size_t> transport_calls{0};
   std::atomic<size_t> entered{0};
-  xkms::Transport transport = [&](const std::string& request) {
+  xkms::Transport transport = [&](const std::string& request,
+                                   xkms::AsyncCallback done) {
     transport_calls.fetch_add(1);
     // Hold the leader in flight until every thread has reached Locate, so
     // the others must either coalesce onto this flight or hit the entry it
@@ -74,7 +78,7 @@ TEST(LocateCacheTest, SingleFlightCoalescesConcurrentLookups) {
     for (int spin = 0; spin < 5000 && entered.load() < kThreads; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return service.HandleRequest(request);
+    done(service.HandleRequest(request));
   };
   xkms::XkmsClient client(transport);
   xkms::LocateCache cache(&client);
@@ -106,7 +110,8 @@ TEST(LocateCacheTest, SingleFlightFailureIsSharedNotAmplified) {
   constexpr size_t kThreads = 8;
   std::atomic<size_t> transport_calls{0};
   xkms::LocateCache* cache_ptr = nullptr;
-  xkms::Transport transport = [&](const std::string&) {
+  xkms::Transport transport = [&](const std::string&,
+                                   xkms::AsyncCallback done) {
     transport_calls.fetch_add(1);
     // Hold the leader in flight until every follower has *attached* to the
     // flight (coalesced is bumped under the cache lock at attach time), so
@@ -116,8 +121,7 @@ TEST(LocateCacheTest, SingleFlightFailureIsSharedNotAmplified) {
          spin < 5000 && cache_ptr->stats().coalesced < kThreads - 1; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    return Result<std::string>(
-        Status::Unavailable("XKMS transport: responder down"));
+    done(Status::Unavailable("XKMS transport: responder down"));
   };
   xkms::XkmsClient client(transport);
   xkms::LocateCache cache(&client);
@@ -174,12 +178,13 @@ TEST(LocateCacheTest, ErrorsAreDeliveredButNeverCached) {
   xkms::XkmsService service;
   ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
   std::atomic<size_t> calls{0};
-  xkms::Transport transport = [&](const std::string& request) {
+  xkms::Transport transport = [&](const std::string& request,
+                                   xkms::AsyncCallback done) {
     if (calls.fetch_add(1) == 0) {
-      return Result<std::string>(
-          Status::Unavailable("XKMS transport: injected outage"));
+      done(Status::Unavailable("XKMS transport: injected outage"));
+      return;
     }
-    return service.HandleRequest(request);
+    done(service.HandleRequest(request));
   };
   xkms::XkmsClient client(transport);
   xkms::LocateCache cache(&client);
@@ -337,6 +342,93 @@ TEST(ParallelPlayDiscTest, StrictModeReportsSameFirstFailure) {
             parallel_playback.status().ToString());
 }
 
+/// The launch-report fields the XKMS stage and everything after it feed.
+std::string LaunchSummary(const player::LaunchReport& report) {
+  std::string out = "verified=" + std::to_string(report.signature_verified) +
+                    ",xkms=" + std::to_string(report.xkms_validated) +
+                    ",decrypted=" + std::to_string(report.content_decrypted) +
+                    ",signer=" + report.signer_subject +
+                    ",renders=" + std::to_string(report.render_ops.size());
+  for (const std::string& uri : report.verified_references) {
+    out += "|ref " + uri;
+  }
+  for (const std::string& line : report.console) out += "|" + line;
+  return out;
+}
+
+TEST(ParallelPlayDiscTest, DeferredXkmsChainThroughCacheNeverBlocksTheWheel) {
+  // Two detached signatures by one key: the deferred XKMS stage starts
+  // key 2's Locate inside key 1's Validate completion, which a delayed
+  // transport fires on the wheel thread. With a zero TTL that Locate
+  // misses, so the cache issues a second transport call from the wheel
+  // thread itself; a blocking cache call there would wait on its own
+  // thread forever (the ctest TIMEOUT turns such a hang into a failure).
+  const World& world = SharedWorld();
+  disc::InteractiveCluster cluster = world.DemoCluster();
+  authoring::Author author = world.MakeAuthor();
+  Result<xml::Document> doc =
+      author.BuildSigned(cluster, authoring::SignLevel::kTrack);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  Result<std::string> manifest_id = authoring::ResolveSignTargetId(
+      cluster, authoring::SignLevel::kManifest, {}, {});
+  ASSERT_TRUE(manifest_id.ok()) << manifest_id.status().ToString();
+  xml::Element* manifest = doc->FindById(manifest_id.value());
+  ASSERT_NE(manifest, nullptr);
+  ASSERT_TRUE(author.signer()
+                  .SignDetached(&doc.value(), manifest, manifest_id.value(),
+                                doc->root())
+                  .ok());
+  Result<disc::DiscImage> image = author.Master(cluster, doc.value());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+  xkms::XkmsService service;
+  ASSERT_TRUE(service
+                  .Register({pki::KeyFingerprint(world.studio_key.public_key),
+                             world.studio_key.public_key,
+                             {"Signature"},
+                             xkms::KeyStatus::kValid})
+                  .ok());
+
+  // Serial reference: no pool, no wheel, no cache.
+  xkms::XkmsClient direct = xkms::XkmsClient::Direct(&service);
+  player::PlayerConfig serial_config = world.MakePlayerConfig();
+  serial_config.xkms = &direct;
+  player::InteractiveApplicationEngine serial(serial_config);
+  Result<player::LaunchReport> reference = serial.LaunchClusterXml(
+      xml::Serialize(doc.value()), player::Origin::kDisc);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->verified_references.size(), 2u);
+
+  TimerWheel wheel;
+  fault::FaultInjector injector;
+  fault::FaultSpec spec;
+  spec.point = std::string(fault::kXkmsTransport);
+  spec.kind = fault::Kind::kDelay;
+  spec.delay_us = 2000;
+  injector.Arm(spec);
+  xkms::XkmsClient client(
+      xkms::XkmsClient::DirectTransport(&service, &wheel, &injector));
+  xkms::LocateCache::Options cache_options;
+  cache_options.ttl_us = 0;
+  xkms::LocateCache cache(&client, cache_options);
+
+  ThreadPool pool(2);
+  player::PlayerConfig config = world.MakePlayerConfig();
+  config.pool = &pool;
+  config.xkms = &client;
+  config.xkms_cache = &cache;
+  player::InteractiveApplicationEngine engine(config);
+  Result<player::DiscPlayback> playback = engine.PlayDisc(image.value());
+  ASSERT_TRUE(playback.ok()) << playback.status().ToString();
+  ASSERT_NE(playback->app, nullptr);
+  EXPECT_TRUE(playback->app->report().xkms_validated);
+  EXPECT_EQ(LaunchSummary(playback->app->report()),
+            LaunchSummary(reference.value()));
+  EXPECT_EQ(cache.stats().transport_calls, 2u);
+  // Two Locates and two Validates, each a delayed request and response leg.
+  EXPECT_EQ(injector.fires(fault::kXkmsTransport), 8u);
+}
+
 // ------------------------------------------------ pooled verifier vs attacks
 
 // Digesting references on pool workers must not weaken a single defense:
@@ -420,7 +512,7 @@ TEST(RetryingTransportConcurrencyTest, SharedTransportCountsEveryCall) {
   ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
   std::shared_ptr<const xkms::RetryingTransportStats> stats;
   xkms::Transport transport = xkms::MakeRetryingTransport(
-      xkms::XkmsClient::DirectTransport(&service), {}, &stats);
+      xkms::XkmsClient::DirectTransport(&service), {}, nullptr, &stats);
   xkms::XkmsClient client(transport);
 
   std::atomic<size_t> failures{0};

@@ -448,9 +448,7 @@ TEST(AsyncXkmsTest, InjectedDelayParksOnWheelNotOnACaller) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&fx.service, &injector));
-  client.set_async_transport(
-      xkms::XkmsClient::DirectAsyncTransport(&fx.service, &wheel, &injector));
+      xkms::XkmsClient::DirectTransport(&fx.service, &wheel, &injector));
 
   std::atomic<bool> done{false};
   Result<xkms::KeyBinding> out = Status::Unavailable("not completed");
@@ -480,7 +478,7 @@ TEST(AsyncXkmsTest, RetryBackoffParksOnWheelAndEventuallySucceeds) {
   // Inner transport: fail with a retryable status twice, then answer for
   // real. Completions are inline, so any overlap comes from the wheel.
   std::atomic<int> attempts{0};
-  xkms::AsyncTransport flaky =
+  xkms::Transport flaky =
       [&](const std::string& request, xkms::AsyncCallback done_cb) {
         int n = ++attempts;
         if (n <= 2) {
@@ -496,11 +494,7 @@ TEST(AsyncXkmsTest, RetryBackoffParksOnWheelAndEventuallySucceeds) {
   options.retry.backoff_multiplier = 2.0;
   options.retry.jitter = 0.0;
   options.clock = [&] { return wheel.NowUs(); };
-  xkms::AsyncTransport retrying =
-      xkms::MakeAsyncRetryingTransport(flaky, options, &wheel);
-
-  xkms::XkmsClient client(xkms::XkmsClient::DirectTransport(&fx.service));
-  client.set_async_transport(retrying);
+  xkms::XkmsClient client(xkms::MakeRetryingTransport(flaky, options, &wheel));
 
   std::atomic<bool> done{false};
   Result<xkms::KeyBinding> out = Status::Unavailable("not completed");
@@ -525,15 +519,14 @@ TEST(AsyncXkmsTest, RetryBackoffParksOnWheelAndEventuallySucceeds) {
 }
 
 TEST(AsyncXkmsTest, GraphNodeDrivenByWheelReleasesPoolWorkers) {
-  // End-to-end shape of the player's XKMS stage: a 1-thread pool, an async
-  // node whose transport latency sits on a (real-time) wheel, and a
-  // *sibling* sync node. If the async node held its worker through the
-  // delay, the single worker could not interleave the sibling while the
-  // "network" is in flight; the caller-participates drain would still make
-  // progress, so the real assertion is the clean completion of both under
-  // a worker count smaller than the in-flight node count.
+  // End-to-end shape of the player's XKMS stage: a 1-thread pool, three
+  // async nodes whose transport latency sits on a manual-clock wheel, and
+  // a *sibling* sync node. Time stands still until the test advances it,
+  // so all three requests can be parked on the wheel with the sibling done
+  // only if every async node released its thread on issuing its request —
+  // a node that held its worker through the delay would stall the graph.
   XkmsFixture fx;
-  TimerWheel wheel;
+  TimerWheel wheel{TimerWheel::ManualClock{}};
   fault::FaultInjector injector;
   fault::FaultSpec spec;
   spec.point = std::string(fault::kXkmsTransport);
@@ -542,9 +535,7 @@ TEST(AsyncXkmsTest, GraphNodeDrivenByWheelReleasesPoolWorkers) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&fx.service, &injector));
-  client.set_async_transport(
-      xkms::XkmsClient::DirectAsyncTransport(&fx.service, &wheel, &injector));
+      xkms::XkmsClient::DirectTransport(&fx.service, &wheel, &injector));
 
   ThreadPool pool(1);
   std::atomic<int> sibling_runs{0};
@@ -563,16 +554,23 @@ TEST(AsyncXkmsTest, GraphNodeDrivenByWheelReleasesPoolWorkers) {
 
   TaskGraph::RunOptions run;
   run.pool = &pool;
-  auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(graph.Run(run).ok());
-  auto elapsed = std::chrono::steady_clock::now() - start;
+  Status result = Status::Unavailable("graph did not finish");
+  std::thread runner([&] { result = graph.Run(run); });
+  // Which thread runs the sibling is up to the scheduler, so wait for both
+  // conditions; the bound only turns a stalled graph into a failure.
+  for (int spin = 0;
+       spin < 10000 && (wheel.pending() < 3 || sibling_runs.load() < 1);
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(wheel.pending(), 3u);  // every request leg parked, none served
   EXPECT_EQ(sibling_runs.load(), 1);
-  // Three 40ms round-trips (2 legs x 20ms) overlapped on the wheel: the
-  // whole graph should take about one round-trip, not three. The bound is
-  // deliberately loose (3x) to stay robust under TSan and loaded CI.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            120);
+  wheel.AdvanceBy(20000);  // request legs fire; response legs park
+  EXPECT_EQ(wheel.pending(), 3u);
+  wheel.AdvanceBy(20000);  // response legs fire; every node completes
+  runner.join();
+  EXPECT_TRUE(result.ok()) << result.ToString();
+  EXPECT_EQ(wheel.pending(), 0u);
 }
 
 }  // namespace

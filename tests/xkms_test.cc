@@ -160,8 +160,8 @@ TEST_F(XkmsFixture, ServiceRejectsGarbageAndUnknownOps) {
 }
 
 TEST_F(XkmsFixture, TransportErrorPropagates) {
-  XkmsClient client([](const std::string&) -> Result<std::string> {
-    return Status::IOError("channel down");
+  XkmsClient client([](const std::string&, AsyncCallback done) {
+    done(Status::IOError("channel down"));
   });
   EXPECT_TRUE(client.Locate("x").status().IsIOError());
 }
@@ -177,7 +177,7 @@ TEST_F(XkmsFixture, TransportFailureIsRetryableWithTransportContext) {
   injector.Arm(spec);
   XkmsService service;
   EXPECT_TRUE(service.Register(MakeBinding("k1", key_a_->public_key)).ok());
-  XkmsClient client(XkmsClient::DirectTransport(&service, &injector));
+  XkmsClient client(XkmsClient::DirectTransport(&service, nullptr, &injector));
 
   Status s = client.Locate("k1").status();
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
@@ -190,12 +190,10 @@ TEST_F(XkmsFixture, ServiceFailureIsTerminalWithServiceContext) {
   // The service handling the request and *rejecting* it is a terminal
   // outcome — retrying an unparseable request cannot help.
   XkmsService service;
-  XkmsClient probe(
-      [&service](const std::string&) -> Result<std::string> {
-        auto response =
-            XkmsClient::DirectTransport(&service)("definitely not xml");
-        return response;
-      });
+  XkmsClient probe([&service](const std::string&, AsyncCallback done) {
+    XkmsClient::DirectTransport(&service)("definitely not xml",
+                                          std::move(done));
+  });
   Status s = probe.Locate("k1").status();
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(s.IsRetryable());
@@ -207,8 +205,8 @@ TEST_F(XkmsFixture, MangledResponseIsAResponseParseErrorNotTransport) {
   // A response that arrives but does not parse is the *parse* layer's
   // failure: terminal, tagged "XKMS response", never retried as if the
   // network were at fault.
-  XkmsClient client([](const std::string&) -> Result<std::string> {
-    return std::string("<xkms:LocateResult truncated...");
+  XkmsClient client([](const std::string&, AsyncCallback done) {
+    done(std::string("<xkms:LocateResult truncated..."));
   });
   Status s = client.Locate("k1").status();
   EXPECT_FALSE(s.ok());
@@ -226,7 +224,7 @@ TEST_F(XkmsFixture, CorruptedResponseBytesSurfaceAsResponseError) {
   injector.Arm(spec);
   XkmsService service;
   EXPECT_TRUE(service.Register(MakeBinding("k1", key_a_->public_key)).ok());
-  XkmsClient client(XkmsClient::DirectTransport(&service, &injector));
+  XkmsClient client(XkmsClient::DirectTransport(&service, nullptr, &injector));
 
   Status s = client.Locate("k1").status();
   EXPECT_FALSE(s.ok());
@@ -264,8 +262,10 @@ TEST_F(XkmsFixture, RetryingTransportRecoversWhenFirstTwoAttemptsFail) {
   RetryingTransportOptions options = time.Options();
   options.retry.max_attempts = 3;
   std::shared_ptr<const RetryingTransportStats> stats;
-  XkmsClient client(MakeRetryingTransport(
-      XkmsClient::DirectTransport(&service, &injector), options, &stats));
+  XkmsClient client(
+      MakeRetryingTransport(XkmsClient::DirectTransport(&service, nullptr,
+                                                        &injector),
+                            options, nullptr, &stats));
 
   auto binding = client.Locate("k1");
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();
@@ -285,8 +285,8 @@ TEST_F(XkmsFixture, RetryingTransportHonorsOverallDeadline) {
   options.retry.max_attempts = 100;
   options.retry.overall_deadline_us = 2500;
   XkmsClient client(MakeRetryingTransport(
-      [](const std::string&) -> Result<std::string> {
-        return Status::Unavailable("service melting");
+      [](const std::string&, AsyncCallback done) {
+        done(Status::Unavailable("service melting"));
       },
       options));
 
@@ -299,9 +299,9 @@ TEST_F(XkmsFixture, RetryingTransportDoesNotRetryTerminalErrors) {
   int sends = 0;
   FakeTransportTime time;
   XkmsClient client(MakeRetryingTransport(
-      [&sends](const std::string&) -> Result<std::string> {
+      [&sends](const std::string&, AsyncCallback done) {
         ++sends;
-        return Status::VerificationFailed("service cert rejected");
+        done(Status::VerificationFailed("service cert rejected"));
       },
       time.Options()));
   Status s = client.Locate("k1").status();
@@ -319,11 +319,11 @@ TEST_F(XkmsFixture, CircuitBreakerFailsFastAfterConsecutiveFailedCalls) {
   int sends = 0;
   std::shared_ptr<const RetryingTransportStats> stats;
   XkmsClient client(MakeRetryingTransport(
-      [&sends](const std::string&) -> Result<std::string> {
+      [&sends](const std::string&, AsyncCallback done) {
         ++sends;
-        return Status::Unavailable("down hard");
+        done(Status::Unavailable("down hard"));
       },
-      options, &stats));
+      options, nullptr, &stats));
 
   EXPECT_TRUE(client.Locate("k1").status().IsUnavailable());
   EXPECT_TRUE(client.Locate("k1").status().IsUnavailable());

@@ -661,7 +661,6 @@ TEST_F(XkmsdFixture, AsyncServerTransportCompletesClientCalls) {
                   .ok());
 
   XkmsClient client(MakeServerTransport(&server));
-  client.set_async_transport(MakeAsyncServerTransport(&server));
 
   std::mutex mu;
   std::condition_variable cv;
@@ -680,7 +679,7 @@ TEST_F(XkmsdFixture, AsyncServerTransportCompletesClientCalls) {
 }
 
 TEST_F(XkmsdFixture, ShedHintDrivesRetryingTransportBackoff) {
-  // A shed responder's retry-after hint must reach the client Retryer
+  // A shed responder's retry-after hint must reach the client retry loop
   // through the whole transport stack: the retrying wrapper's backoff is
   // the server's hint, not its own exponential schedule.
   fault::FaultInjector injector(1);
@@ -704,11 +703,13 @@ TEST_F(XkmsdFixture, ShedHintDrivesRetryingTransportBackoff) {
   std::shared_ptr<const RetryingTransportStats> stats;
   Transport retrying =
       MakeRetryingTransport(MakeServerTransport(&server), retry_options,
-                            &stats);
+                            nullptr, &stats);
 
-  auto response = retrying(BuildLocateRequest("studio-1"));
+  Result<std::string> response = Status::InvalidArgument("not completed");
+  retrying(BuildLocateRequest("studio-1"),
+           [&](Result<std::string> r) { response = std::move(r); });
   // Every attempt sheds (the limits stay zero); the point is the backoff:
-  // the Retryer slept the server's 7000us hint, not its 1us local step.
+  // the retry loop slept the server's 7000us hint, not its 1us local step.
   ASSERT_FALSE(response.ok());
   EXPECT_TRUE(response.status().IsUnavailable());
   ASSERT_EQ(sleeps.size(), 2u);

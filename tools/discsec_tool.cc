@@ -50,9 +50,9 @@
 // `play` is the multi-disc variant: it masters one protected disc and
 // plays --discs copies of it as a batch through the task-graph engine
 // (DESIGN.md §11), so the per-disc decrypt -> verify -> launch chains
-// pipeline across --jobs workers. --async additionally routes the XKMS
-// traffic through the timer-wheel async transport, releasing workers for
-// the duration of every (possibly fault-delayed) trust-service
+// pipeline across --jobs workers. --async additionally parks XKMS
+// transport delays and retry backoff on a timer wheel, releasing workers
+// for the duration of every (possibly fault-delayed) trust-service
 // round-trip. Both flags also work on play-demo; --jobs is the preferred
 // spelling of the older --pool.
 //
@@ -474,10 +474,10 @@ int CmdC14n(const Args& args) {
 
 /// Shared fixture for the playback commands: a mastered protected demo
 /// disc plus the production trust stack (retrying transport, TTL locate
-/// cache, optional worker pool, and — with --async — the timer-wheel async
-/// XKMS transport). Member order is destruction order in reverse: the
-/// engine dies first, the wheel outlives the client whose async transport
-/// parks continuations on it.
+/// cache, optional worker pool, and — with --async — a timer wheel the
+/// transport parks delays and backoff on). Member order is destruction
+/// order in reverse: the engine dies first, the wheel outlives the client
+/// whose transport parks continuations on it.
 struct PlayRig {
   testing_world::World world;
   Result<disc::DiscImage> image = Status::Unavailable("not mastered");
@@ -509,17 +509,10 @@ struct PlayRig {
     DISCSEC_RETURN_IF_ERROR(
         service.Register({fingerprint, world.studio_key.public_key,
                           {"Signature"}, xkms::KeyStatus::kValid}));
+    if (async) wheel = std::make_unique<TimerWheel>();
     client = std::make_unique<xkms::XkmsClient>(xkms::MakeRetryingTransport(
-        xkms::XkmsClient::DirectTransport(&service),
-        xkms::RetryingTransportOptions{}, &transport_stats));
-    if (async) {
-      // The async leg gets its own retrying wrapper so XKMS backoff also
-      // parks on the wheel instead of a worker sleeping through it.
-      wheel = std::make_unique<TimerWheel>();
-      client->set_async_transport(xkms::MakeAsyncRetryingTransport(
-          xkms::XkmsClient::DirectAsyncTransport(&service, wheel.get()),
-          xkms::RetryingTransportOptions{}, wheel.get()));
-    }
+        xkms::XkmsClient::DirectTransport(&service, wheel.get()),
+        xkms::RetryingTransportOptions{}, wheel.get(), &transport_stats));
     locate_cache = std::make_unique<xkms::LocateCache>(client.get());
     if (jobs > 0) pool = std::make_unique<ThreadPool>(jobs);
 
