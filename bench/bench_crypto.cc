@@ -3,12 +3,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "bench/bench_json.h"
 
 #include "common/random.h"
 #include "crypto/aes.h"
+#include "crypto/aes_hw.h"
 #include "crypto/algorithms.h"
 #include "crypto/bigint.h"
 #include "crypto/hmac.h"
@@ -94,6 +96,80 @@ void BM_AesKeyWrap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AesKeyWrap);
+
+// The AES backend gate: 64 KiB of AES-128-CBC through Aes's whole-buffer
+// methods on the portable and the AES-NI backend, keys expanded outside the
+// timed region, the four probes interleaved so both backends see the same
+// machine state. Rows:
+//
+//   {portable,aesni}_{encrypt,decrypt}_us   best of the probes
+//   aesni_speedup            portable over AES-NI time, the smaller of the
+//                            encrypt and decrypt quotients
+//                            (bench/check_ratios.py gates it at >= 10)
+//   cbc_decrypt_pipelining   aesni_encrypt_us / aesni_decrypt_us: CBC
+//                            encrypt is serial, decrypt runs eight blocks
+//                            per step (gated at >= 3)
+void BM_AesRatio(benchmark::State& state) {
+  if (!AesNiAvailable()) {
+    state.SkipWithError("CPU lacks AES-NI");
+    return;
+  }
+  Rng rng(11);
+  const Bytes key = rng.NextBytes(16);
+  const Bytes iv = rng.NextBytes(16);
+  const Bytes data = rng.NextBytes(static_cast<size_t>(state.range(0)));
+  Bytes out(data.size());
+  auto create = [&](AesBackend backend) {
+    ScopedAesBackend scope(backend);
+    return Aes::Create(key).value();
+  };
+  const Aes portable = create(AesBackend::kPortable);
+  const Aes hw = create(AesBackend::kAesNi);
+  auto probe_us = [&](const Aes& aes, bool encrypt) {
+    auto start = std::chrono::steady_clock::now();
+    if (encrypt) {
+      aes.CbcEncrypt(iv.data(), data.data(), out.data(), data.size());
+    } else {
+      aes.CbcDecrypt(iv.data(), data.data(), out.data(), data.size());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+               .count() /
+           1e3;
+  };
+  constexpr int kProbes = 8;
+  double best[2][2] = {};  // [aes_ni][encrypt]
+  for (int i = 0; i < kProbes; ++i) {
+    for (int encrypt = 1; encrypt >= 0; --encrypt) {
+      for (int aes_ni = 0; aes_ni < 2; ++aes_ni) {
+        double us = probe_us(aes_ni ? hw : portable, encrypt != 0);
+        double& slot = best[aes_ni][encrypt];
+        if (i == 0 || us < slot) slot = us;
+      }
+    }
+  }
+
+  for (auto _ : state) {
+    hw.CbcDecrypt(iv.data(), data.data(), out.data(), data.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(data.size()));
+  auto ratio = [](double num, double den) {
+    return den > 0.0 ? num / den : 0.0;
+  };
+  state.counters["portable_encrypt_us"] = best[0][1];
+  state.counters["portable_decrypt_us"] = best[0][0];
+  state.counters["aesni_encrypt_us"] = best[1][1];
+  state.counters["aesni_decrypt_us"] = best[1][0];
+  state.counters["aesni_speedup"] =
+      std::min(ratio(best[0][1], best[1][1]), ratio(best[0][0], best[1][0]));
+  state.counters["cbc_decrypt_pipelining"] = ratio(best[1][1], best[1][0]);
+}
+BENCHMARK(BM_AesRatio)->Arg(64 << 10)->Unit(benchmark::kMicrosecond);
 
 void BM_RsaSign(benchmark::State& state) {
   Rng rng(6);

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate for the streaming verify fast path (DESIGN.md §14) and
-the Montgomery ModPow path (DESIGN.md §3).
+"""Perf-smoke gate for the streaming verify fast path (DESIGN.md §14), the
+Montgomery ModPow path and the AES-NI backend (DESIGN.md §3).
 
 Compares the ratio counters of a fresh BENCH_ratio.json run against the
 checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and fails
@@ -18,6 +18,11 @@ from the introducing PR are enforced absolutely:
     dom_over_dcf      <  2.5   (XML verify within the paper's DCF band)
     montgomery_speedup >= 5.0  (odd-modulus ModPow at least 5x the
                                 even-modulus division loop, BENCH_crypto.json)
+    aesni_speedup     >= 10.0  (AES-NI CBC at least 10x the portable
+                                cipher, encrypt and decrypt, BENCH_crypto.json)
+    cbc_decrypt_pipelining >= 3.0
+                               (AES-NI CBC decrypt, eight blocks per step,
+                                at least 3x the serial CBC encrypt)
 
 A file whose rows have no baseline entry (BENCH_crypto.json) is checked
 against the absolute gates only.
@@ -45,12 +50,18 @@ RATIO_DIRECTIONS = {
 # 1 alloc per Serialize; the bound leaves room for allocator jitter only).
 # montgomery_speedup pins ModPow's odd-modulus path against the even-modulus
 # loop, both timed in one process (measured 13-16x at 512/1024 bits).
+# aesni_speedup and cbc_decrypt_pipelining pin the AES-NI backend against
+# the portable cipher and its own serial CBC encrypt, all four timed
+# interleaved in one process (BM_AesRatio; measured 20-38x and 5.1-6.6x).
+# A CPU without AES-NI skips the row, so neither gate applies there.
 ABSOLUTE_GATES = {
     "streaming_speedup": (">=", 2.0),
     "alloc_reduction": (">=", 5.0),
     "dom_over_dcf": ("<", 2.5),
     "serialize_allocs": ("<=", 4.0),
     "montgomery_speedup": (">=", 5.0),
+    "aesni_speedup": (">=", 10.0),
+    "cbc_decrypt_pipelining": (">=", 3.0),
 }
 
 

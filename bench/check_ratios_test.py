@@ -20,6 +20,10 @@ asserts the exit codes and failure messages it MUST produce:
      13x at 512 and 1024 bits                -> pass (no baseline rows, so
                                                 absolute gates only)
   7. montgomery_speedup 4x at 1024 bits      -> fail (absolute floor >= 5.0)
+  8. BM_AesRatio aesni_speedup 20x,
+     cbc_decrypt_pipelining 5x               -> pass (both absolute gates)
+  9. aesni_speedup 8x                        -> fail (absolute floor >= 10.0)
+ 10. cbc_decrypt_pipelining 2x               -> fail (absolute floor >= 3.0)
 
 Runs standalone (python3 bench/check_ratios_test.py) and as the
 check_ratios_gate ctest.
@@ -68,8 +72,10 @@ def scaled(doc, counter, factor):
     return out
 
 
-def crypto_doc(speedup_1024):
-    """A BENCH_crypto.json with BM_ModPowRatio rows at 512 and 1024 bits."""
+def crypto_doc(speedup_1024, aes=None):
+    """A BENCH_crypto.json with BM_ModPowRatio rows at 512 and 1024 bits,
+    plus a BM_AesRatio row when `aes` = (aesni_speedup,
+    cbc_decrypt_pipelining) is given."""
     rows = []
     for params, speedup in (("512", 13.0), ("1024", speedup_1024)):
         rows.append({
@@ -79,6 +85,18 @@ def crypto_doc(speedup_1024):
                 "odd_modpow_us": 100.0,
                 "even_modpow_us": 100.0 * speedup,
                 "montgomery_speedup": speedup,
+            },
+        })
+    if aes is not None:
+        speedup, pipelining = aes
+        rows.append({
+            "name": "BM_AesRatio",
+            "params": "65536",
+            "counters": {
+                "aesni_encrypt_us": 50.0,
+                "aesni_decrypt_us": 50.0 / pipelining,
+                "aesni_speedup": speedup,
+                "cbc_decrypt_pipelining": pipelining,
             },
         })
     return {"schema": "discsec-bench-v1", "bench": "crypto", "results": rows}
@@ -150,6 +168,30 @@ def main():
         1,
         ["BM_ModPowRatio/1024: montgomery_speedup=4.000 violates absolute "
          "gate >= 5.0"],
+    )
+
+    rc, out = run_checker(crypto_doc(13.0, aes=(20.0, 5.0)))
+    expect("20x aesni_speedup and 5x pipelining pass", rc, out, 0,
+           ["check_ratios: OK (4 gates"])
+
+    rc, out = run_checker(crypto_doc(13.0, aes=(8.0, 5.0)))
+    expect(
+        "8x aesni_speedup fails the absolute floor",
+        rc,
+        out,
+        1,
+        ["BM_AesRatio/65536: aesni_speedup=8.000 violates absolute gate "
+         ">= 10.0"],
+    )
+
+    rc, out = run_checker(crypto_doc(13.0, aes=(20.0, 2.0)))
+    expect(
+        "2x cbc_decrypt_pipelining fails the absolute floor",
+        rc,
+        out,
+        1,
+        ["BM_AesRatio/65536: cbc_decrypt_pipelining=2.000 violates "
+         "absolute gate >= 3.0"],
     )
 
     if failures:

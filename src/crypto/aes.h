@@ -11,21 +11,42 @@ namespace crypto {
 
 /// AES block cipher (FIPS 197) supporting 128/192/256-bit keys.
 /// This is the block-encryption algorithm XML-Enc mandates (aes-cbc) and the
-/// key-wrap primitive (kw-aes). The implementation is a straightforward
-/// table-free byte-oriented version: clarity over speed, which still yields
-/// tens of MB/s — far above what a 2005 CE player could sustain.
+/// key-wrap primitive (kw-aes).
+///
+/// Two backends sit behind one class, chosen once per object in Create:
+///   - AES-NI (aes_hw.cc), whenever the CPU reports it. Its CBC decrypt
+///     keeps eight independent blocks in flight per step; CBC encrypt is
+///     serial, as the mode requires. It also has no key- or data-dependent
+///     memory accesses.
+///   - Portable: byte-oriented rounds over an S-box and GF(2^8) lookup
+///     tables. Those lookups are indexed by key-dependent state, so this
+///     backend is exposed to cache-timing attacks; it exists for CPUs
+///     without AES-NI and as the reference the hardware path is tested
+///     against.
+/// Both backends produce identical bytes for every operation.
 class Aes {
  public:
   static constexpr size_t kBlockSize = 16;
 
-  /// Initializes the key schedule; key must be 16, 24 or 32 bytes.
+  /// Initializes the key schedules; key must be 16, 24 or 32 bytes.
   static Result<Aes> Create(const Bytes& key);
 
   size_t KeyBits() const { return key_bits_; }
 
+  /// True when this object runs on the AES-NI backend.
+  bool UsesAesNi() const { return aes_ni_; }
+
   /// Encrypts/decrypts exactly one 16-byte block in place.
   void EncryptBlock(uint8_t block[kBlockSize]) const;
   void DecryptBlock(uint8_t block[kBlockSize]) const;
+
+  /// CBC over `len` bytes (a multiple of kBlockSize), chained from `iv`, no
+  /// padding. `out` may equal `in` (in place); other overlaps are not
+  /// supported.
+  void CbcEncrypt(const uint8_t iv[kBlockSize], const uint8_t* in,
+                  uint8_t* out, size_t len) const;
+  void CbcDecrypt(const uint8_t iv[kBlockSize], const uint8_t* in,
+                  uint8_t* out, size_t len) const;
 
  private:
   Aes() = default;
@@ -33,7 +54,12 @@ class Aes {
 
   size_t key_bits_ = 0;
   int rounds_ = 0;
-  uint32_t round_keys_[60];  // max: 14 rounds + 1, 4 words each
+  bool aes_ni_ = false;
+  uint32_t round_keys_[60];  // portable: max 14 rounds + 1, 4 words each
+  // AES-NI only: the encrypt schedule in byte order and the Equivalent
+  // Inverse Cipher schedule (reversed, AESIMC applied) for decryption.
+  uint8_t hw_enc_keys_[240];
+  uint8_t hw_dec_keys_[240];
 };
 
 /// CBC mode with PKCS#7-style padding as specified by XML-Enc §5.2 (the

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/bytes.h"
 #include "crypto/aes.h"
+#include "crypto/aes_hw.h"
 #include "crypto/algorithms.h"
 #include "crypto/digest.h"
 #include "crypto/hmac.h"
@@ -184,49 +187,6 @@ TEST(HkdfTest, DeterministicAndLabelSeparated) {
 
 // ---------------------------------------------------------------- AES
 
-TEST(AesTest, Fips197Aes128Vector) {
-  auto key = FromHex("000102030405060708090a0b0c0d0e0f").value();
-  auto plain = FromHex("00112233445566778899aabbccddeeff").value();
-  auto aes = Aes::Create(key);
-  ASSERT_TRUE(aes.ok());
-  uint8_t block[16];
-  std::copy(plain.begin(), plain.end(), block);
-  aes.value().EncryptBlock(block);
-  EXPECT_EQ(ToHex(Bytes(block, block + 16)),
-            "69c4e0d86a7b0430d8cdb78070b4c55a");
-  aes.value().DecryptBlock(block);
-  EXPECT_EQ(Bytes(block, block + 16), plain);
-}
-
-TEST(AesTest, Fips197Aes192Vector) {
-  auto key =
-      FromHex("000102030405060708090a0b0c0d0e0f1011121314151617").value();
-  auto plain = FromHex("00112233445566778899aabbccddeeff").value();
-  auto aes = Aes::Create(key);
-  ASSERT_TRUE(aes.ok());
-  uint8_t block[16];
-  std::copy(plain.begin(), plain.end(), block);
-  aes.value().EncryptBlock(block);
-  EXPECT_EQ(ToHex(Bytes(block, block + 16)),
-            "dda97ca4864cdfe06eaf70a0ec0d7191");
-}
-
-TEST(AesTest, Fips197Aes256Vector) {
-  auto key = FromHex("000102030405060708090a0b0c0d0e0f101112131415161718191a"
-                     "1b1c1d1e1f")
-                 .value();
-  auto plain = FromHex("00112233445566778899aabbccddeeff").value();
-  auto aes = Aes::Create(key);
-  ASSERT_TRUE(aes.ok());
-  uint8_t block[16];
-  std::copy(plain.begin(), plain.end(), block);
-  aes.value().EncryptBlock(block);
-  EXPECT_EQ(ToHex(Bytes(block, block + 16)),
-            "8ea2b7ca516745bfeafc49904b496089");
-  aes.value().DecryptBlock(block);
-  EXPECT_EQ(Bytes(block, block + 16), plain);
-}
-
 TEST(AesTest, RejectsBadKeySize) {
   EXPECT_FALSE(Aes::Create(Bytes(15)).ok());
   EXPECT_FALSE(Aes::Create(Bytes(33)).ok());
@@ -280,35 +240,6 @@ TEST(AesCbcTest, WrongKeyFails) {
   }
 }
 
-TEST(AesKeyWrapTest, Rfc3394Vector128) {
-  // RFC 3394 §4.1: wrap 128 bits of key data with a 128-bit KEK.
-  auto kek = FromHex("000102030405060708090a0b0c0d0e0f").value();
-  auto data = FromHex("00112233445566778899aabbccddeeff").value();
-  auto wrapped = AesKeyWrap(kek, data);
-  ASSERT_TRUE(wrapped.ok());
-  EXPECT_EQ(ToHex(wrapped.value()),
-            "1fa68b0a8112b447aef34bd8fb5a7b829d3e862371d2cfe5");
-  auto unwrapped = AesKeyUnwrap(kek, wrapped.value());
-  ASSERT_TRUE(unwrapped.ok());
-  EXPECT_EQ(unwrapped.value(), data);
-}
-
-TEST(AesKeyWrapTest, Rfc3394Vector256) {
-  // RFC 3394 §4.6: wrap 256 bits of key data with a 256-bit KEK.
-  auto kek = FromHex("000102030405060708090a0b0c0d0e0f101112131415161718191a"
-                     "1b1c1d1e1f")
-                 .value();
-  auto data =
-      FromHex("00112233445566778899aabbccddeeff000102030405060708090a0b0c0d"
-              "0e0f")
-          .value();
-  auto wrapped = AesKeyWrap(kek, data);
-  ASSERT_TRUE(wrapped.ok());
-  EXPECT_EQ(ToHex(wrapped.value()),
-            "28c9f404c4b810f4cbccb35cfb87f8263f5786e2d80ed326cbc7f0e71a99f43b"
-            "fb988b9b7a02dd21");
-}
-
 TEST(AesKeyWrapTest, CorruptedWrapDetected) {
   Rng rng(77);
   Bytes kek = rng.NextBytes(16);
@@ -316,6 +247,292 @@ TEST(AesKeyWrapTest, CorruptedWrapDetected) {
   auto wrapped = AesKeyWrap(kek, data).value();
   wrapped[0] ^= 0xff;
   EXPECT_TRUE(AesKeyUnwrap(kek, wrapped).status().IsVerificationFailed());
+}
+
+// ------------------------------------------------- AES backends (seam)
+
+#if defined(__x86_64__)
+TEST(AesNiProbeTest, MatchesCompilerCpuProbe) {
+  // A probe that wrongly reported "absent" would fall back to the portable
+  // cipher silently; pin it to the compiler's own CPUID view.
+  EXPECT_EQ(AesNiAvailable(), __builtin_cpu_supports("aes") != 0);
+}
+#endif
+
+TEST(ScopedAesBackendTest, ForcesBackendPerThreadAndNests) {
+  Bytes key(16, 0x42);
+  const bool hw = AesNiAvailable();
+  EXPECT_EQ(Aes::Create(key).value().UsesAesNi(), hw);
+  {
+    ScopedAesBackend portable(AesBackend::kPortable);
+    EXPECT_FALSE(Aes::Create(key).value().UsesAesNi());
+    {
+      ScopedAesBackend aes_ni(AesBackend::kAesNi);
+      EXPECT_EQ(Aes::Create(key).value().UsesAesNi(), hw);
+    }
+    EXPECT_FALSE(Aes::Create(key).value().UsesAesNi());
+    // The scope is thread-local: another thread keeps the default.
+    bool other_thread = !hw;
+    std::thread([&] {
+      other_thread = Aes::Create(key).value().UsesAesNi();
+    }).join();
+    EXPECT_EQ(other_thread, hw);
+  }
+  EXPECT_EQ(Aes::Create(key).value().UsesAesNi(), hw);
+}
+
+// Runs a test once per backend; the AES-NI half skips only on a CPU that
+// lacks the instructions.
+class AesBackendTest : public ::testing::TestWithParam<AesBackend> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == AesBackend::kAesNi && !AesNiAvailable()) {
+      GTEST_SKIP() << "CPU lacks AES-NI";
+    }
+  }
+
+  ScopedAesBackend scope_{GetParam()};
+};
+
+// FIPS 197 Appendix C: one block per key size, both directions.
+TEST_P(AesBackendTest, Fips197Vectors) {
+  const Bytes plain = FromHex("00112233445566778899aabbccddeeff").value();
+  const Bytes key = FromHex("000102030405060708090a0b0c0d0e0f101112131415161718"
+                            "191a1b1c1d1e1f")
+                        .value();
+  const struct {
+    size_t key_bytes;
+    const char* cipher;
+  } cases[] = {{16, "69c4e0d86a7b0430d8cdb78070b4c55a"},
+               {24, "dda97ca4864cdfe06eaf70a0ec0d7191"},
+               {32, "8ea2b7ca516745bfeafc49904b496089"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.cipher);
+    const Aes aes =
+        Aes::Create(Bytes(key.begin(), key.begin() + c.key_bytes)).value();
+    ASSERT_EQ(aes.UsesAesNi(), GetParam() == AesBackend::kAesNi);
+    uint8_t block[16];
+    std::copy(plain.begin(), plain.end(), block);
+    aes.EncryptBlock(block);
+    EXPECT_EQ(ToHex(Bytes(block, block + 16)), c.cipher);
+    aes.DecryptBlock(block);
+    EXPECT_EQ(Bytes(block, block + 16), plain);
+  }
+}
+
+struct CbcVector {
+  const char* name;
+  const char* key;
+  const char* ciphertext;
+};
+
+// NIST SP 800-38A F.2.1-F.2.6: one IV and four plaintext blocks, with the
+// encrypt and decrypt sections sharing their vectors per key size.
+constexpr const char* kSp80038aIv = "000102030405060708090a0b0c0d0e0f";
+constexpr const char* kSp80038aPlaintext =
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710";
+constexpr CbcVector kSp80038aCbc[] = {
+    {"F.2.1/F.2.2 AES-128", "2b7e151628aed2a6abf7158809cf4f3c",
+     "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
+     "73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7"},
+    {"F.2.3/F.2.4 AES-192", "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+     "4f021db243bc633d7178183a9fa071e8b4d9ada9ad7dedf4e5e738763f69145a"
+     "571b242012fb7ae07fa9baac3df102e008b0e27988598881d920a9e64f5615cd"},
+    {"F.2.5/F.2.6 AES-256",
+     "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+     "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d"
+     "39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b"},
+};
+
+TEST_P(AesBackendTest, Sp80038aCbcVectors) {
+  const Bytes iv = FromHex(kSp80038aIv).value();
+  const Bytes plain = FromHex(kSp80038aPlaintext).value();
+  for (const CbcVector& v : kSp80038aCbc) {
+    SCOPED_TRACE(v.name);
+    const Aes aes = Aes::Create(FromHex(v.key).value()).value();
+    const Bytes cipher = FromHex(v.ciphertext).value();
+    Bytes out(plain.size());
+    aes.CbcEncrypt(iv.data(), plain.data(), out.data(), out.size());
+    EXPECT_EQ(ToHex(out), v.ciphertext);
+    aes.CbcDecrypt(iv.data(), cipher.data(), out.data(), out.size());
+    EXPECT_EQ(ToHex(out), kSp80038aPlaintext);
+    // In place, both directions.
+    aes.CbcEncrypt(iv.data(), out.data(), out.data(), out.size());
+    EXPECT_EQ(ToHex(out), v.ciphertext);
+    aes.CbcDecrypt(iv.data(), out.data(), out.data(), out.size());
+    EXPECT_EQ(ToHex(out), kSp80038aPlaintext);
+  }
+}
+
+TEST_P(AesBackendTest, Rfc3394Vectors) {
+  // RFC 3394 §4.1-4.6: every KEK size against every key-data size it covers.
+  const Bytes kek = FromHex("000102030405060708090a0b0c0d0e0f101112131415161718"
+                            "191a1b1c1d1e1f")
+                        .value();
+  const Bytes data =
+      FromHex("00112233445566778899aabbccddeeff000102030405060708090a0b0c0d"
+              "0e0f")
+          .value();
+  struct {
+    size_t kek_bytes, data_bytes;
+    const char* wrapped;
+  } cases[] = {
+      {16, 16, "1fa68b0a8112b447aef34bd8fb5a7b829d3e862371d2cfe5"},
+      {24, 16, "96778b25ae6ca435f92b5b97c050aed2468ab8a17ad84e5d"},
+      {32, 16, "64e8c3f9ce0f5ba263e9777905818a2a93c8191e7d6e8ae7"},
+      {24, 24,
+       "031d33264e15d33268f24ec260743edce1c6c7ddee725a936ba814915c6762d2"},
+      {32, 24,
+       "a8f9bc1612c68b3ff6e6f4fbe30e71e4769c8b80a32cb8958cd5d17d6b254da1"},
+      {32, 32,
+       "28c9f404c4b810f4cbccb35cfb87f8263f5786e2d80ed326cbc7f0e71a99f43b"
+       "fb988b9b7a02dd21"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.wrapped);
+    Bytes k(kek.begin(), kek.begin() + c.kek_bytes);
+    Bytes d(data.begin(), data.begin() + c.data_bytes);
+    auto wrapped = AesKeyWrap(k, d);
+    ASSERT_TRUE(wrapped.ok());
+    EXPECT_EQ(ToHex(wrapped.value()), c.wrapped);
+    auto unwrapped = AesKeyUnwrap(k, wrapped.value());
+    ASSERT_TRUE(unwrapped.ok());
+    EXPECT_EQ(unwrapped.value(), d);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, AesBackendTest,
+                         ::testing::Values(AesBackend::kPortable,
+                                           AesBackend::kAesNi),
+                         [](const auto& info) {
+                           return info.param == AesBackend::kPortable
+                                      ? "Portable"
+                                      : "AesNi";
+                         });
+
+Aes CreateOn(AesBackend backend, const Bytes& key) {
+  ScopedAesBackend scope(backend);
+  return Aes::Create(key).value();
+}
+
+template <typename Fn>
+auto RunOn(AesBackend backend, Fn fn) {
+  ScopedAesBackend scope(backend);
+  return fn();
+}
+
+TEST(AesDifferentialTest, WholeBufferCbcMatchesPortable) {
+  if (!AesNiAvailable()) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(3817);
+  for (size_t key_size : {16u, 24u, 32u}) {
+    const Bytes key = rng.NextBytes(key_size);
+    const Bytes iv = rng.NextBytes(16);
+    const Aes portable = CreateOn(AesBackend::kPortable, key);
+    const Aes hw = CreateOn(AesBackend::kAesNi, key);
+    ASSERT_FALSE(portable.UsesAesNi());
+    ASSERT_TRUE(hw.UsesAesNi());
+    // Block counts straddle the eight-block decrypt step and its tail.
+    for (size_t blocks : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 67u}) {
+      for (size_t offset : {0u, 1u}) {
+        SCOPED_TRACE(::testing::Message() << "key=" << key_size
+                                          << " blocks=" << blocks
+                                          << " offset=" << offset);
+        const size_t len = blocks * Aes::kBlockSize;
+        const Bytes plain = rng.NextBytes(len);
+        // Every buffer starts `offset` bytes into its allocation, so the
+        // unaligned loads and stores are exercised too.
+        Bytes src(len + offset), want(len + offset), got(len + offset);
+        std::copy(plain.begin(), plain.end(), src.begin() + offset);
+        portable.CbcEncrypt(iv.data(), src.data() + offset,
+                            want.data() + offset, len);
+        hw.CbcEncrypt(iv.data(), src.data() + offset, got.data() + offset,
+                      len);
+        EXPECT_EQ(got, want) << "encrypt, out of place";
+        const Bytes cipher = want;
+
+        Bytes inplace = src;
+        hw.CbcEncrypt(iv.data(), inplace.data() + offset,
+                      inplace.data() + offset, len);
+        EXPECT_EQ(inplace, cipher) << "encrypt, in place";
+
+        portable.CbcDecrypt(iv.data(), cipher.data() + offset,
+                            want.data() + offset, len);
+        hw.CbcDecrypt(iv.data(), cipher.data() + offset, got.data() + offset,
+                      len);
+        EXPECT_EQ(want, src) << "portable decrypt";
+        EXPECT_EQ(got, src) << "decrypt, out of place";
+
+        hw.CbcDecrypt(iv.data(), inplace.data() + offset,
+                      inplace.data() + offset, len);
+        EXPECT_EQ(inplace, src) << "decrypt, in place";
+      }
+    }
+  }
+}
+
+TEST(AesDifferentialTest, CbcFunctionsMatchPortable) {
+  if (!AesNiAvailable()) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(3818);
+  for (size_t key_size : {16u, 24u, 32u}) {
+    const Bytes key = rng.NextBytes(key_size);
+    const Bytes iv = rng.NextBytes(16);
+    for (size_t len : {0u, 1u, 15u, 16u, 17u, 127u, 128u, 129u, 1071u}) {
+      SCOPED_TRACE(::testing::Message() << "key=" << key_size
+                                        << " len=" << len);
+      const Bytes plain = rng.NextBytes(len);
+      auto encrypt = [&] { return AesCbcEncrypt(key, iv, plain); };
+      const auto want = RunOn(AesBackend::kPortable, encrypt);
+      const auto got = RunOn(AesBackend::kAesNi, encrypt);
+      ASSERT_TRUE(want.ok() && got.ok());
+      EXPECT_EQ(got.value(), want.value());
+      auto decrypt = [&] { return AesCbcDecrypt(key, want.value()); };
+      for (AesBackend backend : {AesBackend::kPortable, AesBackend::kAesNi}) {
+        const auto back = RunOn(backend, decrypt);
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        EXPECT_EQ(back.value(), plain);
+      }
+    }
+  }
+}
+
+TEST(AesDifferentialTest, CbcDecryptRejectionsMatchPortable) {
+  if (!AesNiAvailable()) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(3819);
+  const Bytes key = rng.NextBytes(16);
+  const Bytes iv = rng.NextBytes(16);
+  // A ciphertext whose last plaintext byte (the XML-Enc pad length) is
+  // `pad`, built with the unpadded whole-buffer encrypt.
+  auto after_iv = [&](const Bytes& body) {
+    Bytes out = iv;
+    Append(&out, body);
+    return out;
+  };
+  auto with_pad_byte = [&](uint8_t pad) {
+    Bytes body = rng.NextBytes(2 * Aes::kBlockSize);
+    body.back() = pad;
+    CreateOn(AesBackend::kPortable, key)
+        .CbcEncrypt(iv.data(), body.data(), body.data(), body.size());
+    return after_iv(body);
+  };
+  const struct {
+    const char* name;
+    Bytes input;
+  } cases[] = {
+      {"iv only", iv},
+      {"ragged length", after_iv(rng.NextBytes(Aes::kBlockSize + 3))},
+      {"pad byte 0", with_pad_byte(0)},
+      {"pad byte 17", with_pad_byte(17)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto decrypt = [&] { return AesCbcDecrypt(key, c.input).status(); };
+    const Status portable = RunOn(AesBackend::kPortable, decrypt);
+    const Status hw = RunOn(AesBackend::kAesNi, decrypt);
+    EXPECT_TRUE(portable.IsCorruption()) << portable.ToString();
+    EXPECT_EQ(hw.code(), portable.code());
+    EXPECT_EQ(hw.message(), portable.message());
+  }
 }
 
 // ---------------------------------------------------------------- RSA
