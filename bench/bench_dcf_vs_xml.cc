@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -16,7 +17,10 @@
 #include "bench/alloc_tracker.h"
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
+#include "common/base64.h"
 #include "crypto/aes_hw.h"
+#include "script/lexer.h"
+#include "tests/base64_reference.h"
 #include "xml/stream_verify.h"
 #include "dcf/dcf.h"
 #include "xmldsig/verifier.h"
@@ -389,6 +393,100 @@ void BM_VerifyRatioAesNi(benchmark::State& state) {
   VerifyRatio(state, AesBackend::kAesNi);
 }
 BENCHMARK(BM_VerifyRatioAesNi)->Arg(200)->Arg(1000)->Arg(4000);
+
+// The text kernels under the XML side of E2: the base64 decoder, the XML
+// parser's character data and the script lexer's string literals, which
+// all handle text in runs (DESIGN.md §7.1). Each is timed on one 256 KiB
+// base64 text, the shape of a large CipherValue, against a baseline in the
+// same process:
+//
+//   base64_decode_speedup   the per-character reference decoder
+//                           (tests/base64_reference.h) over Base64Decode
+//   text_parse_over_escape  xml::Parse of <a>text</a> over xml::EscapeText
+//                           of the same text: reading character data should
+//                           cost about what writing it does
+//   script_string_lex_mb_s  script::Tokenize on one string literal holding
+//                           the text (reported, not gated)
+//
+// The probes are interleaved, one of each kernel per round, so a slow spell
+// on a shared machine hits both sides of a quotient alike.
+void BM_TextKernelRatio(benchmark::State& state) {
+  const size_t text_bytes = static_cast<size_t>(state.range(0));
+  Rng rng(text_bytes);
+  const std::string text = Base64Encode(rng.NextBytes(text_bytes / 4 * 3));
+  const std::string document = "<a>" + text + "</a>";
+  const std::string source = "var data = \"" + text + "\";";
+
+  auto reference_decode = [&]() {
+    auto decoded = testing_base64::ReferenceBase64Decode(text);
+    if (!decoded.ok()) {
+      state.SkipWithError("reference decode failed");
+      return;
+    }
+    benchmark::DoNotOptimize(decoded.value().data());
+  };
+  auto decode = [&]() {
+    auto decoded = Base64Decode(text);
+    if (!decoded.ok()) {
+      state.SkipWithError("decode failed");
+      return;
+    }
+    benchmark::DoNotOptimize(decoded.value().data());
+  };
+  auto parse = [&]() {
+    auto doc = xml::Parse(document);
+    if (!doc.ok()) {
+      state.SkipWithError("parse failed");
+      return;
+    }
+    benchmark::DoNotOptimize(doc.value().root());
+  };
+  auto escape = [&]() { benchmark::DoNotOptimize(xml::EscapeText(text)); };
+  auto lex = [&]() {
+    auto tokens = script::Tokenize(source);
+    if (!tokens.ok()) {
+      state.SkipWithError("lex failed");
+      return;
+    }
+    benchmark::DoNotOptimize(tokens.value().data());
+  };
+  const std::array<std::function<void()>, 5> kernels = {
+      reference_decode, decode, parse, escape, lex};
+
+  // Minimum over a fixed number of rounds, as the other ratio rows do.
+  constexpr int kRounds = 16;
+  std::array<double, 5> best_us{};
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      auto start = std::chrono::steady_clock::now();
+      kernels[k]();
+      double us = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count() /
+                  1e3;
+      if (round == 0 || us < best_us[k]) best_us[k] = us;
+    }
+  }
+  const auto [reference_us, decode_us, parse_us, escape_us, lex_us] = best_us;
+
+  for (auto _ : state) {
+    decode();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+  state.counters["reference_decode_us"] = reference_us;
+  state.counters["decode_us"] = decode_us;
+  state.counters["parse_us"] = parse_us;
+  state.counters["escape_us"] = escape_us;
+  state.counters["script_lex_us"] = lex_us;
+  state.counters["base64_decode_speedup"] =
+      decode_us > 0.0 ? reference_us / decode_us : 0.0;
+  state.counters["text_parse_over_escape"] =
+      escape_us > 0.0 ? parse_us / escape_us : 0.0;
+  state.counters["script_string_lex_mb_s"] =
+      lex_us > 0.0 ? static_cast<double>(source.size()) / lex_us : 0.0;
+}
+BENCHMARK(BM_TextKernelRatio)->Arg(256 << 10);
 
 }  // namespace
 }  // namespace discsec

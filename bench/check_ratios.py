@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Perf-smoke gate for the streaming verify fast path (DESIGN.md §14), the
-Montgomery ModPow path and the AES-NI backend (DESIGN.md §3).
+Montgomery ModPow path, the AES-NI backend and the run-scanning text
+kernels (DESIGN.md §3).
 
 Compares the ratio counters of a fresh BENCH_ratio.json run against the
 checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and fails
@@ -23,9 +24,15 @@ from the introducing PR are enforced absolutely:
     cbc_decrypt_pipelining >= 3.0
                                (AES-NI CBC decrypt, eight blocks per step,
                                 at least 3x the serial CBC encrypt)
+    base64_decode_speedup >= 3.0
+                               (Base64Decode at least 3x the per-character
+                                reference decoder, BM_TextKernelRatio)
+    text_parse_over_escape <= 3.0
+                               (xml::Parse of a 256 KiB text element within
+                                3x of xml::EscapeText of the same text)
 
-A file whose rows have no baseline entry (BENCH_crypto.json) is checked
-against the absolute gates only.
+A row with no baseline entry (BENCH_crypto.json, and BM_TextKernelRatio in
+BENCH_ratio.json) is checked against the absolute gates only.
 
 Usage: check_ratios.py BENCH_ratio.json [--baseline FILE] [--slack 0.10]
 """
@@ -54,6 +61,11 @@ RATIO_DIRECTIONS = {
 # the portable cipher and its own serial CBC encrypt, all four timed
 # interleaved in one process (BM_AesRatio; measured 20-38x and 5.1-6.6x).
 # A CPU without AES-NI skips the row, so neither gate applies there.
+# base64_decode_speedup and text_parse_over_escape pin the run-scanning text
+# kernels on a 256 KiB base64 text, each quotient's two sides interleaved in
+# one process (BM_TextKernelRatio; measured 5.4-7.1x and 1.0-1.15, against
+# 7.6-8.8 for text_parse_over_escape when the parser copied one byte per
+# iteration).
 ABSOLUTE_GATES = {
     "streaming_speedup": (">=", 2.0),
     "alloc_reduction": (">=", 5.0),
@@ -62,6 +74,8 @@ ABSOLUTE_GATES = {
     "montgomery_speedup": (">=", 5.0),
     "aesni_speedup": (">=", 10.0),
     "cbc_decrypt_pipelining": (">=", 3.0),
+    "base64_decode_speedup": (">=", 3.0),
+    "text_parse_over_escape": ("<=", 3.0),
 }
 
 

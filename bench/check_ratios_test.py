@@ -24,6 +24,13 @@ asserts the exit codes and failure messages it MUST produce:
      cbc_decrypt_pipelining 5x               -> pass (both absolute gates)
   9. aesni_speedup 8x                        -> fail (absolute floor >= 10.0)
  10. cbc_decrypt_pipelining 2x               -> fail (absolute floor >= 3.0)
+ 11. baseline + BM_TextKernelRatio,
+     base64_decode_speedup 6x,
+     text_parse_over_escape 1.4              -> pass (no baseline row, so
+                                                absolute gates only)
+ 12. base64_decode_speedup 2x                -> fail (absolute floor >= 3.0)
+ 13. text_parse_over_escape 6                -> fail (absolute ceiling
+                                                <= 3.0)
 
 Runs standalone (python3 bench/check_ratios_test.py) and as the
 check_ratios_gate ctest.
@@ -100,6 +107,25 @@ def crypto_doc(speedup_1024, aes=None):
             },
         })
     return {"schema": "discsec-bench-v1", "bench": "crypto", "results": rows}
+
+
+def with_text_kernels(doc, speedup, parse_over_escape):
+    """A deep copy of `doc` plus a BM_TextKernelRatio row."""
+    out = copy.deepcopy(doc)
+    out["results"].append({
+        "name": "BM_TextKernelRatio",
+        "params": "262144",
+        "counters": {
+            "reference_decode_us": 500.0,
+            "decode_us": 500.0 / speedup,
+            "parse_us": 100.0 * parse_over_escape,
+            "escape_us": 100.0,
+            "base64_decode_speedup": speedup,
+            "text_parse_over_escape": parse_over_escape,
+            "script_string_lex_mb_s": 2000.0,
+        },
+    })
+    return out
 
 
 def expect(name, rc, output, want_rc, want_substrings=()):
@@ -192,6 +218,30 @@ def main():
         1,
         ["BM_AesRatio/65536: cbc_decrypt_pipelining=2.000 violates "
          "absolute gate >= 3.0"],
+    )
+
+    rc, out = run_checker(with_text_kernels(baseline, 6.0, 1.4))
+    expect("6x base64 decode and 1.4 parse/escape pass", rc, out, 0,
+           ["check_ratios: OK"])
+
+    rc, out = run_checker(with_text_kernels(baseline, 2.0, 1.4))
+    expect(
+        "2x base64_decode_speedup fails the absolute floor",
+        rc,
+        out,
+        1,
+        ["BM_TextKernelRatio/262144: base64_decode_speedup=2.000 violates "
+         "absolute gate >= 3.0"],
+    )
+
+    rc, out = run_checker(with_text_kernels(baseline, 6.0, 6.0))
+    expect(
+        "6x text_parse_over_escape fails the absolute ceiling",
+        rc,
+        out,
+        1,
+        ["BM_TextKernelRatio/262144: text_parse_over_escape=6.000 violates "
+         "absolute gate <= 3.0"],
     )
 
     if failures:

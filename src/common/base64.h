@@ -14,7 +14,10 @@ namespace discsec {
 std::string Base64Encode(const Bytes& data);
 
 /// Decodes Base64 text. Whitespace (space, tab, CR, LF) is ignored, matching
-/// XML-DSig processing rules where encoded values may be line-wrapped.
+/// XML-DSig processing rules where encoded values may be line-wrapped. The
+/// final quantum may be unpadded, but a lone final character, padding that
+/// does not complete the quantum to four characters, and nonzero bits past
+/// the last whole byte are rejected.
 Result<Bytes> Base64Decode(std::string_view text);
 
 }  // namespace discsec

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <set>
 
+#include "common/scan.h"
+
 namespace discsec {
 namespace script {
 
@@ -32,6 +34,10 @@ const char* kPunctuators3[] = {"===", "!=="};
 const char* kPunctuators2[] = {"==", "!=", "<=", ">=", "&&", "||", "+=",
                                "-=", "*=", "/=", "%=", "++", "--"};
 const char kPunctuators1[] = "+-*/%=<>!(){}[];,.?:";
+
+// Bytes that end a run inside a string literal of each quote kind.
+constexpr StopTable kDoubleQuotedStops = MakeStopTable("\"\\\n");
+constexpr StopTable kSingleQuotedStops = MakeStopTable("'\\\n");
 
 }  // namespace
 
@@ -110,6 +116,8 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
     // Strings.
     if (c == '"' || c == '\'') {
       char quote = c;
+      const StopTable& stops =
+          quote == '"' ? kDoubleQuotedStops : kSingleQuotedStops;
       ++pos;
       Token token;
       token.type = TokenType::kString;
@@ -145,8 +153,10 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
           }
           ++pos;
         } else {
-          value.push_back(ch);
-          ++pos;
+          // Append the run up to the closing quote, escape or newline.
+          size_t end = ScanRun(source, pos + 1, stops);
+          value.append(source.data() + pos, end - pos);
+          pos = end;
         }
       }
       if (pos >= source.size()) return error("unterminated string literal");

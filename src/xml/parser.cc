@@ -2,12 +2,16 @@
 
 #include <cctype>
 
+#include "common/scan.h"
 #include "common/strings.h"
 
 namespace discsec {
 namespace xml {
 
 namespace {
+
+/// Bytes that end a run of character data in element content.
+constexpr StopTable kContentStops = MakeStopTable("<&]\r");
 
 bool IsNameStartChar(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
@@ -17,6 +21,14 @@ bool IsNameStartChar(char c) {
 bool IsNameChar(char c) {
   return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
          c == '-' || c == '.';
+}
+
+/// XML 1.0 §2.2 Char: the code points a character reference may name
+/// (WFC: Legal Character). Excludes NUL and other C0 controls, surrogates,
+/// U+FFFE/U+FFFF and anything above U+10FFFF.
+bool IsXmlChar(uint32_t cp) {
+  return cp == 0x9 || cp == 0xa || cp == 0xd || (cp >= 0x20 && cp <= 0xd7ff) ||
+         (cp >= 0xe000 && cp <= 0xfffd) || (cp >= 0x10000 && cp <= 0x10ffff);
 }
 
 /// Encodes a Unicode code point as UTF-8.
@@ -243,7 +255,7 @@ class ParserImpl {
           ok = true;
         }
       }
-      if (!ok || cp == 0 || cp > 0x10ffff) {
+      if (!ok || !IsXmlChar(cp)) {
         return Error("character reference out of range");
       }
       AppendUtf8(out, cp);
@@ -359,19 +371,21 @@ class ParserImpl {
       } else if (c == '&') {
         Advance();
         DISCSEC_RETURN_IF_ERROR(AppendReference(&text));
+      } else if (c == '\r') {
+        // Line-end normalization.
+        text.push_back('\n');
+        Advance();
+        if (!AtEnd() && Peek() == '\n') Advance();
       } else {
         if (c == ']' && Lookahead("]]>")) {
           return Error("']]>' not allowed in content");
         }
-        // Line-end normalization.
-        if (c == '\r') {
-          text.push_back('\n');
-          Advance();
-          if (!AtEnd() && Peek() == '\n') Advance();
-        } else {
-          text.push_back(c);
-          Advance();
-        }
+        // Character data (a lone ']' included): append the run up to the
+        // next markup, reference, CR or ']' in one step. Scanning from
+        // pos_ + 1 makes progress when the current byte is ']'.
+        size_t end = ScanRun(input_, pos_ + 1, kContentStops);
+        text.append(input_.data() + pos_, end - pos_);
+        pos_ = end;
       }
     }
   }

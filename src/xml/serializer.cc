@@ -1,21 +1,15 @@
 #include "xml/serializer.h"
 
-#include <array>
+#include "common/scan.h"
 
 namespace discsec {
 namespace xml {
 
 namespace {
 
-/// 256-entry byte classifier marking exactly the bytes an escaper rewrites.
-constexpr std::array<bool, 256> MakeStopTable(std::string_view stops) {
-  std::array<bool, 256> table{};
-  for (char c : stops) table[static_cast<unsigned char>(c)] = true;
-  return table;
-}
-
-constexpr std::array<bool, 256> kTextStops = MakeStopTable("&<>\r");
-constexpr std::array<bool, 256> kAttributeStops = MakeStopTable("&<\"\t\n\r");
+// The bytes each escaper rewrites.
+constexpr StopTable kTextStops = MakeStopTable("&<>\r");
+constexpr StopTable kAttributeStops = MakeStopTable("&<\"\t\n\r");
 
 /// Shared run-based escaper: the inner loop is a pure table scan, so
 /// `replacement` (which maps a stop byte to its entity) is only consulted
@@ -23,13 +17,13 @@ constexpr std::array<bool, 256> kAttributeStops = MakeStopTable("&<\"\t\n\r");
 /// appended in bulk — the sink sees long contiguous writes, not one call
 /// per character.
 template <typename Replacement>
-void EscapeRuns(std::string_view s, const std::array<bool, 256>& stops,
+void EscapeRuns(std::string_view s, const StopTable& stops,
                 Replacement replacement, ByteSink* sink) {
   const size_t n = s.size();
   size_t start = 0;
   size_t i = 0;
   while (i < n) {
-    while (i < n && !stops[static_cast<unsigned char>(s[i])]) ++i;
+    i = ScanRun(s, i, stops);
     if (i == n) break;
     if (i > start) sink->Append(s.substr(start, i - start));
     sink->Append(std::string_view(replacement(s[i])));

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cctype>
 
+#include "common/scan.h"
 #include "obs/trace.h"
 #include "xml/serializer.h"
 
@@ -14,6 +15,10 @@ namespace xml {
 namespace {
 
 std::atomic<size_t> g_streamed_c14n_count{0};
+
+/// Bytes that end a run of character data in element content (the DOM
+/// parser's table).
+constexpr StopTable kContentStops = MakeStopTable("<&]\r");
 
 // Character classes — identical to the DOM parser's (which evaluates
 // isalpha/isdigit under the "C" locale), precomputed so the name scan stays
@@ -41,6 +46,14 @@ bool IsNameStartChar(char c) {
 }
 
 bool IsNameChar(char c) { return kNameChar[static_cast<unsigned char>(c)]; }
+
+/// XML 1.0 §2.2 Char: the code points a character reference may name
+/// (WFC: Legal Character). Excludes NUL and other C0 controls, surrogates,
+/// U+FFFE/U+FFFF and anything above U+10FFFF.
+bool IsXmlChar(uint32_t cp) {
+  return cp == 0x9 || cp == 0xa || cp == 0xd || (cp >= 0x20 && cp <= 0xd7ff) ||
+         (cp >= 0xe000 && cp <= 0xfffd) || (cp >= 0x10000 && cp <= 0x10ffff);
+}
 
 void AppendUtf8(std::string* out, uint32_t cp) {
   if (cp < 0x80) {
@@ -259,23 +272,10 @@ Result<StreamLexer::Token> StreamLexer::NextContent() {
     }
     // Ordinary character data (including a lone ']'): bulk-copy the run up
     // to the next markup, reference, CR, or potential "]]>" — one append
-    // per run instead of one per byte. A 256-entry stop table keeps the
-    // scan at ~1 byte/cycle (find_first_of re-scans the needle per byte).
-    // Scanning from pos_ + 1 guarantees progress when the current byte
-    // itself is ']'.
-    static constexpr std::array<bool, 256> kContentStop = [] {
-      std::array<bool, 256> t{};
-      t[static_cast<unsigned char>('<')] = true;
-      t[static_cast<unsigned char>('&')] = true;
-      t[static_cast<unsigned char>('\r')] = true;
-      t[static_cast<unsigned char>(']')] = true;
-      return t;
-    }();
-    size_t run = pos_ + 1;
-    while (run < input_.size() &&
-           !kContentStop[static_cast<unsigned char>(input_[run])]) {
-      ++run;
-    }
+    // per run instead of one per byte, as the DOM parser does. Scanning
+    // from pos_ + 1 guarantees progress when the current byte itself is
+    // ']'.
+    size_t run = ScanRun(input_, pos_ + 1, kContentStops);
     text_.append(input_.data() + pos_, run - pos_);
     pos_ = run;
   }
@@ -387,23 +387,9 @@ Status StreamLexer::ParseAttributeValue(std::string* out) {
   Advance();
   // Stop set for the bulk copy: both quote kinds, markup, references, and
   // the whitespace chars that normalize to a space.
-  static constexpr std::array<bool, 256> kAttrStop = [] {
-    std::array<bool, 256> t{};
-    t[static_cast<unsigned char>('"')] = true;
-    t[static_cast<unsigned char>('\'')] = true;
-    t[static_cast<unsigned char>('<')] = true;
-    t[static_cast<unsigned char>('&')] = true;
-    t[static_cast<unsigned char>('\t')] = true;
-    t[static_cast<unsigned char>('\n')] = true;
-    t[static_cast<unsigned char>('\r')] = true;
-    return t;
-  }();
+  static constexpr StopTable kAttrStop = MakeStopTable("\"'<&\t\n\r");
   for (;;) {
-    size_t run = pos_;
-    while (run < input_.size() &&
-           !kAttrStop[static_cast<unsigned char>(input_[run])]) {
-      ++run;
-    }
+    size_t run = ScanRun(input_, pos_, kAttrStop);
     out->append(input_.data() + pos_, run - pos_);
     pos_ = run;
     if (AtEnd()) return Error("unterminated attribute value");
@@ -475,7 +461,7 @@ Status StreamLexer::AppendReferenceUncounted(std::string* out) {
         ok = true;
       }
     }
-    if (!ok || cp == 0 || cp > 0x10ffff) {
+    if (!ok || !IsXmlChar(cp)) {
       return Error("character reference out of range");
     }
     AppendUtf8(out, cp);

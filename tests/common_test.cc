@@ -11,6 +11,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "tests/base64_reference.h"
 
 namespace discsec {
 namespace {
@@ -127,6 +128,133 @@ TEST(Base64Test, RandomRoundTrip) {
     auto decoded = Base64Decode(Base64Encode(data));
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value(), data) << "len=" << len;
+  }
+}
+
+TEST(Base64Test, RejectsMalformedFinalQuantum) {
+  // A lone final character, even one whose bits are all zero, is rejected
+  // instead of being dropped.
+  auto lone = Base64Decode("QUJDA");
+  ASSERT_FALSE(lone.ok());
+  EXPECT_EQ(lone.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(lone.status().message(), "base64: final quantum of one character");
+  EXPECT_EQ(Base64Decode("A").status().message(),
+            "base64: final quantum of one character");
+  EXPECT_EQ(Base64Decode("A=").status().message(),
+            "base64: final quantum of one character");
+  // Padding must complete the final quantum to four characters.
+  auto short_pad = Base64Decode("QQ=");
+  ASSERT_FALSE(short_pad.ok());
+  EXPECT_EQ(short_pad.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(short_pad.status().message(),
+            "base64: padding does not complete the final quantum");
+  EXPECT_EQ(Base64Decode("QUJD=").status().message(),
+            "base64: padding does not complete the final quantum");
+  EXPECT_EQ(Base64Decode("QUI==").status().message(),
+            "base64: padding does not complete the final quantum");
+  EXPECT_EQ(Base64Decode("==").status().message(),
+            "base64: padding does not complete the final quantum");
+  // Unpadded final quanta of two or three characters stay accepted.
+  EXPECT_EQ(ToString(Base64Decode("QQ").value()), "A");
+  EXPECT_EQ(ToString(Base64Decode("QUI").value()), "AB");
+  EXPECT_EQ(ToString(Base64Decode("QUJDQQ").value()), "ABCA");
+}
+
+/// Decodes `text` with Base64Decode and with the per-character reference:
+/// the same bytes, or the same status code and message.
+void ExpectMatchesReference(const std::string& text) {
+  Result<Bytes> got = Base64Decode(text);
+  Result<Bytes> want = testing_base64::ReferenceBase64Decode(text);
+  ASSERT_EQ(got.ok(), want.ok())
+      << "input '" << text << "': " << got.status().ToString() << " vs "
+      << want.status().ToString();
+  if (want.ok()) {
+    EXPECT_EQ(got.value(), want.value()) << "input '" << text << "'";
+  } else {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString())
+        << "input '" << text << "'";
+  }
+}
+
+TEST(Base64DifferentialTest, ValidEncodingsWithWhitespaceMatchReference) {
+  static const char kWhitespace[] = " \t\r\n";
+  Rng rng(20050915);
+  for (size_t len = 0; len <= 3000; len += len < 64 ? 1 : 37) {
+    const Bytes data = rng.NextBytes(len);
+    const std::string text = Base64Encode(data);
+    ASSERT_EQ(Base64Decode(text).value(), data) << "len=" << len;
+    ExpectMatchesReference(text);
+    // Unpadded: a final quantum of two or three characters.
+    std::string unpadded = text;
+    while (!unpadded.empty() && unpadded.back() == '=') unpadded.pop_back();
+    ExpectMatchesReference(unpadded);
+    // Whitespace runs inside and between quads.
+    std::string spaced;
+    for (char c : text) {
+      while (rng.NextBelow(6) == 0) {
+        spaced.push_back(kWhitespace[rng.NextBelow(4)]);
+      }
+      spaced.push_back(c);
+    }
+    ASSERT_EQ(Base64Decode(spaced).value(), data) << "len=" << len;
+    ExpectMatchesReference(spaced);
+    // Line-wrapped at 76 characters, as XML-DSig producers may emit it.
+    std::string wrapped;
+    for (size_t i = 0; i < text.size(); i += 76) {
+      wrapped += text.substr(i, 76);
+      wrapped += "\r\n";
+    }
+    ExpectMatchesReference(wrapped);
+  }
+}
+
+TEST(Base64DifferentialTest, PaddingAtEveryPositionMatchesReference) {
+  Rng rng(7);
+  for (size_t len : {0, 1, 2, 3, 4, 5, 6, 13, 31, 64}) {
+    const std::string text = Base64Encode(rng.NextBytes(len));
+    for (size_t i = 0; i <= text.size(); ++i) {
+      for (const char* pad : {"=", "==", "==="}) {
+        std::string inserted = text;
+        inserted.insert(i, pad);
+        ExpectMatchesReference(inserted);
+      }
+      if (i < text.size()) {
+        std::string replaced = text;
+        replaced[i] = '=';
+        ExpectMatchesReference(replaced);
+      }
+    }
+  }
+}
+
+TEST(Base64DifferentialTest, InvalidByteAtEveryQuadPositionMatchesReference) {
+  Rng rng(11);
+  // Long enough that the quad loop runs before and after the bad byte.
+  const std::string text = Base64Encode(rng.NextBytes(48));
+  for (size_t i = 0; i < text.size(); ++i) {
+    for (char bad : {'!', '-', '_', '\0', '\x80', '\xff', '.', '<'}) {
+      std::string replaced = text;
+      replaced[i] = bad;
+      ExpectMatchesReference(replaced);
+      std::string inserted = text;
+      inserted.insert(inserted.begin() + static_cast<std::ptrdiff_t>(i), bad);
+      ExpectMatchesReference(inserted);
+    }
+  }
+}
+
+TEST(Base64DifferentialTest, RandomStringsMatchReference) {
+  // Short strings over the alphabet, padding, whitespace and a few invalid
+  // bytes reach every branch of both decoders.
+  static const char kPool[] = "QUJDZm9v+/09=   \n\t\r!-";
+  Rng rng(4648);
+  for (int n = 0; n < 20000; ++n) {
+    std::string text;
+    const size_t len = rng.NextBelow(24);
+    for (size_t i = 0; i < len; ++i) {
+      text.push_back(kPool[rng.NextBelow(sizeof(kPool) - 1)]);
+    }
+    ExpectMatchesReference(text);
   }
 }
 

@@ -271,6 +271,59 @@ TEST_F(PlayerFixture, TamperedCiphertextRejectedBeforeExecution) {
   EXPECT_FALSE(report.ok());
 }
 
+TEST_F(PlayerFixture, MalformedCipherValueTailRejectedOnNetworkLaunch) {
+  // The Decryption Transform digests the plaintext, not the CipherValue
+  // text, so only the base64 decoder can notice a character appended to
+  // the ciphertext. Appended to a CipherValue without padding, a lone final
+  // character "A" (whose bits are zero) used to be dropped, and the app
+  // launched verified and decrypted.
+  authoring::Author author = world_->MakeAuthor();
+  authoring::Author::ProtectOptions options;
+  options.sign = true;
+  options.encrypt_ids = {"quiz"};
+  options.encryption = world_->MakeEncryptionSpec();
+  // Grow the encrypted manifest until its ciphertext is a multiple of three
+  // bytes, so the CipherValue ends in a whole quantum and no '='.
+  std::string wire;
+  size_t close = std::string::npos;
+  for (size_t extra = 0; extra < 48; ++extra) {
+    disc::InteractiveCluster cluster = world_->DemoCluster();
+    cluster.tracks[1].manifest.scripts.push_back(
+        {"pad", "var pad = '" + std::string(extra, 'p') + "';"});
+    auto doc = author.BuildProtected(cluster, options, &world_->rng);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    wire = xml::Serialize(doc.value());
+    close = wire.rfind("</", wire.rfind("CipherValue>"));
+    ASSERT_NE(close, std::string::npos);
+    if (wire[close - 1] != '=') break;
+  }
+  ASSERT_NE(wire[close - 1], '=');
+  pki::CertStore trust;
+  ASSERT_TRUE(trust.AddTrustedRoot(world_->root_cert).ok());
+  for (const char* suffix : {"", "A", "A="}) {
+    std::string tampered = wire;
+    tampered.insert(close, suffix);
+    auto parsed = xml::Parse(tampered);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    net::ContentServer server = MakeServer(world_);
+    ASSERT_TRUE(author.Publish(&server, "/apps/quiz.xml", parsed.value()).ok());
+    InteractiveApplicationEngine engine(world_->MakePlayerConfig());
+    auto report = engine.LaunchFromServer(&server, "/apps/quiz.xml",
+                                          SecureOptions(world_, &trust),
+                                          &world_->rng);
+    if (std::string_view(suffix).empty()) {
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_TRUE(report->signature_verified);
+      EXPECT_TRUE(report->content_decrypted);
+      continue;
+    }
+    ASSERT_FALSE(report.ok()) << "suffix '" << suffix << "' launched";
+    EXPECT_EQ(report.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(report.status().message(),
+              "application signature: base64: final quantum of one character");
+  }
+}
+
 TEST_F(PlayerFixture, SignedAvEssenceDetectsTsTamper) {
   // §5.3: the signer chooses to also sign the non-markup audio/video
   // content. The cluster signature carries an external reference per clip

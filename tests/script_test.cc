@@ -45,6 +45,44 @@ TEST(LexerTest, Rejections) {
   EXPECT_FALSE(Tokenize("\"new\nline\"").ok());
 }
 
+// String literals are copied in runs up to the closing quote, a backslash
+// or a newline. These pin the bytes around each run boundary.
+
+TEST(LexerTest, EscapesAtBothEndsOfLongStringRuns) {
+  const std::string run(64 * 1024, 'x');
+  auto tokens = Tokenize("\"\\n" + run + "\\t" + run + "\\\\\"");
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  EXPECT_EQ(tokens.value()[0].type, TokenType::kString);
+  EXPECT_EQ(tokens.value()[0].string, "\n" + run + "\t" + run + "\\");
+  EXPECT_EQ(tokens.value()[1].type, TokenType::kEnd);
+}
+
+TEST(LexerTest, OtherQuoteInsideStringRunIsData) {
+  const std::string run(4096, 'x');
+  auto tokens = Tokenize("'" + run + "\"" + run + "' \"" + run + "'" + run +
+                         "\" '\\''");
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  ASSERT_EQ(tokens.value().size(), 4u);
+  EXPECT_EQ(tokens.value()[0].string, run + "\"" + run);
+  EXPECT_EQ(tokens.value()[1].string, run + "'" + run);
+  EXPECT_EQ(tokens.value()[2].string, "'");
+}
+
+TEST(LexerTest, StringRunErrorsKeepMessages) {
+  const std::string run(64 * 1024, 'x');
+  auto newline = Tokenize("var a = 1;\n'" + run + "\n';");
+  ASSERT_FALSE(newline.ok());
+  EXPECT_EQ(newline.status().code(), Status::Code::kParseError);
+  EXPECT_EQ(newline.status().message(), "newline in string literal at line 2");
+  auto unterminated = Tokenize("\"" + run);
+  ASSERT_FALSE(unterminated.ok());
+  EXPECT_EQ(unterminated.status().message(),
+            "unterminated string literal at line 1");
+  auto escape = Tokenize("'" + run + "\\");
+  ASSERT_FALSE(escape.ok());
+  EXPECT_EQ(escape.status().message(), "unterminated escape at line 1");
+}
+
 // ---------------------------------------------------------------- parser
 
 TEST(ParserTest, RejectsMalformed) {

@@ -722,6 +722,47 @@ TEST(StreamLexerLimits, MaxInputMatchesDomParser) {
   ExpectBombParity(text, opts, Status::Code::kResourceExhausted);
 }
 
+TEST(StreamLexerLimits, CharacterReferenceLegalityMatchesDomParser) {
+  // XML 1.0 §4.1 WFC: Legal Character, in content and in attribute values:
+  // both lexers reject the same references with the same message.
+  for (const char* ref :
+       {"&#0;", "&#1;", "&#x1F;", "&#xD800;", "&#xDFFF;", "&#xFFFE;",
+        "&#xFFFF;", "&#x110000;"}) {
+    for (const std::string& text :
+         {std::string("<a>x") + ref + "y</a>",
+          std::string("<a k=\"") + ref + "\"/>"}) {
+      Status dom = xml::Parse(text).status();
+      Status stream = DrainLexer(text, xml::ParseOptions());
+      ASSERT_FALSE(dom.ok()) << text;
+      ASSERT_FALSE(stream.ok()) << text;
+      EXPECT_EQ(dom.ToString(), stream.ToString()) << text;
+    }
+  }
+  for (const char* ref : {"&#x9;", "&#xA;", "&#xD;", "&#x20;", "&#xD7FF;",
+                          "&#xE000;", "&#xFFFD;", "&#x10000;", "&#x10FFFF;"}) {
+    const std::string text = std::string("<a k=\"") + ref + "\">" + ref +
+                             "</a>";
+    EXPECT_TRUE(xml::Parse(text).ok()) << text;
+    EXPECT_TRUE(DrainLexer(text, xml::ParseOptions()).ok()) << text;
+  }
+}
+
+TEST(StreamLexerLimits, ContentRunBoundariesMatchDomParser) {
+  const std::string run(64 * 1024, 'x');
+  for (const std::string& text :
+       {"<a>" + run + "]]></a>", "<a>\n" + run + "]]]></a>",
+        "<a>" + run + "\r" + run, "<a>&amp;" + run + "&#1;</a>"}) {
+    Status dom = xml::Parse(text).status();
+    Status stream = DrainLexer(text, xml::ParseOptions());
+    ASSERT_FALSE(dom.ok());
+    EXPECT_EQ(dom.ToString(), stream.ToString());
+  }
+  const std::string ok =
+      "<a>]" + run + "\r\n" + run + "]]&amp;<![CDATA[]]>" + run + "</a>";
+  EXPECT_TRUE(xml::Parse(ok).ok());
+  EXPECT_TRUE(DrainLexer(ok, xml::ParseOptions()).ok());
+}
+
 TEST(StreamLexerLimits, WellFormednessErrorsMatchDomParser) {
   // Mismatched end tag: same ParseError string, not just the same code.
   const std::string text = "<a><b></a></b>";

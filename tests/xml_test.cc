@@ -196,6 +196,112 @@ TEST(ParserTest, EntityOutputLimitAppliesToAttributes) {
   EXPECT_TRUE(doc.status().IsResourceExhausted());
 }
 
+// Character data is copied in runs between '<', '&', ']' and CR. These pin
+// the bytes around each run boundary.
+
+std::string Filler(size_t n, char c = 'x') { return std::string(n, c); }
+
+TEST(ParserRunTest, ReferencesAtBothEndsOfLongRuns) {
+  const std::string run = Filler(64 * 1024);
+  auto doc = Parse("<a>&amp;" + run + "&#x41;" + run + "&amp;&#x41;</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->root()->TextContent(), "&" + run + "A" + run + "&A");
+  ASSERT_EQ(doc->root()->ChildCount(), 1u);
+}
+
+TEST(ParserRunTest, LineEndsAtRunBoundaries) {
+  const std::string run = Filler(64 * 1024);
+  auto doc = Parse("<a>\r\n" + run + "\r" + run + "\r\n\r</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->root()->TextContent(), "\n" + run + "\n" + run + "\n\n");
+  // A CR right before markup, and CR LF split across a reference.
+  auto split = Parse("<a>" + run + "\r<b/>\r&amp;\n</a>");
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ(split->root()->TextContent(), run + "\n\n&\n");
+}
+
+TEST(ParserRunTest, LoneBracketsInsideRunsAreData) {
+  const std::string run = Filler(4096);
+  auto doc = Parse("<a>]" + run + "]" + run + "]]" + run + "]]]</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->root()->TextContent(),
+            "]" + run + "]" + run + "]]" + run + "]]]");
+  // "]]" followed by anything but '>' is data; "]]]>" ends in "]]>".
+  EXPECT_TRUE(Parse("<a>" + run + "]]x]]</a>").ok());
+  auto bad = Parse("<a>" + run + "]]]></a>");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "']]>' not allowed in content at line 1, column 4101");
+}
+
+TEST(ParserRunTest, CdataEndAfterLongRunKeepsErrorPosition) {
+  const std::string run = Filler(64 * 1024);
+  auto doc = Parse("<a>" + run + "\n" + Filler(100, 'y') + "]]></a>");
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.status().code(), Status::Code::kParseError);
+  EXPECT_EQ(doc.status().message(),
+            "']]>' not allowed in content at line 2, column 101");
+}
+
+TEST(ParserRunTest, CdataAfterRunJoinsTheText) {
+  const std::string run = Filler(64 * 1024);
+  auto doc = Parse("<a>" + run + "<![CDATA[<&]]>" + run + "</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->root()->ChildCount(), 1u);
+  EXPECT_EQ(doc->root()->TextContent(), run + "<&" + run);
+}
+
+TEST(ParserRunTest, RunToEndOfInputIsUnterminatedElement) {
+  auto doc = Parse("<a>\n" + Filler(64 * 1024));
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.status().code(), Status::Code::kParseError);
+  EXPECT_EQ(doc.status().message(),
+            "unterminated element <a> at line 2, column 65537");
+}
+
+TEST(ParserRunTest, EntityOutputLimitCountsAcrossRuns) {
+  // Only reference output counts; the runs between references do not.
+  ParseOptions options;
+  options.max_entity_output = 3;
+  const std::string run = Filler(64 * 1024);
+  EXPECT_TRUE(
+      Parse("<r>" + run + "&amp;" + run + "&#65;" + run + "&lt;</r>", options)
+          .ok());
+  auto over = Parse(
+      "<r>" + run + "&amp;" + run + "&#65;" + run + "&lt;" + run + "&gt;</r>",
+      options);
+  ASSERT_TRUE(over.status().IsResourceExhausted());
+  EXPECT_EQ(over.status().message(),
+            "entity expansion output exceeds max_entity_output");
+}
+
+// XML 1.0 §4.1, WFC: Legal Character. A character reference must name a
+// Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+// [#x10000-#x10FFFF].
+TEST(ParserTest, CharacterReferencesMustNameLegalCharacters) {
+  for (const char* ref :
+       {"&#0;", "&#1;", "&#x8;", "&#xB;", "&#x1F;", "&#xD800;", "&#xDFFF;",
+        "&#xFFFE;", "&#xFFFF;", "&#x110000;", "&#99999999;", "&#xFFFFFFFF;"}) {
+    const std::string text = std::string("<a>") + ref + "</a>";
+    auto doc = Parse(text);
+    ASSERT_FALSE(doc.ok()) << ref;
+    EXPECT_EQ(doc.status().code(), Status::Code::kParseError) << ref;
+    EXPECT_EQ(doc.status().message(),
+              "character reference out of range at line 1, column " +
+                  std::to_string(4 + std::string_view(ref).size()))
+        << ref;
+    // Attribute values resolve references through the same check.
+    EXPECT_FALSE(Parse(std::string("<a k=\"") + ref + "\"/>").ok()) << ref;
+  }
+  auto doc = Parse(
+      "<a>&#x9;&#xA;&#xD;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;"
+      "</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->root()->TextContent(),
+            "\t\n\r \xED\x9F\xBF\xEE\x80\x80\xEF\xBF\xBD"
+            "\xF0\x90\x80\x80\xF4\x8F\xBF\xBF");
+}
+
 // ---------------------------------------------------------------- DOM
 
 TEST(DomTest, QNameSplitting) {
