@@ -21,7 +21,6 @@
 #include "crypto/aes_hw.h"
 #include "script/lexer.h"
 #include "tests/base64_reference.h"
-#include "xml/stream_verify.h"
 #include "dcf/dcf.h"
 #include "xmldsig/verifier.h"
 #include "xmlenc/decryptor.h"
@@ -256,23 +255,17 @@ BENCHMARK(BM_XmlVsDcfRatioAesNi)
     ->Arg(16 << 10)
     ->Arg(256 << 10);
 
-// The fast-path headline (DESIGN.md §14): player-side signature
-// verification straight off the wire bytes, DOM pipeline vs the
-// single-pass streaming pipeline vs DCF, on an HMAC-signed element-dense
-// cluster (Arg = script count) so the XML and DCF sides check the same
-// primitive (HMAC-SHA1 + SHA digesting) and the measured gap is pure XML
-// machinery — parse, clone, canonicalize — not asymmetric crypto. Rows:
+// Player-side signature verification straight off the wire bytes against
+// DCF, on an HMAC-signed element-dense cluster (Arg = script count) so the
+// XML and DCF sides check the same primitive (HMAC-SHA1 + SHA digesting)
+// and the measured gap is pure XML machinery — parse, clone, canonicalize —
+// not asymmetric crypto. Rows:
 //
-//   dom_verify_us        wire -> verdict through the DOM pipeline:
-//                        xml::Parse + VerifyFirstSignature (clone +
-//                        enveloped removal + C14N tree walk)
-//   streaming_verify_us  wire -> verdict through Verifier::VerifyStream:
-//                        one fused scan+canonicalize pass, no DOM
+//   dom_verify_us        wire -> verdict: xml::Parse + VerifyFirstSignature
+//                        (clone + enveloped removal + C14N tree walk)
 //   dcf_unprotect_us     binary container baseline (AES + HMAC)
-//   streaming_speedup    dom_verify_us / streaming_verify_us
-//   *_over_dcf           each XML verify over the DCF baseline
-//   *_allocs             heap allocations per wire->verdict on each path
-//   alloc_reduction      dom_verify_allocs / streaming_verify_allocs
+//   dom_over_dcf         XML verify over the DCF baseline
+//   dom_verify_allocs    heap allocations per wire->verdict
 //   serialize_allocs     allocations for one xml::Serialize of the signed
 //                        document (pins the serializer reserve() path)
 void VerifyRatio(benchmark::State& state, AesBackend backend) {
@@ -317,11 +310,6 @@ void VerifyRatio(benchmark::State& state, AesBackend backend) {
     if (!result.ok()) state.SkipWithError("dom verify failed");
     benchmark::DoNotOptimize(result.ok());
   };
-  auto streaming_verify = [&]() {
-    auto result = xmldsig::Verifier::VerifyStream(wire, make_options());
-    if (!result.ok()) state.SkipWithError("streaming verify failed");
-    benchmark::DoNotOptimize(result.ok());
-  };
   auto dcf_unprotect = [&]() {
     auto plain = dcf::DcfUnprotect(container, world.disc_content_key,
                                    world.disc_content_key);
@@ -349,22 +337,15 @@ void VerifyRatio(benchmark::State& state, AesBackend backend) {
     return static_cast<double>(bench::AllocCount());
   };
 
-  const size_t streamed_before = xml::StreamedCanonicalizationCount();
   const double dom_us = probe_us(dom_verify);
-  const double stream_us = probe_us(streaming_verify);
   const double dcf_us = probe_us(dcf_unprotect);
-  if (xml::StreamedCanonicalizationCount() == streamed_before) {
-    state.SkipWithError("streaming fast path never engaged");
-    return;
-  }
   const double dom_allocs = probe_allocs(dom_verify);
-  const double stream_allocs = probe_allocs(streaming_verify);
   xml::Document parsed_once = xml::Parse(wire).value();
   const double serialize_allocs = probe_allocs(
       [&]() { benchmark::DoNotOptimize(xml::Serialize(parsed_once).size()); });
 
   for (auto _ : state) {
-    streaming_verify();
+    dom_verify();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(wire.size()));
@@ -372,15 +353,9 @@ void VerifyRatio(benchmark::State& state, AesBackend backend) {
     state.counters[name + suffix] = value;
   };
   counter("dom_verify_us", dom_us);
-  counter("streaming_verify_us", stream_us);
   counter("dcf_unprotect_us", dcf_us);
-  counter("streaming_speedup", stream_us > 0.0 ? dom_us / stream_us : 0.0);
   counter("dom_over_dcf", dcf_us > 0.0 ? dom_us / dcf_us : 0.0);
-  counter("streaming_over_dcf", dcf_us > 0.0 ? stream_us / dcf_us : 0.0);
   counter("dom_verify_allocs", dom_allocs);
-  counter("streaming_verify_allocs", stream_allocs);
-  counter("alloc_reduction",
-          stream_allocs > 0.0 ? dom_allocs / stream_allocs : 0.0);
   counter("serialize_allocs", serialize_allocs);
 }
 

@@ -13,11 +13,9 @@
 
 #include "bench/alloc_tracker.h"
 #include "bench/bench_util.h"
-#include "obs/bridge.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "player/engine.h"
-#include "xml/arena.h"
 
 namespace discsec {
 namespace {
@@ -80,26 +78,16 @@ BENCHMARK(BM_LaunchCluster)
     ->Arg(kObsBoth)
     ->Unit(benchmark::kMicrosecond);
 
-// ------------------------------------------------- arena observability
+// ------------------------------------------------------- parse allocations
 
 void BM_ParseAllocs(benchmark::State& state) {
-  // The before/after face of the DOM arena (DESIGN.md §14): the same parse
-  // with node storage on the general heap (Arg 0) and on the bump arena
-  // (Arg 1). allocs_per_iter is the heap-allocation count the alloc
-  // tracker sees per parse — the arena run collapses the per-node mallocs
-  // into one 64 KiB block reservation per ~thousand nodes. The arena's own
-  // counters flow through obs::AbsorbArenaStats into the same metrics
-  // registry the player engine feeds, and ride along as counters here so
-  // BENCH_obs.json records both sides of the bridge.
+  // allocs_per_iter is the heap-allocation count the alloc tracker sees per
+  // parse of the signed demo cluster: one per node plus its strings.
   std::string cluster_xml = SignedClusterXml();
-  const bool use_arena = state.range(0) != 0;
-  obs::MetricsRegistry metrics;
   bench::ResetAllocStats();
   size_t iterations = 0;
   for (auto _ : state) {
-    xml::ParseOptions options;
-    if (use_arena) options.arena = std::make_shared<xml::Arena>();
-    auto doc = xml::Parse(cluster_xml, options);
+    auto doc = xml::Parse(cluster_xml);
     if (!doc.ok()) state.SkipWithError("parse failed");
     benchmark::DoNotOptimize(doc.value().root());
     ++iterations;
@@ -109,14 +97,8 @@ void BM_ParseAllocs(benchmark::State& state) {
         static_cast<double>(bench::AllocCount()) /
         static_cast<double>(iterations));
   }
-  obs::AbsorbArenaStats(xml::GlobalArenaStats(), &metrics);
-  state.counters["arena_allocations"] = static_cast<double>(
-      metrics.GetCounter("xml_arena.allocations")->value());
-  state.counters["arena_bytes_reserved"] = static_cast<double>(
-      metrics.GetCounter("xml_arena.bytes_reserved")->value());
-  state.SetLabel(use_arena ? "arena" : "heap");
 }
-BENCHMARK(BM_ParseAllocs)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ParseAllocs)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------------ span cost
 

@@ -1,15 +1,11 @@
 // E15 — §6/§7 rights management at fleet scale: IsPermitted decision
-// latency against store size (10^3–10^5 installed licenses), cold versus
-// warm DecisionCache, plus the direct (cache-less) evaluator as the
-// baseline the cache must beat.
+// latency against store size (10^3–10^5 installed licenses).
 
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
 #include "bench/bench_json.h"
-#include "xrml/decision_cache.h"
 #include "xrml/license.h"
 #include "xrml/rights_manager.h"
 
@@ -47,8 +43,8 @@ ExerciseContext QueryContext(int i) {
   return ctx;
 }
 
-// Direct evaluator, no cache: the worst case is a miss (a resource near the
-// end of the first-match scan), so query the last-installed license.
+// The worst case is a resource near the end of the first-match scan, so
+// query the last-installed license.
 void BM_IsPermittedDirect(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   RightsManager rm(nullptr, kNow);
@@ -61,85 +57,6 @@ void BM_IsPermittedDirect(benchmark::State& state) {
   state.counters["licenses"] = n;
 }
 BENCHMARK(BM_IsPermittedDirect)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// Cold cache: every iteration invalidates first, so each lookup misses and
-// pays the full scan plus the cache bookkeeping — the cache's overhead
-// ceiling.
-void BM_IsPermittedCacheCold(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  RightsManager rm(nullptr, kNow);
-  DecisionCache cache;
-  rm.set_decision_cache(&cache);
-  InstallAll(&rm, n);
-  ExerciseContext ctx = QueryContext(n - 1);
-  std::string resource = "track-" + std::to_string(n - 1);
-  for (auto _ : state) {
-    cache.Invalidate();
-    benchmark::DoNotOptimize(rm.IsPermitted(Right::kPlay, resource, ctx));
-  }
-  DecisionCacheStats stats = cache.stats();
-  state.counters["licenses"] = n;
-  state.counters["hit_rate"] =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) / (stats.hits + stats.misses);
-}
-BENCHMARK(BM_IsPermittedCacheCold)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// Warm cache: the steady-state PEP pattern — the same decision tuple asked
-// over and over (every track of every disc) — collapses to one sharded
-// hash lookup regardless of store size.
-void BM_IsPermittedCacheWarm(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  RightsManager rm(nullptr, kNow);
-  DecisionCache cache;
-  rm.set_decision_cache(&cache);
-  InstallAll(&rm, n);
-  ExerciseContext ctx = QueryContext(n - 1);
-  std::string resource = "track-" + std::to_string(n - 1);
-  (void)rm.IsPermitted(Right::kPlay, resource, ctx);  // prime
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rm.IsPermitted(Right::kPlay, resource, ctx));
-  }
-  DecisionCacheStats stats = cache.stats();
-  state.counters["licenses"] = n;
-  state.counters["hit_rate"] =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) / (stats.hits + stats.misses);
-}
-BENCHMARK(BM_IsPermittedCacheWarm)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// A rotating working set of distinct queries sized against the cache
-// budget: the realistic multi-title player, where warm hits dominate but
-// evictions and fresh misses still occur.
-void BM_IsPermittedWorkingSet(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  RightsManager rm(nullptr, kNow);
-  DecisionCache cache;
-  rm.set_decision_cache(&cache);
-  InstallAll(&rm, n);
-  std::vector<std::string> resources;
-  std::vector<ExerciseContext> contexts;
-  for (int i = 0; i < 256; ++i) {
-    int pick = (i * 37) % n;
-    resources.push_back("track-" + std::to_string(pick));
-    contexts.push_back(QueryContext(pick));
-  }
-  size_t cursor = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        rm.IsPermitted(Right::kPlay, resources[cursor], contexts[cursor]));
-    cursor = (cursor + 1) % resources.size();
-  }
-  DecisionCacheStats stats = cache.stats();
-  state.counters["licenses"] = n;
-  state.counters["hit_rate"] =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) / (stats.hits + stats.misses);
-}
-BENCHMARK(BM_IsPermittedWorkingSet)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace
 }  // namespace xrml

@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate for the streaming verify fast path (DESIGN.md §14), the
+"""Perf-smoke gate for XML verify against DCF (EXPERIMENTS.md E2), the
 Montgomery ModPow path, the AES-NI backend and the run-scanning text
 kernels (DESIGN.md §3).
 
-Compares the ratio counters of a fresh BENCH_ratio.json run against the
-checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and fails
-on a >10% regression. Only RATIOS are compared — streaming_speedup,
-alloc_reduction, dom_over_dcf, streaming_over_dcf — never absolute times:
-both sides of each ratio run back-to-back in the same process on the same
-machine, so the quotient is comparable across runners while raw
+Compares the dom_over_dcf ratio of a fresh BENCH_ratio.json run against
+the checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and
+fails on a >10% regression. Only RATIOS are compared, never absolute
+times: both sides of each ratio run back-to-back in the same process on
+the same machine, so the quotient is comparable across runners while raw
 microseconds are not.
 
 On top of the relative gate, the machine-independent acceptance floors
-from the introducing PR are enforced absolutely:
+from the introducing PRs are enforced absolutely:
 
-    streaming_speedup >= 2.0   (streaming verify at least 2x the DOM path)
-    alloc_reduction   >= 5.0   (heap allocations per verify down at least 5x)
     dom_over_dcf      <  2.5   (XML verify within the paper's DCF band)
     montgomery_speedup >= 5.0  (odd-modulus ModPow at least 5x the
                                 even-modulus division loop, BENCH_crypto.json)
@@ -41,15 +38,9 @@ import argparse
 import json
 import sys
 
-# counter -> which direction is better. A "higher" ratio regresses when the
-# fresh value drops below baseline * (1 - slack); a "lower" ratio regresses
-# when it climbs above baseline * (1 + slack).
-RATIO_DIRECTIONS = {
-    "streaming_speedup": "higher",
-    "alloc_reduction": "higher",
-    "dom_over_dcf": "lower",
-    "streaming_over_dcf": "lower",
-}
+# Ratios gated against the baseline. Lower is better for each: a ratio
+# regresses when it climbs above baseline * (1 + slack).
+RELATIVE_GATES = ("dom_over_dcf",)
 
 # counter -> (op, bound): absolute acceptance gates, applied to every fresh
 # row that carries the counter regardless of what the baseline recorded.
@@ -67,8 +58,6 @@ RATIO_DIRECTIONS = {
 # 7.6-8.8 for text_parse_over_escape when the parser copied one byte per
 # iteration).
 ABSOLUTE_GATES = {
-    "streaming_speedup": (">=", 2.0),
-    "alloc_reduction": (">=", 5.0),
     "dom_over_dcf": ("<", 2.5),
     "serialize_allocs": ("<=", 4.0),
     "montgomery_speedup": (">=", 5.0),
@@ -131,26 +120,18 @@ def main():
         base_counters = baseline.get(key)
         if base_counters is None:
             continue
-        for counter, direction in sorted(RATIO_DIRECTIONS.items()):
+        for counter in RELATIVE_GATES:
             if counter not in counters or counter not in base_counters:
                 continue
             value = counters[counter]
             base = base_counters[counter]
             checked += 1
-            if direction == "higher":
-                limit = base * (1.0 - args.slack)
-                if value < limit:
-                    failures.append(
-                        f"{label}: {counter} regressed {base:.3f} -> "
-                        f"{value:.3f} (floor {limit:.3f})"
-                    )
-            else:
-                limit = base * (1.0 + args.slack)
-                if value > limit:
-                    failures.append(
-                        f"{label}: {counter} regressed {base:.3f} -> "
-                        f"{value:.3f} (ceiling {limit:.3f})"
-                    )
+            limit = base * (1.0 + args.slack)
+            if value > limit:
+                failures.append(
+                    f"{label}: {counter} regressed {base:.3f} -> "
+                    f"{value:.3f} (ceiling {limit:.3f})"
+                )
 
     if checked == 0:
         print("check_ratios: no ratio counters found — wrong input file?")

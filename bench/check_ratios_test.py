@@ -3,19 +3,19 @@
 
 The gate is itself load-bearing CI logic: if a refactor silently made it
 accept everything (wrong counter names, inverted direction, broken exit
-code), streaming-verify regressions would ship unnoticed. This test feeds
-the checker the checked-in baseline plus synthetically degraded copies and
+code), XML-vs-DCF regressions would ship unnoticed. This test feeds the
+checker the checked-in baseline plus synthetically degraded copies and
 asserts the exit codes and failure messages it MUST produce:
 
   1. baseline vs itself                      -> pass (the fixpoint)
-  2. streaming_speedup crushed to 60%        -> fail (absolute floor >= 2.0
-                                                AND the relative floor)
-  3. streaming_over_dcf inflated by 25%      -> fail (relative ceiling only;
-                                                no absolute gate exists for
-                                                this counter)
+  2. dom_over_dcf set to 2.6                 -> fail (absolute ceiling
+                                                < 2.5 AND the relative
+                                                ceiling)
+  3. dom_over_dcf inflated by 25%            -> fail (relative ceiling only;
+                                                still under 2.5)
   4. empty results array                     -> fail (zero gates checked
                                                 means the wrong input file)
-  5. streaming_over_dcf drifted +5%          -> pass (inside the 10% slack)
+  5. dom_over_dcf drifted +5%                -> pass (inside the 10% slack)
   6. BENCH_crypto.json, montgomery_speedup
      13x at 512 and 1024 bits                -> pass (no baseline rows, so
                                                 absolute gates only)
@@ -76,6 +76,16 @@ def scaled(doc, counter, factor):
         counters = row.get("counters", {})
         if counter in counters:
             counters[counter] *= factor
+    return out
+
+
+def set_to(doc, counter, value):
+    """A deep copy of `doc` with every `counter` occurrence set to `value`."""
+    out = copy.deepcopy(doc)
+    for row in out["results"]:
+        counters = row.get("counters", {})
+        if counter in counters:
+            counters[counter] = value
     return out
 
 
@@ -149,23 +159,26 @@ def main():
     rc, out = run_checker(baseline)
     expect("baseline-vs-itself passes", rc, out, 0, ["check_ratios: OK"])
 
-    rc, out = run_checker(scaled(baseline, "streaming_speedup", 0.6))
+    rc, out = run_checker(set_to(baseline, "dom_over_dcf", 2.6))
     expect(
-        "crushed streaming_speedup fails both gates",
+        "dom_over_dcf 2.6 fails both gates",
         rc,
         out,
         1,
-        ["violates absolute gate", "streaming_speedup regressed"],
+        ["BM_VerifyRatio/200: dom_over_dcf=2.600 violates absolute gate "
+         "< 2.5", "dom_over_dcf regressed"],
     )
 
-    rc, out = run_checker(scaled(baseline, "streaming_over_dcf", 1.25))
+    rc, out = run_checker(scaled(baseline, "dom_over_dcf", 1.25))
     expect(
-        "inflated streaming_over_dcf fails the relative ceiling",
+        "inflated dom_over_dcf fails the relative ceiling",
         rc,
         out,
         1,
-        ["streaming_over_dcf regressed", "ceiling"],
+        ["dom_over_dcf regressed", "ceiling"],
     )
+    if "violates absolute gate" in out:
+        failures.append("+25% dom_over_dcf tripped the absolute gate:\n" + out)
 
     empty = copy.deepcopy(baseline)
     empty["results"] = []
@@ -178,7 +191,7 @@ def main():
         ["no ratio counters"],
     )
 
-    rc, out = run_checker(scaled(baseline, "streaming_over_dcf", 1.05))
+    rc, out = run_checker(scaled(baseline, "dom_over_dcf", 1.05))
     expect("5% drift stays inside the slack", rc, out, 0,
            ["check_ratios: OK"])
 

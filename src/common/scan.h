@@ -8,7 +8,9 @@
 namespace discsec {
 
 /// 256-entry byte classifier: true for exactly the bytes a scanner must stop
-/// at (markup, escapes, line ends, closing quotes).
+/// at (markup, escapes, line ends, closing quotes). The XML parser's
+/// character data, the serializer's escapers and the script lexer's string
+/// literals scan with it.
 using StopTable = std::array<bool, 256>;
 
 constexpr StopTable MakeStopTable(std::string_view stops) {

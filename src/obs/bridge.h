@@ -4,7 +4,7 @@
 /// Bridges between component-local stats structs (LocateCacheStats,
 /// RetryingTransportStats, FaultInjector counters) and a MetricsRegistry.
 /// Header-only on purpose: discsec_obs links only discsec_common, so it
-/// cannot depend on xkms/xrml — instead the *caller* (player, tool, tests),
+/// cannot depend on xkms — instead the *caller* (player, tool, tests),
 /// which already links those libraries, instantiates these inline absorbers.
 ///
 /// Component stats are cumulative, so absorption uses Counter::MaxTo and is
@@ -16,11 +16,9 @@
 #include "common/fault.h"
 #include "common/retry.h"
 #include "obs/metrics.h"
-#include "xml/arena.h"
 #include "xkms/locate_cache.h"
 #include "xkms/retrying_transport.h"
 #include "xkms/xkmsd.h"
-#include "xrml/decision_cache.h"
 
 namespace discsec {
 namespace obs {
@@ -34,18 +32,6 @@ inline void AbsorbLocateCacheStats(const xkms::LocateCacheStats& stats,
   metrics->GetCounter("locate_cache.coalesced")->MaxTo(stats.coalesced);
   metrics->GetCounter("locate_cache.transport_calls")
       ->MaxTo(stats.transport_calls);
-}
-
-inline void AbsorbDecisionCacheStats(const xrml::DecisionCacheStats& stats,
-                                     MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  metrics->GetCounter("decision_cache.hits")->MaxTo(stats.hits);
-  metrics->GetCounter("decision_cache.misses")->MaxTo(stats.misses);
-  metrics->GetCounter("decision_cache.stale_drops")->MaxTo(stats.stale_drops);
-  metrics->GetCounter("decision_cache.evictions")->MaxTo(stats.evictions);
-  metrics->GetCounter("decision_cache.invalidations")
-      ->MaxTo(stats.invalidations);
-  metrics->GetCounter("decision_cache.entries")->Set(stats.entries);
 }
 
 inline void AbsorbRetryingTransportStats(
@@ -79,18 +65,6 @@ inline void AbsorbXkmsdStats(const xkms::XkmsdStats& stats,
   metrics->GetCounter("xkmsd.degraded")->MaxTo(stats.degraded_locates);
   metrics->GetCounter("xkmsd.store_errors")->MaxTo(stats.store_errors);
   metrics->GetCounter("xkmsd.queue_depth")->Set(stats.queue_depth);
-}
-
-/// Process-wide xml::Arena counters (xml::GlobalArenaStats()): how much
-/// node storage the bump allocator served and in how many block
-/// reservations — the observable face of the DOM-path allocation drop.
-inline void AbsorbArenaStats(const xml::ArenaStats& stats,
-                             MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  metrics->GetCounter("xml_arena.bytes_reserved")->MaxTo(stats.bytes_reserved);
-  metrics->GetCounter("xml_arena.bytes_used")->MaxTo(stats.bytes_used);
-  metrics->GetCounter("xml_arena.allocations")->MaxTo(stats.allocations);
-  metrics->GetCounter("xml_arena.resets")->MaxTo(stats.resets);
 }
 
 inline void AbsorbFaultInjectorStats(const fault::FaultInjector& injector,

@@ -11,9 +11,7 @@
 #include "player/host_api.h"
 #include "player/session.h"
 #include "svg/svg.h"
-#include "xml/arena.h"
 #include "xml/parser.h"
-#include "xml/stream_verify.h"
 #include "xmldsig/verifier.h"
 
 namespace discsec {
@@ -93,17 +91,14 @@ void InteractiveApplicationEngine::AbsorbComponentMetrics() {
   }
   obs::AbsorbFaultInjectorStats(*fault::Effective(config_.fault),
                                 config_.metrics);
-  obs::AbsorbArenaStats(xml::GlobalArenaStats(), config_.metrics);
   config_.metrics->GetCounter("digest.bytes_streamed")
       ->MaxTo(crypto::DigestBytesStreamed());
-  config_.metrics->GetCounter("xml.streamed_c14n")
-      ->MaxTo(xml::StreamedCanonicalizationCount());
 }
 
 Status InteractiveApplicationEngine::VerifyPhase(
     xml::Document* doc, Origin origin,
     const xmldsig::ExternalResolver& resolver, LaunchReport* report,
-    std::vector<std::string>* defer_xkms, std::string_view source_text) {
+    std::vector<std::string>* defer_xkms) {
   PhaseTimer timer(&report->timings.verify_us, config_.tracer,
                    "player.verify", Hist("player.verify_us"));
   xmlenc::Decryptor decryptor(config_.keys);
@@ -130,7 +125,6 @@ Status InteractiveApplicationEngine::VerifyPhase(
   options.resolver = resolver;
   options.parse_options = config_.parse_limits;
   options.pool = config_.pool;
-  if (config_.streaming_verify) options.source_text = source_text;
   options.tracer = config_.tracer;
   options.metrics = config_.metrics;
   // See-what-is-signed: when the signature is load-bearing, its references
@@ -350,19 +344,13 @@ class InteractiveApplicationEngine::StagedLaunch {
   /// names queue up for ValidateDeferredKeys instead of blocking here.
   Status RunSecurity(bool defer_xkms) {
     obs::ScopedSpan stage(stage_parent_, "player.launch.security");
-    xml::ParseOptions parse_opts = engine_->config_.parse_limits;
-    if (engine_->config_.arena_parse) {
-      // Per-launch bump arena: the Document keeps it alive, and this stage
-      // owns the launch, so no other thread parses into it concurrently.
-      parse_opts.arena = std::make_shared<xml::Arena>();
-    }
-    DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
-                             xml::Parse(cluster_xml_, parse_opts));
+    DISCSEC_ASSIGN_OR_RETURN(
+        xml::Document doc,
+        xml::Parse(cluster_xml_, engine_->config_.parse_limits));
     doc_.emplace(std::move(doc));
     DISCSEC_RETURN_IF_ERROR(
         engine_->VerifyPhase(&*doc_, origin_, resolver_, report_.get(),
-                             defer_xkms ? &pending_xkms_ : nullptr,
-                             cluster_xml_));
+                             defer_xkms ? &pending_xkms_ : nullptr));
     return engine_->DecryptPhase(&*doc_, report_.get());
   }
 

@@ -74,21 +74,6 @@ struct PlayerConfig {
   /// cluster document itself, transform re-parses inside signature
   /// verification, and decrypted plaintext fragments.
   xml::ParseOptions parse_limits;
-  /// Single-pass streaming verify fast path (DESIGN.md §14): hand the
-  /// verifier the exact cluster source text so eligible same-document
-  /// references are re-lexed straight into the reference digest — no
-  /// per-reference document clone, no canonicalization tree walk.
-  /// Ineligible references fall back to the DOM pipeline transparently;
-  /// verdicts and error strings are identical either way (the differential
-  /// harness pins this). Off by default; `discsec_tool --streaming-verify`
-  /// and the benches turn it on.
-  bool streaming_verify = false;
-  /// Bump-allocate the cluster document's nodes from a per-launch
-  /// xml::Arena (one malloc per 64 KiB instead of one per node). The arena
-  /// is tied to the Document's lifetime; decryption splices heap-backed
-  /// plaintext nodes into the arena tree, which the allocator's tag header
-  /// makes safe. Off by default, enabled alongside streaming_verify.
-  bool arena_parse = false;
   /// See-what-is-signed defense: when a signature is required, every
   /// verified same-document reference that does not cover the whole
   /// document must resolve to a cluster-schema element (cluster, track,
@@ -302,13 +287,10 @@ class InteractiveApplicationEngine {
   /// When `defer_xkms` is non-null, signer key names that would have been
   /// validated against XKMS inline are appended there (in signature order)
   /// for a later pipeline stage instead.
-  /// `source_text` (when streaming_verify is on) is the exact text `doc`
-  /// was parsed from, enabling the verifier's streaming fast path.
   Status VerifyPhase(xml::Document* doc, Origin origin,
                      const xmldsig::ExternalResolver& resolver,
                      LaunchReport* report,
-                     std::vector<std::string>* defer_xkms = nullptr,
-                     std::string_view source_text = {});
+                     std::vector<std::string>* defer_xkms = nullptr);
   Status DecryptPhase(xml::Document* doc, LaunchReport* report);
   Status PolicyPhase(const disc::ApplicationManifest& manifest,
                      LaunchReport* report,

@@ -182,7 +182,6 @@ class ScenarioRun {
         chaos_(chaos),
         seed_(seed),
         engine_injector_(seed),
-        shadow_injector_(seed),
         responder_injector_(seed + 1) {}
 
   Result<ScenarioResult> Execute();
@@ -202,21 +201,18 @@ class ScenarioRun {
   Status Setup();
   Status BuildPlan();
   player::PlayerConfig BaseConfig() const;
-  const disc::DiscImage& ImageFor(const Event& e, bool shadow) const;
+  const disc::DiscImage& ImageFor(const Event& e) const;
   const char* ArchetypeKey(const Event& e) const;
 
   void ExecuteEvent(const Event& e);
   void RunPlayback(const Event& e);
   void RunAttack(const Event& e);
-  Status AttackOnce(const AttackDisc& attack, bool streaming);
+  Status AttackOnce(const AttackDisc& attack);
   void DecoyTraffic(const Event& e);
   void RevocationWave();
   void WarmUp();
   void RunBurst();
   void RecordEvent(const Event& e, int verdict_code);
-
-  static bool PlaybackMismatch(const Result<player::DiscPlayback>& a,
-                               const Result<player::DiscPlayback>& b);
 
   const FleetSimulator& simulator_;
   const FleetEnvironment& env_;
@@ -225,7 +221,6 @@ class ScenarioRun {
   const uint64_t seed_;
 
   fault::FaultInjector engine_injector_;
-  fault::FaultInjector shadow_injector_;  ///< same seed: mirrored decisions
   fault::FaultInjector responder_injector_;
   obs::MetricsRegistry metrics_;
 
@@ -237,12 +232,9 @@ class ScenarioRun {
   std::unique_ptr<ThreadPool> engine_pool_;
 
   std::unique_ptr<player::InteractiveApplicationEngine> primary_;
-  std::unique_ptr<player::InteractiveApplicationEngine> shadow_;
-  std::unique_ptr<player::InteractiveApplicationEngine> attack_dom_;
-  std::unique_ptr<player::InteractiveApplicationEngine> attack_streaming_;
+  std::unique_ptr<player::InteractiveApplicationEngine> attack_engine_;
 
-  std::vector<disc::DiscImage> images_;         ///< pristine + degraded last
-  std::vector<disc::DiscImage> shadow_images_;  ///< differential mirror
+  std::vector<disc::DiscImage> images_;  ///< pristine + degraded last
 
   std::vector<Event> plan_;
   int64_t horizon_us_ = 0;
@@ -280,18 +272,6 @@ Status ScenarioRun::Setup() {
     return Status::InvalidArgument(
         "overload burst requires throughput mode (jobs > 0)");
   }
-  if (spec_.route == VerifyRoute::kDifferential) {
-    if (spec_.jobs > 0) {
-      return Status::InvalidArgument(
-          "differential route requires deterministic mode (jobs = 0)");
-    }
-    if (!chaos_.responder.empty()) {
-      return Status::InvalidArgument(
-          "differential route cannot mirror responder chaos (profile '" +
-          chaos_.name + "')");
-    }
-  }
-
   DISCSEC_RETURN_IF_ERROR(trust_.AddTrustedRoot(env_.root_cert));
 
   // Responder stack: inline (deterministic) unless an overload burst needs
@@ -329,11 +309,8 @@ Status ScenarioRun::Setup() {
 
   if (spec_.jobs > 0) engine_pool_ = std::make_unique<ThreadPool>(spec_.jobs);
 
-  const bool streaming_primary = spec_.route == VerifyRoute::kStreaming;
   player::PlayerConfig primary = BaseConfig();
   primary.allow_degraded_playback = true;
-  primary.streaming_verify = streaming_primary;
-  primary.arena_parse = streaming_primary;
   primary.fault = &engine_injector_;
   primary.pool = engine_pool_.get();
   primary.xkms = client_.get();
@@ -342,33 +319,12 @@ Status ScenarioRun::Setup() {
   primary_ = std::make_unique<player::InteractiveApplicationEngine>(
       std::move(primary));
 
-  if (spec_.route == VerifyRoute::kDifferential) {
-    // The shadow runs the streaming route against mirrored state: an
-    // injector with the primary's seed, so serial execution replays the
-    // identical fault decisions. It has no XKMS wiring — the
-    // parity claim is about the signature/decrypt/policy/markup/script
-    // pipeline; trust-service behavior is pinned by the load suite.
-    player::PlayerConfig shadow = BaseConfig();
-    shadow.allow_degraded_playback = true;
-    shadow.streaming_verify = true;
-    shadow.arena_parse = true;
-    shadow.fault = &shadow_injector_;
-    shadow_ = std::make_unique<player::InteractiveApplicationEngine>(
-        std::move(shadow));
-  }
-
-  // Attack engines are deliberately isolated from chaos, caches and XKMS:
-  // the corpus' expected rejection codes were derived against the plain
-  // player configuration, and an injected fault must never turn an attack
-  // rejection into anything else.
-  player::PlayerConfig attack_dom = BaseConfig();
-  attack_dom_ = std::make_unique<player::InteractiveApplicationEngine>(
-      std::move(attack_dom));
-  player::PlayerConfig attack_streaming = BaseConfig();
-  attack_streaming.streaming_verify = true;
-  attack_streaming.arena_parse = true;
-  attack_streaming_ = std::make_unique<player::InteractiveApplicationEngine>(
-      std::move(attack_streaming));
+  // The attack engine is deliberately isolated from chaos, caches and
+  // XKMS: the corpus' expected rejection codes were derived against the
+  // plain player configuration, and an injected fault must never turn an
+  // attack rejection into anything else.
+  attack_engine_ =
+      std::make_unique<player::InteractiveApplicationEngine>(BaseConfig());
 
   // Per-scenario image copies so the scenario's injector wiring never
   // touches the simulator-owned archetypes.
@@ -378,12 +334,6 @@ Status ScenarioRun::Setup() {
   images_.push_back(simulator_.degraded_.image);
   for (disc::DiscImage& image : images_) {
     image.set_fault_injector(&engine_injector_);
-  }
-  if (shadow_ != nullptr) {
-    shadow_images_ = images_;
-    for (disc::DiscImage& image : shadow_images_) {
-      image.set_fault_injector(&shadow_injector_);
-    }
   }
 
   event_hist_ = metrics_.GetHistogram("sim.event_us");
@@ -426,18 +376,15 @@ Status ScenarioRun::BuildPlan() {
   return Status::OK();
 }
 
-const disc::DiscImage& ScenarioRun::ImageFor(const Event& e,
-                                             bool shadow) const {
-  const std::vector<disc::DiscImage>& images =
-      shadow ? shadow_images_ : images_;
+const disc::DiscImage& ScenarioRun::ImageFor(const Event& e) const {
   switch (e.cat) {
     case Cat::kSigned:
-      return images[e.idx];
+      return images_[e.idx];
     case Cat::kEncrypted:
-      return images[7 + e.idx];
+      return images_[7 + e.idx];
     case Cat::kDegraded:
     default:
-      return images.back();
+      return images_.back();
   }
 }
 
@@ -455,38 +402,8 @@ const char* ScenarioRun::ArchetypeKey(const Event& e) const {
   return "?";
 }
 
-bool ScenarioRun::PlaybackMismatch(const Result<player::DiscPlayback>& a,
-                                   const Result<player::DiscPlayback>& b) {
-  if (a.ok() != b.ok()) return true;
-  if (!a.ok()) {
-    return static_cast<int>(a.status().code()) !=
-               static_cast<int>(b.status().code()) ||
-           a.status().message() != b.status().message();
-  }
-  const player::DiscPlayback& pa = a.value();
-  const player::DiscPlayback& pb = b.value();
-  if (pa.played.size() != pb.played.size()) return true;
-  if (pa.quarantined.size() != pb.quarantined.size()) return true;
-  if ((pa.app != nullptr) != (pb.app != nullptr)) return true;
-  for (size_t i = 0; i < pa.quarantined.size(); ++i) {
-    if (pa.quarantined[i].track_id != pb.quarantined[i].track_id) return true;
-    if (pa.quarantined[i].phase != pb.quarantined[i].phase) return true;
-    if (static_cast<int>(pa.quarantined[i].status.code()) !=
-        static_cast<int>(pb.quarantined[i].status.code())) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void ScenarioRun::RunPlayback(const Event& e) {
-  auto outcome = primary_->PlayDisc(ImageFor(e, /*shadow=*/false));
-  if (shadow_ != nullptr) {
-    auto mirrored = shadow_->PlayDisc(ImageFor(e, /*shadow=*/true));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++result_.parity_events;
-    if (PlaybackMismatch(outcome, mirrored)) ++result_.parity_mismatches;
-  }
+  auto outcome = primary_->PlayDisc(ImageFor(e));
   std::lock_guard<std::mutex> lock(mu_);
   ++result_.pristine_events;
   int code = 0;
@@ -504,42 +421,26 @@ void ScenarioRun::RunPlayback(const Event& e) {
   RecordEvent(e, code);
 }
 
-Status ScenarioRun::AttackOnce(const AttackDisc& attack, bool streaming) {
+Status ScenarioRun::AttackOnce(const AttackDisc& attack) {
   if (attack.route == AttackDisc::Route::kVerifier) {
     auto doc = xml::Parse(attack.xml);
     if (!doc.ok()) return doc.status();
     xmldsig::VerifyOptions options;
     options.cert_store = &trust_;
     options.now = env_.now;
-    if (streaming) options.source_text = attack.xml;
     return xmldsig::Verifier::VerifyFirstSignature(doc.value(), options)
         .status();
   }
-  player::InteractiveApplicationEngine* engine =
-      streaming ? attack_streaming_.get() : attack_dom_.get();
-  return engine
+  return attack_engine_
       ->LaunchClusterXml(attack.xml, player::Origin::kNetwork)
       .status();
 }
 
 void ScenarioRun::RunAttack(const Event& e) {
   const AttackDisc& attack = env_.attacks[e.idx];
-  const bool streaming = spec_.route == VerifyRoute::kStreaming;
-  Status verdict = AttackOnce(attack, streaming);
-  bool mismatch = false;
-  if (spec_.route == VerifyRoute::kDifferential) {
-    Status alt = AttackOnce(attack, /*streaming=*/true);
-    mismatch = verdict.ok() != alt.ok() ||
-               static_cast<int>(verdict.code()) !=
-                   static_cast<int>(alt.code()) ||
-               verdict.message() != alt.message();
-  }
+  Status verdict = AttackOnce(attack);
   std::lock_guard<std::mutex> lock(mu_);
   ++result_.attack_events;
-  if (spec_.route == VerifyRoute::kDifferential) {
-    ++result_.parity_events;
-    if (mismatch) ++result_.parity_mismatches;
-  }
   if (verdict.ok()) {
     ++result_.attack_accepted;
   } else {
@@ -609,7 +510,6 @@ void ScenarioRun::RevocationWave() {
 void ScenarioRun::WarmUp() {
   for (size_t i = 0; i < images_.size() - 1; ++i) {  // pristine only
     (void)primary_->PlayDisc(images_[i]);
-    if (shadow_ != nullptr) (void)shadow_->PlayDisc(shadow_images_[i]);
   }
 }
 
@@ -676,7 +576,6 @@ Result<ScenarioResult> ScenarioRun::Execute() {
 
   for (const fault::FaultSpec& spec : chaos_.engine) {
     engine_injector_.Arm(spec);
-    shadow_injector_.Arm(spec);
   }
   for (const fault::FaultSpec& spec : chaos_.responder) {
     responder_injector_.Arm(spec);
@@ -798,11 +697,6 @@ Status FleetReport::CheckInvariants() const {
       return Status::VerificationFailed(
           where + std::to_string(row.incorrect_valid) +
           " Valid verdict(s) for revoked keys");
-    }
-    if (row.parity_mismatches != 0) {
-      return Status::VerificationFailed(
-          where + std::to_string(row.parity_mismatches) +
-          " streaming-vs-DOM verdict mismatch(es)");
     }
     if (row.burst_completions != row.burst_submitted) {
       return Status::VerificationFailed(

@@ -96,9 +96,6 @@ struct ScenarioResult {
   uint64_t attack_wrong_code = 0;  ///< rejected with an unexpected code: 0
   std::map<std::string, uint64_t> rejections_by_class;
 
-  uint64_t parity_events = 0;
-  uint64_t parity_mismatches = 0;  ///< hard invariant: 0
-
   uint64_t decoy_locates = 0;
   uint64_t revoked_keys = 0;     ///< decoy bindings the mid-run wave revoked
   uint64_t revoked_checks = 0;   ///< post-revocation Locates of revoked keys
@@ -138,7 +135,6 @@ struct FleetReport {
   ///     wrong code),
   ///   - every attack event was rejected,
   ///   - zero Valid verdicts for revoked keys,
-  ///   - zero streaming-vs-DOM verdict mismatches,
   ///   - every overload-burst submission completed exactly once.
   Status CheckInvariants() const;
 };

@@ -55,8 +55,6 @@ uint64_t TotalShed(const xkms::XkmsdStats& s) {
 std::string Params(const ScenarioSpec& spec) {
   std::string params = std::to_string(spec.players);
   params += "/";
-  params += VerifyRouteName(spec.route);
-  params += "/";
   params += CacheStateName(spec.cache);
   params += "/";
   params += spec.chaos;
@@ -72,27 +70,21 @@ std::string MatrixTable(const FleetReport& report) {
   out << "fleet matrix · seed " << report.seed << "\n";
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-18s %-12s %-5s %-6s %7s %6s %5s %5s %6s %4s %4s %7s %4s "
-                "%5s  %s\n",
-                "scenario", "route", "cache", "chaos", "events", "clean",
-                "degr", "quar", "transi", "atk", "rej", "parity", "rev",
-                "stale", "digest");
+                "%-18s %-5s %-6s %7s %6s %5s %5s %6s %4s %4s %4s %5s  %s\n",
+                "scenario", "cache", "chaos", "events", "clean", "degr",
+                "quar", "transi", "atk", "rej", "rev", "stale", "digest");
   out << line;
   for (const ScenarioResult& row : report.rows) {
-    char parity[32];
-    std::snprintf(parity, sizeof(parity), "%" PRIu64 "/%" PRIu64,
-                  row.parity_events, row.parity_mismatches);
     std::snprintf(
         line, sizeof(line),
-        "%-18s %-12s %-5s %-6s %7" PRIu64 " %6" PRIu64 " %5" PRIu64
-        " %5" PRIu64 " %6" PRIu64 " %4" PRIu64 " %4" PRIu64 " %7s %4" PRIu64
-        " %5" PRIu64 "  %.12s\n",
-        row.spec.name.c_str(), VerifyRouteName(row.spec.route),
-        CacheStateName(row.spec.cache), row.spec.chaos.c_str(), row.events,
-        row.played_clean, row.played_degraded, row.quarantined_tracks,
-        row.transient_failures, row.attack_events, row.attack_rejected,
-        parity, row.revoked_keys, row.incorrect_valid,
-        row.event_digest.c_str());
+        "%-18s %-5s %-6s %7" PRIu64 " %6" PRIu64 " %5" PRIu64 " %5" PRIu64
+        " %6" PRIu64 " %4" PRIu64 " %4" PRIu64 " %4" PRIu64 " %5" PRIu64
+        "  %.12s\n",
+        row.spec.name.c_str(), CacheStateName(row.spec.cache),
+        row.spec.chaos.c_str(), row.events, row.played_clean,
+        row.played_degraded, row.quarantined_tracks, row.transient_failures,
+        row.attack_events, row.attack_rejected, row.revoked_keys,
+        row.incorrect_valid, row.event_digest.c_str());
     out << line;
   }
   return out.str();
@@ -135,9 +127,6 @@ std::string FleetBenchJson(const FleetReport& report) {
     counters["attack_rejected"] = static_cast<double>(row.attack_rejected);
     counters["attack_accepted"] = static_cast<double>(row.attack_accepted);
     counters["attack_wrong_code"] = static_cast<double>(row.attack_wrong_code);
-    counters["parity_events"] = static_cast<double>(row.parity_events);
-    counters["parity_mismatches"] =
-        static_cast<double>(row.parity_mismatches);
     counters["revoked_keys"] = static_cast<double>(row.revoked_keys);
     counters["revoked_checks"] = static_cast<double>(row.revoked_checks);
     counters["incorrect_valid"] = static_cast<double>(row.incorrect_valid);

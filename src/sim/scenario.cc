@@ -3,26 +3,6 @@
 namespace discsec {
 namespace sim {
 
-const char* VerifyRouteName(VerifyRoute route) {
-  switch (route) {
-    case VerifyRoute::kDom:
-      return "dom";
-    case VerifyRoute::kStreaming:
-      return "streaming";
-    case VerifyRoute::kDifferential:
-      return "differential";
-  }
-  return "unknown";
-}
-
-Result<VerifyRoute> VerifyRouteFromName(std::string_view name) {
-  if (name == "dom") return VerifyRoute::kDom;
-  if (name == "streaming") return VerifyRoute::kStreaming;
-  if (name == "differential") return VerifyRoute::kDifferential;
-  return Status::InvalidArgument("unknown verify route '" + std::string(name) +
-                                 "' (dom|streaming|differential)");
-}
-
 const char* CacheStateName(CacheState state) {
   switch (state) {
     case CacheState::kCold:
@@ -101,7 +81,6 @@ std::vector<ScenarioSpec> SmokeMatrix(uint32_t players) {
   ScenarioSpec cold_dom;
   cold_dom.name = "cold-dom";
   cold_dom.players = players;
-  cold_dom.route = VerifyRoute::kDom;
   cold_dom.cache = CacheState::kCold;
   matrix.push_back(cold_dom);
 
@@ -110,27 +89,16 @@ std::vector<ScenarioSpec> SmokeMatrix(uint32_t players) {
   warm_dom.cache = CacheState::kWarm;
   matrix.push_back(warm_dom);
 
-  ScenarioSpec cold_streaming = cold_dom;
-  cold_streaming.name = "cold-streaming";
-  cold_streaming.route = VerifyRoute::kStreaming;
-  matrix.push_back(cold_streaming);
-
-  ScenarioSpec warm_streaming = cold_streaming;
-  warm_streaming.name = "warm-streaming";
-  warm_streaming.cache = CacheState::kWarm;
-  matrix.push_back(warm_streaming);
-
-  // The differential row leans harder on attacks: every one of them runs
-  // through both routes and the verdicts must be identical.
-  ScenarioSpec parity;
-  parity.name = "parity";
-  parity.players = players;
-  parity.route = VerifyRoute::kDifferential;
-  parity.mix.signed_discs = 3;
-  parity.mix.encrypted = 2;
-  parity.mix.degraded = 1;
-  parity.mix.attack = 2;
-  matrix.push_back(parity);
+  // Leans harder on attacks: a quarter of the events are corpus documents,
+  // every one of which must be rejected with its expected code.
+  ScenarioSpec attack_heavy;
+  attack_heavy.name = "attack-heavy";
+  attack_heavy.players = players;
+  attack_heavy.mix.signed_discs = 3;
+  attack_heavy.mix.encrypted = 2;
+  attack_heavy.mix.degraded = 1;
+  attack_heavy.mix.attack = 2;
+  matrix.push_back(attack_heavy);
 
   ScenarioSpec chaos_disc = cold_dom;
   chaos_disc.name = "chaos-disc";
@@ -138,7 +106,7 @@ std::vector<ScenarioSpec> SmokeMatrix(uint32_t players) {
   chaos_disc.mix.degraded = 2;
   matrix.push_back(chaos_disc);
 
-  ScenarioSpec chaos_xkms = cold_streaming;
+  ScenarioSpec chaos_xkms = cold_dom;
   chaos_xkms.name = "chaos-xkms";
   chaos_xkms.chaos = "xkms";
   matrix.push_back(chaos_xkms);
@@ -152,7 +120,6 @@ std::vector<ScenarioSpec> NightlyMatrix(uint32_t players) {
   ScenarioSpec throughput;
   throughput.name = "throughput-pool4";
   throughput.players = players;
-  throughput.route = VerifyRoute::kStreaming;
   throughput.cache = CacheState::kWarm;
   throughput.jobs = 4;
   matrix.push_back(throughput);

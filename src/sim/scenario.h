@@ -15,24 +15,10 @@ namespace sim {
 /// discsec::sim — the mass-playback fleet simulator (DESIGN.md §15).
 ///
 /// A ScenarioSpec is the declarative row of the scenario matrix: how many
-/// simulated players, what disc mix they insert, which verify route they
-/// run, whether the fleet caches start cold or warm, and which chaos
-/// profile is armed. FleetSimulator (fleet.h) expands a spec into a seeded
+/// simulated players, what disc mix they insert, whether the fleet caches
+/// start cold or warm, and which chaos profile is armed. FleetSimulator (fleet.h) expands a spec into a seeded
 /// run plan, executes it, and reports a ScenarioResult; report.h renders
 /// the matrix table and the BENCH_fleet.json artifact.
-
-/// Which verification pipeline the fleet's players run.
-enum class VerifyRoute {
-  kDom,        ///< classic DOM canonicalization pipeline
-  kStreaming,  ///< streaming_verify + arena_parse fast path (DESIGN.md §14)
-  /// Every event runs on BOTH routes against mirrored state (same-seeded
-  /// fault injectors, separate caches) and the verdicts are compared — the
-  /// in-run differential invariant. Attack documents are compared too.
-  kDifferential,
-};
-
-const char* VerifyRouteName(VerifyRoute route);
-Result<VerifyRoute> VerifyRouteFromName(std::string_view name);
 
 /// Whether the fleet-shared LocateCache starts empty or after a warm-up
 /// pass over every pristine archetype (warm-up traffic is excluded from the
@@ -65,7 +51,6 @@ struct ScenarioSpec {
   uint32_t events_per_player = 1;
   TrafficMix mix;
   CacheState cache = CacheState::kCold;
-  VerifyRoute route = VerifyRoute::kDom;
   /// Chaos profile name: "none", "disc", "xkms", "storm" (see
   /// ChaosProfileByName). The profile's fault specs are armed on the
   /// scenario's seeded injectors after the warm-up pass.
@@ -89,9 +74,7 @@ struct ScenarioSpec {
 
 /// One chaos profile: what gets armed where. `engine` specs arm on the
 /// per-engine injector (disc reads, local storage); `responder` specs arm
-/// on the xkmsd-side injector (store, snapshot). Differential scenarios
-/// may only use profiles with an empty `responder` set — the mirrored
-/// (shadow) route has no responder of its own to mirror the faults on.
+/// on the xkmsd-side injector (store, snapshot).
 struct ChaosProfile {
   std::string name;
   std::vector<fault::FaultSpec> engine;
@@ -102,8 +85,8 @@ Result<ChaosProfile> ChaosProfileByName(std::string_view name);
 std::vector<std::string> ChaosProfileNames();
 
 /// The canonical CI smoke matrix: every row deterministic (jobs = 0), all
-/// four mix categories, cold and warm caches, all three verify routes, and
-/// the disc/xkms chaos profiles. Identical (players, seed) => byte-identical
+/// four mix categories, cold and warm caches, an attack-heavy mix, and the
+/// disc/xkms chaos profiles. Identical (players, seed) => byte-identical
 /// matrix table.
 std::vector<ScenarioSpec> SmokeMatrix(uint32_t players);
 

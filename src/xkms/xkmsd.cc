@@ -542,7 +542,8 @@ void Xkmsd::Core::ServeLocate(const std::shared_ptr<Item>& item,
   // Coalescing: if a lookup for this name is already in flight *and* the
   // owning shard has not mutated since it started, ride it. A mutation in
   // between makes the in-flight answer stale for us — start a fresh
-  // flight instead (the DecisionCache staleness rule).
+  // flight instead: an answer computed before a mutation never reaches a
+  // request that arrived after it.
   std::shared_ptr<Flight> flight;
   {
     std::lock_guard<std::mutex> lock(flights_mu);

@@ -30,9 +30,9 @@ namespace xkms {
 /// the paper's trust server has to look like when 10^5 players hit it at
 /// once: the same wire protocol, but behind
 ///
-///  - a *sharded, generation-versioned key store* (per-shard mutex, the
-///    xrml::DecisionCache versioning discipline) so Register/Revoke on one
-///    shard never serializes Locate/Validate on another;
+///  - a *sharded, generation-versioned key store* (per-shard mutex, a
+///    generation bumped on every mutation) so Register/Revoke on one shard
+///    never serializes Locate/Validate on another;
 ///  - *request coalescing*: concurrent Locates for the same key name
 ///    collapse onto a single store lookup, with a shard-generation check so
 ///    a lookup started before a revocation never fans its stale answer out
@@ -65,8 +65,7 @@ const char* XkmsdPriorityName(XkmsdPriority priority);
 
 /// The authoritative binding store, sharded by key-name hash. Each shard
 /// carries its own mutex and a monotonically increasing generation counter
-/// bumped on every mutation — the same versioning discipline as
-/// xrml::DecisionCache — which is what the coalescing layer checks to
+/// bumped on every mutation, which is what the coalescing layer checks to
 /// refuse fanning a pre-revocation lookup out to post-revocation waiters.
 class ShardedKeyStore {
  public:

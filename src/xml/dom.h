@@ -12,7 +12,6 @@
 namespace discsec {
 namespace xml {
 
-class Arena;
 class Element;
 
 /// Node kinds in the reduced DOM. CDATA sections are folded into Text (as
@@ -40,15 +39,6 @@ class Node {
 
   /// Deep copy with null parent.
   virtual std::unique_ptr<Node> Clone() const = 0;
-
-  /// Arena-aware allocation (xml/arena.h): inside a thread-local ArenaScope
-  /// — which the parser opens when ParseOptions::arena is set — nodes are
-  /// bump-allocated and reclaimed with the arena; otherwise they come from
-  /// the heap. A tag header lets operator delete tell the two apart, so
-  /// mixed trees (arena-parsed document plus heap-cloned insertions) stay
-  /// correct. Defined in xml/arena.cc.
-  static void* operator new(size_t size);
-  static void operator delete(void* ptr);
 
  protected:
   explicit Node(NodeKind kind) : kind_(kind) {}
@@ -230,12 +220,8 @@ class Document {
   Document(Document&&) = default;
   Document& operator=(Document&& other) {
     if (this != &other) {
-      // The outgoing nodes must die while the arena backing them is still
-      // alive, so drop them before (possibly) releasing arena_.
-      children_.clear();
       root_ = other.root_;
       children_ = std::move(other.children_);
-      arena_ = std::move(other.arena_);
       other.root_ = nullptr;
     }
     return *this;
@@ -272,15 +258,7 @@ class Document {
   /// when more than one does (the duplicate-ID wrapping vector).
   Result<Element*> FindByIdStrict(std::string_view id) const;
 
-  /// Ties the lifetime of the arena the nodes were parsed from to this
-  /// document. Null for heap-backed documents (the default).
-  void set_arena(std::shared_ptr<Arena> arena) { arena_ = std::move(arena); }
-  const std::shared_ptr<Arena>& arena() const { return arena_; }
-
  private:
-  // Declared before children_ so it is destroyed after them: node
-  // destructors must run before their backing memory goes away.
-  std::shared_ptr<Arena> arena_;
   std::vector<std::unique_ptr<Node>> children_;
   Element* root_ = nullptr;
 };

@@ -404,13 +404,9 @@ Result<Document> Parse(std::string_view input, const ParseOptions& options) {
   if (input.size() > options.max_input) {
     return Status::ResourceExhausted("XML input exceeds max_input");
   }
-  ArenaScope arena_scope(options.arena.get());
   ParserImpl parser(input, options);
   Result<Document> result = parser.Run();
   if (!result.ok()) span.SetAttr("error", result.status().ToString());
-  if (result.ok() && options.arena != nullptr) {
-    result.value().set_arena(options.arena);
-  }
   return result;
 }
 

@@ -1,12 +1,10 @@
 #ifndef DISCSEC_XML_PARSER_H_
 #define DISCSEC_XML_PARSER_H_
 
-#include <memory>
 #include <string_view>
 
 #include "common/result.h"
 #include "obs/trace.h"
-#include "xml/arena.h"
 #include "xml/dom.h"
 
 namespace discsec {
@@ -34,12 +32,6 @@ struct ParseOptions {
   /// Observability: when set, each Parse emits an "xml.parse" span with a
   /// "bytes" attribute. Null (the default) is a zero-cost no-op.
   obs::Tracer* tracer = nullptr;
-  /// When set, every node of the parsed document is bump-allocated from
-  /// this arena (one malloc per 64 KiB instead of one per node) and the
-  /// returned Document keeps the arena alive. The arena must not be shared
-  /// across threads; callers that re-parse on pool workers must clear this
-  /// field on the options they hand out.
-  std::shared_ptr<Arena> arena;
 };
 
 /// Parses an XML 1.0 document (UTF-8) into a Document.

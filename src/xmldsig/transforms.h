@@ -27,19 +27,11 @@ using DecryptHook = std::function<Status(
     xml::Document* working, xml::Element* apex,
     const std::vector<std::string>& except_ids)>;
 
-/// Wire-level verify fast path (verifier.cc): resolves same-document
-/// targets from a streaming scan of the source text instead of a DOM.
-struct StreamIndex;
-
 /// Everything reference processing needs besides the Reference element.
 struct ReferenceContext {
   /// The document containing same-document targets; null when every
   /// Reference is external.
   const xml::Document* document = nullptr;
-  /// When set (Verifier::VerifyStream), same-document targets resolve via
-  /// the scan index — no DOM exists. Only the streaming pipeline consults
-  /// this; the caller guarantees every Reference is stream-eligible.
-  const StreamIndex* stream_index = nullptr;
   /// Child-index path from the document root to the ds:Signature element
   /// being created/validated (for the enveloped-signature transform).
   /// Empty when the signature is not inside the document.

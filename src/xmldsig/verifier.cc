@@ -1,9 +1,5 @@
 #include "xmldsig/verifier.h"
 
-#include <algorithm>
-#include <optional>
-#include <unordered_map>
-
 #include "common/base64.h"
 #include "common/task_graph.h"
 #include "common/thread_pool.h"
@@ -13,28 +9,10 @@
 #include "crypto/sha1.h"
 #include "pki/key_codec.h"
 #include "xml/c14n.h"
-#include "xml/parser.h"
-#include "xml/stream_verify.h"
 #include "xmldsig/constants.h"
 
 namespace discsec {
 namespace xmldsig {
-
-/// Declared in transforms.h. What VerifyStream's scan pass substitutes for
-/// a DOM: the signature's own path plus the Id → element index, all in
-/// xmldsig::ComputePath / xml::ElementPath form.
-struct StreamIndex {
-  std::vector<size_t> signature_path;
-  std::string root_name;
-  std::string root_path_string;
-  const std::unordered_map<std::string, xml::ScannedId>* ids = nullptr;
-  /// The fused pass's speculative output: the whole document's canonical
-  /// form (no comments) with the signature subtree omitted — exactly the
-  /// reference octets of a [enveloped-signature, C14N] URI="" reference.
-  /// References matching that plan append this buffer instead of walking
-  /// the source again.
-  const std::string* enveloped_c14n = nullptr;
-};
 
 namespace {
 
@@ -138,187 +116,6 @@ Result<ResolvedKey> ResolveKey(const xml::Element* key_info,
       "KeyValue opt-in)");
 }
 
-/// What the streaming fast path will do for one Reference, decided fully
-/// before any byte is emitted (fallback must leave the sink untouched).
-struct StreamPlan {
-  bool whole_document = false;  // URI "" (else "#id")
-  std::string id;               // the fragment, for "#id"
-  bool enveloped = false;
-  bool with_comments = false;
-};
-
-bool IsPathPrefixOrEqual(const std::vector<size_t>& prefix,
-                         const std::vector<size_t>& path) {
-  if (prefix.size() > path.size()) return false;
-  return std::equal(prefix.begin(), prefix.end(), path.begin());
-}
-
-/// Streaming eligibility (DESIGN.md §14): same-document URI and a transform
-/// chain of exactly [enveloped-signature]? then [inclusive C14N]? with
-/// nothing after. Anything else — external URIs, exclusive C14N, base64,
-/// decryption, mid-chain canonicalization, malformed Transform elements —
-/// returns false and the DOM pipeline handles (or rejects) it, so the fast
-/// path never has to reproduce an error it can avoid encountering.
-bool PlanStreamReference(const xml::Element& ref, const ReferenceContext& ctx,
-                         StreamPlan* plan) {
-  if (ctx.document == nullptr && ctx.stream_index == nullptr) return false;
-  const std::string* uri_attr = ref.GetAttribute("URI");
-  std::string_view uri = uri_attr != nullptr ? *uri_attr : std::string_view();
-  if (!uri.empty() && uri[0] != '#') return false;
-  plan->whole_document = uri.empty();
-  if (!plan->whole_document) plan->id = std::string(uri.substr(1));
-
-  std::vector<std::string_view> algs;
-  const xml::Element* transforms =
-      ref.FirstChildElementByLocalName("Transforms");
-  if (transforms != nullptr) {
-    for (const auto& child : transforms->children()) {
-      if (!child->IsElement()) continue;
-      const auto* t = static_cast<const xml::Element*>(child.get());
-      if (t->LocalName() != "Transform") continue;
-      const std::string* alg = t->GetAttribute("Algorithm");
-      if (alg == nullptr) return false;  // DOM path raises the ParseError
-      algs.push_back(*alg);
-    }
-  }
-  size_t i = 0;
-  if (i < algs.size() && algs[i] == crypto::kAlgEnvelopedSignature) {
-    plan->enveloped = true;
-    ++i;
-  }
-  if (i < algs.size() && (algs[i] == crypto::kAlgC14N ||
-                          algs[i] == crypto::kAlgC14NWithComments)) {
-    plan->with_comments = (algs[i] == crypto::kAlgC14NWithComments);
-    ++i;
-  }
-  if (i != algs.size()) return false;
-  // Enveloped without an in-document signature is the DOM path's error.
-  if (plan->enveloped && ctx.signature_path.empty()) return false;
-  return true;
-}
-
-/// Runs one Reference through the streaming pipeline. Returns true when the
-/// reference was handled (out_status holds the verdict, resolution is
-/// filled on success); false means fall back to the DOM pipeline with the
-/// sink guaranteed untouched. `id_registry` indexes the ORIGINAL document —
-/// no clone exists on this path.
-bool TryStreamReference(const xml::Element& ref, const ReferenceContext& ctx,
-                        std::string_view source_text,
-                        const xml::IdRegistry* id_registry, ByteSink* sink,
-                        ReferenceResolution* resolution, Status* out_status) {
-  StreamPlan plan;
-  if (!PlanStreamReference(ref, ctx, &plan)) return false;
-
-  std::vector<size_t> apex_path;
-  xml::StreamingC14NOptions c14n;
-  c14n.with_comments = plan.with_comments;
-  if (plan.whole_document) {
-    if (resolution != nullptr) {
-      if (ctx.stream_index != nullptr) {
-        resolution->same_document = true;
-        resolution->covers_root = true;
-        resolution->element_name = ctx.stream_index->root_name;
-        resolution->element_path = ctx.stream_index->root_path_string;
-      } else if (ctx.document->root() != nullptr) {
-        resolution->same_document = true;
-        resolution->covers_root = true;
-        resolution->element_name = ctx.document->root()->name();
-        resolution->element_path = xml::ElementPath(ctx.document->root());
-      }
-    }
-  } else if (ctx.stream_index != nullptr) {
-    // Wire-level path: the scan index answers Id lookups with the same
-    // strictness and error strings as IdRegistry below.
-    auto it = ctx.stream_index->ids->find(plan.id);
-    if (it == ctx.stream_index->ids->end()) {
-      *out_status =
-          Status::NotFound("reference target '#" + plan.id + "' not found");
-      return true;
-    }
-    if (it->second.count > 1) {
-      *out_status = Status::VerificationFailed(
-          "reference Id '" + plan.id + "' is ambiguous: declared by " +
-          std::to_string(it->second.count) +
-          " elements (duplicate-ID wrapping)");
-      return true;
-    }
-    apex_path = it->second.path;
-    // VerifyStream's pre-flight already rejected this shape; keep the
-    // check so a `false` here can never reach the (absent) DOM pipeline.
-    if (plan.enveloped && IsPathPrefixOrEqual(ctx.signature_path, apex_path)) {
-      return false;
-    }
-    c14n.apex_path = &apex_path;
-    if (resolution != nullptr) {
-      resolution->same_document = true;
-      resolution->covers_root = apex_path.empty();
-      resolution->element_name = it->second.element_name;
-      resolution->element_path = it->second.element_path;
-    }
-  } else {
-    // Same strictness and error strings as the DOM pipeline
-    // (transforms.cc): duplicate Ids are a hard failure, not first-match.
-    Result<xml::Element*> apex = id_registry->Find(plan.id);
-    if (!apex.ok()) {
-      if (apex.status().IsNotFound()) {
-        *out_status =
-            Status::NotFound("reference target '#" + plan.id + "' not found");
-      } else {
-        *out_status =
-            Status::VerificationFailed("reference " + apex.status().message());
-      }
-      return true;
-    }
-    apex_path = ComputePath(apex.value());
-    // An apex at or inside the signature would be detached by the enveloped
-    // transform — let the DOM pipeline define that edge case's behavior.
-    if (plan.enveloped && IsPathPrefixOrEqual(ctx.signature_path, apex_path)) {
-      return false;
-    }
-    c14n.apex_path = &apex_path;
-    if (resolution != nullptr) {
-      resolution->same_document = true;
-      resolution->covers_root = (apex.value() == ctx.document->root());
-      resolution->element_name = apex.value()->name();
-      resolution->element_path = xml::ElementPath(apex.value());
-    }
-  }
-  if (plan.enveloped) c14n.skip_path = &ctx.signature_path;
-  // The one-pass shortcut: the fused scan already produced exactly these
-  // octets (whole document, enveloped skip, no comments) — reuse them
-  // instead of lexing the source a second time.
-  if (ctx.stream_index != nullptr &&
-      ctx.stream_index->enveloped_c14n != nullptr && plan.whole_document &&
-      plan.enveloped && !plan.with_comments) {
-    sink->Append(*ctx.stream_index->enveloped_c14n);
-    *out_status = Status::OK();
-    return true;
-  }
-  *out_status =
-      xml::StreamCanonicalize(source_text, ctx.parse_options, c14n, sink);
-  return true;
-}
-
-/// Escapes an attribute value for the synthetic wrapper element so it
-/// round-trips the lexer's unescaped form exactly (whitespace as character
-/// references, or attribute-value normalization would fold it to spaces).
-std::string EscapeWrapAttr(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\t': out += "&#9;"; break;
-      case '\n': out += "&#10;"; break;
-      case '\r': out += "&#13;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<xml::Element*> Verifier::FindSignatures(xml::Element* root) {
@@ -333,13 +130,6 @@ std::vector<xml::Element*> Verifier::FindSignatures(xml::Element* root) {
 Result<VerifyInfo> Verifier::Verify(const xml::Document* doc,
                                     const xml::Element& signature,
                                     const VerifyOptions& options) {
-  return VerifyWithIndex(doc, signature, options, nullptr);
-}
-
-Result<VerifyInfo> Verifier::VerifyWithIndex(const xml::Document* doc,
-                                             const xml::Element& signature,
-                                             const VerifyOptions& options,
-                                             const StreamIndex* index) {
   obs::ScopedSpan verify_span(options.tracer, "xmldsig.verify");
   obs::ScopedLatency verify_latency(
       options.metrics != nullptr
@@ -392,32 +182,14 @@ Result<VerifyInfo> Verifier::VerifyWithIndex(const xml::Document* doc,
   ctx.resolver = options.resolver;
   ctx.decrypt_hook = options.decrypt_hook;
   ctx.parse_options = options.parse_options;
-  // Transforms may re-parse octet streams on pool workers; the bump arena
-  // is single-threaded, so inner parses always allocate from the heap.
-  ctx.parse_options.arena.reset();
   // The tracer rides ReferenceContext::parse_options into the transform
   // pipeline, so inner re-parses and canonicalizations emit child spans.
   if (ctx.parse_options.tracer == nullptr) {
     ctx.parse_options.tracer = options.tracer;
   }
-  if (index != nullptr) {
-    // Wire-level path: the signature element lives in a detached subtree
-    // parse, so its path in the ORIGINAL document comes from the scan.
-    ctx.stream_index = index;
-    ctx.signature_path = index->signature_path;
-  } else if (doc != nullptr && signature.parent() != nullptr) {
+  if (doc != nullptr && signature.parent() != nullptr) {
     ctx.signature_path = ComputePath(&signature);
   }
-
-  // Streaming fast path (DESIGN.md §14): one Id index over the ORIGINAL
-  // document, shared read-only by every reference (and pool worker) —
-  // the DOM pipeline instead builds one registry per reference clone.
-  // The wire-level path resolves Ids from the scan index instead.
-  std::optional<xml::IdRegistry> stream_ids;
-  if (index == nullptr && !options.source_text.empty() && doc != nullptr) {
-    stream_ids.emplace(*doc);
-  }
-  const bool stream_capable = stream_ids.has_value() || index != nullptr;
 
   VerifyInfo info;
   info.signature_algorithm = signature_algorithm;
@@ -491,15 +263,7 @@ Result<VerifyInfo> Verifier::VerifyWithIndex(const xml::Document* doc,
     // The reference octets stream into the digest as they are produced.
     crypto::DigestSink sink(digest->get());
     ReferenceResolution resolution;
-    bool streamed =
-        stream_capable &&
-        TryStreamReference(ref, ctx, options.source_text,
-                           stream_ids.has_value() ? &*stream_ids : nullptr,
-                           &sink, &resolution, &out.status);
-    ref_span.SetAttr("pipeline", streamed ? "streaming" : "dom");
-    if (!streamed) {
-      out.status = ProcessReferenceTo(ref, ctx, &sink, &resolution);
-    }
+    out.status = ProcessReferenceTo(ref, ctx, &sink, &resolution);
     if (!out.status.ok()) return out;
     Bytes actual = (*digest)->Finalize();
     auto expected = Base64Decode(digest_value->TextContent());
@@ -635,130 +399,6 @@ Result<VerifyInfo> Verifier::VerifyFirstSignature(
     return Status::NotFound("document contains no ds:Signature");
   }
   return Verify(&doc, *signatures.front(), options);
-}
-
-Result<VerifyInfo> Verifier::VerifyStream(std::string_view source,
-                                          const VerifyOptions& options) {
-  // The classic pipeline, for every shape the scan index cannot carry.
-  // Running it from here keeps VerifyStream a drop-in for parse+verify:
-  // same statuses, same VerifyInfo, different cost.
-  auto full_pipeline = [&]() -> Result<VerifyInfo> {
-    DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
-                             xml::Parse(source, options.parse_options));
-    VerifyOptions with_text = options;
-    with_text.source_text = source;
-    return VerifyFirstSignature(doc, with_text);
-  };
-
-  // ONE pass over the wire bytes: scan (signature location, Id index,
-  // parse-error verdict) and speculative canonicalization fused over a
-  // single lexer run — see ScanAndCanonicalize.
-  std::string enveloped_c14n;
-  Result<xml::SignatureScanResult> scan = xml::ScanAndCanonicalize(
-      source, options.parse_options, kDsNamespace, "Signature",
-      &enveloped_c14n);
-  // Scan errors ARE the DOM parser's errors (the lexer reproduces them
-  // token-for-token), so malformed input fails here exactly as it would
-  // have failed in xml::Parse.
-  if (!scan.ok()) return scan.status();
-  if (scan.value().signatures.empty()) {
-    return Status::NotFound("document contains no ds:Signature");
-  }
-  const xml::ScannedSignature& target = scan.value().signatures.front();
-
-  // Parse ONLY the signature subtree — a few KB regardless of document
-  // size — wrapped in a synthetic element that re-establishes the
-  // namespace and xml:* environment its ancestors provided, so prefix
-  // resolution and C14N inheritance behave as in the original document.
-  std::string wrapped;
-  wrapped.reserve(target.end - target.begin + 256);
-  wrapped += "<stream-verify-wrap";
-  for (const std::vector<xml::Attribute>* attrs :
-       {&target.ns_in_scope, &target.xml_attrs}) {
-    for (const xml::Attribute& attr : *attrs) {
-      wrapped += ' ';
-      wrapped += attr.name;
-      wrapped += "=\"";
-      wrapped += EscapeWrapAttr(attr.value);
-      wrapped += '"';
-    }
-  }
-  wrapped += '>';
-  wrapped.append(source.substr(target.begin, target.end - target.begin));
-  wrapped += "</stream-verify-wrap>";
-  xml::ParseOptions subtree_options = options.parse_options;
-  subtree_options.arena.reset();
-  Result<xml::Document> subtree = xml::Parse(wrapped, subtree_options);
-  if (!subtree.ok()) return full_pipeline();
-  xml::Element* sig_elem = nullptr;
-  if (subtree.value().root() != nullptr) {
-    for (const auto& child : subtree.value().root()->children()) {
-      if (child->IsElement()) {
-        sig_elem = static_cast<xml::Element*>(child.get());
-        break;
-      }
-    }
-  }
-  if (sig_elem == nullptr || !IsDsElement(*sig_elem, "Signature")) {
-    return full_pipeline();
-  }
-
-  StreamIndex index;
-  index.signature_path = target.path;
-  index.root_name = scan.value().root_name;
-  index.root_path_string = "/" + scan.value().root_name;
-  index.enveloped_c14n = &enveloped_c14n;
-
-  // Pre-flight: every Reference must be fully handled by the streaming
-  // pipeline, because VerifyWithIndex has no DOM to fall back to. Exotic
-  // transform chains, external URIs, or an enveloped reference whose
-  // target sits at/inside the signature rerun the classic pipeline.
-  ReferenceContext plan_ctx;
-  plan_ctx.stream_index = &index;
-  plan_ctx.signature_path = index.signature_path;
-  std::vector<StreamPlan> plans;
-  const xml::Element* signed_info =
-      sig_elem->FirstChildElementByLocalName("SignedInfo");
-  if (signed_info != nullptr) {
-    for (const auto& child : signed_info->children()) {
-      if (!child->IsElement()) continue;
-      const auto* ref = static_cast<const xml::Element*>(child.get());
-      if (ref->LocalName() != "Reference") continue;
-      StreamPlan plan;
-      if (!PlanStreamReference(*ref, plan_ctx, &plan)) return full_pipeline();
-      plans.push_back(std::move(plan));
-    }
-  }
-
-  // The fused pass runs id-free (indexing thousands of unrelated Id
-  // attributes costs more than a second pass); #id references trigger one
-  // dedicated scan for exactly the ids SignedInfo names.
-  xml::SignatureScanResult id_scan;
-  std::vector<std::string> wanted_ids;
-  for (const StreamPlan& plan : plans) {
-    if (!plan.whole_document) wanted_ids.push_back(plan.id);
-  }
-  if (!wanted_ids.empty()) {
-    Result<xml::SignatureScanResult> ids =
-        xml::ScanForIds(source, options.parse_options, wanted_ids);
-    if (!ids.ok()) return ids.status();  // unreachable: first scan succeeded
-    id_scan = std::move(ids.value());
-  }
-  index.ids = &id_scan.ids;
-  for (const StreamPlan& plan : plans) {
-    if (plan.whole_document || !plan.enveloped) continue;
-    // An enveloped reference whose target sits at/inside the signature is
-    // the DOM pipeline's edge case to define.
-    auto it = id_scan.ids.find(plan.id);
-    if (it != id_scan.ids.end() && it->second.count == 1 &&
-        IsPathPrefixOrEqual(index.signature_path, it->second.path)) {
-      return full_pipeline();
-    }
-  }
-
-  VerifyOptions stream_options = options;
-  stream_options.source_text = source;
-  return VerifyWithIndex(nullptr, *sig_elem, stream_options, &index);
 }
 
 }  // namespace xmldsig

@@ -69,23 +69,10 @@ struct VerifyOptions {
   /// reference in document order still decides the error.
   ThreadPool* pool = nullptr;
 
-  /// Single-pass streaming verify fast path (DESIGN.md §14). When non-empty
-  /// this must be the EXACT source text `doc` was parsed from (same bytes,
-  /// and `parse_options` no stricter than the original parse). Same-document
-  /// references whose transform chain is [], [C14N(±comments)],
-  /// [enveloped-signature], or [enveloped-signature, C14N(±comments)] are
-  /// then digested by re-lexing the source straight into the digest — no
-  /// document clone, no canonicalization tree walk. Everything else falls
-  /// back to the DOM pipeline transparently. The fast path can only change
-  /// performance, never the verdict: a divergent canonical form produces a
-  /// digest mismatch (rejection), and error/resolution reporting mirrors
-  /// the DOM pipeline string-for-string.
-  std::string_view source_text;
-
   /// Observability (DESIGN.md §10): when `tracer` is set the verifier emits
   /// an "xmldsig.verify" span, one "xmldsig.reference" span per <Reference>
-  /// (attributes: uri, transforms, digest_alg, pipeline — parented
-  /// correctly even when references digest on `pool` workers) and an
+  /// (attributes: uri, transforms, digest_alg — parented correctly even
+  /// when references digest on `pool` workers) and an
   /// "xmldsig.signed_info" span for the SignedInfo signature check. When
   /// `metrics` is set, the "xmldsig.references_verified" counter and the
   /// "xmldsig.verify_us" histogram are recorded. Both null (the default)
@@ -139,26 +126,8 @@ class Verifier {
   static Result<VerifyInfo> VerifyFirstSignature(const xml::Document& doc,
                                                  const VerifyOptions& options);
 
-  /// Wire-level fast path (DESIGN.md §14): verifies the first ds:Signature
-  /// straight from the source bytes WITHOUT building the document's DOM.
-  /// One streaming scan locates the signature, the Id targets and the
-  /// parse-error verdict; only the (small) Signature subtree is parsed, and
-  /// each Reference digests through StreamCanonicalize. Equivalent to
-  /// xml::Parse + VerifyFirstSignature with source_text set — documents or
-  /// references the streaming pipeline cannot handle transparently fall
-  /// back to exactly that, so the verdict (status code, message, and
-  /// VerifyInfo) is identical by construction; only the cost changes.
-  static Result<VerifyInfo> VerifyStream(std::string_view source,
-                                         const VerifyOptions& options);
-
   /// Finds every ds:Signature element under `root` (including nested ones).
   static std::vector<xml::Element*> FindSignatures(xml::Element* root);
-
- private:
-  static Result<VerifyInfo> VerifyWithIndex(const xml::Document* doc,
-                                            const xml::Element& signature,
-                                            const VerifyOptions& options,
-                                            const StreamIndex* index);
 };
 
 }  // namespace xmldsig

@@ -50,7 +50,6 @@ Status RightsManager::InstallUnsigned(const License& license) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   licenses_.push_back(license);
-  if (cache_ != nullptr) cache_->Invalidate();
   return Status::OK();
 }
 
@@ -109,25 +108,8 @@ bool RightsManager::IsPermitted(Right right, const std::string& resource,
                                 const ExerciseContext& context) const {
   const License* license = nullptr;
   size_t index = 0;
-  if (cache_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return FindGrant(right, resource, context, &license, &index) != nullptr;
-  }
-  std::string key = DecisionCache::MakeKey(right, resource, context);
-  if (std::optional<bool> hit = cache_->Lookup(key)) return *hit;
-  uint64_t generation = 0;
-  bool permitted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // The generation is read under mu_, alongside the verdict computation:
-    // any later mutation bumps it (also under mu_), so this Insert — and
-    // every Lookup after the mutation — will see the entry as stale rather
-    // than serve a verdict about a dead store state.
-    generation = cache_->generation();
-    permitted = FindGrant(right, resource, context, &license, &index) != nullptr;
-  }
-  cache_->Insert(key, permitted, generation);
-  return permitted;
+  std::lock_guard<std::mutex> lock(mu_);
+  return FindGrant(right, resource, context, &license, &index) != nullptr;
 }
 
 Status RightsManager::Exercise(Right right, const std::string& resource,
@@ -143,9 +125,6 @@ Status RightsManager::Exercise(Right right, const std::string& resource,
   }
   if (grant->conditions.exercise_limit) {
     ++uses_[{license->license_id, index}];
-    // The store's observable decision state changed (a use was consumed),
-    // so cached verdicts must not survive.
-    if (cache_ != nullptr) cache_->Invalidate();
   }
   return Status::OK();
 }

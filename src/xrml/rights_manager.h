@@ -6,7 +6,6 @@
 
 #include "crypto/rsa.h"
 #include "pki/cert_store.h"
-#include "xrml/decision_cache.h"
 #include "xrml/license.h"
 
 namespace discsec {
@@ -34,12 +33,6 @@ class RightsManager {
  public:
   RightsManager(const pki::CertStore* trust, int64_t now)
       : trust_(trust), now_(now) {}
-
-  /// Attaches a decision cache for IsPermitted verdicts (not owned; must
-  /// outlive this manager). Every store mutation — license install, counted
-  /// exercise — advances the cache generation while mu_ is held, so a
-  /// cached verdict can never outlive the store state it was computed from.
-  void set_decision_cache(DecisionCache* cache) { cache_ = cache; }
 
   /// Parses, signature-checks and installs a signed license. Rejects
   /// licenses whose signature does not anchor in the trust store, whose
@@ -79,7 +72,6 @@ class RightsManager {
 
   const pki::CertStore* trust_;
   int64_t now_;
-  DecisionCache* cache_ = nullptr;  // optional, not owned
   mutable std::mutex mu_;
   std::vector<License> licenses_;                          // guarded by mu_
   std::map<std::pair<std::string, size_t>, uint32_t> uses_;  // guarded by mu_

@@ -5,8 +5,7 @@
 //      target;
 //   2. a full SmokeMatrix run holds the hard in-run invariants — zero
 //      attack-corpus discs accepted (and none rejected with the wrong
-//      code), zero Valid-after-revoke verdicts, zero streaming-vs-DOM
-//      parity mismatches;
+//      code), zero Valid-after-revoke verdicts;
 //   3. deterministic replay: identical (matrix, seed) produces a
 //      byte-identical matrix table and identical per-row event digests,
 //      and a different seed produces a different event order;
@@ -82,7 +81,7 @@ TEST(FleetSim, SmokeMatrixInvariantsHold) {
   const uint64_t seed = ChaosSeed();
   auto report = SharedSimulator().RunMatrix(sim::SmokeMatrix(60), seed);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report.value().rows.size(), 7u);
+  ASSERT_EQ(report.value().rows.size(), 5u);
 
   Status invariants = report.value().CheckInvariants();
   EXPECT_TRUE(invariants.ok()) << invariants.ToString();
@@ -104,10 +103,6 @@ TEST(FleetSim, SmokeMatrixInvariantsHold) {
       EXPECT_GT(row.played_clean, 0u);
       // The mid-run revocation wave lands in full.
       EXPECT_EQ(row.revoked_keys, 6u);
-    }
-    if (row.spec.route == sim::VerifyRoute::kDifferential) {
-      EXPECT_EQ(row.parity_events, row.events);
-      EXPECT_EQ(row.parity_mismatches, 0u);
     }
     // The per-event latency histogram saw every event (machine-dependent
     // values, deterministic count).
@@ -178,7 +173,6 @@ TEST(FleetSim, ThroughputModeCompletesEveryEventAndBurst) {
   sim::ScenarioSpec spec;
   spec.name = "throughput";
   spec.players = 120;
-  spec.route = sim::VerifyRoute::kStreaming;
   spec.cache = sim::CacheState::kWarm;
   spec.jobs = 2;
   spec.burst = 400;
@@ -207,35 +201,19 @@ TEST(FleetSim, MalformedSpecsAreRejectedUpFront) {
   auto r1 = SharedSimulator().Run(burst_without_jobs, 1);
   EXPECT_TRUE(r1.status().IsInvalidArgument()) << r1.status().ToString();
 
-  sim::ScenarioSpec differential_jobs;
-  differential_jobs.name = "bad-diff-jobs";
-  differential_jobs.players = 4;
-  differential_jobs.route = sim::VerifyRoute::kDifferential;
-  differential_jobs.jobs = 2;
-  auto r2 = SharedSimulator().Run(differential_jobs, 1);
-  EXPECT_TRUE(r2.status().IsInvalidArgument()) << r2.status().ToString();
-
-  sim::ScenarioSpec differential_responder_chaos;
-  differential_responder_chaos.name = "bad-diff-chaos";
-  differential_responder_chaos.players = 4;
-  differential_responder_chaos.route = sim::VerifyRoute::kDifferential;
-  differential_responder_chaos.chaos = "xkms";
-  auto r3 = SharedSimulator().Run(differential_responder_chaos, 1);
-  EXPECT_TRUE(r3.status().IsInvalidArgument()) << r3.status().ToString();
-
   sim::ScenarioSpec unknown_chaos;
   unknown_chaos.name = "bad-chaos";
   unknown_chaos.players = 4;
   unknown_chaos.chaos = "meteor";
-  auto r4 = SharedSimulator().Run(unknown_chaos, 1);
-  EXPECT_TRUE(r4.status().IsInvalidArgument()) << r4.status().ToString();
+  auto r2 = SharedSimulator().Run(unknown_chaos, 1);
+  EXPECT_TRUE(r2.status().IsInvalidArgument()) << r2.status().ToString();
 
   sim::ScenarioSpec empty_mix;
   empty_mix.name = "bad-mix";
   empty_mix.players = 4;
   empty_mix.mix = {0, 0, 0, 0};
-  auto r5 = SharedSimulator().Run(empty_mix, 1);
-  EXPECT_TRUE(r5.status().IsInvalidArgument()) << r5.status().ToString();
+  auto r3 = SharedSimulator().Run(empty_mix, 1);
+  EXPECT_TRUE(r3.status().IsInvalidArgument()) << r3.status().ToString();
 }
 
 }  // namespace

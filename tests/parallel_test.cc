@@ -471,6 +471,39 @@ TEST(ParallelAttackSurfaceTest, PooledVerifierStillRejectsEntireCorpus) {
   EXPECT_GT(checked, 20u);  // the sweep actually covered the corpus
 }
 
+// A pooled verify of a valid document reports exactly what the serial one
+// does. Repeated so TSan sees real interleavings over the shared document.
+TEST(PooledVerifierTest, VerifyInfoMatchesSerial) {
+  const World& world = SharedWorld();
+  pki::CertStore trust;
+  ASSERT_TRUE(trust.AddTrustedRoot(world.root_cert).ok());
+  xmldsig::VerifyOptions options;
+  options.cert_store = &trust;
+  options.now = kNow;
+  auto signed_doc = world.MakeAuthor().BuildSigned(
+      world.DemoCluster(), authoring::SignLevel::kCluster);
+  ASSERT_TRUE(signed_doc.ok()) << signed_doc.status().ToString();
+  auto doc = xml::Parse(xml::Serialize(signed_doc.value()));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+
+  auto serial = xmldsig::Verifier::VerifyFirstSignature(doc.value(), options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ThreadPool pool(4);
+  options.pool = &pool;
+  for (int i = 0; i < 8; ++i) {
+    auto pooled =
+        xmldsig::Verifier::VerifyFirstSignature(doc.value(), options);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    EXPECT_EQ(pooled->reference_uris, serial->reference_uris);
+    ASSERT_EQ(pooled->references.size(), serial->references.size());
+    for (size_t r = 0; r < serial->references.size(); ++r) {
+      EXPECT_EQ(pooled->references[r].resolved_path,
+                serial->references[r].resolved_path);
+    }
+    EXPECT_EQ(pooled->signer_subject, serial->signer_subject);
+  }
+}
+
 // -------------------------------------------------- thread-safety retrofits
 
 TEST(FaultInjectorConcurrencyTest, ConcurrentArmHitDisarmIsRaceFree) {

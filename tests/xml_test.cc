@@ -90,13 +90,17 @@ TEST(ParserTest, Utf8Bom) {
 struct BadXmlCase {
   const char* name;
   const char* input;
+  const char* message = nullptr;  // pinned when set
 };
 
 class ParserRejectionTest : public ::testing::TestWithParam<BadXmlCase> {};
 
 TEST_P(ParserRejectionTest, RejectsMalformedInput) {
   auto doc = Parse(GetParam().input);
-  EXPECT_FALSE(doc.ok()) << GetParam().name;
+  ASSERT_FALSE(doc.ok()) << GetParam().name;
+  if (GetParam().message != nullptr) {
+    EXPECT_EQ(doc.status().message(), GetParam().message);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -105,6 +109,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadXmlCase{"empty", ""},
         BadXmlCase{"unclosed", "<a>"},
         BadXmlCase{"mismatched", "<a></b>"},
+        BadXmlCase{"mismatched_nested", "<a><b></a></b>",
+                   "mismatched end tag </a> for <b> at line 1, column 10"},
         BadXmlCase{"two_roots", "<a/><b/>"},
         BadXmlCase{"text_at_top", "hello"},
         BadXmlCase{"bad_entity", "<a>&nbsp;</a>"},
@@ -207,6 +213,10 @@ TEST(ParserRunTest, ReferencesAtBothEndsOfLongRuns) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->root()->TextContent(), "&" + run + "A" + run + "&A");
   ASSERT_EQ(doc->root()->ChildCount(), 1u);
+  auto bad = Parse("<a>&amp;" + run + "&#1;</a>");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "character reference out of range at line 1, column 65549");
 }
 
 TEST(ParserRunTest, LineEndsAtRunBoundaries) {
@@ -241,6 +251,14 @@ TEST(ParserRunTest, CdataEndAfterLongRunKeepsErrorPosition) {
   EXPECT_EQ(doc.status().code(), Status::Code::kParseError);
   EXPECT_EQ(doc.status().message(),
             "']]>' not allowed in content at line 2, column 101");
+  auto same_line = Parse("<a>" + run + "]]></a>");
+  ASSERT_FALSE(same_line.ok());
+  EXPECT_EQ(same_line.status().message(),
+            "']]>' not allowed in content at line 1, column 65540");
+  auto extra_bracket = Parse("<a>\n" + run + "]]]></a>");
+  ASSERT_FALSE(extra_bracket.ok());
+  EXPECT_EQ(extra_bracket.status().message(),
+            "']]>' not allowed in content at line 2, column 65538");
 }
 
 TEST(ParserRunTest, CdataAfterRunJoinsTheText) {
@@ -249,6 +267,13 @@ TEST(ParserRunTest, CdataAfterRunJoinsTheText) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   ASSERT_EQ(doc->root()->ChildCount(), 1u);
   EXPECT_EQ(doc->root()->TextContent(), run + "<&" + run);
+  // An empty section after brackets, a reference and a CR LF.
+  auto mixed = Parse("<a>]" + run + "\r\n" + run + "]]&amp;<![CDATA[]]>" +
+                     run + "</a>");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_EQ(mixed->root()->ChildCount(), 1u);
+  EXPECT_EQ(mixed->root()->TextContent(),
+            "]" + run + "\n" + run + "]]&" + run);
 }
 
 TEST(ParserRunTest, RunToEndOfInputIsUnterminatedElement) {
@@ -257,6 +282,12 @@ TEST(ParserRunTest, RunToEndOfInputIsUnterminatedElement) {
   EXPECT_EQ(doc.status().code(), Status::Code::kParseError);
   EXPECT_EQ(doc.status().message(),
             "unterminated element <a> at line 2, column 65537");
+  auto after_cr = Parse("<a>" + Filler(64 * 1024) + "\r" + Filler(64 * 1024));
+  ASSERT_FALSE(after_cr.ok());
+  // A lone CR is normalized in the text but does not start a new line in
+  // the error position.
+  EXPECT_EQ(after_cr.status().message(),
+            "unterminated element <a> at line 1, column 131077");
 }
 
 TEST(ParserRunTest, EntityOutputLimitCountsAcrossRuns) {

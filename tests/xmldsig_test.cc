@@ -261,6 +261,110 @@ TEST_F(DsigFixture, DetachedMissingTargetFails) {
   EXPECT_TRUE(result.status().IsNotFound());
 }
 
+/// Two detached signatures over sibling subtrees, serialized: signature 0
+/// covers "#menu" through exclusive C14N, signature 1 covers "#movie" with
+/// the default transform chain.
+std::string TwoSignatureDocument(const Signer& signer) {
+  auto doc = xml::Parse("<bundle>"
+                        "<menu id=\"menu\"><item>alpha</item></menu>"
+                        "<movie id=\"movie\"><clip>beta</clip></movie>"
+                        "</bundle>")
+                 .value();
+  ReferenceSpec menu;
+  menu.uri = "#menu";
+  menu.transforms = {crypto::kAlgExcC14N};
+  ReferenceContext ctx;
+  ctx.document = &doc;
+  auto first = signer.BuildUnsigned({menu}, ctx);
+  EXPECT_TRUE(first.ok()) << first.status().ToString();
+  auto* first_el = static_cast<xml::Element*>(
+      doc.root()->AppendChild(std::move(first).value()));
+  EXPECT_TRUE(signer.Finalize(first_el).ok());
+  xml::Element* movie = doc.root()->FirstChildElement("movie");
+  EXPECT_TRUE(signer.SignDetached(&doc, movie, "movie", doc.root()).ok());
+  return xml::Serialize(doc);
+}
+
+TEST_F(DsigFixture, TwoSignaturesOverSiblingSubtreesVerifyIndependently) {
+  pki::CertStore store;
+  ASSERT_TRUE(store.AddTrustedRoot(*root_cert_).ok());
+  VerifyOptions options;
+  options.cert_store = &store;
+  options.now = kNow;
+
+  auto doc = xml::Parse(TwoSignatureDocument(CertSigner())).value();
+  std::vector<xml::Element*> signatures = Verifier::FindSignatures(doc.root());
+  ASSERT_EQ(signatures.size(), 2u);
+  const struct {
+    const char* name;
+    const char* path;
+  } kTargets[] = {{"menu", "/bundle/menu[0]"}, {"movie", "/bundle/movie[1]"}};
+  for (size_t i = 0; i < signatures.size(); ++i) {
+    SCOPED_TRACE(kTargets[i].name);
+    auto result = Verifier::Verify(&doc, *signatures[i], options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->reference_uris,
+              std::vector<std::string>{std::string("#") + kTargets[i].name});
+    ASSERT_EQ(result->references.size(), 1u);
+    EXPECT_EQ(result->references[0].resolved_name, kTargets[i].name);
+    EXPECT_EQ(result->references[0].resolved_path, kTargets[i].path);
+    EXPECT_EQ(result->signer_subject, "CN=Studio Signer");
+  }
+  auto first = Verifier::VerifyFirstSignature(doc, options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->reference_uris, std::vector<std::string>{"#menu"});
+}
+
+TEST_F(DsigFixture, TamperFailsOnlyTheSignatureOverIt) {
+  pki::CertStore store;
+  ASSERT_TRUE(store.AddTrustedRoot(*root_cert_).ok());
+  VerifyOptions options;
+  options.cert_store = &store;
+  options.now = kNow;
+  const std::string pristine = TwoSignatureDocument(CertSigner());
+
+  struct Tamper {
+    const char* needle;
+    const char* replacement;
+    size_t broken;  // index into FindSignatures
+    const char* message;
+  };
+  const Tamper kTampers[] = {
+      {"<item>alpha</item>", "<item>ALPHA</item>", 0,
+       "digest mismatch for reference '#menu'"},
+      {"<clip>beta</clip>", "<clip>BETA</clip>", 1,
+       "digest mismatch for reference '#movie'"},
+  };
+  for (const Tamper& tamper : kTampers) {
+    SCOPED_TRACE(tamper.needle);
+    std::string text = pristine;
+    const size_t pos = text.find(tamper.needle);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, std::string(tamper.needle).size(), tamper.replacement);
+    auto doc = xml::Parse(text).value();
+    std::vector<xml::Element*> signatures =
+        Verifier::FindSignatures(doc.root());
+    ASSERT_EQ(signatures.size(), 2u);
+    for (size_t i = 0; i < signatures.size(); ++i) {
+      Status status = Verifier::Verify(&doc, *signatures[i], options).status();
+      if (i != tamper.broken) {
+        EXPECT_TRUE(status.ok()) << i << ": " << status.ToString();
+        continue;
+      }
+      EXPECT_EQ(status.code(), Status::Code::kVerificationFailed);
+      EXPECT_EQ(status.message(), tamper.message);
+    }
+    // VerifyFirstSignature checks signature 0 only, in document order: the
+    // movie tamper leaves it Valid.
+    Status first = Verifier::VerifyFirstSignature(doc, options).status();
+    if (tamper.broken == 0) {
+      EXPECT_EQ(first.message(), tamper.message);
+    } else {
+      EXPECT_TRUE(first.ok()) << first.ToString();
+    }
+  }
+}
+
 // ------------------------------------------------------------- enveloping
 
 TEST_F(DsigFixture, EnvelopingSignature) {
@@ -607,7 +711,7 @@ TEST_F(DsigFixture, SignAndVerifyNeverMaterializeCanonicalForm) {
       << "sign/verify materialized a canonical buffer";
 }
 
-TEST_F(DsigFixture, HmacSignVerifyStreamsToo) {
+TEST_F(DsigFixture, HmacSignAndVerifyAlsoStream) {
   auto doc = xml::Parse("<m><a Id=\"t\">payload</a></m>").value();
   Signer signer(SigningKey::HmacSecret(ToBytes("secret")), {});
   size_t before = xml::BufferedCanonicalizationCount();

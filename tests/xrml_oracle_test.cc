@@ -15,10 +15,6 @@
 //     belong to a grant the oracle derives grant_active for — scheduler-
 //     independent, so the same predicate also holds under ThreadPool races.
 //
-// Every case runs twice, DecisionCache off and on (with a deliberately tiny
-// cache so evictions and stale-generation drops are exercised), so the
-// corpus doubles as the "caching never changes a verdict" property.
-//
 // On divergence the failing case is shrunk (drop ops, licenses, grants
 // until minimal) and printed with the generator seed. The seed comes from
 // CHAOS_SEED (default 8081215, the oracle paper's arXiv id) and is echoed
@@ -42,11 +38,8 @@
 
 #include "common/task_graph.h"
 #include "common/thread_pool.h"
-#include "obs/bridge.h"
-#include "obs/metrics.h"
 #include "pki/cert_store.h"
 #include "tests/test_world.h"
-#include "xrml/decision_cache.h"
 #include "xrml/formal/semantics.h"
 #include "xrml/license.h"
 #include "xrml/rights_manager.h"
@@ -220,18 +213,12 @@ formal::UseCounts SnapshotUses(const RightsManager& rm,
   return uses;
 }
 
-/// Runs `c` against a fresh RightsManager (with or without a DecisionCache)
-/// while checking every operation against the formal oracle. Returns a
-/// divergence description, or nullopt if the whole stream agrees;
-/// `*fail_op` receives the index of the diverging operation.
-std::optional<std::string> RunCase(const Case& c, bool with_cache,
-                                   size_t* fail_op) {
+/// Runs `c` against a fresh RightsManager while checking every operation
+/// against the formal oracle. Returns a divergence description, or nullopt
+/// if the whole stream agrees; `*fail_op` receives the index of the
+/// diverging operation.
+std::optional<std::string> RunCase(const Case& c, size_t* fail_op) {
   RightsManager rm(nullptr, kNow);
-  DecisionCache::Options small;
-  small.max_entries = 64;  // tiny on purpose: force evictions + stale drops
-  small.shards = 4;
-  DecisionCache cache(small);
-  if (with_cache) rm.set_decision_cache(&cache);
 
   std::vector<License> store;
   for (const License& license : c.initial) {
@@ -338,19 +325,19 @@ std::optional<std::string> RunCase(const Case& c, bool with_cache,
   return std::nullopt;
 }
 
-bool Diverges(const Case& c, bool with_cache) {
+bool Diverges(const Case& c) {
   size_t fail_op = 0;
-  return RunCase(c, with_cache, &fail_op).has_value();
+  return RunCase(c, &fail_op).has_value();
 }
 
 /// Delta-debugging shrinker: drop trailing ops, then individual ops,
 /// licenses and grants while the divergence persists.
-Case Shrink(Case c, bool with_cache) {
+Case Shrink(Case c) {
   bool progress = true;
   while (progress) {
     progress = false;
     size_t fail_op = 0;
-    if (RunCase(c, with_cache, &fail_op).has_value() &&
+    if (RunCase(c, &fail_op).has_value() &&
         fail_op + 1 < c.ops.size()) {
       c.ops.resize(fail_op + 1);
       progress = true;
@@ -358,7 +345,7 @@ Case Shrink(Case c, bool with_cache) {
     for (size_t i = 0; i < c.ops.size();) {
       Case cand = c;
       cand.ops.erase(cand.ops.begin() + static_cast<long>(i));
-      if (Diverges(cand, with_cache)) {
+      if (Diverges(cand)) {
         c = std::move(cand);
         progress = true;
       } else {
@@ -368,7 +355,7 @@ Case Shrink(Case c, bool with_cache) {
     for (size_t i = 0; i < c.initial.size();) {
       Case cand = c;
       cand.initial.erase(cand.initial.begin() + static_cast<long>(i));
-      if (Diverges(cand, with_cache)) {
+      if (Diverges(cand)) {
         c = std::move(cand);
         progress = true;
       } else {
@@ -380,7 +367,7 @@ Case Shrink(Case c, bool with_cache) {
         Case cand = c;
         cand.initial[li].grants.erase(cand.initial[li].grants.begin() +
                                       static_cast<long>(gi));
-        if (Diverges(cand, with_cache)) {
+        if (Diverges(cand)) {
           c = std::move(cand);
           progress = true;
         } else {
@@ -406,9 +393,9 @@ std::string Describe(const Case& c) {
 // The differential property
 // ---------------------------------------------------------------------------
 
-// >= 10^4 generated (license-set, query) cases per run: 128 cases x 48 ops
-// x 2 cache modes = 12288 checked operations.
-constexpr size_t kCaseCount = 128;
+// >= 10^4 generated (license-set, query) cases per run: 256 cases x 48 ops
+// = 12288 checked operations.
+constexpr size_t kCaseCount = 256;
 constexpr size_t kOpsPerCase = 48;
 
 TEST(XrmlOracleDifferential, RightsManagerMatchesFormalSemantics) {
@@ -416,24 +403,21 @@ TEST(XrmlOracleDifferential, RightsManagerMatchesFormalSemantics) {
   size_t checked = 0;
   for (size_t iter = 0; iter < kCaseCount; ++iter) {
     Case c = GenCase(rng, kOpsPerCase);
-    for (bool with_cache : {false, true}) {
-      size_t fail_op = 0;
-      std::optional<std::string> divergence = RunCase(c, with_cache, &fail_op);
-      if (divergence.has_value()) {
-        Case minimal = Shrink(c, with_cache);
-        size_t minimal_op = 0;
-        std::optional<std::string> minimal_divergence =
-            RunCase(minimal, with_cache, &minimal_op);
-        FAIL() << "divergence (seed " << OracleSeed() << ", case " << iter
-               << ", op " << fail_op << ", cache "
-               << (with_cache ? "on" : "off") << "): " << *divergence
-               << "\nshrunk to op " << minimal_op << ": "
-               << (minimal_divergence.has_value() ? *minimal_divergence
-                                                  : std::string("(gone)"))
-               << "\n" << Describe(minimal);
-      }
-      checked += c.ops.size();
+    size_t fail_op = 0;
+    std::optional<std::string> divergence = RunCase(c, &fail_op);
+    if (divergence.has_value()) {
+      Case minimal = Shrink(c);
+      size_t minimal_op = 0;
+      std::optional<std::string> minimal_divergence =
+          RunCase(minimal, &minimal_op);
+      FAIL() << "divergence (seed " << OracleSeed() << ", case " << iter
+             << ", op " << fail_op << "): " << *divergence
+             << "\nshrunk to op " << minimal_op << ": "
+             << (minimal_divergence.has_value() ? *minimal_divergence
+                                                : std::string("(gone)"))
+             << "\n" << Describe(minimal);
     }
+    checked += c.ops.size();
   }
   EXPECT_GE(checked, 10000u) << "harness shrank below the 10^4-case floor";
 }
@@ -500,8 +484,6 @@ TEST(XrmlOracleDifferential, SignedInstallPathMatchesOracle) {
 
   Rng rng(OracleSeed() ^ 0xc4a1);
   RightsManager rm(&trust, kNow);
-  DecisionCache cache;
-  rm.set_decision_cache(&cache);
 
   std::vector<License> store;
   for (size_t i = 0; i < 4; ++i) {
@@ -605,86 +587,6 @@ TEST(FormalSemantics, UsesBelowReadsTheEnvironment) {
 }
 
 // ---------------------------------------------------------------------------
-// DecisionCache unit properties
-// ---------------------------------------------------------------------------
-
-TEST(DecisionCache, KeysAreInjectiveAcrossFieldBoundaries) {
-  // Length-prefix encoding: moving a byte across a field boundary must
-  // produce a different key ("ab" + "c" vs "a" + "bc").
-  ExerciseContext c1{"ab", kNow, "c"};
-  ExerciseContext c2{"a", kNow, "bc"};
-  EXPECT_NE(DecisionCache::MakeKey(Right::kPlay, "r", c1),
-            DecisionCache::MakeKey(Right::kPlay, "r", c2));
-  ExerciseContext c3{"p", kNow, "t"};
-  EXPECT_NE(DecisionCache::MakeKey(Right::kPlay, "r", c3),
-            DecisionCache::MakeKey(Right::kExtract, "r", c3));
-  EXPECT_NE(DecisionCache::MakeKey(Right::kPlay, "r1", c3),
-            DecisionCache::MakeKey(Right::kPlay, "r2", c3));
-  ExerciseContext c4{"p", kNow + 1, "t"};
-  EXPECT_NE(DecisionCache::MakeKey(Right::kPlay, "r", c3),
-            DecisionCache::MakeKey(Right::kPlay, "r", c4));
-}
-
-TEST(DecisionCache, GenerationVersioningDropsStaleEntries) {
-  DecisionCache cache;
-  ExerciseContext ctx{"p", kNow, "US"};
-  std::string key = DecisionCache::MakeKey(Right::kPlay, "track-1", ctx);
-
-  cache.Insert(key, true, cache.generation());
-  ASSERT_TRUE(cache.Lookup(key).has_value());
-  EXPECT_TRUE(*cache.Lookup(key));
-
-  cache.Invalidate();
-  EXPECT_FALSE(cache.Lookup(key).has_value());  // stale: dropped on sight
-
-  // An insert computed under a generation that has since moved on must not
-  // land.
-  uint64_t old_generation = cache.generation();
-  cache.Invalidate();
-  cache.Insert(key, false, old_generation);
-  EXPECT_FALSE(cache.Lookup(key).has_value());
-
-  DecisionCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.invalidations, 2u);
-  EXPECT_EQ(stats.stale_drops, 1u);
-  EXPECT_GE(stats.misses, 2u);
-}
-
-TEST(DecisionCache, LruEvictsWithinBudget) {
-  DecisionCache::Options options;
-  options.max_entries = 8;
-  options.shards = 1;
-  DecisionCache cache(options);
-  for (int i = 0; i < 64; ++i) {
-    ExerciseContext ctx{"p" + std::to_string(i), kNow, "US"};
-    cache.Insert(DecisionCache::MakeKey(Right::kPlay, "r", ctx), true,
-                 cache.generation());
-  }
-  EXPECT_LE(cache.size(), 8u);
-  EXPECT_EQ(cache.stats().evictions, 56u);
-}
-
-TEST(DecisionCache, StatsBridgeIntoMetricsRegistry) {
-  DecisionCache cache;
-  ExerciseContext ctx{"p", kNow, "US"};
-  std::string key = DecisionCache::MakeKey(Right::kPlay, "track-1", ctx);
-  cache.Insert(key, true, cache.generation());
-  (void)cache.Lookup(key);
-  (void)cache.Lookup("absent");
-  cache.Invalidate();
-
-  obs::MetricsRegistry metrics;
-  obs::AbsorbDecisionCacheStats(cache.stats(), &metrics);
-  EXPECT_EQ(metrics.GetCounter("decision_cache.hits")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("decision_cache.misses")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("decision_cache.invalidations")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("decision_cache.entries")->value(), 1u);
-  // Absorbing the same snapshot twice is idempotent.
-  obs::AbsorbDecisionCacheStats(cache.stats(), &metrics);
-  EXPECT_EQ(metrics.GetCounter("decision_cache.hits")->value(), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Concurrency properties (the TSan targets)
 // ---------------------------------------------------------------------------
 
@@ -704,8 +606,8 @@ void RunOnPool(size_t n, const std::function<Status(size_t)>& body) {
 
 // Racing exercisers on a nearly-exhausted grant: exactly `limit` of them
 // may win, the recorded counter must equal the limit, and the final state
-// must agree with the oracle evaluated at exhaustion — with the decision
-// cache attached, so invalidation is also raced.
+// must agree with the oracle evaluated at exhaustion. Queries race the
+// exercises too.
 TEST(XrmlOracleConcurrent, ExhaustionRaceConservesUses) {
   constexpr uint32_t kLimit = 8;
   License license;
@@ -719,8 +621,6 @@ TEST(XrmlOracleConcurrent, ExhaustionRaceConservesUses) {
   license.grants.push_back(g);
 
   RightsManager rm(nullptr, kNow);
-  DecisionCache cache;
-  rm.set_decision_cache(&cache);
   ASSERT_TRUE(rm.InstallUnsigned(license).ok());
 
   std::atomic<uint32_t> successes{0};
@@ -731,7 +631,7 @@ TEST(XrmlOracleConcurrent, ExhaustionRaceConservesUses) {
     if (rm.Exercise(Right::kPlay, "track-1", ctx).ok()) {
       successes.fetch_add(1, std::memory_order_relaxed);
     }
-    (void)rm.IsPermitted(Right::kPlay, "track-1", ctx);  // raced cached reads
+    (void)rm.IsPermitted(Right::kPlay, "track-1", ctx);  // raced reads
     return Status::OK();
   });
 
@@ -750,13 +650,11 @@ TEST(XrmlOracleConcurrent, ExhaustionRaceConservesUses) {
   EXPECT_FALSE(rm.Exercise(Right::kPlay, "track-1", ctx).ok());
 }
 
-// Installs racing queries: once the race quiesces, no stale "denied"
-// verdict may survive in the cache for a grant that was installed.
+// Installs racing queries: once the race quiesces, every installed grant
+// must be visible — no query may be left answering "denied".
 TEST(XrmlOracleConcurrent, InstallRaceNeverServesStaleDenial) {
   constexpr size_t kInstalls = 16;
   RightsManager rm(nullptr, kNow);
-  DecisionCache cache;
-  rm.set_decision_cache(&cache);
 
   RunOnPool(kInstalls * 2, [&](size_t i) {
     if (i < kInstalls) {
@@ -785,7 +683,7 @@ TEST(XrmlOracleConcurrent, InstallRaceNeverServesStaleDenial) {
   ctx.now = kNow;
   for (size_t i = 0; i < kInstalls; ++i) {
     EXPECT_TRUE(rm.IsPermitted(Right::kPlay, "res-" + std::to_string(i), ctx))
-        << "stale cached denial survived for res-" << i;
+        << "stale denial survived for res-" << i;
   }
 }
 
@@ -796,8 +694,6 @@ TEST(XrmlOracleConcurrent, ConcurrentStreamsAgreeWithOracleAtQuiescence) {
   constexpr size_t kThreads = 4;
   constexpr uint32_t kLimit = 3;
   RightsManager rm(nullptr, kNow);
-  DecisionCache cache;
-  rm.set_decision_cache(&cache);
 
   std::vector<License> store;
   for (size_t t = 0; t < kThreads; ++t) {

@@ -11,16 +11,13 @@
 //   discsec_tool sign --key key.xml --in doc.xml --out signed.xml
 //                [--cert leaf.xml --cert root.xml] [--detached-id <id>]
 //   discsec_tool verify --in signed.xml [--root root.xml | --allow-bare-key]
-//                [--streaming-verify]
 //   discsec_tool encrypt --in doc.xml --target-id <id> --key-hex <32 hex>
 //                --key-name <name> --out enc.xml
 //   discsec_tool decrypt --in enc.xml --key-hex <32 hex> --key-name <name>
 //                --out dec.xml
 //   discsec_tool c14n --in doc.xml [--with-comments]
 //   discsec_tool play-demo [--repeat N] [--jobs N] [--async]
-//                [--streaming-verify]
 //   discsec_tool play [--discs N] [--repeat N] [--jobs N] [--async]
-//                [--streaming-verify]
 //   discsec_tool xkmsd-demo [--players N] [--keys K] [--jobs N] [--burst N]
 //   discsec_tool fleet [--players N] [--events-per-player N] [--seed S]
 //                [--matrix smoke|nightly] [--json BENCH_fleet.json]
@@ -68,10 +65,15 @@
 // against tests/golden/ (exit 1 on drift); --write updates the files
 // instead, for intentional format changes.
 //
+// Numeric options take a non-negative decimal integer: no sign, no
+// trailing characters. An unknown option or a malformed number is a usage
+// error, reported before the command runs.
+//
 // Exit status: 0 on success, 1 on any error (including failed
 // verification and golden drift), 2 on usage errors.
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdio>
 #include <ctime>
@@ -121,15 +123,83 @@ using namespace discsec;
 obs::Tracer* g_tracer = nullptr;
 obs::MetricsRegistry* g_metrics = nullptr;
 
+enum class OptionKind {
+  kFlag,    ///< takes no value
+  kText,    ///< takes any value
+  kNumber,  ///< takes a non-negative decimal integer
+};
+
+/// Every option the tool reads; main rejects any other --name.
+const std::map<std::string, OptionKind>& KnownOptions() {
+  static const std::map<std::string, OptionKind> known = {
+      {"allow-bare-key", OptionKind::kFlag},
+      {"async", OptionKind::kFlag},
+      {"bits", OptionKind::kNumber},
+      {"burst", OptionKind::kNumber},
+      {"ca", OptionKind::kFlag},
+      {"cert", OptionKind::kText},
+      {"detached-id", OptionKind::kText},
+      {"dir", OptionKind::kText},
+      {"discs", OptionKind::kNumber},
+      {"events-per-player", OptionKind::kNumber},
+      {"in", OptionKind::kText},
+      {"inject-fault", OptionKind::kText},
+      {"issuer-cert", OptionKind::kText},
+      {"issuer-key", OptionKind::kText},
+      {"jobs", OptionKind::kNumber},
+      {"json", OptionKind::kText},
+      {"key", OptionKind::kText},
+      {"key-hex", OptionKind::kText},
+      {"key-name", OptionKind::kText},
+      {"keys", OptionKind::kNumber},
+      {"matrix", OptionKind::kText},
+      {"metrics", OptionKind::kText},
+      {"out", OptionKind::kText},
+      {"players", OptionKind::kNumber},
+      {"pool", OptionKind::kNumber},
+      {"repeat", OptionKind::kNumber},
+      {"root", OptionKind::kText},
+      {"seed", OptionKind::kNumber},
+      {"serial", OptionKind::kNumber},
+      {"subject", OptionKind::kText},
+      {"target-id", OptionKind::kText},
+      {"trace", OptionKind::kText},
+      {"trace-text", OptionKind::kText},
+      {"with-comments", OptionKind::kFlag},
+      {"write", OptionKind::kFlag},
+  };
+  return known;
+}
+
+/// The one parser for numeric options: the whole of `text` must be decimal
+/// digits whose value fits in 64 bits.
+Result<uint64_t> ParseDecimal(const std::string& name,
+                              const std::string& text) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("--" + name +
+                                   " wants a non-negative decimal integer, "
+                                   "got '" + text + "'");
+  }
+  return value;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
+  std::map<std::string, uint64_t> numbers;  // kNumber options, parsed
   std::vector<std::string> certs;  // repeated --cert
   bool Has(const std::string& name) const { return options.count(name) > 0; }
   std::string Get(const std::string& name,
                   const std::string& fallback = {}) const {
     auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
+  }
+  uint64_t Number(const std::string& name, uint64_t fallback) const {
+    auto it = numbers.find(name);
+    return it == numbers.end() ? fallback : it->second;
   }
 };
 
@@ -218,9 +288,7 @@ int Usage(const char* message) {
 
 int CmdKeygen(const Args& args) {
   if (!args.Has("out")) return Usage("keygen needs --out");
-  size_t bits =
-      static_cast<size_t>(std::strtoul(args.Get("bits", "1024").c_str(),
-                                       nullptr, 10));
+  size_t bits = args.Number("bits", 1024);
   Rng rng;
   auto pair = crypto::RsaGenerateKeyPair(bits, &rng);
   if (!pair.ok()) return Fail(pair.status());
@@ -282,7 +350,7 @@ int CmdCertIssue(const Args& args) {
   pki::CertificateInfo info;
   info.subject = args.Get("subject");
   info.issuer = issuer_cert->info().subject;
-  info.serial = std::strtoull(args.Get("serial", "2").c_str(), nullptr, 10);
+  info.serial = args.Number("serial", 2);
   int64_t now = static_cast<int64_t>(std::time(nullptr));
   info.not_before = now - 86400;
   info.not_after = now + 2LL * 365 * 86400;
@@ -368,18 +436,9 @@ int CmdVerify(const Args& args) {
   } else {
     return Usage("verify needs --root <cert> or --allow-bare-key");
   }
-  Result<xmldsig::VerifyInfo> result = [&]() -> Result<xmldsig::VerifyInfo> {
-    // Wire-level fast path (DESIGN.md §14): --streaming-verify skips the
-    // DOM build entirely — one fused scan+canonicalize pass over the input
-    // bytes, only the Signature subtree is parsed. The verdict is
-    // identical to the DOM route by construction.
-    if (args.Has("streaming-verify")) {
-      return xmldsig::Verifier::VerifyStream(text.value(), options);
-    }
-    auto doc = ParseInput(text.value());
-    if (!doc.ok()) return doc.status();
-    return xmldsig::Verifier::VerifyFirstSignature(doc.value(), options);
-  }();
+  auto doc = ParseInput(text.value());
+  if (!doc.ok()) return Fail(doc.status());
+  auto result = xmldsig::Verifier::VerifyFirstSignature(doc.value(), options);
   if (!result.ok()) return Fail(result.status());
   std::printf("VALID");
   if (!result->signer_subject.empty()) {
@@ -489,7 +548,7 @@ struct PlayRig {
   std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<player::InteractiveApplicationEngine> engine;
 
-  Status Init(size_t jobs, bool async, bool streaming_verify = false) {
+  Status Init(size_t jobs, bool async) {
     // Deterministic end-to-end fixture: root CA, studio chain, demo
     // cluster, mastered fully protected (enveloped signature with the
     // Decryption Transform in the chain, encrypted manifest, external
@@ -520,8 +579,6 @@ struct PlayRig {
     config.xkms = client.get();
     config.xkms_cache = locate_cache.get();
     config.pool = pool.get();
-    config.streaming_verify = streaming_verify;
-    config.arena_parse = streaming_verify;
     config.tracer = g_tracer;
     config.metrics = g_metrics;
     engine = std::make_unique<player::InteractiveApplicationEngine>(
@@ -546,20 +603,14 @@ struct PlayRig {
   }
 };
 
-size_t SizeOption(const Args& args, const std::string& name,
-                  const std::string& fallback) {
-  return static_cast<size_t>(
-      std::strtoul(args.Get(name, fallback).c_str(), nullptr, 10));
-}
-
 int CmdPlayDemo(const Args& args) {
-  size_t repeat = SizeOption(args, "repeat", "2");
+  size_t repeat = args.Number("repeat", 2);
   if (repeat == 0) repeat = 1;
   // --jobs is the preferred spelling; --pool stays accepted.
-  size_t jobs = SizeOption(args, "jobs", args.Get("pool", "0"));
+  size_t jobs = args.Number("jobs", args.Number("pool", 0));
 
   PlayRig rig;
-  Status st = rig.Init(jobs, args.Has("async"), args.Has("streaming-verify"));
+  Status st = rig.Init(jobs, args.Has("async"));
   if (!st.ok()) return Fail(st);
 
   for (size_t round = 1; round <= repeat; ++round) {
@@ -575,14 +626,14 @@ int CmdPlayDemo(const Args& args) {
 }
 
 int CmdPlay(const Args& args) {
-  size_t discs = SizeOption(args, "discs", "4");
+  size_t discs = args.Number("discs", 4);
   if (discs == 0) discs = 1;
-  size_t repeat = SizeOption(args, "repeat", "1");
+  size_t repeat = args.Number("repeat", 1);
   if (repeat == 0) repeat = 1;
-  size_t jobs = SizeOption(args, "jobs", "0");
+  size_t jobs = args.Number("jobs", 0);
 
   PlayRig rig;
-  Status st = rig.Init(jobs, args.Has("async"), args.Has("streaming-verify"));
+  Status st = rig.Init(jobs, args.Has("async"));
   if (!st.ok()) return Fail(st);
 
   std::vector<const disc::DiscImage*> batch(discs, &rig.image.value());
@@ -613,12 +664,12 @@ int CmdPlay(const Args& args) {
 /// rides the global fault injector, so --inject-fault xkmsd.store:error:0.2
 /// (or xkmsd.queue / xkmsd.snapshot) makes the demo degrade live.
 int CmdXkmsdDemo(const Args& args) {
-  size_t players = SizeOption(args, "players", "200");
+  size_t players = args.Number("players", 200);
   if (players == 0) players = 1;
-  size_t keys = SizeOption(args, "keys", "32");
+  size_t keys = args.Number("keys", 32);
   if (keys == 0) keys = 1;
-  size_t jobs = SizeOption(args, "jobs", "4");
-  size_t burst = SizeOption(args, "burst", "2000");
+  size_t jobs = args.Number("jobs", 4);
+  size_t burst = args.Number("burst", 2000);
 
   ThreadPool pool(jobs);
   xkms::XkmsdOptions options;
@@ -774,14 +825,13 @@ int CmdXkmsdDemo(const Args& args) {
 /// scenario matrix, prints the deterministic matrix table, optionally
 /// writes the discsec-bench-v1 BENCH_fleet.json artifact, and exits
 /// non-zero when any in-run invariant (attack acceptance, Valid after
-/// revoke, streaming/DOM parity, lost burst submissions) is violated.
+/// revoke, lost burst submissions) is violated.
 int CmdFleet(const Args& args) {
-  size_t players = SizeOption(args, "players", "1000");
+  size_t players = args.Number("players", 1000);
   if (players == 0) players = 1;
-  size_t events_per_player = SizeOption(args, "events-per-player", "1");
+  size_t events_per_player = args.Number("events-per-player", 1);
   if (events_per_player == 0) events_per_player = 1;
-  uint64_t seed =
-      std::strtoull(args.Get("seed", "20050915").c_str(), nullptr, 10);
+  uint64_t seed = args.Number("seed", 20050915);
   std::string matrix_name = args.Get("matrix", "smoke");
 
   std::vector<sim::ScenarioSpec> matrix;
@@ -905,14 +955,21 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) return Usage("expected --option");
     std::string name = arg.substr(2);
-    // Flags without values.
-    if (name == "ca" || name == "allow-bare-key" || name == "with-comments" ||
-        name == "write" || name == "async" || name == "streaming-verify") {
+    auto known = KnownOptions().find(name);
+    if (known == KnownOptions().end()) {
+      return Usage(("unknown option --" + name).c_str());
+    }
+    if (known->second == OptionKind::kFlag) {
       args.options[name] = "1";
       continue;
     }
     if (i + 1 >= argc) return Usage(("missing value for --" + name).c_str());
     std::string value = argv[++i];
+    if (known->second == OptionKind::kNumber) {
+      Result<uint64_t> number = ParseDecimal(name, value);
+      if (!number.ok()) return Usage(number.status().message().c_str());
+      args.numbers[name] = number.value();
+    }
     if (name == "cert") {
       args.certs.push_back(value);
     } else if (name == "inject-fault") {
