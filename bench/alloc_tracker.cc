@@ -53,6 +53,8 @@ void ResetAllocStats() {
 
 size_t AllocPeakBytes() { return g_peak.load(std::memory_order_relaxed); }
 
+size_t AllocLiveBytes() { return g_live.load(std::memory_order_relaxed); }
+
 size_t AllocCount() { return g_count.load(std::memory_order_relaxed); }
 
 }  // namespace bench

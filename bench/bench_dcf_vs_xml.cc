@@ -20,6 +20,7 @@
 #include "common/base64.h"
 #include "crypto/aes_hw.h"
 #include "script/lexer.h"
+#include "script/parser.h"
 #include "tests/base64_reference.h"
 #include "dcf/dcf.h"
 #include "xmldsig/verifier.h"
@@ -462,6 +463,77 @@ void BM_TextKernelRatio(benchmark::State& state) {
       lex_us > 0.0 ? static_cast<double>(source.size()) / lex_us : 0.0;
 }
 BENCHMARK(BM_TextKernelRatio)->Arg(256 << 10);
+
+// The script front end against the XML parser on one Code part: that of
+// the element-dense cluster (the demo scripts plus `state.range(0)`
+// one-line scripts), which the player parses as XML and then lexes and
+// parses script by script (DESIGN.md §16):
+//
+//   script_front_end_over_xml_parse   script::ParseProgram over every script
+//                                     of the Code part, over xml::Parse of
+//                                     the Code part's serialized element
+//
+// The two sides are interleaved, one of each per round, so a slow spell on
+// a shared machine hits both alike.
+void BM_ScriptFrontEndRatio(benchmark::State& state) {
+  const disc::InteractiveCluster cluster =
+      bench::ElementDenseCluster(static_cast<size_t>(state.range(0)));
+  const disc::ApplicationManifest& manifest = cluster.tracks[1].manifest;
+  const xml::Document doc = cluster.ToXml();
+  const xml::Element* code = doc.FindById(manifest.id + "-code");
+  if (code == nullptr) {
+    state.SkipWithError("no Code part");
+    return;
+  }
+  const std::string code_xml = xml::SerializeElement(*code);
+
+  auto front_end = [&]() {
+    for (const disc::ScriptPart& part : manifest.scripts) {
+      auto program = script::ParseProgram(part.source);
+      if (!program.ok()) {
+        state.SkipWithError("script parse failed");
+        return;
+      }
+      benchmark::DoNotOptimize(program.value().root.get());
+    }
+  };
+  auto parse = [&]() {
+    auto parsed = xml::Parse(code_xml);
+    if (!parsed.ok()) {
+      state.SkipWithError("parse failed");
+      return;
+    }
+    benchmark::DoNotOptimize(parsed.value().root());
+  };
+  const std::array<std::function<void()>, 2> sides = {front_end, parse};
+
+  // Minimum over a fixed number of rounds, as the other ratio rows do.
+  constexpr int kRounds = 32;
+  std::array<double, 2> best_us{};
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t k = 0; k < sides.size(); ++k) {
+      auto start = std::chrono::steady_clock::now();
+      sides[k]();
+      double us = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count() /
+                  1e3;
+      if (round == 0 || us < best_us[k]) best_us[k] = us;
+    }
+  }
+  const auto [front_end_us, parse_us] = best_us;
+
+  for (auto _ : state) {
+    front_end();
+  }
+  state.counters["script_count"] =
+      static_cast<double>(manifest.scripts.size());
+  state.counters["script_front_end_us"] = front_end_us;
+  state.counters["code_part_parse_us"] = parse_us;
+  state.counters["script_front_end_over_xml_parse"] =
+      parse_us > 0.0 ? front_end_us / parse_us : 0.0;
+}
+BENCHMARK(BM_ScriptFrontEndRatio)->Arg(400);
 
 }  // namespace
 }  // namespace discsec

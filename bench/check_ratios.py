@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-smoke gate for XML verify against DCF (EXPERIMENTS.md E2), the
-Montgomery ModPow path, the AES-NI backend and the run-scanning text
-kernels (DESIGN.md §3).
+Montgomery ModPow path, the AES-NI backend, the run-scanning text kernels
+(DESIGN.md §3) and the script front end (DESIGN.md §16).
 
 Compares the dom_over_dcf ratio of a fresh BENCH_ratio.json run against
 the checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and
@@ -27,9 +27,14 @@ from the introducing PRs are enforced absolutely:
     text_parse_over_escape <= 3.0
                                (xml::Parse of a 256 KiB text element within
                                 3x of xml::EscapeText of the same text)
+    script_front_end_over_xml_parse <= 1.6
+                               (script::ParseProgram over the dense Code
+                                part's 401 scripts within 1.6x of
+                                xml::Parse of that Code part)
 
-A row with no baseline entry (BENCH_crypto.json, and BM_TextKernelRatio in
-BENCH_ratio.json) is checked against the absolute gates only.
+A row with no baseline entry (BENCH_crypto.json, and BM_TextKernelRatio and
+BM_ScriptFrontEndRatio in BENCH_ratio.json) is checked against the absolute
+gates only.
 
 Usage: check_ratios.py BENCH_ratio.json [--baseline FILE] [--slack 0.10]
 """
@@ -57,6 +62,11 @@ RELATIVE_GATES = ("dom_over_dcf",)
 # one process (BM_TextKernelRatio; measured 5.4-7.1x and 1.0-1.15, against
 # 7.6-8.8 for text_parse_over_escape when the parser copied one byte per
 # iteration).
+# script_front_end_over_xml_parse pins the script lexer and parser (codes
+# instead of spellings, DESIGN.md §16.4) against xml::Parse of the same Code
+# part, both sides interleaved in one process (BM_ScriptFrontEndRatio;
+# measured 0.80-1.00, against 2.53-2.83 when keywords were looked up in a
+# std::set and operators matched by string).
 ABSOLUTE_GATES = {
     "dom_over_dcf": ("<", 2.5),
     "serialize_allocs": ("<=", 4.0),
@@ -65,6 +75,7 @@ ABSOLUTE_GATES = {
     "cbc_decrypt_pipelining": (">=", 3.0),
     "base64_decode_speedup": (">=", 3.0),
     "text_parse_over_escape": ("<=", 3.0),
+    "script_front_end_over_xml_parse": ("<=", 1.6),
 }
 
 

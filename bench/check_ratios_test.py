@@ -31,6 +31,11 @@ asserts the exit codes and failure messages it MUST produce:
  12. base64_decode_speedup 2x                -> fail (absolute floor >= 3.0)
  13. text_parse_over_escape 6                -> fail (absolute ceiling
                                                 <= 3.0)
+ 14. baseline + BM_ScriptFrontEndRatio,
+     script_front_end_over_xml_parse 0.9     -> pass (no baseline row, so
+                                                absolute gates only)
+ 15. script_front_end_over_xml_parse 2.7     -> fail (absolute ceiling
+                                                <= 1.6)
 
 Runs standalone (python3 bench/check_ratios_test.py) and as the
 check_ratios_gate ctest.
@@ -133,6 +138,22 @@ def with_text_kernels(doc, speedup, parse_over_escape):
             "base64_decode_speedup": speedup,
             "text_parse_over_escape": parse_over_escape,
             "script_string_lex_mb_s": 2000.0,
+        },
+    })
+    return out
+
+
+def with_script_front_end(doc, ratio):
+    """A deep copy of `doc` plus a BM_ScriptFrontEndRatio row."""
+    out = copy.deepcopy(doc)
+    out["results"].append({
+        "name": "BM_ScriptFrontEndRatio",
+        "params": "400",
+        "counters": {
+            "script_count": 401.0,
+            "script_front_end_us": 250.0 * ratio,
+            "code_part_parse_us": 250.0,
+            "script_front_end_over_xml_parse": ratio,
         },
     })
     return out
@@ -255,6 +276,20 @@ def main():
         1,
         ["BM_TextKernelRatio/262144: text_parse_over_escape=6.000 violates "
          "absolute gate <= 3.0"],
+    )
+
+    rc, out = run_checker(with_script_front_end(baseline, 0.9))
+    expect("0.9 script_front_end_over_xml_parse passes", rc, out, 0,
+           ["check_ratios: OK"])
+
+    rc, out = run_checker(with_script_front_end(baseline, 2.7))
+    expect(
+        "2.7 script_front_end_over_xml_parse fails the absolute ceiling",
+        rc,
+        out,
+        1,
+        ["BM_ScriptFrontEndRatio/400: script_front_end_over_xml_parse=2.700 "
+         "violates absolute gate <= 1.6"],
     )
 
     if failures:

@@ -1,6 +1,7 @@
 #ifndef DISCSEC_SCRIPT_AST_H_
 #define DISCSEC_SCRIPT_AST_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,7 +11,7 @@ namespace script {
 
 /// AST node kinds for the ECMAScript subset. One enum + one node struct
 /// keeps the tree compact and the evaluator a single switch.
-enum class NodeType {
+enum class NodeType : uint8_t {
   // expressions
   kNumberLiteral,    // number_value
   kStringLiteral,    // string_value
@@ -20,16 +21,17 @@ enum class NodeType {
   kIdentifier,       // string_value = name
   kArrayLiteral,     // children = elements
   kObjectLiteral,    // keys[i] names children[i]
-  kBinary,           // string_value = op; children = {lhs, rhs}
-  kLogical,          // string_value = "&&" | "||"; children = {lhs, rhs}
-  kUnary,            // string_value = "-" | "!" | "+" | "typeof"
-  kAssign,           // string_value = "=", "+=", ...; children = {target, value}
+  kBinary,           // op; children = {lhs, rhs}
+  kLogical,          // op = kAnd | kOr; children = {lhs, rhs}
+  kUnary,            // op = kNeg | kNot | kPlus | kTypeof
+  kAssign,           // op = the compound form's binary op, kNone for "=";
+                     // children = {target, value}
   kConditional,      // children = {cond, then, else}
   kCall,             // children = {callee, args...}
   kMember,           // children = {object}; string_value = property name
   kIndex,            // children = {object, index-expr}
-  kFunctionExpr,     // function_index into Program::functions
-  kPostfix,          // string_value = "++" | "--"; children = {target}
+  kFunctionExpr,     // function = its definition
+  kPostfix,          // op = kAdd for "++", kSub for "--"; children = {target}
 
   // statements
   kProgram,          // children = statements
@@ -43,10 +45,36 @@ enum class NodeType {
   kReturn,           // children = {value?} (may be empty)
   kBreak,
   kContinue,
-  kFunctionDecl,     // string_value = name; function_index set
+  kFunctionDecl,     // string_value = name; function = its definition
   kSwitch,           // children = {discriminant, case...}; see kCase
   kCase,             // children = {test?, body-statements...}; bool_value
                      // true marks the default clause (no test child)
+};
+
+/// Operator codes, resolved once by the parser so evaluation switches on
+/// the code. Operator nodes keep the source spelling in string_value for
+/// messages.
+enum class Op : uint8_t {
+  kNone,
+  kAdd,       // +
+  kSub,       // -
+  kMul,       // *
+  kDiv,       // /
+  kMod,       // %
+  kEq,        // ==
+  kNe,        // !=
+  kStrictEq,  // ===
+  kStrictNe,  // !==
+  kLt,        // <
+  kGt,        // >
+  kLe,        // <=
+  kGe,        // >=
+  kAnd,       // &&
+  kOr,        // ||
+  kNeg,       // unary -
+  kPlus,      // unary +
+  kNot,       // !
+  kTypeof,    // typeof
 };
 
 struct Node;
@@ -63,18 +91,22 @@ struct FunctionDef {
 struct Node {
   explicit Node(NodeType t) : type(t) {}
   NodeType type;
-  double number_value = 0.0;
+  Op op = Op::kNone;              ///< operator nodes; see NodeType
   bool bool_value = false;
+  int line = 0;                   ///< 1-based source line, for diagnostics
+  double number_value = 0.0;
   std::string string_value;
   std::vector<std::string> keys;  ///< object literal keys
   std::vector<NodePtr> children;
-  size_t function_index = 0;      ///< for kFunctionExpr / kFunctionDecl
-  int line = 0;                   ///< 1-based source line, for diagnostics
+  /// kFunctionExpr / kFunctionDecl: the definition, owned by the Program
+  /// (by the Interpreter once it runs the Program).
+  const FunctionDef* function = nullptr;
 };
 
-/// A parsed script: the statement tree plus the function tables it refers
-/// to. Owns everything; closures hold raw FunctionDef pointers into it, so
-/// a Program must outlive any Interpreter values created from it.
+/// A parsed script: the statement tree plus the functions it defines. Owns
+/// everything; nodes and closures hold raw FunctionDef pointers, so the
+/// functions must outlive any value created from them (the Interpreter
+/// keeps them; the statement tree it frees after the run).
 struct Program {
   NodePtr root;  ///< kProgram
   std::vector<std::unique_ptr<FunctionDef>> functions;

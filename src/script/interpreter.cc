@@ -1,8 +1,11 @@
 #include "script/interpreter.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 
 #include "script/parser.h"
 
@@ -102,10 +105,226 @@ void InstallBuiltins(Environment* globals) {
   globals->Define("String", string_ns);
 }
 
+Status UndefinedVariable(const Node& identifier) {
+  return Status::NotFound("undefined variable '" + identifier.string_value +
+                          "' at line " + std::to_string(identifier.line));
+}
+
+/// `object.name`: own properties of objects, array length/push and the
+/// string methods; undefined for anything else.
+Value ReadMember(const Value& object, const std::string& name) {
+  if (object.IsObject()) {
+    auto it = object.AsObject().find(name);
+    return it != object.AsObject().end() ? it->second : Value();
+  }
+  if (object.IsArray() && name == "length") {
+    return Value::Number(static_cast<double>(object.AsArray().size()));
+  }
+  if (object.IsArray() && name == "push") {
+    Value array = object;  // shares the underlying storage
+    return Value::Native([array](const std::vector<Value>& args) mutable
+                             -> Result<Value> {
+      for (const Value& v : args) array.AsArray().push_back(v);
+      return Value::Number(static_cast<double>(array.AsArray().size()));
+    });
+  }
+  if (object.IsString() && name == "length") {
+    return Value::Number(static_cast<double>(object.AsString().size()));
+  }
+  if (object.IsString() && (name == "charAt" || name == "substring" ||
+                            name == "indexOf" || name == "toUpperCase" ||
+                            name == "toLowerCase")) {
+    std::string s = object.AsString();
+    if (name == "charAt") {
+      return Value::Native(
+          [s](const std::vector<Value>& args) -> Result<Value> {
+            size_t i = args.empty()
+                           ? 0
+                           : static_cast<size_t>(args[0].ToNumber());
+            return Value::String(i < s.size() ? std::string(1, s[i])
+                                              : std::string());
+          });
+    }
+    if (name == "substring") {
+      return Value::Native(
+          [s](const std::vector<Value>& args) -> Result<Value> {
+            size_t b = args.empty()
+                           ? 0
+                           : static_cast<size_t>(
+                                 std::max(0.0, args[0].ToNumber()));
+            size_t e = args.size() < 2 ? s.size()
+                                       : static_cast<size_t>(std::max(
+                                             0.0, args[1].ToNumber()));
+            b = std::min(b, s.size());
+            e = std::min(e, s.size());
+            if (b > e) std::swap(b, e);
+            return Value::String(s.substr(b, e - b));
+          });
+    }
+    if (name == "indexOf") {
+      return Value::Native(
+          [s](const std::vector<Value>& args) -> Result<Value> {
+            if (args.empty()) return Value::Number(-1);
+            size_t p = s.find(args[0].ToDisplayString());
+            return Value::Number(
+                p == std::string::npos ? -1 : static_cast<double>(p));
+          });
+    }
+    bool upper = name == "toUpperCase";
+    return Value::Native(
+        [s, upper](const std::vector<Value>&) -> Result<Value> {
+          std::string out = s;
+          for (char& c : out) {
+            c = upper ? static_cast<char>(std::toupper(
+                            static_cast<unsigned char>(c)))
+                      : static_cast<char>(std::tolower(
+                            static_cast<unsigned char>(c)));
+          }
+          return Value::String(out);
+        });
+  }
+  return Value();  // missing property -> undefined
+}
+
+/// `object[index]` for arrays, objects and strings.
+Result<Value> ReadIndex(const Value& object, const Value& index) {
+  if (object.IsArray()) {
+    double d = index.ToNumber();
+    if (std::isnan(d) || d < 0 ||
+        static_cast<size_t>(d) >= object.AsArray().size()) {
+      return Value();
+    }
+    return object.AsArray()[static_cast<size_t>(d)];
+  }
+  if (object.IsObject()) {
+    auto it = object.AsObject().find(index.ToDisplayString());
+    return it != object.AsObject().end() ? it->second : Value();
+  }
+  if (object.IsString()) {
+    double d = index.ToNumber();
+    if (std::isnan(d) || d < 0 ||
+        static_cast<size_t>(d) >= object.AsString().size()) {
+      return Value();
+    }
+    return Value::String(
+        std::string(1, object.AsString()[static_cast<size_t>(d)]));
+  }
+  return Status::InvalidArgument(std::string("cannot index ") +
+                                 object.KindName());
+}
+
+Status WriteMember(Value& object, const std::string& name, Value value) {
+  if (!object.IsObject()) {
+    return Status::InvalidArgument("cannot set property '" + name + "' on " +
+                                   object.KindName());
+  }
+  object.AsObject()[name] = std::move(value);
+  return Status::OK();
+}
+
+Status WriteIndex(Value& object, const Value& index, Value value) {
+  if (object.IsArray()) {
+    double d = index.ToNumber();
+    if (std::isnan(d) || d < 0) {
+      return Status::InvalidArgument("bad array index");
+    }
+    size_t i = static_cast<size_t>(d);
+    if (i >= object.AsArray().size()) {
+      if (i > 1u << 20) {
+        return Status::ResourceExhausted("array index too large");
+      }
+      object.AsArray().resize(i + 1);
+    }
+    object.AsArray()[i] = std::move(value);
+    return Status::OK();
+  }
+  if (object.IsObject()) {
+    object.AsObject()[index.ToDisplayString()] = std::move(value);
+    return Status::OK();
+  }
+  return Status::InvalidArgument(std::string("cannot index ") +
+                                 object.KindName());
+}
+
+/// Applies a binary operator node's code (a compound assignment's too).
+Result<Value> EvalBinary(const Node& node, const Value& lhs,
+                         const Value& rhs) {
+  switch (node.op) {
+    case Op::kAdd:
+      if (lhs.IsString() || rhs.IsString()) {
+        return Value::String(lhs.ToDisplayString() + rhs.ToDisplayString());
+      }
+      return Value::Number(lhs.ToNumber() + rhs.ToNumber());
+    case Op::kSub:
+      return Value::Number(lhs.ToNumber() - rhs.ToNumber());
+    case Op::kMul:
+      return Value::Number(lhs.ToNumber() * rhs.ToNumber());
+    case Op::kDiv:
+      return Value::Number(lhs.ToNumber() / rhs.ToNumber());
+    case Op::kMod:
+      return Value::Number(std::fmod(lhs.ToNumber(), rhs.ToNumber()));
+    case Op::kEq:
+    case Op::kStrictEq:
+      return Value::Boolean(lhs.StrictEquals(rhs));
+    case Op::kNe:
+    case Op::kStrictNe:
+      return Value::Boolean(!lhs.StrictEquals(rhs));
+    case Op::kLt:
+    case Op::kGt:
+    case Op::kLe:
+    case Op::kGe: {
+      // String/string comparisons are lexicographic, otherwise numeric.
+      int cmp;
+      if (lhs.IsString() && rhs.IsString()) {
+        cmp = lhs.AsString().compare(rhs.AsString());
+      } else {
+        double a = lhs.ToNumber();
+        double b = rhs.ToNumber();
+        if (std::isnan(a) || std::isnan(b)) return Value::Boolean(false);
+        cmp = a < b ? -1 : (a > b ? 1 : 0);
+      }
+      switch (node.op) {
+        case Op::kLt: return Value::Boolean(cmp < 0);
+        case Op::kGt: return Value::Boolean(cmp > 0);
+        case Op::kLe: return Value::Boolean(cmp <= 0);
+        default: return Value::Boolean(cmp >= 0);
+      }
+    }
+    default:
+      return Status::Unsupported("binary operator '" + node.string_value +
+                                 "'");
+  }
+}
+
 }  // namespace
 
+/// A call frame or `for` scope. On exit, on every path, the scope is freed
+/// unless a closure captured it; a captured scope moves to the interpreter,
+/// which frees it in its destructor. A child exits before its parent and
+/// marks propagate upwards, so a kept scope never points at a freed one.
+class Interpreter::Scope {
+ public:
+  Scope(Interpreter* interpreter, Environment* parent)
+      : interpreter_(interpreter),
+        env_(std::make_unique<Environment>(parent)) {}
+  ~Scope() {
+    if (env_->captured()) interpreter_->captured_.push_back(std::move(env_));
+  }
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  Environment* get() const { return env_.get(); }
+
+ private:
+  Interpreter* interpreter_;
+  std::unique_ptr<Environment> env_;
+};
+
 Interpreter::Interpreter(Limits limits)
-    : limits_(limits), globals_(std::make_shared<Environment>()) {
+    : limits_(limits), globals_(std::make_unique<Environment>()) {
+  // The global scope lives as long as the interpreter; marking it stops
+  // every capture mark there.
+  globals_->MarkCaptured();
   InstallBuiltins(globals_.get());
 }
 
@@ -126,33 +345,15 @@ Status Interpreter::Tick(const Node& node) {
   return Status::OK();
 }
 
-namespace {
-/// Rebases every function index in the tree by `offset`.
-void RebaseFunctionIndices(Node* node, size_t offset) {
-  if (node->type == NodeType::kFunctionExpr ||
-      node->type == NodeType::kFunctionDecl) {
-    node->function_index += offset;
-  }
-  for (const NodePtr& child : node->children) {
-    RebaseFunctionIndices(child.get(), offset);
-  }
-}
-}  // namespace
-
 Result<Value> Interpreter::Run(const std::string& source) {
   DISCSEC_ASSIGN_OR_RETURN(Program program, ParseProgram(source));
-  size_t offset = functions_.size();
-  RebaseFunctionIndices(program.root.get(), offset);
-  for (const auto& def : program.functions) {
-    RebaseFunctionIndices(def->body.get(), offset);
-    functions_.push_back(def.get());
-  }
-  programs_.push_back(std::move(program));
-  const Program& prog = programs_.back();
+  // Closures made below point at these definitions; the statement tree is
+  // not needed once it has run.
+  for (auto& def : program.functions) functions_.push_back(std::move(def));
   Flow flow;
   Value last;
-  for (const NodePtr& stmt : prog.root->children) {
-    DISCSEC_ASSIGN_OR_RETURN(last, EvalNode(*stmt, globals_, &flow));
+  for (const NodePtr& stmt : program.root->children) {
+    DISCSEC_ASSIGN_OR_RETURN(last, EvalNode(*stmt, globals_.get(), &flow));
     if (flow.Interrupted()) break;  // top-level return ends the script
   }
   return last;
@@ -185,8 +386,9 @@ Result<Value> Interpreter::CallValue(const Value& callee,
     return Status::ResourceExhausted("script exceeded call depth");
   }
   const Value::Closure& closure = callee.AsClosure();
-  auto env = std::make_shared<Environment>(closure.env);
   const FunctionDef& def = *closure.def;
+  Scope frame(this, closure.env);
+  Environment* env = frame.get();
   for (size_t i = 0; i < def.params.size(); ++i) {
     env->Define(def.params[i], i < args.size() ? args[i] : Value());
   }
@@ -200,12 +402,12 @@ Result<Value> Interpreter::CallValue(const Value& callee,
   auto result = EvalNode(*def.body, env, &flow);
   --call_depth_;
   if (!result.ok()) return result.status();
-  if (flow.kind == Flow::Kind::kReturn) return flow.return_value;
+  if (flow.kind == Flow::Kind::kReturn) return std::move(flow.return_value);
   return Value();
 }
 
 Status Interpreter::AssignTo(const Node& target, Value value,
-                             std::shared_ptr<Environment> env, Flow* flow) {
+                             Environment* env, Flow* flow) {
   switch (target.type) {
     case NodeType::kIdentifier:
       env->Assign(target.string_value, std::move(value));
@@ -213,90 +415,77 @@ Status Interpreter::AssignTo(const Node& target, Value value,
     case NodeType::kMember: {
       DISCSEC_ASSIGN_OR_RETURN(Value object,
                                EvalNode(*target.children[0], env, flow));
-      if (!object.IsObject()) {
-        return Status::InvalidArgument("cannot set property '" +
-                                       target.string_value + "' on " +
-                                       object.KindName());
-      }
-      object.AsObject()[target.string_value] = std::move(value);
-      return Status::OK();
+      return WriteMember(object, target.string_value, std::move(value));
     }
     case NodeType::kIndex: {
       DISCSEC_ASSIGN_OR_RETURN(Value object,
                                EvalNode(*target.children[0], env, flow));
       DISCSEC_ASSIGN_OR_RETURN(Value index,
                                EvalNode(*target.children[1], env, flow));
-      if (object.IsArray()) {
-        double d = index.ToNumber();
-        if (std::isnan(d) || d < 0) {
-          return Status::InvalidArgument("bad array index");
-        }
-        size_t i = static_cast<size_t>(d);
-        if (i >= object.AsArray().size()) {
-          if (i > 1u << 20) {
-            return Status::ResourceExhausted("array index too large");
-          }
-          object.AsArray().resize(i + 1);
-        }
-        object.AsArray()[i] = std::move(value);
-        return Status::OK();
-      }
-      if (object.IsObject()) {
-        object.AsObject()[index.ToDisplayString()] = std::move(value);
-        return Status::OK();
-      }
-      return Status::InvalidArgument(std::string("cannot index ") +
-                                     object.KindName());
+      return WriteIndex(object, index, std::move(value));
     }
     default:
       return Status::InvalidArgument("invalid assignment target");
   }
 }
 
-Result<Value> Interpreter::EvalBinary(const Node& node, const Value& lhs,
-                                      const Value& rhs) {
-  const std::string& op = node.string_value;
-  if (op == "+") {
-    if (lhs.IsString() || rhs.IsString()) {
-      return Value::String(lhs.ToDisplayString() + rhs.ToDisplayString());
-    }
-    return Value::Number(lhs.ToNumber() + rhs.ToNumber());
+/// Compound assignment (`x op= v`, and prefix ++/-- desugared to it) and
+/// postfix ++/--. The target's object and index are evaluated once, then
+/// that slot is read, the new value computed and written back to the same
+/// slot, in ECMAScript's order: the target reference before the operand.
+/// Reading the target counts one step, as evaluating it would.
+Result<Value> Interpreter::EvalUpdate(const Node& node, Environment* env,
+                                      Flow* flow) {
+  const Node& target = *node.children[0];
+  DISCSEC_RETURN_IF_ERROR(Tick(target));
+  Value* slot = nullptr;
+  Value object;
+  Value index;
+  Value current;
+  if (target.type == NodeType::kIdentifier) {
+    slot = env->Lookup(target.string_value);
+    if (slot == nullptr) return UndefinedVariable(target);
+    current = *slot;
+  } else if (target.type == NodeType::kMember) {
+    DISCSEC_ASSIGN_OR_RETURN(object,
+                             EvalNode(*target.children[0], env, flow));
+    current = ReadMember(object, target.string_value);
+  } else if (target.type == NodeType::kIndex) {
+    DISCSEC_ASSIGN_OR_RETURN(object,
+                             EvalNode(*target.children[0], env, flow));
+    DISCSEC_ASSIGN_OR_RETURN(index,
+                             EvalNode(*target.children[1], env, flow));
+    DISCSEC_ASSIGN_OR_RETURN(current, ReadIndex(object, index));
+  } else {
+    return Status::InvalidArgument("invalid assignment target");
   }
-  if (op == "-") return Value::Number(lhs.ToNumber() - rhs.ToNumber());
-  if (op == "*") return Value::Number(lhs.ToNumber() * rhs.ToNumber());
-  if (op == "/") return Value::Number(lhs.ToNumber() / rhs.ToNumber());
-  if (op == "%") {
-    return Value::Number(std::fmod(lhs.ToNumber(), rhs.ToNumber()));
+  Value updated;
+  Value result;
+  if (node.type == NodeType::kPostfix) {
+    const double old_value = current.ToNumber();
+    updated = Value::Number(node.op == Op::kAdd ? old_value + 1
+                                                : old_value - 1);
+    result = Value::Number(old_value);
+  } else {
+    DISCSEC_ASSIGN_OR_RETURN(Value rhs,
+                             EvalNode(*node.children[1], env, flow));
+    DISCSEC_ASSIGN_OR_RETURN(updated, EvalBinary(node, current, rhs));
+    result = updated;
   }
-  if (op == "==" || op == "===") {
-    return Value::Boolean(lhs.StrictEquals(rhs));
+  if (slot != nullptr) {
+    // Scopes on the chain stay alive and bindings are never erased, so the
+    // slot found above is still the nearest binding.
+    *slot = std::move(updated);
+  } else if (target.type == NodeType::kMember) {
+    DISCSEC_RETURN_IF_ERROR(
+        WriteMember(object, target.string_value, std::move(updated)));
+  } else {
+    DISCSEC_RETURN_IF_ERROR(WriteIndex(object, index, std::move(updated)));
   }
-  if (op == "!=" || op == "!==") {
-    return Value::Boolean(!lhs.StrictEquals(rhs));
-  }
-  if (op == "<" || op == ">" || op == "<=" || op == ">=") {
-    // String/string comparisons are lexicographic, otherwise numeric.
-    int cmp;
-    bool valid = true;
-    if (lhs.IsString() && rhs.IsString()) {
-      cmp = lhs.AsString().compare(rhs.AsString());
-    } else {
-      double a = lhs.ToNumber();
-      double b = rhs.ToNumber();
-      if (std::isnan(a) || std::isnan(b)) valid = false;
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
-    }
-    if (!valid) return Value::Boolean(false);
-    if (op == "<") return Value::Boolean(cmp < 0);
-    if (op == ">") return Value::Boolean(cmp > 0);
-    if (op == "<=") return Value::Boolean(cmp <= 0);
-    return Value::Boolean(cmp >= 0);
-  }
-  return Status::Unsupported("binary operator '" + op + "'");
+  return result;
 }
 
-Result<Value> Interpreter::EvalNode(const Node& node,
-                                    std::shared_ptr<Environment> env,
+Result<Value> Interpreter::EvalNode(const Node& node, Environment* env,
                                     Flow* flow) {
   DISCSEC_RETURN_IF_ERROR(Tick(node));
   switch (node.type) {
@@ -312,10 +501,7 @@ Result<Value> Interpreter::EvalNode(const Node& node,
       return Value();
     case NodeType::kIdentifier: {
       Value* v = env->Lookup(node.string_value);
-      if (v == nullptr) {
-        return Status::NotFound("undefined variable '" + node.string_value +
-                                "' at line " + std::to_string(node.line));
-      }
+      if (v == nullptr) return UndefinedVariable(node);
       return *v;
     }
     case NodeType::kArrayLiteral: {
@@ -345,48 +531,32 @@ Result<Value> Interpreter::EvalNode(const Node& node,
     case NodeType::kLogical: {
       DISCSEC_ASSIGN_OR_RETURN(Value lhs,
                                EvalNode(*node.children[0], env, flow));
-      if (node.string_value == "&&") {
-        if (!lhs.Truthy()) return lhs;
-        return EvalNode(*node.children[1], env, flow);
-      }
-      if (lhs.Truthy()) return lhs;
+      const bool decided =
+          node.op == Op::kAnd ? !lhs.Truthy() : lhs.Truthy();
+      if (decided) return lhs;
       return EvalNode(*node.children[1], env, flow);
     }
     case NodeType::kUnary: {
       DISCSEC_ASSIGN_OR_RETURN(Value operand,
                                EvalNode(*node.children[0], env, flow));
-      if (node.string_value == "-") return Value::Number(-operand.ToNumber());
-      if (node.string_value == "+") return Value::Number(operand.ToNumber());
-      if (node.string_value == "!") return Value::Boolean(!operand.Truthy());
-      if (node.string_value == "typeof") {
-        return Value::String(operand.KindName());
+      switch (node.op) {
+        case Op::kNeg: return Value::Number(-operand.ToNumber());
+        case Op::kPlus: return Value::Number(operand.ToNumber());
+        case Op::kNot: return Value::Boolean(!operand.Truthy());
+        case Op::kTypeof: return Value::String(operand.KindName());
+        default:
+          return Status::Unsupported("unary operator " + node.string_value);
       }
-      return Status::Unsupported("unary operator " + node.string_value);
     }
     case NodeType::kAssign: {
-      const Node& target = *node.children[0];
+      if (node.op != Op::kNone) return EvalUpdate(node, env, flow);
       DISCSEC_ASSIGN_OR_RETURN(Value rhs,
                                EvalNode(*node.children[1], env, flow));
-      if (node.string_value != "=") {
-        // Compound assignment: read-modify-write.
-        DISCSEC_ASSIGN_OR_RETURN(Value current, EvalNode(target, env, flow));
-        Node op_node(NodeType::kBinary);
-        op_node.string_value = node.string_value.substr(0, 1);
-        op_node.line = node.line;
-        DISCSEC_ASSIGN_OR_RETURN(rhs, EvalBinary(op_node, current, rhs));
-      }
-      DISCSEC_RETURN_IF_ERROR(AssignTo(target, rhs, env, flow));
+      DISCSEC_RETURN_IF_ERROR(AssignTo(*node.children[0], rhs, env, flow));
       return rhs;
     }
-    case NodeType::kPostfix: {
-      const Node& target = *node.children[0];
-      DISCSEC_ASSIGN_OR_RETURN(Value current, EvalNode(target, env, flow));
-      double old_value = current.ToNumber();
-      double next = node.string_value == "++" ? old_value + 1 : old_value - 1;
-      DISCSEC_RETURN_IF_ERROR(
-          AssignTo(target, Value::Number(next), env, flow));
-      return Value::Number(old_value);
-    }
+    case NodeType::kPostfix:
+      return EvalUpdate(node, env, flow);
     case NodeType::kConditional: {
       DISCSEC_ASSIGN_OR_RETURN(Value cond,
                                EvalNode(*node.children[0], env, flow));
@@ -397,6 +567,7 @@ Result<Value> Interpreter::EvalNode(const Node& node,
       DISCSEC_ASSIGN_OR_RETURN(Value callee,
                                EvalNode(*node.children[0], env, flow));
       std::vector<Value> args;
+      args.reserve(node.children.size() - 1);
       for (size_t i = 1; i < node.children.size(); ++i) {
         DISCSEC_ASSIGN_OR_RETURN(Value arg,
                                  EvalNode(*node.children[i], env, flow));
@@ -412,114 +583,18 @@ Result<Value> Interpreter::EvalNode(const Node& node,
     case NodeType::kMember: {
       DISCSEC_ASSIGN_OR_RETURN(Value object,
                                EvalNode(*node.children[0], env, flow));
-      const std::string& name = node.string_value;
-      if (object.IsObject()) {
-        auto it = object.AsObject().find(name);
-        return it != object.AsObject().end() ? it->second : Value();
-      }
-      if (object.IsArray() && name == "length") {
-        return Value::Number(static_cast<double>(object.AsArray().size()));
-      }
-      if (object.IsArray() && name == "push") {
-        Value array = object;  // shares the underlying storage
-        return Value::Native([array](const std::vector<Value>& args) mutable
-                                 -> Result<Value> {
-          for (const Value& v : args) array.AsArray().push_back(v);
-          return Value::Number(static_cast<double>(array.AsArray().size()));
-        });
-      }
-      if (object.IsString() && name == "length") {
-        return Value::Number(static_cast<double>(object.AsString().size()));
-      }
-      if (object.IsString() && (name == "charAt" || name == "substring" ||
-                                name == "indexOf" || name == "toUpperCase" ||
-                                name == "toLowerCase")) {
-        std::string s = object.AsString();
-        if (name == "charAt") {
-          return Value::Native(
-              [s](const std::vector<Value>& args) -> Result<Value> {
-                size_t i = args.empty()
-                               ? 0
-                               : static_cast<size_t>(args[0].ToNumber());
-                return Value::String(i < s.size() ? std::string(1, s[i])
-                                                  : std::string());
-              });
-        }
-        if (name == "substring") {
-          return Value::Native(
-              [s](const std::vector<Value>& args) -> Result<Value> {
-                size_t b = args.empty()
-                               ? 0
-                               : static_cast<size_t>(
-                                     std::max(0.0, args[0].ToNumber()));
-                size_t e = args.size() < 2 ? s.size()
-                                           : static_cast<size_t>(std::max(
-                                                 0.0, args[1].ToNumber()));
-                b = std::min(b, s.size());
-                e = std::min(e, s.size());
-                if (b > e) std::swap(b, e);
-                return Value::String(s.substr(b, e - b));
-              });
-        }
-        if (name == "indexOf") {
-          return Value::Native(
-              [s](const std::vector<Value>& args) -> Result<Value> {
-                if (args.empty()) return Value::Number(-1);
-                size_t p = s.find(args[0].ToDisplayString());
-                return Value::Number(
-                    p == std::string::npos ? -1 : static_cast<double>(p));
-              });
-        }
-        bool upper = name == "toUpperCase";
-        return Value::Native(
-            [s, upper](const std::vector<Value>&) -> Result<Value> {
-              std::string out = s;
-              for (char& c : out) {
-                c = upper ? static_cast<char>(std::toupper(
-                                static_cast<unsigned char>(c)))
-                          : static_cast<char>(std::tolower(
-                                static_cast<unsigned char>(c)));
-              }
-              return Value::String(out);
-            });
-      }
-      return Value();  // missing property -> undefined
+      return ReadMember(object, node.string_value);
     }
     case NodeType::kIndex: {
       DISCSEC_ASSIGN_OR_RETURN(Value object,
                                EvalNode(*node.children[0], env, flow));
       DISCSEC_ASSIGN_OR_RETURN(Value index,
                                EvalNode(*node.children[1], env, flow));
-      if (object.IsArray()) {
-        double d = index.ToNumber();
-        if (std::isnan(d) || d < 0 ||
-            static_cast<size_t>(d) >= object.AsArray().size()) {
-          return Value();
-        }
-        return object.AsArray()[static_cast<size_t>(d)];
-      }
-      if (object.IsObject()) {
-        auto it = object.AsObject().find(index.ToDisplayString());
-        return it != object.AsObject().end() ? it->second : Value();
-      }
-      if (object.IsString()) {
-        double d = index.ToNumber();
-        if (std::isnan(d) || d < 0 ||
-            static_cast<size_t>(d) >= object.AsString().size()) {
-          return Value();
-        }
-        return Value::String(
-            std::string(1, object.AsString()[static_cast<size_t>(d)]));
-      }
-      return Status::InvalidArgument(std::string("cannot index ") +
-                                     object.KindName());
+      return ReadIndex(object, index);
     }
-    case NodeType::kFunctionExpr: {
-      Value::Closure closure;
-      closure.def = FindFunction(node.function_index);
-      closure.env = env;
-      return Value::Function(std::move(closure));
-    }
+    case NodeType::kFunctionExpr:
+      env->MarkCaptured();
+      return Value::Function({node.function, env});
 
     // ---- statements ----
     case NodeType::kProgram:
@@ -539,13 +614,10 @@ Result<Value> Interpreter::EvalNode(const Node& node,
       env->Define(node.string_value, std::move(init));
       return Value();
     }
-    case NodeType::kFunctionDecl: {
-      Value::Closure closure;
-      closure.def = FindFunction(node.function_index);
-      closure.env = env;
-      env->Define(node.string_value, Value::Function(std::move(closure)));
+    case NodeType::kFunctionDecl:
+      env->MarkCaptured();
+      env->Define(node.string_value, Value::Function({node.function, env}));
       return Value();
-    }
     case NodeType::kExprStatement:
       return EvalNode(*node.children[0], env, flow);
     case NodeType::kIf: {
@@ -577,7 +649,8 @@ Result<Value> Interpreter::EvalNode(const Node& node,
       return Value();
     }
     case NodeType::kFor: {
-      auto loop_env = std::make_shared<Environment>(env);
+      Scope loop(this, env);
+      Environment* loop_env = loop.get();
       if (node.children[0]->type != NodeType::kUndefinedLiteral) {
         DISCSEC_ASSIGN_OR_RETURN(Value ignored,
                                  EvalNode(*node.children[0], loop_env, flow));
@@ -666,10 +739,6 @@ Result<Value> Interpreter::EvalNode(const Node& node,
       return Value();
   }
   return Status::Unsupported("AST node type");
-}
-
-const FunctionDef* Interpreter::FindFunction(size_t index) const {
-  return functions_[index];
 }
 
 }  // namespace script

@@ -29,6 +29,13 @@ struct Limits {
 /// and objects as globals before running; scripts call them like ordinary
 /// functions. Errors are Status values (no exceptions), including
 /// ResourceExhausted when a limit trips.
+///
+/// The interpreter owns every scope it creates (DESIGN.md §16): the global
+/// scope, each call frame and each `for` scope. A frame or `for` scope is
+/// freed when it exits unless a closure captured it; captured scopes live
+/// until the interpreter is destroyed, so no script value keeps a session
+/// alive. Each capture costs at least one step, so `Limits::max_steps`
+/// bounds what a session retains.
 class Interpreter {
  public:
   explicit Interpreter(Limits limits = Limits());
@@ -41,8 +48,8 @@ class Interpreter {
 
   /// Parses and runs a source text in the global scope. Returns the value
   /// of the last expression statement (like a REPL), or undefined.
-  /// The parsed Program is retained by the interpreter (closures point into
-  /// it).
+  /// The program's functions are retained by the interpreter (closures
+  /// point into them).
   Result<Value> Run(const std::string& source);
 
   /// Calls a previously defined global function (e.g. an event handler the
@@ -62,25 +69,22 @@ class Interpreter {
 
  private:
   struct Flow;  // control-flow signal (return/break/continue)
+  class Scope;  // a call frame or `for` scope, released on exit
 
-  Result<Value> EvalNode(const Node& node, std::shared_ptr<Environment> env,
-                         Flow* flow);
-  Result<Value> EvalBinary(const Node& node, const Value& lhs,
-                           const Value& rhs);
-  Status AssignTo(const Node& target, Value value,
-                  std::shared_ptr<Environment> env, Flow* flow);
+  Result<Value> EvalNode(const Node& node, Environment* env, Flow* flow);
+  Result<Value> EvalUpdate(const Node& node, Environment* env, Flow* flow);
+  Status AssignTo(const Node& target, Value value, Environment* env,
+                  Flow* flow);
   Status Tick(const Node& node);
-  const FunctionDef* FindFunction(size_t index) const;
 
   Limits limits_;
   uint64_t steps_used_ = 0;
   size_t call_depth_ = 0;
-  std::shared_ptr<Environment> globals_;
-  std::vector<Program> programs_;  ///< all sources run, kept alive
-  /// Interpreter-wide function table: each parsed program's functions are
-  /// appended here and its AST's indices rebased, so closures from any
-  /// earlier Run() keep resolving correctly.
-  std::vector<const FunctionDef*> functions_;
+  std::unique_ptr<Environment> globals_;
+  /// Scopes a closure captured, kept from their exit to the destructor.
+  std::vector<std::unique_ptr<Environment>> captured_;
+  /// Every function of every source run, kept alive for the closures.
+  std::vector<std::unique_ptr<FunctionDef>> functions_;
 };
 
 }  // namespace script

@@ -1,52 +1,175 @@
 #include "script/lexer.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <climits>
 #include <cstdlib>
-#include <cstring>
-#include <set>
 
 #include "common/scan.h"
 
 namespace discsec {
 namespace script {
 
-bool IsKeyword(std::string_view word) {
-  static const std::set<std::string, std::less<>> kKeywords = {
-      "var",    "function", "if",       "else",  "while",  "for",
-      "return", "break",    "continue", "true",  "false",  "null",
-      "undefined", "typeof", "new",     "this",  "in",     "do",
-      "switch", "case",     "default"};
-  return kKeywords.count(word) > 0;
+namespace {
+
+struct KeywordEntry {
+  std::string_view word;
+  Keyword code;
+};
+
+constexpr KeywordEntry kKeywords[] = {
+    {"var", Keyword::kVar},       {"function", Keyword::kFunction},
+    {"if", Keyword::kIf},         {"else", Keyword::kElse},
+    {"while", Keyword::kWhile},   {"for", Keyword::kFor},
+    {"return", Keyword::kReturn}, {"break", Keyword::kBreak},
+    {"continue", Keyword::kContinue},
+    {"true", Keyword::kTrue},     {"false", Keyword::kFalse},
+    {"null", Keyword::kNull},     {"undefined", Keyword::kUndefined},
+    {"typeof", Keyword::kTypeof}, {"new", Keyword::kNew},
+    {"this", Keyword::kThis},     {"in", Keyword::kIn},
+    {"do", Keyword::kDo},         {"switch", Keyword::kSwitch},
+    {"case", Keyword::kCase},     {"default", Keyword::kDefault},
+};
+
+Keyword LookupKeyword(std::string_view word) {
+  for (const KeywordEntry& entry : kKeywords) {
+    if (entry.word == word) return entry.code;
+  }
+  return Keyword::kNone;
 }
 
-namespace {
+// Indexed by Punct.
+constexpr std::string_view kPunctSpellings[] = {
+    "",   "(",  ")",  "{",   "}",   "[",  "]",  ";",  ",",  ".",
+    "?",  ":",  "=",  "+=",  "-=",  "*=", "/=", "%=", "+",  "-",
+    "*",  "/",  "%",  "++",  "--",  "==", "!=", "===", "!==", "<",
+    ">",  "<=", ">=", "&&",  "||",  "!"};
+static_assert(std::size(kPunctSpellings) ==
+              static_cast<size_t>(Punct::kNot) + 1);
 
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$';
 }
 
-bool IsIdentPart(char c) {
-  return IsIdentStart(c) || std::isdigit(static_cast<unsigned char>(c));
-}
-
-// Longest-match-first punctuator table.
-const char* kPunctuators3[] = {"===", "!=="};
-const char* kPunctuators2[] = {"==", "!=", "<=", ">=", "&&", "||", "+=",
-                               "-=", "*=", "/=", "%=", "++", "--"};
-const char kPunctuators1[] = "+-*/%=<>!(){}[];,.?:";
+// Bytes that end an identifier: everything but [A-Za-z0-9_$].
+constexpr StopTable kIdentifierStops = [] {
+  StopTable table{};
+  for (int c = 0; c < 256; ++c) {
+    table[c] = !((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                 (c >= '0' && c <= '9') || c == '_' || c == '$');
+  }
+  return table;
+}();
 
 // Bytes that end a run inside a string literal of each quote kind.
 constexpr StopTable kDoubleQuotedStops = MakeStopTable("\"\\\n");
 constexpr StopTable kSingleQuotedStops = MakeStopTable("'\\\n");
 
+/// The longest punctuator at source[pos] and its length in `*length`;
+/// kNone when no punctuator starts there.
+Punct LexPunct(std::string_view source, size_t pos, size_t* length) {
+  auto at = [&](size_t ahead) {
+    return pos + ahead < source.size() ? source[pos + ahead] : '\0';
+  };
+  // `two` when the next byte is `second`, else `one`.
+  auto either = [&](char second, Punct two, Punct one) {
+    if (at(1) != second) return one;
+    *length = 2;
+    return two;
+  };
+  // `three` for c==, `two` for c=, else `one` (the = and ! families).
+  auto equals = [&](Punct three, Punct two, Punct one) {
+    if (at(1) != '=') return one;
+    *length = at(2) == '=' ? 3 : 2;
+    return *length == 3 ? three : two;
+  };
+  *length = 1;
+  switch (source[pos]) {
+    case '(': return Punct::kLParen;
+    case ')': return Punct::kRParen;
+    case '{': return Punct::kLBrace;
+    case '}': return Punct::kRBrace;
+    case '[': return Punct::kLBracket;
+    case ']': return Punct::kRBracket;
+    case ';': return Punct::kSemicolon;
+    case ',': return Punct::kComma;
+    case '.': return Punct::kDot;
+    case '?': return Punct::kQuestion;
+    case ':': return Punct::kColon;
+    case '<': return either('=', Punct::kLe, Punct::kLt);
+    case '>': return either('=', Punct::kGe, Punct::kGt);
+    case '*': return either('=', Punct::kStarAssign, Punct::kStar);
+    case '/': return either('=', Punct::kSlashAssign, Punct::kSlash);
+    case '%': return either('=', Punct::kPercentAssign, Punct::kPercent);
+    case '&': return either('&', Punct::kAnd, Punct::kNone);
+    case '|': return either('|', Punct::kOr, Punct::kNone);
+    case '+':
+      if (at(1) == '+') {
+        *length = 2;
+        return Punct::kPlusPlus;
+      }
+      return either('=', Punct::kPlusAssign, Punct::kPlus);
+    case '-':
+      if (at(1) == '-') {
+        *length = 2;
+        return Punct::kMinusMinus;
+      }
+      return either('=', Punct::kMinusAssign, Punct::kMinus);
+    case '=': return equals(Punct::kStrictEq, Punct::kEq, Punct::kAssign);
+    case '!': return equals(Punct::kStrictNe, Punct::kNe, Punct::kNot);
+    default: return Punct::kNone;
+  }
+}
+
+/// strtod's value for a scanned decimal literal. from_chars gives the same
+/// correctly rounded result without a temporary string, except out of
+/// range, where it leaves the value unset and strtod saturates or
+/// underflows.
+double DecimalValue(std::string_view digits) {
+  double value = 0.0;
+  auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    return std::strtod(std::string(digits).c_str(), nullptr);
+  }
+  return value;
+}
+
+/// strtoull's value (base 16) for a scanned run of hex digits, which
+/// saturates on overflow.
+double HexValue(std::string_view digits) {
+  unsigned long long value = 0;
+  auto [end, ec] = std::from_chars(digits.data(),
+                                   digits.data() + digits.size(), value, 16);
+  if (ec == std::errc::result_out_of_range) value = ULLONG_MAX;
+  return static_cast<double>(value);
+}
+
 }  // namespace
+
+std::string_view PunctSpelling(Punct punct) {
+  return kPunctSpellings[static_cast<size_t>(punct)];
+}
+
+bool IsKeyword(std::string_view word) {
+  return LookupKeyword(word) != Keyword::kNone;
+}
 
 Result<std::vector<Token>> Tokenize(std::string_view source) {
   std::vector<Token> tokens;
+  // Dense code runs about one token per two bytes; larger sources grow.
+  tokens.reserve(std::min<size_t>(source.size() / 2 + 2, 1024));
   size_t pos = 0;
   int line = 1;
   auto error = [&](const std::string& what) {
     return Status::ParseError(what + " at line " + std::to_string(line));
+  };
+  auto add = [&](TokenType type) -> Token& {
+    Token& token = tokens.emplace_back();
+    token.type = type;
+    token.line = line;
+    return token;
   };
 
   while (pos < source.size()) {
@@ -82,9 +205,7 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '.' && pos + 1 < source.size() &&
          std::isdigit(static_cast<unsigned char>(source[pos + 1])))) {
-      Token token;
-      token.type = TokenType::kNumber;
-      token.line = line;
+      Token& token = add(TokenType::kNumber);
       size_t start = pos;
       if (c == '0' && pos + 1 < source.size() &&
           (source[pos + 1] == 'x' || source[pos + 1] == 'X')) {
@@ -93,10 +214,7 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
                std::isxdigit(static_cast<unsigned char>(source[pos]))) {
           ++pos;
         }
-        token.number = static_cast<double>(
-            std::strtoull(std::string(source.substr(start + 2, pos - start - 2))
-                              .c_str(),
-                          nullptr, 16));
+        token.number = HexValue(source.substr(start + 2, pos - start - 2));
       } else {
         while (pos < source.size() &&
                (std::isdigit(static_cast<unsigned char>(source[pos])) ||
@@ -106,11 +224,8 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
                  (source[pos - 1] == 'e' || source[pos - 1] == 'E')))) {
           ++pos;
         }
-        token.number =
-            std::strtod(std::string(source.substr(start, pos - start)).c_str(),
-                        nullptr);
+        token.number = DecimalValue(source.substr(start, pos - start));
       }
-      tokens.push_back(std::move(token));
       continue;
     }
     // Strings.
@@ -119,9 +234,6 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       const StopTable& stops =
           quote == '"' ? kDoubleQuotedStops : kSingleQuotedStops;
       ++pos;
-      Token token;
-      token.type = TokenType::kString;
-      token.line = line;
       std::string value;
       while (pos < source.size() && source[pos] != quote) {
         char ch = source[pos];
@@ -161,51 +273,33 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       }
       if (pos >= source.size()) return error("unterminated string literal");
       ++pos;  // closing quote
-      token.string = std::move(value);
-      tokens.push_back(std::move(token));
+      add(TokenType::kString).string = std::move(value);
       continue;
     }
     // Identifiers and keywords.
     if (IsIdentStart(c)) {
       size_t start = pos;
-      while (pos < source.size() && IsIdentPart(source[pos])) ++pos;
-      Token token;
-      token.line = line;
-      token.text = std::string(source.substr(start, pos - start));
-      token.type =
-          IsKeyword(token.text) ? TokenType::kKeyword : TokenType::kIdentifier;
-      tokens.push_back(std::move(token));
+      pos = ScanRun(source, pos + 1, kIdentifierStops);
+      std::string_view word = source.substr(start, pos - start);
+      Keyword keyword = LookupKeyword(word);
+      Token& token = add(keyword != Keyword::kNone ? TokenType::kKeyword
+                                                   : TokenType::kIdentifier);
+      token.keyword = keyword;
+      token.text.assign(word);
       continue;
     }
     // Punctuators (longest match).
-    bool matched = false;
-    for (const char* p : kPunctuators3) {
-      if (source.compare(pos, 3, p) == 0) {
-        tokens.push_back({TokenType::kPunctuator, p, 0.0, "", line});
-        pos += 3;
-        matched = true;
-        break;
-      }
+    size_t length = 0;
+    Punct punct = LexPunct(source, pos, &length);
+    if (punct == Punct::kNone) {
+      return error(std::string("unexpected character '") + c + "'");
     }
-    if (matched) continue;
-    for (const char* p : kPunctuators2) {
-      if (source.compare(pos, 2, p) == 0) {
-        tokens.push_back({TokenType::kPunctuator, p, 0.0, "", line});
-        pos += 2;
-        matched = true;
-        break;
-      }
-    }
-    if (matched) continue;
-    if (std::strchr(kPunctuators1, c) != nullptr && c != '\0') {
-      tokens.push_back(
-          {TokenType::kPunctuator, std::string(1, c), 0.0, "", line});
-      ++pos;
-      continue;
-    }
-    return error(std::string("unexpected character '") + c + "'");
+    Token& token = add(TokenType::kPunctuator);
+    token.punct = punct;
+    token.text.assign(PunctSpelling(punct));
+    pos += length;
   }
-  tokens.push_back({TokenType::kEnd, "", 0.0, "", line});
+  add(TokenType::kEnd);
   return tokens;
 }
 

@@ -1,6 +1,7 @@
 #ifndef DISCSEC_SCRIPT_LEXER_H_
 #define DISCSEC_SCRIPT_LEXER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,7 +12,7 @@ namespace discsec {
 namespace script {
 
 /// Token kinds for the ECMAScript subset.
-enum class TokenType {
+enum class TokenType : uint8_t {
   kNumber,
   kString,
   kIdentifier,
@@ -20,12 +21,83 @@ enum class TokenType {
   kEnd,
 };
 
+/// Punctuator codes: the parser matches these, never spellings.
+enum class Punct : uint8_t {
+  kNone,
+  kLParen,         // (
+  kRParen,         // )
+  kLBrace,         // {
+  kRBrace,         // }
+  kLBracket,       // [
+  kRBracket,       // ]
+  kSemicolon,      // ;
+  kComma,          // ,
+  kDot,            // .
+  kQuestion,       // ?
+  kColon,          // :
+  kAssign,         // =
+  kPlusAssign,     // +=
+  kMinusAssign,    // -=
+  kStarAssign,     // *=
+  kSlashAssign,    // /=
+  kPercentAssign,  // %=
+  kPlus,           // +
+  kMinus,          // -
+  kStar,           // *
+  kSlash,          // /
+  kPercent,        // %
+  kPlusPlus,       // ++
+  kMinusMinus,     // --
+  kEq,             // ==
+  kNe,             // !=
+  kStrictEq,       // ===
+  kStrictNe,       // !==
+  kLt,             // <
+  kGt,             // >
+  kLe,             // <=
+  kGe,             // >=
+  kAnd,            // &&
+  kOr,             // ||
+  kNot,            // !
+};
+
+/// Keyword codes, in the order of the reserved-word table.
+enum class Keyword : uint8_t {
+  kNone,
+  kVar,
+  kFunction,
+  kIf,
+  kElse,
+  kWhile,
+  kFor,
+  kReturn,
+  kBreak,
+  kContinue,
+  kTrue,
+  kFalse,
+  kNull,
+  kUndefined,
+  kTypeof,
+  kNew,
+  kThis,
+  kIn,
+  kDo,
+  kSwitch,
+  kCase,
+  kDefault,
+};
+
+/// The source spelling of a punctuator ("" for kNone).
+std::string_view PunctSpelling(Punct punct);
+
 struct Token {
   TokenType type = TokenType::kEnd;
+  Punct punct = Punct::kNone;        ///< for kPunctuator
+  Keyword keyword = Keyword::kNone;  ///< for kKeyword
+  int line = 1;
   std::string text;       ///< identifier/keyword name, punctuator spelling
   double number = 0.0;    ///< for kNumber
   std::string string;     ///< decoded value for kString
-  int line = 1;
 };
 
 /// Tokenizes ECMAScript source. Handles // and /* */ comments, decimal and

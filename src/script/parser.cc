@@ -1,5 +1,7 @@
 #include "script/parser.h"
 
+#include <optional>
+
 #include "script/lexer.h"
 #include "script/value.h"
 
@@ -7,6 +9,49 @@ namespace discsec {
 namespace script {
 
 namespace {
+
+/// A binary or logical operator token's precedence (higher binds tighter;
+/// 0 for any other token), node type and operator code.
+struct BinaryOperator {
+  int precedence;
+  NodeType type;
+  Op op;
+};
+
+BinaryOperator BinaryOperatorOf(Punct punct) {
+  switch (punct) {
+    case Punct::kOr: return {1, NodeType::kLogical, Op::kOr};
+    case Punct::kAnd: return {2, NodeType::kLogical, Op::kAnd};
+    case Punct::kStrictEq: return {3, NodeType::kBinary, Op::kStrictEq};
+    case Punct::kStrictNe: return {3, NodeType::kBinary, Op::kStrictNe};
+    case Punct::kEq: return {3, NodeType::kBinary, Op::kEq};
+    case Punct::kNe: return {3, NodeType::kBinary, Op::kNe};
+    case Punct::kLe: return {4, NodeType::kBinary, Op::kLe};
+    case Punct::kGe: return {4, NodeType::kBinary, Op::kGe};
+    case Punct::kLt: return {4, NodeType::kBinary, Op::kLt};
+    case Punct::kGt: return {4, NodeType::kBinary, Op::kGt};
+    case Punct::kPlus: return {5, NodeType::kBinary, Op::kAdd};
+    case Punct::kMinus: return {5, NodeType::kBinary, Op::kSub};
+    case Punct::kStar: return {6, NodeType::kBinary, Op::kMul};
+    case Punct::kSlash: return {6, NodeType::kBinary, Op::kDiv};
+    case Punct::kPercent: return {6, NodeType::kBinary, Op::kMod};
+    default: return {0, NodeType::kBinary, Op::kNone};
+  }
+}
+
+/// For an assignment token, the compound form's binary op (kNone for "=");
+/// nullopt for any other token.
+std::optional<Op> AssignmentOf(Punct punct) {
+  switch (punct) {
+    case Punct::kAssign: return Op::kNone;
+    case Punct::kPlusAssign: return Op::kAdd;
+    case Punct::kMinusAssign: return Op::kSub;
+    case Punct::kStarAssign: return Op::kMul;
+    case Punct::kSlashAssign: return Op::kDiv;
+    case Punct::kPercentAssign: return Op::kMod;
+    default: return std::nullopt;
+  }
+}
 
 class ParserImpl {
  public:
@@ -23,27 +68,24 @@ class ParserImpl {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  const Token& Peek() const {
+    return pos_ < tokens_.size() ? tokens_[pos_] : tokens_.back();
   }
-  const Token& Advance() { return tokens_[pos_++]; }
+  /// Consumes the current token. Nothing reads a token after it is
+  /// consumed, so callers may move its strings out.
+  Token& Advance() { return tokens_[pos_++]; }
   bool AtEnd() const { return Peek().type == TokenType::kEnd; }
 
-  bool CheckPunct(std::string_view p) const {
-    return Peek().type == TokenType::kPunctuator && Peek().text == p;
-  }
-  bool CheckKeyword(std::string_view k) const {
-    return Peek().type == TokenType::kKeyword && Peek().text == k;
-  }
-  bool MatchPunct(std::string_view p) {
+  bool CheckPunct(Punct p) const { return Peek().punct == p; }
+  bool CheckKeyword(Keyword k) const { return Peek().keyword == k; }
+  bool MatchPunct(Punct p) {
     if (CheckPunct(p)) {
       Advance();
       return true;
     }
     return false;
   }
-  bool MatchKeyword(std::string_view k) {
+  bool MatchKeyword(Keyword k) {
     if (CheckKeyword(k)) {
       Advance();
       return true;
@@ -54,10 +96,10 @@ class ParserImpl {
     return Status::ParseError(what + " at line " +
                               std::to_string(Peek().line));
   }
-  Status ExpectPunct(std::string_view p) {
+  Status ExpectPunct(Punct p) {
     if (!MatchPunct(p)) {
-      return Error("expected '" + std::string(p) + "', got '" + Peek().text +
-                   "'");
+      return Error("expected '" + std::string(PunctSpelling(p)) + "', got '" +
+                   Peek().text + "'");
     }
     return Status::OK();
   }
@@ -71,68 +113,76 @@ class ParserImpl {
   // ---- statements ----
 
   Result<NodePtr> ParseStatement() {
-    if (CheckPunct("{")) return ParseBlock();
-    if (CheckKeyword("var")) return ParseVarStatement();
-    if (CheckKeyword("function")) return ParseFunctionDecl();
-    if (CheckKeyword("if")) return ParseIf();
-    if (CheckKeyword("switch")) return ParseSwitch();
-    if (CheckKeyword("while")) return ParseWhile();
-    if (CheckKeyword("do")) return ParseDoWhile();
-    if (CheckKeyword("for")) return ParseFor();
-    if (CheckKeyword("return")) {
-      auto node = MakeNode(NodeType::kReturn);
-      Advance();
-      if (!CheckPunct(";") && !CheckPunct("}") && !AtEnd()) {
-        DISCSEC_ASSIGN_OR_RETURN(NodePtr value, ParseExpression());
-        node->children.push_back(std::move(value));
+    if (CheckPunct(Punct::kLBrace)) return ParseBlock();
+    switch (Peek().keyword) {
+      case Keyword::kVar: return ParseVarStatement();
+      case Keyword::kFunction: return ParseFunctionDecl();
+      case Keyword::kIf: return ParseIf();
+      case Keyword::kSwitch: return ParseSwitch();
+      case Keyword::kWhile: return ParseWhile();
+      case Keyword::kDo: return ParseDoWhile();
+      case Keyword::kFor: return ParseFor();
+      case Keyword::kReturn: {
+        auto node = MakeNode(NodeType::kReturn);
+        Advance();
+        if (!CheckPunct(Punct::kSemicolon) && !CheckPunct(Punct::kRBrace) &&
+            !AtEnd()) {
+          DISCSEC_ASSIGN_OR_RETURN(NodePtr value, ParseExpression());
+          node->children.push_back(std::move(value));
+        }
+        MatchPunct(Punct::kSemicolon);
+        return node;
       }
-      MatchPunct(";");
-      return node;
+      case Keyword::kBreak:
+        Advance();
+        MatchPunct(Punct::kSemicolon);
+        return MakeNode(NodeType::kBreak);
+      case Keyword::kContinue:
+        Advance();
+        MatchPunct(Punct::kSemicolon);
+        return MakeNode(NodeType::kContinue);
+      default:
+        break;
     }
-    if (MatchKeyword("break")) {
-      MatchPunct(";");
-      return MakeNode(NodeType::kBreak);
-    }
-    if (MatchKeyword("continue")) {
-      MatchPunct(";");
-      return MakeNode(NodeType::kContinue);
-    }
-    if (MatchPunct(";")) {
+    if (MatchPunct(Punct::kSemicolon)) {
       // Empty statement.
-      auto node = MakeNode(NodeType::kBlock);
-      return node;
+      return MakeNode(NodeType::kBlock);
     }
     auto node = MakeNode(NodeType::kExprStatement);
     DISCSEC_ASSIGN_OR_RETURN(NodePtr expr, ParseExpression());
     node->children.push_back(std::move(expr));
-    MatchPunct(";");
+    MatchPunct(Punct::kSemicolon);
     return node;
   }
 
   Result<NodePtr> ParseBlock() {
     auto node = MakeNode(NodeType::kBlock);
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!CheckPunct("}") && !AtEnd()) {
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLBrace));
+    while (!CheckPunct(Punct::kRBrace) && !AtEnd()) {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr stmt, ParseStatement());
       node->children.push_back(std::move(stmt));
     }
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("}"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRBrace));
     return node;
   }
 
   Result<NodePtr> ParseVarStatement() {
     Advance();  // var
-    // Support comma lists by wrapping in a block of declarations.
-    auto block = MakeNode(NodeType::kBlock);
-    for (;;) {
-      DISCSEC_ASSIGN_OR_RETURN(NodePtr decl, ParseSingleVarDecl());
-      block->children.push_back(std::move(decl));
-      if (!MatchPunct(",")) break;
+    // A comma list becomes a block of declarations.
+    const int line = Peek().line;
+    DISCSEC_ASSIGN_OR_RETURN(NodePtr decl, ParseSingleVarDecl());
+    if (!CheckPunct(Punct::kComma)) {
+      MatchPunct(Punct::kSemicolon);
+      return decl;
     }
-    MatchPunct(";");
-    if (block->children.size() == 1) {
-      return std::move(block->children[0]);
+    auto block = std::make_unique<Node>(NodeType::kBlock);
+    block->line = line;
+    block->children.push_back(std::move(decl));
+    while (MatchPunct(Punct::kComma)) {
+      DISCSEC_ASSIGN_OR_RETURN(NodePtr next, ParseSingleVarDecl());
+      block->children.push_back(std::move(next));
     }
+    MatchPunct(Punct::kSemicolon);
     return block;
   }
 
@@ -141,8 +191,8 @@ class ParserImpl {
       return Error("expected variable name");
     }
     auto node = MakeNode(NodeType::kVarDecl);
-    node->string_value = Advance().text;
-    if (MatchPunct("=")) {
+    node->string_value = std::move(Advance().text);
+    if (MatchPunct(Punct::kAssign)) {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr init, ParseAssignment());
       node->children.push_back(std::move(init));
     }
@@ -155,43 +205,42 @@ class ParserImpl {
       return Error("expected function name");
     }
     auto node = MakeNode(NodeType::kFunctionDecl);
-    node->string_value = Advance().text;
-    DISCSEC_ASSIGN_OR_RETURN(size_t index,
+    node->string_value = std::move(Advance().text);
+    DISCSEC_ASSIGN_OR_RETURN(node->function,
                              ParseFunctionRest(node->string_value));
-    node->function_index = index;
     return node;
   }
 
   /// Parses "(params) { body }" and registers the FunctionDef.
-  Result<size_t> ParseFunctionRest(const std::string& name) {
+  Result<const FunctionDef*> ParseFunctionRest(std::string name) {
     auto def = std::make_unique<FunctionDef>();
-    def->name = name;
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("("));
-    if (!CheckPunct(")")) {
+    def->name = std::move(name);
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLParen));
+    if (!CheckPunct(Punct::kRParen)) {
       for (;;) {
         if (Peek().type != TokenType::kIdentifier) {
           return Error("expected parameter name");
         }
-        def->params.push_back(Advance().text);
-        if (!MatchPunct(",")) break;
+        def->params.push_back(std::move(Advance().text));
+        if (!MatchPunct(Punct::kComma)) break;
       }
     }
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
     DISCSEC_ASSIGN_OR_RETURN(def->body, ParseBlock());
     program_->functions.push_back(std::move(def));
-    return program_->functions.size() - 1;
+    return program_->functions.back().get();
   }
 
   Result<NodePtr> ParseIf() {
     auto node = MakeNode(NodeType::kIf);
     Advance();  // if
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("("));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLParen));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr cond, ParseExpression());
     node->children.push_back(std::move(cond));
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr then, ParseStatement());
     node->children.push_back(std::move(then));
-    if (MatchKeyword("else")) {
+    if (MatchKeyword(Keyword::kElse)) {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr else_branch, ParseStatement());
       node->children.push_back(std::move(else_branch));
     }
@@ -201,43 +250,43 @@ class ParserImpl {
   Result<NodePtr> ParseSwitch() {
     auto node = MakeNode(NodeType::kSwitch);
     Advance();  // switch
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("("));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLParen));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr discriminant, ParseExpression());
     node->children.push_back(std::move(discriminant));
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("{"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLBrace));
     bool seen_default = false;
-    while (!CheckPunct("}") && !AtEnd()) {
+    while (!CheckPunct(Punct::kRBrace) && !AtEnd()) {
       auto clause = MakeNode(NodeType::kCase);
-      if (MatchKeyword("case")) {
+      if (MatchKeyword(Keyword::kCase)) {
         DISCSEC_ASSIGN_OR_RETURN(NodePtr test, ParseExpression());
         clause->children.push_back(std::move(test));
-      } else if (MatchKeyword("default")) {
+      } else if (MatchKeyword(Keyword::kDefault)) {
         if (seen_default) return Error("multiple default clauses");
         seen_default = true;
         clause->bool_value = true;
       } else {
         return Error("expected 'case' or 'default' in switch body");
       }
-      DISCSEC_RETURN_IF_ERROR(ExpectPunct(":"));
-      while (!CheckPunct("}") && !CheckKeyword("case") &&
-             !CheckKeyword("default") && !AtEnd()) {
+      DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kColon));
+      while (!CheckPunct(Punct::kRBrace) && !CheckKeyword(Keyword::kCase) &&
+             !CheckKeyword(Keyword::kDefault) && !AtEnd()) {
         DISCSEC_ASSIGN_OR_RETURN(NodePtr stmt, ParseStatement());
         clause->children.push_back(std::move(stmt));
       }
       node->children.push_back(std::move(clause));
     }
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("}"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRBrace));
     return node;
   }
 
   Result<NodePtr> ParseWhile() {
     auto node = MakeNode(NodeType::kWhile);
     Advance();  // while
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("("));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLParen));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr cond, ParseExpression());
     node->children.push_back(std::move(cond));
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr body, ParseStatement());
     node->children.push_back(std::move(body));
     return node;
@@ -249,11 +298,13 @@ class ParserImpl {
     // as for(;;){ S; if(!C) break; }.
     Advance();  // do
     DISCSEC_ASSIGN_OR_RETURN(NodePtr body, ParseStatement());
-    if (!MatchKeyword("while")) return Error("expected 'while' after do body");
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("("));
+    if (!MatchKeyword(Keyword::kWhile)) {
+      return Error("expected 'while' after do body");
+    }
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLParen));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr cond, ParseExpression());
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
-    MatchPunct(";");
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
+    MatchPunct(Punct::kSemicolon);
     // Build: for(;;){ body; if (!cond) break; }
     auto loop = MakeNode(NodeType::kFor);
     loop->children.push_back(MakeNode(NodeType::kUndefinedLiteral));
@@ -263,6 +314,7 @@ class ParserImpl {
     block->children.push_back(std::move(body));
     auto brk_if = MakeNode(NodeType::kIf);
     auto negate = MakeNode(NodeType::kUnary);
+    negate->op = Op::kNot;
     negate->string_value = "!";
     negate->children.push_back(std::move(cond));
     brk_if->children.push_back(std::move(negate));
@@ -275,11 +327,11 @@ class ParserImpl {
   Result<NodePtr> ParseFor() {
     auto node = MakeNode(NodeType::kFor);
     Advance();  // for
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct("("));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kLParen));
     // init
-    if (MatchPunct(";")) {
+    if (MatchPunct(Punct::kSemicolon)) {
       node->children.push_back(MakeNode(NodeType::kUndefinedLiteral));
-    } else if (CheckKeyword("var")) {
+    } else if (CheckKeyword(Keyword::kVar)) {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr init, ParseVarStatement());
       node->children.push_back(std::move(init));
       // ParseVarStatement consumed the ';' if present; require it.
@@ -288,168 +340,122 @@ class ParserImpl {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr expr, ParseExpression());
       stmt->children.push_back(std::move(expr));
       node->children.push_back(std::move(stmt));
-      DISCSEC_RETURN_IF_ERROR(ExpectPunct(";"));
+      DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kSemicolon));
     }
     // condition
-    if (CheckPunct(";")) {
+    if (CheckPunct(Punct::kSemicolon)) {
       node->children.push_back(MakeNode(NodeType::kUndefinedLiteral));
     } else {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr cond, ParseExpression());
       node->children.push_back(std::move(cond));
     }
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(";"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kSemicolon));
     // update
-    if (CheckPunct(")")) {
+    if (CheckPunct(Punct::kRParen)) {
       node->children.push_back(MakeNode(NodeType::kUndefinedLiteral));
     } else {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr update, ParseExpression());
       node->children.push_back(std::move(update));
     }
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr body, ParseStatement());
     node->children.push_back(std::move(body));
     return node;
   }
 
-  // ---- expressions (precedence climbing) ----
+  // ---- expressions ----
 
   Result<NodePtr> ParseExpression() { return ParseAssignment(); }
 
   Result<NodePtr> ParseAssignment() {
     DISCSEC_ASSIGN_OR_RETURN(NodePtr lhs, ParseConditional());
-    static const char* kAssignOps[] = {"=", "+=", "-=", "*=", "/=", "%="};
-    for (const char* op : kAssignOps) {
-      if (CheckPunct(op)) {
-        if (lhs->type != NodeType::kIdentifier &&
-            lhs->type != NodeType::kMember &&
-            lhs->type != NodeType::kIndex) {
-          return Error("invalid assignment target");
-        }
-        auto node = MakeNode(NodeType::kAssign);
-        node->string_value = Advance().text;
-        DISCSEC_ASSIGN_OR_RETURN(NodePtr rhs, ParseAssignment());
-        node->children.push_back(std::move(lhs));
-        node->children.push_back(std::move(rhs));
-        return node;
-      }
+    const std::optional<Op> op = AssignmentOf(Peek().punct);
+    if (!op) return lhs;
+    if (lhs->type != NodeType::kIdentifier && lhs->type != NodeType::kMember &&
+        lhs->type != NodeType::kIndex) {
+      return Error("invalid assignment target");
     }
-    return lhs;
+    auto node = MakeNode(NodeType::kAssign);
+    node->op = *op;
+    node->string_value = std::move(Advance().text);
+    DISCSEC_ASSIGN_OR_RETURN(NodePtr rhs, ParseAssignment());
+    node->children.push_back(std::move(lhs));
+    node->children.push_back(std::move(rhs));
+    return node;
   }
 
   Result<NodePtr> ParseConditional() {
-    DISCSEC_ASSIGN_OR_RETURN(NodePtr cond, ParseLogicalOr());
-    if (!MatchPunct("?")) return cond;
+    DISCSEC_ASSIGN_OR_RETURN(NodePtr cond, ParseBinary(1));
+    if (!MatchPunct(Punct::kQuestion)) return cond;
     auto node = MakeNode(NodeType::kConditional);
     node->children.push_back(std::move(cond));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr then, ParseAssignment());
     node->children.push_back(std::move(then));
-    DISCSEC_RETURN_IF_ERROR(ExpectPunct(":"));
+    DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kColon));
     DISCSEC_ASSIGN_OR_RETURN(NodePtr else_value, ParseAssignment());
     node->children.push_back(std::move(else_value));
     return node;
   }
 
-  Result<NodePtr> ParseLogicalOr() {
-    DISCSEC_ASSIGN_OR_RETURN(NodePtr lhs, ParseLogicalAnd());
-    while (CheckPunct("||")) {
-      auto node = MakeNode(NodeType::kLogical);
-      node->string_value = Advance().text;
-      DISCSEC_ASSIGN_OR_RETURN(NodePtr rhs, ParseLogicalAnd());
-      node->children.push_back(std::move(lhs));
-      node->children.push_back(std::move(rhs));
-      lhs = std::move(node);
-    }
-    return lhs;
-  }
-
-  Result<NodePtr> ParseLogicalAnd() {
-    DISCSEC_ASSIGN_OR_RETURN(NodePtr lhs, ParseEquality());
-    while (CheckPunct("&&")) {
-      auto node = MakeNode(NodeType::kLogical);
-      node->string_value = Advance().text;
-      DISCSEC_ASSIGN_OR_RETURN(NodePtr rhs, ParseEquality());
-      node->children.push_back(std::move(lhs));
-      node->children.push_back(std::move(rhs));
-      lhs = std::move(node);
-    }
-    return lhs;
-  }
-
-  Result<NodePtr> ParseBinaryLevel(
-      const std::vector<std::string>& ops,
-      Result<NodePtr> (ParserImpl::*next)()) {
-    DISCSEC_ASSIGN_OR_RETURN(NodePtr lhs, (this->*next)());
+  /// Precedence climbing over || && equality relational additive
+  /// multiplicative, all left-associative: the trees match one
+  /// recursive-descent level per precedence.
+  Result<NodePtr> ParseBinary(int min_precedence) {
+    DISCSEC_ASSIGN_OR_RETURN(NodePtr lhs, ParseUnary());
     for (;;) {
-      bool matched = false;
-      for (const std::string& op : ops) {
-        if (CheckPunct(op)) {
-          auto node = MakeNode(NodeType::kBinary);
-          node->string_value = Advance().text;
-          DISCSEC_ASSIGN_OR_RETURN(NodePtr rhs, (this->*next)());
-          node->children.push_back(std::move(lhs));
-          node->children.push_back(std::move(rhs));
-          lhs = std::move(node);
-          matched = true;
-          break;
-        }
+      const BinaryOperator binary = BinaryOperatorOf(Peek().punct);
+      if (binary.precedence == 0 || binary.precedence < min_precedence) {
+        return lhs;
       }
-      if (!matched) return lhs;
+      auto node = MakeNode(binary.type);
+      node->op = binary.op;
+      node->string_value = std::move(Advance().text);
+      DISCSEC_ASSIGN_OR_RETURN(NodePtr rhs, ParseBinary(binary.precedence + 1));
+      node->children.push_back(std::move(lhs));
+      node->children.push_back(std::move(rhs));
+      lhs = std::move(node);
     }
-  }
-
-  Result<NodePtr> ParseEquality() {
-    return ParseBinaryLevel({"===", "!==", "==", "!="},
-                            &ParserImpl::ParseRelational);
-  }
-
-  Result<NodePtr> ParseRelational() {
-    return ParseBinaryLevel({"<=", ">=", "<", ">"},
-                            &ParserImpl::ParseAdditive);
-  }
-
-  Result<NodePtr> ParseAdditive() {
-    return ParseBinaryLevel({"+", "-"}, &ParserImpl::ParseMultiplicative);
-  }
-
-  Result<NodePtr> ParseMultiplicative() {
-    return ParseBinaryLevel({"*", "/", "%"}, &ParserImpl::ParseUnary);
   }
 
   Result<NodePtr> ParseUnary() {
-    if (CheckPunct("-") || CheckPunct("+") || CheckPunct("!")) {
-      auto node = MakeNode(NodeType::kUnary);
-      node->string_value = Advance().text;
-      DISCSEC_ASSIGN_OR_RETURN(NodePtr operand, ParseUnary());
-      node->children.push_back(std::move(operand));
-      return node;
+    Op op = Op::kNone;
+    switch (Peek().punct) {
+      case Punct::kMinus: op = Op::kNeg; break;
+      case Punct::kPlus: op = Op::kPlus; break;
+      case Punct::kNot: op = Op::kNot; break;
+      case Punct::kPlusPlus:
+      case Punct::kMinusMinus: {
+        // Prefix inc/dec desugars to compound assignment: ++x -> x += 1.
+        const bool increment = Advance().punct == Punct::kPlusPlus;
+        DISCSEC_ASSIGN_OR_RETURN(NodePtr target, ParseUnary());
+        auto node = MakeNode(NodeType::kAssign);
+        node->op = increment ? Op::kAdd : Op::kSub;
+        node->string_value = increment ? "+=" : "-=";
+        auto one = MakeNode(NodeType::kNumberLiteral);
+        one->number_value = 1.0;
+        node->children.push_back(std::move(target));
+        node->children.push_back(std::move(one));
+        return node;
+      }
+      default:
+        if (CheckKeyword(Keyword::kTypeof)) op = Op::kTypeof;
+        break;
     }
-    if (CheckKeyword("typeof")) {
-      auto node = MakeNode(NodeType::kUnary);
-      node->string_value = Advance().text;
-      DISCSEC_ASSIGN_OR_RETURN(NodePtr operand, ParseUnary());
-      node->children.push_back(std::move(operand));
-      return node;
-    }
-    if (CheckPunct("++") || CheckPunct("--")) {
-      // Prefix inc/dec desugars to compound assignment: ++x -> x += 1.
-      std::string op = Advance().text;
-      DISCSEC_ASSIGN_OR_RETURN(NodePtr target, ParseUnary());
-      auto node = MakeNode(NodeType::kAssign);
-      node->string_value = op == "++" ? "+=" : "-=";
-      auto one = MakeNode(NodeType::kNumberLiteral);
-      one->number_value = 1.0;
-      node->children.push_back(std::move(target));
-      node->children.push_back(std::move(one));
-      return node;
-    }
-    return ParsePostfix();
+    if (op == Op::kNone) return ParsePostfix();
+    auto node = MakeNode(NodeType::kUnary);
+    node->op = op;
+    node->string_value = std::move(Advance().text);
+    DISCSEC_ASSIGN_OR_RETURN(NodePtr operand, ParseUnary());
+    node->children.push_back(std::move(operand));
+    return node;
   }
 
   Result<NodePtr> ParsePostfix() {
     DISCSEC_ASSIGN_OR_RETURN(NodePtr expr, ParseCallOrMember());
-    if (CheckPunct("++") || CheckPunct("--")) {
+    if (CheckPunct(Punct::kPlusPlus) || CheckPunct(Punct::kMinusMinus)) {
       auto node = MakeNode(NodeType::kPostfix);
-      node->string_value = Advance().text;
+      node->op = CheckPunct(Punct::kPlusPlus) ? Op::kAdd : Op::kSub;
+      node->string_value = std::move(Advance().text);
       node->children.push_back(std::move(expr));
       return node;
     }
@@ -459,35 +465,35 @@ class ParserImpl {
   Result<NodePtr> ParseCallOrMember() {
     DISCSEC_ASSIGN_OR_RETURN(NodePtr expr, ParsePrimary());
     for (;;) {
-      if (MatchPunct(".")) {
+      if (MatchPunct(Punct::kDot)) {
         if (Peek().type != TokenType::kIdentifier &&
             Peek().type != TokenType::kKeyword) {
           return Error("expected property name after '.'");
         }
         auto node = MakeNode(NodeType::kMember);
-        node->string_value = Advance().text;
+        node->string_value = std::move(Advance().text);
         node->children.push_back(std::move(expr));
         expr = std::move(node);
-      } else if (CheckPunct("[")) {
+      } else if (CheckPunct(Punct::kLBracket)) {
         Advance();
         auto node = MakeNode(NodeType::kIndex);
         node->children.push_back(std::move(expr));
         DISCSEC_ASSIGN_OR_RETURN(NodePtr index, ParseExpression());
         node->children.push_back(std::move(index));
-        DISCSEC_RETURN_IF_ERROR(ExpectPunct("]"));
+        DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRBracket));
         expr = std::move(node);
-      } else if (CheckPunct("(")) {
+      } else if (CheckPunct(Punct::kLParen)) {
         Advance();
         auto node = MakeNode(NodeType::kCall);
         node->children.push_back(std::move(expr));
-        if (!CheckPunct(")")) {
+        if (!CheckPunct(Punct::kRParen)) {
           for (;;) {
             DISCSEC_ASSIGN_OR_RETURN(NodePtr arg, ParseAssignment());
             node->children.push_back(std::move(arg));
-            if (!MatchPunct(",")) break;
+            if (!MatchPunct(Punct::kComma)) break;
           }
         }
-        DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
+        DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
         expr = std::move(node);
       } else {
         return expr;
@@ -505,83 +511,87 @@ class ParserImpl {
       }
       case TokenType::kString: {
         auto node = MakeNode(NodeType::kStringLiteral);
-        node->string_value = Advance().string;
+        node->string_value = std::move(Advance().string);
         return node;
       }
       case TokenType::kIdentifier: {
         auto node = MakeNode(NodeType::kIdentifier);
-        node->string_value = Advance().text;
+        node->string_value = std::move(Advance().text);
         return node;
       }
       case TokenType::kKeyword: {
-        if (token.text == "true" || token.text == "false") {
-          auto node = MakeNode(NodeType::kBooleanLiteral);
-          node->bool_value = Advance().text == "true";
-          return node;
+        switch (token.keyword) {
+          case Keyword::kTrue:
+          case Keyword::kFalse: {
+            auto node = MakeNode(NodeType::kBooleanLiteral);
+            node->bool_value = Advance().keyword == Keyword::kTrue;
+            return node;
+          }
+          case Keyword::kNull:
+            Advance();
+            return MakeNode(NodeType::kNullLiteral);
+          case Keyword::kUndefined:
+            Advance();
+            return MakeNode(NodeType::kUndefinedLiteral);
+          case Keyword::kFunction: {
+            Advance();
+            std::string name;
+            if (Peek().type == TokenType::kIdentifier) {
+              name = std::move(Advance().text);
+            }
+            auto node = MakeNode(NodeType::kFunctionExpr);
+            DISCSEC_ASSIGN_OR_RETURN(node->function,
+                                     ParseFunctionRest(std::move(name)));
+            return node;
+          }
+          default:
+            return Error("unexpected keyword '" + token.text + "'");
         }
-        if (token.text == "null") {
-          Advance();
-          return MakeNode(NodeType::kNullLiteral);
-        }
-        if (token.text == "undefined") {
-          Advance();
-          return MakeNode(NodeType::kUndefinedLiteral);
-        }
-        if (token.text == "function") {
-          Advance();
-          std::string name;
-          if (Peek().type == TokenType::kIdentifier) name = Advance().text;
-          auto node = MakeNode(NodeType::kFunctionExpr);
-          DISCSEC_ASSIGN_OR_RETURN(size_t index, ParseFunctionRest(name));
-          node->function_index = index;
-          return node;
-        }
-        return Error("unexpected keyword '" + token.text + "'");
       }
       case TokenType::kPunctuator: {
-        if (token.text == "(") {
+        if (token.punct == Punct::kLParen) {
           Advance();
           DISCSEC_ASSIGN_OR_RETURN(NodePtr expr, ParseExpression());
-          DISCSEC_RETURN_IF_ERROR(ExpectPunct(")"));
+          DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRParen));
           return expr;
         }
-        if (token.text == "[") {
+        if (token.punct == Punct::kLBracket) {
           Advance();
           auto node = MakeNode(NodeType::kArrayLiteral);
-          if (!CheckPunct("]")) {
+          if (!CheckPunct(Punct::kRBracket)) {
             for (;;) {
               DISCSEC_ASSIGN_OR_RETURN(NodePtr element, ParseAssignment());
               node->children.push_back(std::move(element));
-              if (!MatchPunct(",")) break;
+              if (!MatchPunct(Punct::kComma)) break;
             }
           }
-          DISCSEC_RETURN_IF_ERROR(ExpectPunct("]"));
+          DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRBracket));
           return node;
         }
-        if (token.text == "{") {
+        if (token.punct == Punct::kLBrace) {
           Advance();
           auto node = MakeNode(NodeType::kObjectLiteral);
-          if (!CheckPunct("}")) {
+          if (!CheckPunct(Punct::kRBrace)) {
             for (;;) {
               std::string key;
               if (Peek().type == TokenType::kIdentifier ||
                   Peek().type == TokenType::kKeyword) {
-                key = Advance().text;
+                key = std::move(Advance().text);
               } else if (Peek().type == TokenType::kString) {
-                key = Advance().string;
+                key = std::move(Advance().string);
               } else if (Peek().type == TokenType::kNumber) {
                 key = Value::Number(Advance().number).ToDisplayString();
               } else {
                 return Error("expected property key");
               }
-              DISCSEC_RETURN_IF_ERROR(ExpectPunct(":"));
+              DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kColon));
               DISCSEC_ASSIGN_OR_RETURN(NodePtr value, ParseAssignment());
               node->keys.push_back(std::move(key));
               node->children.push_back(std::move(value));
-              if (!MatchPunct(",")) break;
+              if (!MatchPunct(Punct::kComma)) break;
             }
           }
-          DISCSEC_RETURN_IF_ERROR(ExpectPunct("}"));
+          DISCSEC_RETURN_IF_ERROR(ExpectPunct(Punct::kRBrace));
           return node;
         }
         return Error("unexpected token '" + token.text + "'");

@@ -40,11 +40,13 @@ class Value {
   using Object = std::map<std::string, Value>;
   using Array = std::vector<Value>;
 
-  /// A user-defined function: parameter names, body (owned by the parsed
-  /// program), and the closure environment.
+  /// A user-defined function: its definition (parameter names and body)
+  /// and the closure environment, both owned by the Interpreter that made
+  /// it. Neither pointer owns, so a closure value must not be called after
+  /// that Interpreter is destroyed.
   struct Closure {
     const FunctionDef* def = nullptr;
-    std::shared_ptr<Environment> env;
+    Environment* env = nullptr;
   };
 
   Value() : kind_(Kind::kUndefined) {}
@@ -141,11 +143,12 @@ class Value {
   std::shared_ptr<Closure> closure_;
 };
 
-/// A lexical scope: name -> value, chained to the parent scope.
+/// A lexical scope: name -> value, chained to the parent scope. The
+/// Interpreter owns every scope; parents and closures point at them without
+/// owning (DESIGN.md §16).
 class Environment {
  public:
-  explicit Environment(std::shared_ptr<Environment> parent = nullptr)
-      : parent_(std::move(parent)) {}
+  explicit Environment(Environment* parent = nullptr) : parent_(parent) {}
 
   /// Declares (or overwrites) in this scope.
   void Define(const std::string& name, Value value) {
@@ -154,7 +157,7 @@ class Environment {
 
   /// Finds the nearest scope defining `name`; null when unbound.
   Value* Lookup(const std::string& name) {
-    for (Environment* env = this; env != nullptr; env = env->parent_.get()) {
+    for (Environment* env = this; env != nullptr; env = env->parent_) {
       auto it = env->variables_.find(name);
       if (it != env->variables_.end()) return &it->second;
     }
@@ -164,7 +167,7 @@ class Environment {
   /// Assigns to the nearest binding, or defines globally when unbound
   /// (ECMAScript 3 non-strict behaviour).
   void Assign(const std::string& name, Value value) {
-    for (Environment* env = this; env != nullptr; env = env->parent_.get()) {
+    for (Environment* env = this; env != nullptr; env = env->parent_) {
       auto it = env->variables_.find(name);
       if (it != env->variables_.end()) {
         it->second = std::move(value);
@@ -177,9 +180,20 @@ class Environment {
     }
   }
 
+  /// Marks this scope and its ancestors as captured by a closure, stopping
+  /// at the first scope already marked. A captured scope outlives its exit.
+  void MarkCaptured() {
+    for (Environment* env = this; env != nullptr && !env->captured_;
+         env = env->parent_) {
+      env->captured_ = true;
+    }
+  }
+  bool captured() const { return captured_; }
+
  private:
   std::map<std::string, Value> variables_;
-  std::shared_ptr<Environment> parent_;
+  Environment* parent_;
+  bool captured_ = false;
 };
 
 }  // namespace script

@@ -16,7 +16,11 @@ using testing_world::World;
 
 class AuthoringFixture : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() { world_ = new World(); }
+  // Suites deriving from this fixture (SignLevelTest) run the suite setup
+  // again; the world is built once and shared.
+  static void SetUpTestSuite() {
+    if (world_ == nullptr) world_ = new World();
+  }
 
   xmldsig::VerifyOptions Options() {
     static pki::CertStore store = [] {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bench/alloc_tracker.h"
 #include "script/interpreter.h"
 #include "script/lexer.h"
 #include "script/parser.h"
@@ -126,6 +127,46 @@ INSTANTIATE_TEST_SUITE_P(
         EvalCase{"compound", "var x = 10; x += 5; x *= 2; x;", "30"},
         EvalCase{"postfix", "var i = 5; var j = i++; j + ',' + i;", "5,6"},
         EvalCase{"prefix", "var i = 5; var j = ++i; j + ',' + i;", "6,6"}),
+    [](const ::testing::TestParamInfo<EvalCase>& info) {
+      return info.param.name;
+    });
+
+// Compound assignment, prefix and postfix ++/-- evaluate the target's
+// object and index once and read-modify-write that slot, in ECMAScript's
+// order: the target reference before the right-hand side.
+INSTANTIATE_TEST_SUITE_P(
+    CompoundAssignment, EvalTest,
+    ::testing::Values(
+        EvalCase{"index_side_effect_once",
+                 "var a = [5, 5]; var i = 0; a[i++] += 10; a + '|' + i;",
+                 "15,5|1"},
+        EvalCase{"index_call_once",
+                 "var calls = 0; function f() { calls++; return 0; } "
+                 "var a = [1]; a[f()] += 1; calls + '|' + a;",
+                 "1|2"},
+        EvalCase{"postfix_index_call_once",
+                 "var calls = 0; function f() { calls++; return 0; } "
+                 "var a = [1]; a[f()]++; calls + '|' + a;",
+                 "1|2"},
+        EvalCase{"prefix_index_call_once",
+                 "var calls = 0; function f() { calls++; return 0; } "
+                 "var a = [1]; ++a[f()]; calls + '|' + a;",
+                 "1|2"},
+        EvalCase{"member_call_once",
+                 "var calls = 0; var o = { x: 1 }; "
+                 "function g() { calls++; return o; } g().x += 1; "
+                 "calls + '|' + o.x;",
+                 "1|2"},
+        EvalCase{"plain_index_call_once",
+                 "var calls = 0; function f() { calls++; return 0; } "
+                 "var a = [1]; a[f()] = 7; calls + '|' + a;",
+                 "1|7"},
+        EvalCase{"postfix_index_returns_old_value",
+                 "var a = [1, 2]; var i = 0; var old = a[i++]++; "
+                 "old + '|' + a + '|' + i;",
+                 "1|2,2|1"},
+        EvalCase{"target_read_before_operand",
+                 "var x = 1; x += (x = 5); x;", "6"}),
     [](const ::testing::TestParamInfo<EvalCase>& info) {
       return info.param.name;
     });
@@ -405,6 +446,124 @@ TEST(HostBindingTest, ClosuresFromEarlierRunSurviveLaterRuns) {
   auto second = interp.CallGlobal("g", {});
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->ToDisplayString(), "second");
+}
+
+// ---------------------------------------------------------------- heap
+
+// The demo application's `main` script (tests/test_world.h), with stub host
+// objects that keep no state of their own.
+constexpr char kDemoMainScript[] =
+    "var round = 0;\n"
+    "function onLoad() {\n"
+    "  ui.drawText('title', 'Quiz Night!');\n"
+    "  scores.submit('alice', 4200);\n"
+    "  scores.submit('bob', 3100);\n"
+    "  print('best score: ' + scores.best());\n"
+    "  return scores.best();\n"
+    "}\n";
+
+constexpr char kCounterFactory[] =
+    "function counter() { var n = 0; "
+    "return function () { n += 1; return n; }; } "
+    "var c = counter(); c(); c(); c();";
+
+/// One player session: host API, the demo script, a counter factory and
+/// the onLoad event. Returns onLoad's result.
+std::string RunDemoSession(double* best) {
+  Interpreter interp;
+  interp.DefineNative("print",
+                      [](const std::vector<Value>&) -> Result<Value> {
+                        return Value();
+                      });
+  Value ui = Value::MakeObject();
+  ui.AsObject()["drawText"] =
+      Value::Native([](const std::vector<Value>&) -> Result<Value> {
+        return Value::Boolean(true);
+      });
+  interp.DefineGlobal("ui", ui);
+  Value scores = Value::MakeObject();
+  scores.AsObject()["submit"] =
+      Value::Native([best](const std::vector<Value>& args) -> Result<Value> {
+        if (args.size() > 1) *best = std::max(*best, args[1].ToNumber());
+        return Value::Boolean(true);
+      });
+  scores.AsObject()["best"] =
+      Value::Native([best](const std::vector<Value>&) -> Result<Value> {
+        return Value::Number(*best);
+      });
+  interp.DefineGlobal("scores", scores);
+  if (!interp.Run(kDemoMainScript).ok()) return "main failed";
+  auto count = interp.Run(kCounterFactory);
+  if (!count.ok() || count->ToDisplayString() != "3") return "counter failed";
+  auto loaded = interp.CallGlobal("onLoad", {});
+  return loaded.ok() ? loaded->ToDisplayString() : "onLoad failed";
+}
+
+// No script value keeps a session alive: sessions that declare functions
+// and make closures leave the live heap where it was.
+TEST(ScriptHeapTest, ThousandSessionsLeaveNoLiveBytes) {
+  double best = 0;
+  ASSERT_EQ(RunDemoSession(&best), "4200");  // warm-up: one-time statics
+  const size_t before = bench::AllocLiveBytes();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(RunDemoSession(&best), "4200");
+  }
+  EXPECT_EQ(bench::AllocLiveBytes(), before);
+}
+
+// Frames no closure captured die at return; keeping every frame until the
+// session ends would hold ~1 KB per call here.
+TEST(ScriptHeapTest, CallFramesFreedAtReturn) {
+  Limits limits;
+  limits.max_steps = 0;
+  Interpreter interp(limits);
+  ASSERT_TRUE(interp.Run("function add(a, b) { return a + b; }").ok());
+  ASSERT_TRUE(interp.Run("add(1, 2);").ok());  // warm-up
+  bench::ResetAllocStats();
+  const size_t before = bench::AllocLiveBytes();
+  auto sum = interp.Run(
+      "var s = 0; for (var i = 0; i < 50000; i++) { s = add(s, i); } s;");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->ToDisplayString(), "1249975000");
+  EXPECT_LE(bench::AllocPeakBytes() - before, size_t{1} << 20);
+}
+
+TEST(ScriptHeapTest, CapturedScopesOutliveTheirFrames) {
+  Interpreter interp;
+  ASSERT_TRUE(interp.Run("function mk(v) { return function () { return v; "
+                         "}; } var fs = []; "
+                         "for (var i = 0; i < 1000; i++) fs.push(mk(i));")
+                  .ok());
+  // Every frame of mk (and the loop scope) has exited; each closure still
+  // reads its own captured argument.
+  const Value fs = interp.GetGlobal("fs");
+  ASSERT_TRUE(fs.IsArray());
+  ASSERT_EQ(fs.AsArray().size(), 1000u);
+  for (size_t k = 0; k < fs.AsArray().size(); ++k) {
+    auto v = interp.CallValue(fs.AsArray()[k], {});
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    ASSERT_EQ(v->AsNumber(), static_cast<double>(k));
+  }
+  // Closures made inside a `for` scope inside a call share that scope.
+  auto shared = interp.Run(
+      "function loop() { var out = []; for (var j = 0; j < 3; j++) "
+      "{ out.push(function () { return j; }); } return out; } "
+      "var ls = loop(); '' + ls[0]() + ls[1]() + ls[2]();");
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  EXPECT_EQ(shared->ToDisplayString(), "333");
+}
+
+TEST(ScriptHeapTest, HandlerDefinedInFunctionSurvivesEvents) {
+  Interpreter interp;
+  ASSERT_TRUE(interp.Run("function install() { var count = 0; "
+                         "onKey = function (k) { count += k; return count; "
+                         "}; } install();")
+                  .ok());
+  for (int event = 1; event <= 100; ++event) {
+    auto r = interp.CallGlobal("onKey", {Value::Number(1)});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->AsNumber(), static_cast<double>(event));
+  }
 }
 
 TEST(StepAccountingTest, StepsAccumulate) {
