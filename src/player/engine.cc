@@ -98,7 +98,7 @@ void InteractiveApplicationEngine::AbsorbComponentMetrics() {
 Status InteractiveApplicationEngine::VerifyPhase(
     xml::Document* doc, Origin origin,
     const xmldsig::ExternalResolver& resolver, LaunchReport* report,
-    std::vector<std::string>* defer_xkms) {
+    std::vector<std::string>* signer_keys) {
   PhaseTimer timer(&report->timings.verify_us, config_.tracer,
                    "player.verify", Hist("player.verify_us"));
   xmlenc::Decryptor decryptor(config_.keys);
@@ -149,47 +149,7 @@ Status InteractiveApplicationEngine::VerifyPhase(
     for (const std::string& uri : result->reference_uris) {
       report->verified_references.push_back(uri);
     }
-
-    // Optional XKMS key-binding validation against the trust server (§7).
-    // Only a definite "no such binding" is a verification verdict; a
-    // transport or service breakdown keeps its own code (and retryability)
-    // so callers can tell "key not registered" from "could not ask".
-    // Location goes through the TTL/single-flight cache when one is
-    // configured; the Validate verdict is always fetched live so a
-    // revocation is honored immediately, not a TTL later.
-    xkms::XkmsClient* xkms_client =
-        config_.xkms != nullptr
-            ? config_.xkms
-            : (config_.xkms_cache != nullptr ? config_.xkms_cache->client()
-                                             : nullptr);
-    if (xkms_client != nullptr && !result->key_name.empty() &&
-        defer_xkms != nullptr) {
-      // Staged pipeline: the key-binding round-trips run as their own
-      // (possibly asynchronous) graph node after this stage, in the same
-      // signature order the inline path uses.
-      defer_xkms->push_back(result->key_name);
-    } else if (xkms_client != nullptr && !result->key_name.empty()) {
-      auto binding = config_.xkms_cache != nullptr
-                         ? config_.xkms_cache->Locate(result->key_name)
-                         : xkms_client->Locate(result->key_name);
-      if (!binding.ok()) {
-        if (binding.status().IsNotFound()) {
-          return Status::VerificationFailed("XKMS: signer key '" +
-                                            result->key_name +
-                                            "' is not registered");
-        }
-        return binding.status().WithContext("XKMS key-binding validation");
-      }
-      auto status = xkms_client->Validate(result->key_name, binding->key);
-      if (!status.ok()) {
-        return status.status().WithContext("XKMS key-binding validation");
-      }
-      if (status.value() != xkms::KeyStatus::kValid) {
-        return Status::VerificationFailed(
-            "XKMS: signer key binding is not Valid (revoked?)");
-      }
-      report->xkms_validated = true;
-    }
+    if (!result->key_name.empty()) signer_keys->push_back(result->key_name);
   }
   return Status::OK();
 }
@@ -301,79 +261,99 @@ Status InteractiveApplicationEngine::ScriptPhase(
   return Status::OK();
 }
 
-/// The launch pipeline of BeginSession, cut into the stages the PlayDiscs
-/// task graph schedules independently:
-///   security — parse, signature verification (XKMS deferred), decrypt;
-///   xkms     — deferred signer key-binding validation, asynchronous when
-///              the transport completes later (the graph node's worker is
-///              released while requests are in flight);
+/// One application launch, cut into the three stages every launch runs as
+/// task graph nodes:
+///   security — signature verification, then decrypt in place; the signer
+///              key names queue up for the xkms stage;
+///   xkms     — signer key-binding validation in signature order,
+///              asynchronous when the transport completes later (a pool
+///              worker is released while requests are in flight);
 ///   execute  — cluster parsing, wrapping defense, rights, policy, markup
 ///              and script execution, engine-serialized because
 ///              LocalStorage and the script host API are unsynchronized.
-/// BeginSession runs security (XKMS inline) then execute back to back on
-/// the calling thread — the serial pipeline *is* the staged pipeline with
-/// no graph in between, so the two cannot drift.
-///
-/// Stage reordering is observable only in one corner: a document with
-/// several signatures where an early signature's XKMS validation fails
-/// *and* a later stage also fails reports the stage error, where the
-/// inline path reported XKMS first (see DESIGN.md §11).
-class InteractiveApplicationEngine::StagedLaunch {
+/// The launch owns the parsed cluster document; nothing here parses it.
+class InteractiveApplicationEngine::StagedLaunch
+    : public std::enable_shared_from_this<StagedLaunch> {
  public:
-  StagedLaunch(InteractiveApplicationEngine* engine, std::string cluster_xml,
-               Origin origin, xmldsig::ExternalResolver resolver)
+  /// Stage spans parent onto `stage_parent`, so worker-side phase spans stay
+  /// in the disc's trace tree. An empty context emits no stage spans: the
+  /// phases then nest under the caller's launch span.
+  StagedLaunch(InteractiveApplicationEngine* engine, xml::Document doc,
+               Origin origin, xmldsig::ExternalResolver resolver,
+               obs::SpanContext stage_parent = {})
       : engine_(engine),
-        cluster_xml_(std::move(cluster_xml)),
+        doc_(std::move(doc)),
         origin_(origin),
         resolver_(std::move(resolver)),
+        stage_parent_(stage_parent),
         report_(std::make_unique<LaunchReport>()) {
     report_->origin = origin_;
-    if (engine_->config_.metrics != nullptr) {
-      engine_->config_.metrics->GetCounter("player.launches")->Add();
+  }
+
+  /// Adds this launch's security -> xkms -> execute chain to `graph`.
+  void AddNodes(taskgraph::TaskGraph* graph, const std::string& tag) {
+    std::shared_ptr<StagedLaunch> self = shared_from_this();
+    security_ = graph->AddNode(tag + ".security",
+                               [self] { return self->RunSecurity(); });
+    xkms_ = graph->AddAsyncNode(
+        tag + ".xkms", [self](taskgraph::CompletionHandle handle) {
+          ValidateDeferredKeys(self, 0, std::move(handle));
+        });
+    execute_ = graph->AddNode(tag + ".execute",
+                              [self] { return self->RunExecute(); });
+    graph->AddEdge(security_, xkms_);
+    graph->AddEdge(xkms_, execute_);
+  }
+
+  taskgraph::NodeId last_node() const { return execute_; }
+
+  /// The launch verdict once `graph` ran: the first stage that did not
+  /// succeed (the stages after it were cancelled by the poisoned edge).
+  Status Verdict(const taskgraph::TaskGraph& graph) const {
+    for (taskgraph::NodeId id : {security_, xkms_, execute_}) {
+      if (!graph.node_status(id).ok()) return graph.node_status(id);
     }
+    return Status::OK();
   }
 
-  /// Graph mode: stage anchor spans parent onto the disc span so worker-side
-  /// phase spans stay in the disc's trace tree. Left empty in the serial
-  /// path, whose phases nest under the caller's launch span as before.
-  void set_stage_parent(const obs::SpanContext& ctx) { stage_parent_ = ctx; }
+  std::unique_ptr<ApplicationSession> TakeSession() {
+    return engine_->AssembleSession(std::move(report_), std::move(pep_),
+                                    std::move(interpreter_));
+  }
 
-  bool has_deferred_xkms() const { return !pending_xkms_.empty(); }
-
-  /// Parse -> verify signatures -> decrypt. With `defer_xkms`, signer key
-  /// names queue up for ValidateDeferredKeys instead of blocking here.
-  Status RunSecurity(bool defer_xkms) {
+ private:
+  /// Verify signatures -> decrypt.
+  Status RunSecurity() {
     obs::ScopedSpan stage(stage_parent_, "player.launch.security");
-    DISCSEC_ASSIGN_OR_RETURN(
-        xml::Document doc,
-        xml::Parse(cluster_xml_, engine_->config_.parse_limits));
-    doc_.emplace(std::move(doc));
-    DISCSEC_RETURN_IF_ERROR(
-        engine_->VerifyPhase(&*doc_, origin_, resolver_, report_.get(),
-                             defer_xkms ? &pending_xkms_ : nullptr));
-    return engine_->DecryptPhase(&*doc_, report_.get());
+    DISCSEC_RETURN_IF_ERROR(engine_->VerifyPhase(&doc_, origin_, resolver_,
+                                                 report_.get(), &signer_keys_));
+    return engine_->DecryptPhase(&doc_, report_.get());
   }
 
-  /// Validates the deferred key bindings in signature order, completing
-  /// `handle` with the first failure; the verdicts and messages are
-  /// byte-identical to the inline VerifyPhase block. Every step is async:
-  /// key i + 1 starts inside key i's completion, which may run on the
-  /// timer-wheel thread or a responder worker, where a blocking call would
-  /// wait on itself.
+  /// Validates the signer key bindings against XKMS (§7) in signature
+  /// order, completing `handle` with the first failure. Only a definite "no
+  /// such binding" is a verification verdict; a transport or service
+  /// breakdown keeps its own code (and retryability) so callers can tell
+  /// "key not registered" from "could not ask". Location goes through the
+  /// TTL/single-flight cache when one is configured; the Validate verdict is
+  /// always fetched live so a revocation is honored immediately, not a TTL
+  /// later. Every step is async: key i + 1 starts inside key i's
+  /// completion, which may run on the timer-wheel thread or a responder
+  /// worker, where a blocking call would wait on itself.
   static void ValidateDeferredKeys(std::shared_ptr<StagedLaunch> self,
                                    size_t index,
                                    taskgraph::CompletionHandle handle) {
     const PlayerConfig& config = self->engine_->config_;
-    if (index >= self->pending_xkms_.size()) {
-      handle.Complete(Status::OK());
-      return;
-    }
-    const std::string name = self->pending_xkms_[index];
     xkms::XkmsClient* client =
         config.xkms != nullptr
             ? config.xkms
             : (config.xkms_cache != nullptr ? config.xkms_cache->client()
                                             : nullptr);
+    if (client == nullptr || index >= self->signer_keys_.size()) {
+      handle.Complete(Status::OK());
+      return;
+    }
+    const std::string name = self->signer_keys_[index];
     auto on_binding = [self, index, handle, client,
                        name](Result<xkms::KeyBinding> binding) {
       if (!binding.ok()) {
@@ -403,8 +383,6 @@ class InteractiveApplicationEngine::StagedLaunch {
             ValidateDeferredKeys(self, index + 1, handle);
           });
     };
-    // Location honors the TTL/single-flight cache exactly like the inline
-    // path; the Validate verdict is always fetched live.
     if (config.xkms_cache != nullptr) {
       config.xkms_cache->LocateAsync(name, std::move(on_binding));
     } else {
@@ -420,7 +398,7 @@ class InteractiveApplicationEngine::StagedLaunch {
     const PlayerConfig& config = engine_->config_;
     // 3. Parse the (now plaintext) content hierarchy.
     DISCSEC_ASSIGN_OR_RETURN(disc::InteractiveCluster cluster,
-                             disc::InteractiveCluster::FromXml(*doc_));
+                             disc::InteractiveCluster::FromXml(doc_));
     DISCSEC_RETURN_IF_ERROR(cluster.Validate());
     cluster_.emplace(std::move(cluster));
     const disc::Track* app_track = cluster_->FirstApplicationTrack();
@@ -441,7 +419,7 @@ class InteractiveApplicationEngine::StagedLaunch {
       // duplicated Id here means the signed element and the executed element
       // can diverge — the duplicate-ID wrapping vector — so it is fatal, not
       // a first-match.
-      xml::IdRegistry registry(*doc_);
+      xml::IdRegistry registry(doc_);
       auto strict_find = [&](const std::string& id) -> Result<xml::Element*> {
         Result<xml::Element*> found = registry.Find(id);
         if (found.ok()) return found;
@@ -518,23 +496,19 @@ class InteractiveApplicationEngine::StagedLaunch {
     return engine_->ScriptPhase(manifest, interpreter_.get(), report_.get());
   }
 
-  std::unique_ptr<ApplicationSession> TakeSession() {
-    return engine_->AssembleSession(std::move(report_), std::move(pep_),
-                                    std::move(interpreter_));
-  }
-
- private:
   InteractiveApplicationEngine* engine_;
-  std::string cluster_xml_;
+  xml::Document doc_;
   Origin origin_;
   xmldsig::ExternalResolver resolver_;
-  std::unique_ptr<LaunchReport> report_;
   obs::SpanContext stage_parent_;
-  std::optional<xml::Document> doc_;
+  std::unique_ptr<LaunchReport> report_;
   std::optional<disc::InteractiveCluster> cluster_;
-  std::vector<std::string> pending_xkms_;
+  std::vector<std::string> signer_keys_;
   std::unique_ptr<access::PolicyEnforcementPoint> pep_;
   std::unique_ptr<script::Interpreter> interpreter_;
+  taskgraph::NodeId security_ = taskgraph::kNoNode;
+  taskgraph::NodeId xkms_ = taskgraph::kNoNode;
+  taskgraph::NodeId execute_ = taskgraph::kNoNode;
 };
 
 std::unique_ptr<ApplicationSession>
@@ -550,19 +524,30 @@ InteractiveApplicationEngine::AssembleSession(
 }
 
 Result<std::unique_ptr<ApplicationSession>>
+InteractiveApplicationEngine::Launch(Result<xml::Document> doc, Origin origin,
+                                     xmldsig::ExternalResolver resolver) {
+  if (config_.metrics != nullptr) {
+    config_.metrics->GetCounter("player.launches")->Add();
+  }
+  DISCSEC_RETURN_IF_ERROR(doc.status());
+  auto staged = std::make_shared<StagedLaunch>(
+      this, std::move(doc).value(), origin, std::move(resolver));
+  taskgraph::TaskGraph graph;
+  staged->AddNodes(&graph, "launch");
+  (void)graph.Run();
+  DISCSEC_RETURN_IF_ERROR(staged->Verdict(graph));
+  return staged->TakeSession();
+}
+
+Result<std::unique_ptr<ApplicationSession>>
 InteractiveApplicationEngine::BeginSession(const std::string& cluster_xml,
                                            Origin origin,
                                            xmldsig::ExternalResolver resolver) {
   obs::ScopedSpan launch_span(config_.tracer, "player.launch");
   launch_span.SetAttr("origin",
                       origin == Origin::kDisc ? "disc" : "network");
-  StagedLaunch staged(this, cluster_xml, origin, std::move(resolver));
-  // 1/2. Authenticate (signature + chain + XKMS inline) and decrypt the
-  //      executable copy in place.
-  DISCSEC_RETURN_IF_ERROR(staged.RunSecurity(/*defer_xkms=*/false));
-  // 3-6. Content hierarchy, wrapping defense, rights, policy, markup, code.
-  DISCSEC_RETURN_IF_ERROR(staged.RunExecute());
-  return staged.TakeSession();
+  return Launch(xml::Parse(cluster_xml, config_.parse_limits), origin,
+                std::move(resolver));
 }
 
 Result<LaunchReport> InteractiveApplicationEngine::LaunchClusterXml(
@@ -579,131 +564,46 @@ Result<LaunchReport> InteractiveApplicationEngine::LaunchFromDisc(
   int64_t start = NowUs();
   DISCSEC_ASSIGN_OR_RETURN(std::string cluster_xml,
                            image.GetText(disc::kClusterPath));
-  // Validate AV essence referenced by the cluster (cheap structural check).
-  auto cluster = disc::InteractiveCluster::FromXmlString(cluster_xml);
-  if (cluster.ok()) {
-    for (const disc::ClipInfo& clip : cluster->clips) {
-      DISCSEC_ASSIGN_OR_RETURN(Bytes ts, image.Get(clip.ts_path));
-      DISCSEC_RETURN_IF_ERROR(disc::ValidateTransportStream(ts).WithContext(
-          "clip '" + clip.id + "'"));
+  obs::ScopedSpan launch_span(config_.tracer, "player.launch");
+  launch_span.SetAttr("origin", "disc");
+  // The configured parse limits apply before any essence is read.
+  Result<xml::Document> doc = xml::Parse(cluster_xml, config_.parse_limits);
+  if (doc.ok()) {
+    // Validate AV essence referenced by the cluster (cheap structural check).
+    auto cluster = disc::InteractiveCluster::FromXml(*doc);
+    if (cluster.ok()) {
+      for (const disc::ClipInfo& clip : cluster->clips) {
+        DISCSEC_ASSIGN_OR_RETURN(Bytes ts, image.Get(clip.ts_path));
+        DISCSEC_RETURN_IF_ERROR(disc::ValidateTransportStream(ts).WithContext(
+            "clip '" + clip.id + "'"));
+      }
     }
   }
   int64_t fetch_us = NowUs() - start;
-  DISCSEC_ASSIGN_OR_RETURN(
-      LaunchReport report,
-      LaunchClusterXml(cluster_xml, Origin::kDisc,
-                       disc::MakeDiscResolver(&image)));
-  report.timings.fetch_us = fetch_us;
-  return report;
+  DISCSEC_ASSIGN_OR_RETURN(std::unique_ptr<ApplicationSession> session,
+                           Launch(std::move(doc), Origin::kDisc,
+                                  disc::MakeDiscResolver(&image)));
+  session->report_->timings.fetch_us = fetch_us;
+  return std::move(*session->report_);
 }
 
 Result<DiscPlayback> InteractiveApplicationEngine::PlayDisc(
     const disc::DiscImage& image) {
-  if (config_.pool != nullptr) {
-    // Pooled playback is a one-disc batch through the task graph: the
-    // report is identical, and every pooled disc takes the same
-    // scheduling path whether it is inserted alone or with others.
-    std::vector<Result<DiscPlayback>> results = PlayDiscs({&image});
-    return std::move(results.front());
-  }
-  obs::ScopedSpan disc_span(config_.tracer, "player.play_disc");
-  if (config_.metrics != nullptr) {
-    config_.metrics->GetCounter("player.discs_inserted")->Add();
-  }
-  // The cluster document is the disc's table of contents: unreadable or
-  // malformed means there is nothing to salvage, degraded mode or not.
-  DISCSEC_ASSIGN_OR_RETURN(std::string cluster_xml,
-                           image.GetText(disc::kClusterPath));
-  DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
-                           xml::Parse(cluster_xml, config_.parse_limits));
-  DISCSEC_ASSIGN_OR_RETURN(disc::InteractiveCluster cluster,
-                           disc::InteractiveCluster::FromXml(doc));
-  DISCSEC_RETURN_IF_ERROR(cluster.Validate());
-
-  DiscPlayback playback;
-  const bool degraded_ok = config_.allow_degraded_playback;
-  const disc::Track* app_track = cluster.FirstApplicationTrack();
-  xrml::ExerciseContext rights_context;
-  rights_context.principal = config_.device_id;
-  rights_context.now = config_.now;
-  rights_context.territory = config_.territory;
-
-  // Serial path: verify tracks one by one, aborting on the first failure
-  // in strict mode (later tracks are then never evaluated — no rights
-  // consumed, no fault points hit — which the chaos suite relies on).
-  if (app_track != nullptr) {
-    obs::ScopedSpan track_span(config_.tracer, "player.track");
-    track_span.SetAttr("track", app_track->id);
-    track_span.SetAttr("kind", "application");
-    auto session = BeginSession(cluster_xml, Origin::kDisc,
-                                disc::MakeDiscResolver(&image));
-    track_span.SetAttr("outcome", session.ok() ? "ok" : "failed");
-    if (session.ok()) {
-      playback.app = std::move(session).value();
-    } else if (!degraded_ok) {
-      return session.status().WithContext("track '" + app_track->id + "'");
-    } else {
-      playback.quarantined.push_back(
-          TrackFailure{app_track->id, "application", session.status()});
-    }
-  }
-  for (const disc::Track& track : cluster.tracks) {
-    if (track.kind != disc::Track::Kind::kAudioVideo) continue;
-    obs::ScopedSpan track_span(config_.tracer, "player.track");
-    track_span.SetAttr("track", track.id);
-    track_span.SetAttr("kind", "av");
-    auto plan = BuildPlaybackPlan(cluster, image, track.id, config_.rights,
-                                  rights_context);
-    track_span.SetAttr("outcome", plan.ok() ? "ok" : "failed");
-    if (plan.ok()) {
-      playback.played.push_back(std::move(plan).value());
-    } else if (!degraded_ok) {
-      return plan.status().WithContext("track '" + track.id + "'");
-    } else {
-      playback.quarantined.push_back(
-          TrackFailure{track.id, "playback", plan.status()});
-    }
-  }
-  // A disc where *nothing* survived quarantine is a failed insertion, and
-  // the first quarantine reason is the best explanation.
-  if (playback.app == nullptr && playback.played.empty() &&
-      !playback.quarantined.empty()) {
-    const TrackFailure& first = playback.quarantined.front();
-    return first.status.WithContext("track '" + first.track_id +
-                                    "' (no track played)");
-  }
-  if (config_.metrics != nullptr) {
-    config_.metrics->GetCounter("player.tracks_played")
-        ->Add(playback.played.size() + (playback.app != nullptr ? 1 : 0));
-    config_.metrics->GetCounter("player.tracks_quarantined")
-        ->Add(playback.quarantined.size());
-  }
-  return playback;
+  return std::move(PlayDiscs({&image}).front());
 }
 
 std::vector<Result<DiscPlayback>> InteractiveApplicationEngine::PlayDiscs(
     const std::vector<const disc::DiscImage*>& images) {
-  std::vector<Result<DiscPlayback>> results;
-  results.reserve(images.size());
-  if (config_.pool == nullptr) {
-    // No executor configured: discs play one after another, each through
-    // the serial path.
-    for (const disc::DiscImage* image : images) {
-      results.push_back(PlayDisc(*image));
-    }
-    return results;
-  }
-
   xrml::ExerciseContext rights_context;
   rights_context.principal = config_.device_id;
   rights_context.now = config_.now;
   rights_context.territory = config_.territory;
+  const bool degraded_ok = config_.allow_degraded_playback;
 
   // Per-disc build products. Node lambdas hold pointers into these, so both
   // vectors are fully sized before any node runs and never reallocate.
   struct AvJob {
     const disc::Track* track = nullptr;
-    taskgraph::NodeId node = taskgraph::kNoNode;
     std::optional<Result<PlaybackPlan>> plan;
   };
   struct DiscJob {
@@ -711,14 +611,9 @@ std::vector<Result<DiscPlayback>> InteractiveApplicationEngine::PlayDiscs(
     std::unique_ptr<obs::ScopedSpan> span;
     obs::SpanContext ctx;
     Status pre = Status::OK();  ///< terminal pre-stage (cluster) failure
-    std::string cluster_xml;
-    std::optional<xml::Document> doc;
     std::optional<disc::InteractiveCluster> cluster;
     const disc::Track* app_track = nullptr;
     std::shared_ptr<StagedLaunch> staged;
-    taskgraph::NodeId app_security = taskgraph::kNoNode;
-    taskgraph::NodeId app_xkms = taskgraph::kNoNode;
-    taskgraph::NodeId app_execute = taskgraph::kNoNode;
     std::vector<AvJob> av;
   };
   std::vector<DiscJob> jobs(images.size());
@@ -742,16 +637,14 @@ std::vector<Result<DiscPlayback>> InteractiveApplicationEngine::PlayDiscs(
       job.pre = cluster_xml.status();
       continue;
     }
-    job.cluster_xml = std::move(cluster_xml).value();
     Result<xml::Document> doc =
-        xml::Parse(job.cluster_xml, config_.parse_limits);
+        xml::Parse(cluster_xml.value(), config_.parse_limits);
     if (!doc.ok()) {
       job.pre = doc.status();
       continue;
     }
-    job.doc.emplace(std::move(doc).value());
     Result<disc::InteractiveCluster> cluster =
-        disc::InteractiveCluster::FromXml(*job.doc);
+        disc::InteractiveCluster::FromXml(doc.value());
     if (!cluster.ok()) {
       job.pre = cluster.status();
       continue;
@@ -764,118 +657,90 @@ std::vector<Result<DiscPlayback>> InteractiveApplicationEngine::PlayDiscs(
     }
     job.app_track = job.cluster->FirstApplicationTrack();
 
+    // Strict mode chains the tracks: each track's first node waits for the
+    // previous track's last node, so a failure cancels every later track
+    // before it runs (no rights consumed, no essence read).
+    taskgraph::NodeId previous = taskgraph::kNoNode;
     const std::string tag = "disc#" + std::to_string(i);
     if (job.app_track != nullptr) {
+      if (config_.metrics != nullptr) {
+        config_.metrics->GetCounter("player.launches")->Add();
+      }
+      // The launch takes the table of contents; AV nodes read only the
+      // InteractiveCluster value, never the document it decrypts in place.
       job.staged = std::make_shared<StagedLaunch>(
-          this, job.cluster_xml, Origin::kDisc,
-          disc::MakeDiscResolver(job.image));
-      job.staged->set_stage_parent(job.ctx);
-      std::shared_ptr<StagedLaunch> staged = job.staged;
-      job.app_security = graph.AddNode(tag + ".app.security", [staged] {
-        return staged->RunSecurity(/*defer_xkms=*/true);
-      });
-      // The XKMS stage is an async node: with a wheel-backed transport the
-      // pool worker is released while the trust-service round-trip (and any
-      // retry backoff) parks on the timer wheel.
-      job.app_xkms = graph.AddAsyncNode(
-          tag + ".app.xkms", [staged](taskgraph::CompletionHandle handle) {
-            StagedLaunch::ValidateDeferredKeys(staged, 0, std::move(handle));
-          });
-      job.app_execute = graph.AddNode(tag + ".app.execute", [staged] {
-        return staged->RunExecute();
-      });
-      graph.AddEdge(job.app_security, job.app_xkms);
-      graph.AddEdge(job.app_xkms, job.app_execute);
+          this, std::move(doc).value(), Origin::kDisc,
+          disc::MakeDiscResolver(job.image), job.ctx);
+      job.staged->AddNodes(&graph, tag + ".app");
+      previous = job.staged->last_node();
     }
     for (const disc::Track& track : job.cluster->tracks) {
       if (track.kind != disc::Track::Kind::kAudioVideo) continue;
-      job.av.push_back(AvJob{&track, taskgraph::kNoNode, std::nullopt});
+      job.av.push_back(AvJob{&track, std::nullopt});
     }
     for (AvJob& av : job.av) {
       DiscJob* job_ptr = &job;
       AvJob* av_ptr = &av;
-      av.node = graph.AddNode(
+      taskgraph::NodeId node = graph.AddNode(
           tag + ".av." + av.track->id,
           [this, job_ptr, av_ptr, rights_context] {
             av_ptr->plan.emplace(
                 BuildPlaybackPlan(*job_ptr->cluster, *job_ptr->image,
                                   av_ptr->track->id, config_.rights,
                                   rights_context));
-            return av_ptr->plan->ok() ? Status::OK() : av_ptr->plan->status();
+            return av_ptr->plan->status();
           });
+      if (!degraded_ok && previous != taskgraph::kNoNode) {
+        graph.AddEdge(previous, node);
+      }
+      previous = node;
     }
   }
 
   taskgraph::TaskGraph::RunOptions run;
   run.pool = config_.pool;
   // Per-disc verdicts are folded below: one disc's failure must not cancel
-  // another disc's tracks, and in-disc app chains already stop through
-  // dependency poisoning — so global fail-fast stays off. This matches the
-  // previous pooled behavior, where every track ran before folding.
+  // another disc's tracks, and a strict disc's chain already stops through
+  // dependency poisoning — so global fail-fast stays off.
   run.fail_fast = false;
   (void)graph.Run(run);
 
-  const bool degraded_ok = config_.allow_degraded_playback;
-  for (size_t i = 0; i < images.size(); ++i) {
-    DiscJob& job = jobs[i];
+  std::vector<Result<DiscPlayback>> results;
+  results.reserve(images.size());
+  for (DiscJob& job : jobs) {
     if (!job.pre.ok()) {
       results.emplace_back(job.pre);
       continue;
     }
-    // App chain verdict: the first failing stage in security -> xkms ->
-    // execute order (later stages were cancelled by the poisoned edge).
-    Status app_status = Status::OK();
-    if (job.app_track != nullptr) {
-      app_status = graph.node_status(job.app_security);
-      if (app_status.ok()) app_status = graph.node_status(job.app_xkms);
-      if (app_status.ok()) app_status = graph.node_status(job.app_execute);
-    }
-    // Every evaluated track gets its span (parented on the disc span),
-    // emitted on this thread because graph nodes end on arbitrary workers.
-    if (job.app_track != nullptr) {
-      obs::ScopedSpan track_span(job.ctx, "player.track");
-      track_span.SetAttr("track", job.app_track->id);
-      track_span.SetAttr("kind", "application");
-      track_span.SetAttr("outcome", app_status.ok() ? "ok" : "failed");
-    }
-    for (AvJob& av : job.av) {
-      obs::ScopedSpan track_span(job.ctx, "player.track");
-      track_span.SetAttr("track", av.track->id);
-      track_span.SetAttr("kind", "av");
-      track_span.SetAttr(
-          "outcome", av.plan.has_value() && av.plan->ok() ? "ok" : "failed");
-    }
     // Fold in deterministic order — application first, AV tracks in
-    // cluster order — with the serial path's exact verdicts and contexts.
+    // cluster order. Strict mode stops at the first failure, so only
+    // evaluated tracks are folded.
     DiscPlayback playback;
     std::optional<Status> strict;
-    if (job.app_track != nullptr) {
-      if (app_status.ok()) {
-        playback.app = job.staged->TakeSession();
-      } else if (!degraded_ok) {
-        strict = app_status.WithContext("track '" + job.app_track->id + "'");
+    // Each folded track gets its span (parented on the disc span), emitted
+    // on this thread because graph nodes end on arbitrary workers.
+    auto fold = [&](const disc::Track& track, const char* kind,
+                    const char* phase, const Status& status) {
+      obs::ScopedSpan track_span(job.ctx, "player.track");
+      track_span.SetAttr("track", track.id);
+      track_span.SetAttr("kind", kind);
+      track_span.SetAttr("outcome", status.ok() ? "ok" : "failed");
+      if (status.ok()) return;
+      if (degraded_ok) {
+        playback.quarantined.push_back(TrackFailure{track.id, phase, status});
       } else {
-        playback.quarantined.push_back(
-            TrackFailure{job.app_track->id, "application", app_status});
+        strict = status.WithContext("track '" + track.id + "'");
       }
+    };
+    if (job.app_track != nullptr) {
+      Status app_status = job.staged->Verdict(graph);
+      fold(*job.app_track, "application", "application", app_status);
+      if (app_status.ok()) playback.app = job.staged->TakeSession();
     }
-    if (!strict.has_value()) {
-      for (AvJob& av : job.av) {
-        Result<PlaybackPlan> plan =
-            av.plan.has_value()
-                ? std::move(*av.plan)
-                : Result<PlaybackPlan>(Status::Unavailable(
-                      "playback plan node did not run"));
-        if (plan.ok()) {
-          playback.played.push_back(std::move(plan).value());
-        } else if (!degraded_ok) {
-          strict = plan.status().WithContext("track '" + av.track->id + "'");
-          break;
-        } else {
-          playback.quarantined.push_back(
-              TrackFailure{av.track->id, "playback", plan.status()});
-        }
-      }
+    for (AvJob& av : job.av) {
+      if (strict.has_value()) break;
+      fold(*av.track, "av", "playback", av.plan->status());
+      if (av.plan->ok()) playback.played.push_back(std::move(*av.plan).value());
     }
     if (strict.has_value()) {
       results.emplace_back(*strict);

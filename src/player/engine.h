@@ -101,13 +101,12 @@ struct PlayerConfig {
   /// callers wiring the same instance into disc images and downloaders).
   /// Null means the process-global injector.
   fault::FaultInjector* fault = nullptr;
-  /// Parallel verification engine: when set, PlayDisc dispatches per-track
-  /// security/playback work as a dependency graph (taskgraph::TaskGraph)
-  /// onto this pool, signature references digest on their own tasks, and
-  /// PlayDiscs() pipelines many discs through the one pool. Null (the
-  /// default) keeps every path serial. Results are identical either way:
-  /// reports keep deterministic (cluster) ordering, and strict-mode
-  /// failure still surfaces the first failing track in track order.
+  /// Executor for the disc task graph (taskgraph::TaskGraph): PlayDisc and
+  /// PlayDiscs run per-track security/playback nodes on this pool, and
+  /// signature references digest on their own tasks. Null (the default)
+  /// runs the same graph on the calling thread in lowest-ready-id order.
+  /// Results are identical either way: reports keep deterministic (cluster)
+  /// ordering, and strict mode stops at the first failing track.
   ThreadPool* pool = nullptr;
   /// TTL + single-flight cache over XKMS Locate. When set it takes
   /// precedence over `xkms` for key-binding location (Validate always goes
@@ -219,7 +218,7 @@ class InteractiveApplicationEngine {
   /// quarantined into the report instead and the rest of the disc still
   /// plays. Failures of the disc as a whole (unreadable or malformed
   /// cluster document) are always terminal, as is the case where every
-  /// track failed.
+  /// track failed. A one-disc PlayDiscs.
   Result<DiscPlayback> PlayDisc(const disc::DiscImage& image);
 
   /// Inserts a batch of discs through one shared task graph: every track of
@@ -228,7 +227,8 @@ class InteractiveApplicationEngine {
   /// workers (cross-disc pipelining). Element i of the result is exactly
   /// what PlayDisc(*images[i]) reports — per-disc verdicts, quarantine
   /// lists and status messages are unchanged; only the scheduling is
-  /// shared. With a null pool this degrades to serial PlayDisc calls.
+  /// shared. Each cluster is parsed once. In strict mode each disc's tracks
+  /// form a chain, so a failure cancels the later tracks before they run.
   std::vector<Result<DiscPlayback>> PlayDiscs(
       const std::vector<const disc::DiscImage*>& images);
 
@@ -266,12 +266,20 @@ class InteractiveApplicationEngine {
   void AbsorbComponentMetrics();
 
  private:
-  /// The launch pipeline split into graph-schedulable stages (defined in
-  /// engine.cc): security (parse/verify/decrypt), deferred XKMS key-binding
-  /// validation, and execute (cluster/coverage/rights/policy/markup/
-  /// script). BeginSession runs the stages inline — the serial pipeline is
-  /// the staged pipeline with no graph in between.
+  /// One launch of a parsed cluster as task graph stages (defined in
+  /// engine.cc): security (verify/decrypt), XKMS key-binding validation,
+  /// and execute (cluster/coverage/rights/policy/markup/script). Every
+  /// launch runs them: PlayDiscs in the disc graph, BeginSession and
+  /// LaunchFromDisc through Launch().
   class StagedLaunch;
+
+  /// Runs one launch's stages on a graph of its own on the calling thread
+  /// (waiting there when an XKMS round-trip completes on another thread).
+  /// A cluster that failed to parse still counts as a launch and its parse
+  /// status is the verdict.
+  Result<std::unique_ptr<ApplicationSession>> Launch(
+      Result<xml::Document> doc, Origin origin,
+      xmldsig::ExternalResolver resolver);
 
   /// Named phase histogram from PlayerConfig::metrics; null when metrics
   /// are off (ScopedLatency treats null as disabled).
@@ -284,13 +292,12 @@ class InteractiveApplicationEngine {
       std::unique_ptr<access::PolicyEnforcementPoint> pep,
       std::unique_ptr<script::Interpreter> interpreter);
 
-  /// When `defer_xkms` is non-null, signer key names that would have been
-  /// validated against XKMS inline are appended there (in signature order)
-  /// for a later pipeline stage instead.
+  /// Verifies every signature, then appends each signer key name to
+  /// `signer_keys` (in signature order) for the XKMS stage.
   Status VerifyPhase(xml::Document* doc, Origin origin,
                      const xmldsig::ExternalResolver& resolver,
                      LaunchReport* report,
-                     std::vector<std::string>* defer_xkms = nullptr);
+                     std::vector<std::string>* signer_keys);
   Status DecryptPhase(xml::Document* doc, LaunchReport* report);
   Status PolicyPhase(const disc::ApplicationManifest& manifest,
                      LaunchReport* report,

@@ -25,7 +25,8 @@ enum class NodeType : uint8_t {
   kLogical,          // op = kAnd | kOr; children = {lhs, rhs}
   kUnary,            // op = kNeg | kNot | kPlus | kTypeof
   kAssign,           // op = the compound form's binary op, kNone for "=";
-                     // children = {target, value}
+                     // children = {target, value}; bool_value true marks
+                     // prefix ++/-- (x += 1 over the old value's ToNumber)
   kConditional,      // children = {cond, then, else}
   kCall,             // children = {callee, args...}
   kMember,           // children = {object}; string_value = property name

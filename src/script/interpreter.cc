@@ -406,56 +406,39 @@ Result<Value> Interpreter::CallValue(const Value& callee,
   return Value();
 }
 
-Status Interpreter::AssignTo(const Node& target, Value value,
-                             Environment* env, Flow* flow) {
-  switch (target.type) {
-    case NodeType::kIdentifier:
-      env->Assign(target.string_value, std::move(value));
-      return Status::OK();
-    case NodeType::kMember: {
-      DISCSEC_ASSIGN_OR_RETURN(Value object,
-                               EvalNode(*target.children[0], env, flow));
-      return WriteMember(object, target.string_value, std::move(value));
-    }
-    case NodeType::kIndex: {
-      DISCSEC_ASSIGN_OR_RETURN(Value object,
-                               EvalNode(*target.children[0], env, flow));
-      DISCSEC_ASSIGN_OR_RETURN(Value index,
-                               EvalNode(*target.children[1], env, flow));
-      return WriteIndex(object, index, std::move(value));
-    }
-    default:
-      return Status::InvalidArgument("invalid assignment target");
-  }
-}
-
-/// Compound assignment (`x op= v`, and prefix ++/-- desugared to it) and
-/// postfix ++/--. The target's object and index are evaluated once, then
-/// that slot is read, the new value computed and written back to the same
-/// slot, in ECMAScript's order: the target reference before the operand.
-/// Reading the target counts one step, as evaluating it would.
+/// Assignment (`x = v`, `x op= v`, and prefix ++/-- desugared to `x += 1`)
+/// and postfix ++/--, in ECMAScript's order: the target's object and index
+/// are evaluated once, before the operand; the forms other than plain `=`
+/// then read that slot, and the new value is written back to the same
+/// slot. Reading the target counts one step, as evaluating it would.
 Result<Value> Interpreter::EvalUpdate(const Node& node, Environment* env,
                                       Flow* flow) {
   const Node& target = *node.children[0];
-  DISCSEC_RETURN_IF_ERROR(Tick(target));
+  const bool reads_target =
+      node.type == NodeType::kPostfix || node.op != Op::kNone;
+  if (reads_target) DISCSEC_RETURN_IF_ERROR(Tick(target));
   Value* slot = nullptr;
   Value object;
   Value index;
   Value current;
   if (target.type == NodeType::kIdentifier) {
-    slot = env->Lookup(target.string_value);
-    if (slot == nullptr) return UndefinedVariable(target);
-    current = *slot;
+    if (reads_target) {
+      slot = env->Lookup(target.string_value);
+      if (slot == nullptr) return UndefinedVariable(target);
+      current = *slot;
+    }
   } else if (target.type == NodeType::kMember) {
     DISCSEC_ASSIGN_OR_RETURN(object,
                              EvalNode(*target.children[0], env, flow));
-    current = ReadMember(object, target.string_value);
+    if (reads_target) current = ReadMember(object, target.string_value);
   } else if (target.type == NodeType::kIndex) {
     DISCSEC_ASSIGN_OR_RETURN(object,
                              EvalNode(*target.children[0], env, flow));
     DISCSEC_ASSIGN_OR_RETURN(index,
                              EvalNode(*target.children[1], env, flow));
-    DISCSEC_ASSIGN_OR_RETURN(current, ReadIndex(object, index));
+    if (reads_target) {
+      DISCSEC_ASSIGN_OR_RETURN(current, ReadIndex(object, index));
+    }
   } else {
     return Status::InvalidArgument("invalid assignment target");
   }
@@ -469,13 +452,21 @@ Result<Value> Interpreter::EvalUpdate(const Node& node, Environment* env,
   } else {
     DISCSEC_ASSIGN_OR_RETURN(Value rhs,
                              EvalNode(*node.children[1], env, flow));
-    DISCSEC_ASSIGN_OR_RETURN(updated, EvalBinary(node, current, rhs));
+    if (node.op == Op::kNone) {
+      updated = std::move(rhs);
+    } else {
+      // Prefix ++/-- add to the old value's ToNumber, never concatenate.
+      if (node.bool_value) current = Value::Number(current.ToNumber());
+      DISCSEC_ASSIGN_OR_RETURN(updated, EvalBinary(node, current, rhs));
+    }
     result = updated;
   }
   if (slot != nullptr) {
     // Scopes on the chain stay alive and bindings are never erased, so the
     // slot found above is still the nearest binding.
     *slot = std::move(updated);
+  } else if (target.type == NodeType::kIdentifier) {
+    env->Assign(target.string_value, std::move(updated));
   } else if (target.type == NodeType::kMember) {
     DISCSEC_RETURN_IF_ERROR(
         WriteMember(object, target.string_value, std::move(updated)));
@@ -548,13 +539,7 @@ Result<Value> Interpreter::EvalNode(const Node& node, Environment* env,
           return Status::Unsupported("unary operator " + node.string_value);
       }
     }
-    case NodeType::kAssign: {
-      if (node.op != Op::kNone) return EvalUpdate(node, env, flow);
-      DISCSEC_ASSIGN_OR_RETURN(Value rhs,
-                               EvalNode(*node.children[1], env, flow));
-      DISCSEC_RETURN_IF_ERROR(AssignTo(*node.children[0], rhs, env, flow));
-      return rhs;
-    }
+    case NodeType::kAssign:
     case NodeType::kPostfix:
       return EvalUpdate(node, env, flow);
     case NodeType::kConditional: {

@@ -73,8 +73,6 @@ class Interpreter {
 
   Result<Value> EvalNode(const Node& node, Environment* env, Flow* flow);
   Result<Value> EvalUpdate(const Node& node, Environment* env, Flow* flow);
-  Status AssignTo(const Node& target, Value value, Environment* env,
-                  Flow* flow);
   Status Tick(const Node& node);
 
   Limits limits_;

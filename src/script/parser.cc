@@ -425,11 +425,13 @@ class ParserImpl {
       case Punct::kNot: op = Op::kNot; break;
       case Punct::kPlusPlus:
       case Punct::kMinusMinus: {
-        // Prefix inc/dec desugars to compound assignment: ++x -> x += 1.
+        // Prefix inc/dec desugars to compound assignment: ++x -> x += 1,
+        // marked so the old value goes through ToNumber first.
         const bool increment = Advance().punct == Punct::kPlusPlus;
         DISCSEC_ASSIGN_OR_RETURN(NodePtr target, ParseUnary());
         auto node = MakeNode(NodeType::kAssign);
         node->op = increment ? Op::kAdd : Op::kSub;
+        node->bool_value = true;
         node->string_value = increment ? "+=" : "-=";
         auto one = MakeNode(NodeType::kNumberLiteral);
         one->number_value = 1.0;

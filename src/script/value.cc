@@ -1,11 +1,58 @@
 #include "script/value.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace discsec {
 namespace script {
+
+namespace {
+
+/// ECMA-262 Number::toString: the shortest digits that round-trip, written
+/// plainly when the decimal exponent n (value = 0.digits x 10^n) is in
+/// (-6, 21] and in exponent form with an explicit sign otherwise.
+std::string NumberToString(double number) {
+  if (std::isnan(number)) return "NaN";
+  if (std::isinf(number)) return number > 0 ? "Infinity" : "-Infinity";
+  char buf[40];
+  if (std::fabs(number) < 1e15 && number == std::trunc(number)) {
+    // Integers print without a decimal point; -0 prints "0".
+    return std::string(
+        buf, std::to_chars(buf, buf + sizeof(buf),
+                           static_cast<long long>(number)).ptr);
+  }
+  // Shortest round-trip form "d[.ddd]e<sign><exponent>".
+  char* end = std::to_chars(buf, buf + sizeof(buf) - 1, std::fabs(number),
+                            std::chars_format::scientific)
+                  .ptr;
+  *end = '\0';
+  char* e = std::strchr(buf, 'e');
+  std::string digits(buf, e);
+  if (digits.size() > 1) digits.erase(1, 1);  // the '.'
+  const int k = static_cast<int>(digits.size());
+  const int n = std::atoi(e + 1) + 1;
+  std::string out = number < 0 ? "-" : "";
+  if (k <= n && n <= 21) {
+    out += digits;
+    out.append(n - k, '0');
+  } else if (0 < n && n <= 21) {
+    out += digits.substr(0, n) + "." + digits.substr(n);
+  } else if (-6 < n && n <= 0) {
+    out += "0.";
+    out.append(-n, '0');
+    out += digits;
+  } else {
+    out += digits.substr(0, 1);
+    if (k > 1) out += "." + digits.substr(1);
+    out += n - 1 < 0 ? "e-" : "e+";
+    out += std::to_string(std::abs(n - 1));
+  }
+  return out;
+}
+
+}  // namespace
 
 bool Value::Truthy() const {
   switch (kind_) {
@@ -31,21 +78,8 @@ std::string Value::ToDisplayString() const {
       return "null";
     case Kind::kBoolean:
       return boolean_ ? "true" : "false";
-    case Kind::kNumber: {
-      if (std::isnan(number_)) return "NaN";
-      if (std::isinf(number_)) return number_ > 0 ? "Infinity" : "-Infinity";
-      // Integers print without a decimal point, like ECMAScript.
-      if (number_ == static_cast<double>(static_cast<long long>(number_)) &&
-          std::fabs(number_) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(number_));
-        return buf;
-      }
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", number_);
-      return buf;
-    }
+    case Kind::kNumber:
+      return NumberToString(number_);
     case Kind::kString:
       return *string_;
     case Kind::kObject:

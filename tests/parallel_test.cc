@@ -342,6 +342,106 @@ TEST(ParallelPlayDiscTest, StrictModeReportsSameFirstFailure) {
             parallel_playback.status().ToString());
 }
 
+TEST(ParallelPlayDiscTest, StrictModeStopsAtTheFirstFailingTrack) {
+  // The application track fails verification, so strict mode must not
+  // touch any AV track: the only disc read is the cluster document.
+  const World& world = SharedWorld();
+  disc::InteractiveCluster cluster = MultiTrackCluster(4);
+  authoring::Author::ProtectOptions protect;  // signed cluster, no essence refs
+  Rng rng(45);
+  disc::DiscImage image =
+      world.MakeAuthor().MasterProtected(cluster, protect, &rng).value();
+  std::string text = image.GetText(disc::kClusterPath).value();
+  size_t title = text.find("Quiz Night!");
+  ASSERT_NE(title, std::string::npos);
+  text.replace(title, 11, "Quiz Nite!!");
+  image.Put(disc::kClusterPath, ToBytes(text));
+
+  ThreadPool pool(4);
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(executor == nullptr ? "null pool" : "4-worker pool");
+    fault::FaultInjector injector;
+    fault::FaultSpec count_only;
+    count_only.point = std::string(fault::kDiscRead);
+    count_only.kind = fault::Kind::kError;
+    count_only.probability = 0.0;
+    injector.Arm(count_only);
+    image.set_fault_injector(&injector);
+
+    player::PlayerConfig config = world.MakePlayerConfig();
+    config.pool = executor;
+    player::InteractiveApplicationEngine engine(config);
+    Result<player::DiscPlayback> playback = engine.PlayDisc(image);
+    ASSERT_FALSE(playback.ok());
+    EXPECT_NE(playback.status().message().find("digest mismatch"),
+              std::string::npos)
+        << playback.status().ToString();
+    EXPECT_EQ(injector.hits(fault::kDiscRead), 1u);
+    image.set_fault_injector(nullptr);
+  }
+}
+
+/// The cluster signed twice by the studio key: the track signature plus a
+/// detached signature over the manifest, so a launch validates two key
+/// bindings in signature order.
+Result<xml::Document> TwoSignatureDocument(
+    const authoring::Author& author, const disc::InteractiveCluster& cluster) {
+  DISCSEC_ASSIGN_OR_RETURN(
+      xml::Document doc,
+      author.BuildSigned(cluster, authoring::SignLevel::kTrack));
+  DISCSEC_ASSIGN_OR_RETURN(
+      std::string manifest_id,
+      authoring::ResolveSignTargetId(cluster, authoring::SignLevel::kManifest,
+                                     {}, {}));
+  xml::Element* manifest = doc.FindById(manifest_id);
+  if (manifest == nullptr) return Status::NotFound("manifest element");
+  DISCSEC_RETURN_IF_ERROR(
+      author.signer()
+          .SignDetached(&doc, manifest, manifest_id, doc.root())
+          .status());
+  return doc;
+}
+
+TEST(ParallelPlayDiscTest, SerialAndPooledAgreeAcrossSignatures) {
+  // Two signatures whose key is not registered with XKMS, the second with a
+  // corrupted SignatureValue: every signature verifies before any key
+  // binding is validated, so both paths report the second signature.
+  const World& world = SharedWorld();
+  disc::InteractiveCluster cluster = world.DemoCluster();
+  authoring::Author author = world.MakeAuthor();
+  Result<xml::Document> doc = TwoSignatureDocument(author, cluster);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  std::vector<xml::Element*> signatures =
+      xmldsig::Verifier::FindSignatures(doc->root());
+  ASSERT_EQ(signatures.size(), 2u);
+  xml::Element* value =
+      signatures[1]->FirstChildElementByLocalName("SignatureValue");
+  ASSERT_NE(value, nullptr);
+  std::string text = value->TextContent();
+  char& c = text[text.size() / 2];
+  c = c == 'A' ? 'B' : 'A';
+  value->SetTextContent(text);
+  Result<disc::DiscImage> image = author.Master(cluster, doc.value());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+  xkms::XkmsService service;  // no key registered
+  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  ThreadPool pool(4);
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(executor == nullptr ? "null pool" : "4-worker pool");
+    player::PlayerConfig config = world.MakePlayerConfig();
+    config.pool = executor;
+    config.xkms = &client;
+    player::InteractiveApplicationEngine engine(config);
+    Result<player::DiscPlayback> playback = engine.PlayDisc(image.value());
+    ASSERT_FALSE(playback.ok());
+    EXPECT_NE(playback.status().message().find(
+                  "application signature: RSA signature mismatch"),
+              std::string::npos)
+        << playback.status().ToString();
+  }
+}
+
 /// The launch-report fields the XKMS stage and everything after it feed.
 std::string LaunchSummary(const player::LaunchReport& report) {
   std::string out = "verified=" + std::to_string(report.signature_verified) +
@@ -366,18 +466,8 @@ TEST(ParallelPlayDiscTest, DeferredXkmsChainThroughCacheNeverBlocksTheWheel) {
   const World& world = SharedWorld();
   disc::InteractiveCluster cluster = world.DemoCluster();
   authoring::Author author = world.MakeAuthor();
-  Result<xml::Document> doc =
-      author.BuildSigned(cluster, authoring::SignLevel::kTrack);
+  Result<xml::Document> doc = TwoSignatureDocument(author, cluster);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  Result<std::string> manifest_id = authoring::ResolveSignTargetId(
-      cluster, authoring::SignLevel::kManifest, {}, {});
-  ASSERT_TRUE(manifest_id.ok()) << manifest_id.status().ToString();
-  xml::Element* manifest = doc->FindById(manifest_id.value());
-  ASSERT_NE(manifest, nullptr);
-  ASSERT_TRUE(author.signer()
-                  .SignDetached(&doc.value(), manifest, manifest_id.value(),
-                                doc->root())
-                  .ok());
   Result<disc::DiscImage> image = author.Master(cluster, doc.value());
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 
@@ -399,34 +489,40 @@ TEST(ParallelPlayDiscTest, DeferredXkmsChainThroughCacheNeverBlocksTheWheel) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_EQ(reference->verified_references.size(), 2u);
 
-  TimerWheel wheel;
-  fault::FaultInjector injector;
-  fault::FaultSpec spec;
-  spec.point = std::string(fault::kXkmsTransport);
-  spec.kind = fault::Kind::kDelay;
-  spec.delay_us = 2000;
-  injector.Arm(spec);
-  xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&service, &wheel, &injector));
-  xkms::LocateCache::Options cache_options;
-  cache_options.ttl_us = 0;
-  xkms::LocateCache cache(&client, cache_options);
-
+  // With no pool the launch graph runs on this thread, which waits while
+  // the XKMS node completes on the wheel thread.
   ThreadPool pool(2);
-  player::PlayerConfig config = world.MakePlayerConfig();
-  config.pool = &pool;
-  config.xkms = &client;
-  config.xkms_cache = &cache;
-  player::InteractiveApplicationEngine engine(config);
-  Result<player::DiscPlayback> playback = engine.PlayDisc(image.value());
-  ASSERT_TRUE(playback.ok()) << playback.status().ToString();
-  ASSERT_NE(playback->app, nullptr);
-  EXPECT_TRUE(playback->app->report().xkms_validated);
-  EXPECT_EQ(LaunchSummary(playback->app->report()),
-            LaunchSummary(reference.value()));
-  EXPECT_EQ(cache.stats().transport_calls, 2u);
-  // Two Locates and two Validates, each a delayed request and response leg.
-  EXPECT_EQ(injector.fires(fault::kXkmsTransport), 8u);
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(executor == nullptr ? "null pool" : "2-worker pool");
+    TimerWheel wheel;
+    fault::FaultInjector injector;
+    fault::FaultSpec spec;
+    spec.point = std::string(fault::kXkmsTransport);
+    spec.kind = fault::Kind::kDelay;
+    spec.delay_us = 2000;
+    injector.Arm(spec);
+    xkms::XkmsClient client(
+        xkms::XkmsClient::DirectTransport(&service, &wheel, &injector));
+    xkms::LocateCache::Options cache_options;
+    cache_options.ttl_us = 0;
+    xkms::LocateCache cache(&client, cache_options);
+
+    player::PlayerConfig config = world.MakePlayerConfig();
+    config.pool = executor;
+    config.xkms = &client;
+    config.xkms_cache = &cache;
+    player::InteractiveApplicationEngine engine(config);
+    Result<player::DiscPlayback> playback = engine.PlayDisc(image.value());
+    ASSERT_TRUE(playback.ok()) << playback.status().ToString();
+    ASSERT_NE(playback->app, nullptr);
+    EXPECT_TRUE(playback->app->report().xkms_validated);
+    EXPECT_EQ(LaunchSummary(playback->app->report()),
+              LaunchSummary(reference.value()));
+    EXPECT_EQ(cache.stats().transport_calls, 2u);
+    // Two Locates and two Validates, each a delayed request and response
+    // leg.
+    EXPECT_EQ(injector.fires(fault::kXkmsTransport), 8u);
+  }
 }
 
 // ------------------------------------------------ pooled verifier vs attacks

@@ -90,6 +90,22 @@ TEST_F(PlayerFixture, CorruptedTransportStreamRejected) {
   EXPECT_TRUE(engine.LaunchFromDisc(image).status().IsCorruption());
 }
 
+TEST_F(PlayerFixture, LaunchFromDiscParsesOnlyUnderTheConfiguredLimits) {
+  // The same scratched disc, but a cluster nested deeper than the player
+  // accepts: the parse limit decides before any essence is read.
+  authoring::Author author = world_->MakeAuthor();
+  disc::InteractiveCluster cluster = world_->DemoCluster();
+  auto image = author.Master(cluster, cluster.ToXml()).value();
+  Bytes ts = image.Get(cluster.clips[0].ts_path).value();
+  ts[0] = 0x00;
+  image.Put(cluster.clips[0].ts_path, ts);
+  PlayerConfig config = world_->MakePlayerConfig();
+  config.parse_limits.max_depth = 2;
+  InteractiveApplicationEngine engine(std::move(config));
+  EXPECT_EQ(engine.LaunchFromDisc(image).status().ToString(),
+            "ResourceExhausted: XML nesting exceeds max_depth");
+}
+
 TEST_F(PlayerFixture, DiscWithoutClusterRejected) {
   disc::DiscImage empty;
   InteractiveApplicationEngine engine(world_->MakePlayerConfig());

@@ -171,6 +171,64 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// Plain `=` evaluates the target's object and index before the value, and
+// prefix ++/-- convert the old value with ToNumber, as ECMAScript does.
+INSTANTIATE_TEST_SUITE_P(
+    AssignmentOrder, EvalTest,
+    ::testing::Values(
+        EvalCase{"plain_index_before_value",
+                 "var i = 0; var a = [5, 5]; a[i] = i++; a;", "0,5"},
+        EvalCase{"plain_member_object_before_value",
+                 "var log = ''; function o() { log += 'o'; return {}; } "
+                 "function v() { log += 'v'; return 1; } o().x = v(); log;",
+                 "ov"},
+        EvalCase{"plain_assign_yields_value",
+                 "var a = [0]; var r = (a[0] = 'x'); r + a;", "xx"},
+        EvalCase{"plain_target_error_first", "nope2.x = nope;",
+                 "ERROR: NotFound: undefined variable 'nope2' at line 1"},
+        EvalCase{"prefix_increment_string", "var s = '5'; ++s; s;", "6"},
+        EvalCase{"prefix_decrement_string", "var s = '5'; --s; s;", "4"},
+        EvalCase{"prefix_yields_new_number",
+                 "var s = '5'; var t = ++s; typeof t + ' ' + t;",
+                 "number 6"},
+        EvalCase{"prefix_undefined_nan", "var u; ++u;", "NaN"},
+        EvalCase{"prefix_member_string",
+                 "var o = { n: '9' }; ++o.n + 1;", "11"}),
+    [](const ::testing::TestParamInfo<EvalCase>& info) {
+      return info.param.name;
+    });
+
+// Number display follows ECMA-262 Number::toString: shortest round-trip
+// digits, plain notation for decimal exponents in (-6, 21], exponent form
+// with an explicit sign otherwise. Concatenation and fractional property
+// keys go through the same conversion.
+INSTANTIATE_TEST_SUITE_P(
+    NumberToString, EvalTest,
+    ::testing::Values(
+        EvalCase{"pi_digits", "3.14159265;", "3.14159265"},
+        EvalCase{"sum_round_trip", "0.1 + 0.2;", "0.30000000000000004"},
+        EvalCase{"two_thirds", "2 / 3;", "0.6666666666666666"},
+        EvalCase{"nine_digits_and_fraction", "123456789.125;",
+                 "123456789.125"},
+        EvalCase{"small_exponent", "1.5e-7;", "1.5e-7"},
+        EvalCase{"negative_micro", "-0.000001;", "-0.000001"},
+        EvalCase{"quadrillion", "1e15;", "1000000000000000"},
+        EvalCase{"twenty_one_digits", "1e21;", "1e+21"},
+        EvalCase{"large_exponent", "1.23e22;", "1.23e+22"},
+        EvalCase{"largest_plain", "123456789012345680000;",
+                 "123456789012345680000"},
+        EvalCase{"denormal_min", "5e-324;", "5e-324"},
+        EvalCase{"negative_zero", "-0;", "0"},
+        EvalCase{"nan", "0 / 0;", "NaN"},
+        EvalCase{"infinity", "1 / 0 + ',' + -1 / 0;", "Infinity,-Infinity"},
+        EvalCase{"concat", "'v' + 0.5 + '/' + 1.25e-7;", "v0.5/1.25e-7"},
+        EvalCase{"fractional_key", "var o = {}; o[0.1 + 0.2] = 'k'; "
+                                   "o['0.30000000000000004'];",
+                 "k"}),
+    [](const ::testing::TestParamInfo<EvalCase>& info) {
+      return info.param.name;
+    });
+
 INSTANTIATE_TEST_SUITE_P(
     Logic, EvalTest,
     ::testing::Values(
@@ -564,6 +622,17 @@ TEST(ScriptHeapTest, HandlerDefinedInFunctionSurvivesEvents) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->AsNumber(), static_cast<double>(event));
   }
+}
+
+TEST(StepAccountingTest, AssignmentFormsKeepTheirStepCounts) {
+  // Each node evaluated costs a step; reading an update target costs one
+  // more; plain `=` does not read its target.
+  Interpreter plain;
+  ASSERT_TRUE(plain.Run("var i = 0; var a = [5, 5]; a[i] = i++; a;").ok());
+  EXPECT_EQ(plain.steps_used(), 14u);
+  Interpreter prefix;
+  ASSERT_TRUE(prefix.Run("var s = '5'; ++s; s;").ok());
+  EXPECT_EQ(prefix.steps_used(), 8u);
 }
 
 TEST(StepAccountingTest, StepsAccumulate) {
