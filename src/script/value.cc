@@ -12,18 +12,13 @@ namespace {
 
 /// ECMA-262 Number::toString: the shortest digits that round-trip, written
 /// plainly when the decimal exponent n (value = 0.digits x 10^n) is in
-/// (-6, 21] and in exponent form with an explicit sign otherwise.
+/// (-6, 21] and in exponent form with an explicit sign otherwise. Integers
+/// print without a decimal point and -0 prints "0".
 std::string NumberToString(double number) {
   if (std::isnan(number)) return "NaN";
   if (std::isinf(number)) return number > 0 ? "Infinity" : "-Infinity";
-  char buf[40];
-  if (std::fabs(number) < 1e15 && number == std::trunc(number)) {
-    // Integers print without a decimal point; -0 prints "0".
-    return std::string(
-        buf, std::to_chars(buf, buf + sizeof(buf),
-                           static_cast<long long>(number)).ptr);
-  }
   // Shortest round-trip form "d[.ddd]e<sign><exponent>".
+  char buf[40];
   char* end = std::to_chars(buf, buf + sizeof(buf) - 1, std::fabs(number),
                             std::chars_format::scientific)
                   .ptr;

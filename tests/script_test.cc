@@ -205,6 +205,10 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     NumberToString, EvalTest,
     ::testing::Values(
+        EvalCase{"zero", "0;", "0"},
+        EvalCase{"negative_integer", "-4200;", "-4200"},
+        EvalCase{"integer_below_quadrillion", "999999999999999;",
+                 "999999999999999"},
         EvalCase{"pi_digits", "3.14159265;", "3.14159265"},
         EvalCase{"sum_round_trip", "0.1 + 0.2;", "0.30000000000000004"},
         EvalCase{"two_thirds", "2 / 3;", "0.6666666666666666"},
