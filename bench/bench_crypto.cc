@@ -13,6 +13,7 @@
 #include "crypto/aes_hw.h"
 #include "crypto/algorithms.h"
 #include "crypto/bigint.h"
+#include "crypto/bigint_hw.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
@@ -268,6 +269,53 @@ void BM_ModPowRatio(benchmark::State& state) {
       odd_us > 0.0 ? even_us / odd_us : 0.0;
 }
 BENCHMARK(BM_ModPowRatio)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+// The ADX kernel gate: ModPow of one base and 512-bit exponent against one
+// 512-bit prime (8 limbs, an RSA-1024 CRT half) on the portable and the ADX
+// Montgomery kernel, probed alternately in the same process. Rows:
+//
+//   portable_modpow_us       best of the probes on the portable kernel
+//   adx_modpow_us            best of the probes on the ADX kernel
+//   montgomery_adx_speedup   portable_modpow_us / adx_modpow_us
+//                            (bench/check_ratios.py gates it at >= 1.5)
+void BM_MontgomeryAdxRatio(benchmark::State& state) {
+  if (!MontgomeryAdxAvailable()) {
+    state.SkipWithError("CPU lacks BMI2/ADX");
+    return;
+  }
+  Rng rng(12);
+  size_t bits = static_cast<size_t>(state.range(0));
+  BigInt modulus = BigInt::GeneratePrime(bits, &rng);
+  BigInt base = BigInt::RandomBelow(modulus, &rng);
+  BigInt exponent = BigInt::RandomWithBits(bits, &rng);
+  auto probe_us = [&](MontgomeryBackend backend) {
+    ScopedMontgomeryBackend scope(backend);
+    auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(BigInt::ModPow(base, exponent, modulus));
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+               .count() /
+           1e3;
+  };
+  constexpr int kProbes = 8;
+  double portable_us = 0.0;
+  double adx_us = 0.0;
+  for (int i = 0; i < kProbes; ++i) {
+    double p = probe_us(MontgomeryBackend::kPortable);
+    double a = probe_us(MontgomeryBackend::kAdx);
+    if (i == 0 || p < portable_us) portable_us = p;
+    if (i == 0 || a < adx_us) adx_us = a;
+  }
+
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::ModPow(base, exponent, modulus));
+  }
+  state.counters["portable_modpow_us"] = portable_us;
+  state.counters["adx_modpow_us"] = adx_us;
+  state.counters["montgomery_adx_speedup"] =
+      adx_us > 0.0 ? portable_us / adx_us : 0.0;
+}
+BENCHMARK(BM_MontgomeryAdxRatio)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace crypto

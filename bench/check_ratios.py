@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Perf-smoke gate for XML verify against DCF (EXPERIMENTS.md E2), the
-Montgomery ModPow path, the AES-NI backend, the run-scanning text kernels
-(DESIGN.md §3) and the script front end (DESIGN.md §16).
+Montgomery ModPow path and its BMI2/ADX kernel, the AES-NI backend, the
+run-scanning text kernels (DESIGN.md §3) and the script front end
+(DESIGN.md §16).
 
 Compares the dom_over_dcf ratio of a fresh BENCH_ratio.json run against
 the checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and
@@ -16,6 +17,10 @@ from the introducing PRs are enforced absolutely:
     dom_over_dcf      <  2.5   (XML verify within the paper's DCF band)
     montgomery_speedup >= 5.0  (odd-modulus ModPow at least 5x the
                                 even-modulus division loop, BENCH_crypto.json)
+    montgomery_adx_speedup >= 1.5
+                               (512-bit ModPow on the BMI2/ADX kernel at
+                                least 1.5x the portable kernel,
+                                BENCH_crypto.json)
     aesni_speedup     >= 10.0  (AES-NI CBC at least 10x the portable
                                 cipher, encrypt and decrypt, BENCH_crypto.json)
     cbc_decrypt_pipelining >= 3.0
@@ -52,11 +57,16 @@ RELATIVE_GATES = ("dom_over_dcf",)
 # serialize_allocs pins the serializer's reserve()-once hot path (measured
 # 1 alloc per Serialize; the bound leaves room for allocator jitter only).
 # montgomery_speedup pins ModPow's odd-modulus path against the even-modulus
-# loop, both timed in one process (measured 13-16x at 512/1024 bits).
+# loop, both timed in one process (measured 13-16x at 512/1024 bits on the
+# portable kernel; 32-35x at 512 bits once the ADX kernel serves that size).
 # aesni_speedup and cbc_decrypt_pipelining pin the AES-NI backend against
 # the portable cipher and its own serial CBC encrypt, all four timed
 # interleaved in one process (BM_AesRatio; measured 20-38x and 5.1-6.6x).
 # A CPU without AES-NI skips the row, so neither gate applies there.
+# montgomery_adx_speedup pins ModPow's 8-limb ADX kernel against the
+# portable Montgomery loop on one 512-bit prime, both timed interleaved in
+# one process (BM_MontgomeryAdxRatio; measured 1.9-2.8x). A CPU without
+# BMI2/ADX skips the row.
 # base64_decode_speedup and text_parse_over_escape pin the run-scanning text
 # kernels on a 256 KiB base64 text, each quotient's two sides interleaved in
 # one process (BM_TextKernelRatio; measured 5.4-7.1x and 1.0-1.15, against
@@ -71,6 +81,7 @@ ABSOLUTE_GATES = {
     "dom_over_dcf": ("<", 2.5),
     "serialize_allocs": ("<=", 4.0),
     "montgomery_speedup": (">=", 5.0),
+    "montgomery_adx_speedup": (">=", 1.5),
     "aesni_speedup": (">=", 10.0),
     "cbc_decrypt_pipelining": (">=", 3.0),
     "base64_decode_speedup": (">=", 3.0),

@@ -36,6 +36,9 @@ asserts the exit codes and failure messages it MUST produce:
                                                 absolute gates only)
  15. script_front_end_over_xml_parse 2.7     -> fail (absolute ceiling
                                                 <= 1.6)
+ 16. BM_MontgomeryAdxRatio
+     montgomery_adx_speedup 2x               -> pass (absolute gate only)
+ 17. montgomery_adx_speedup 1.2x             -> fail (absolute floor >= 1.5)
 
 Runs standalone (python3 bench/check_ratios_test.py) and as the
 check_ratios_gate ctest.
@@ -94,10 +97,11 @@ def set_to(doc, counter, value):
     return out
 
 
-def crypto_doc(speedup_1024, aes=None):
+def crypto_doc(speedup_1024, aes=None, adx=None):
     """A BENCH_crypto.json with BM_ModPowRatio rows at 512 and 1024 bits,
     plus a BM_AesRatio row when `aes` = (aesni_speedup,
-    cbc_decrypt_pipelining) is given."""
+    cbc_decrypt_pipelining) is given and a BM_MontgomeryAdxRatio row when
+    `adx` = montgomery_adx_speedup is given."""
     rows = []
     for params, speedup in (("512", 13.0), ("1024", speedup_1024)):
         rows.append({
@@ -119,6 +123,16 @@ def crypto_doc(speedup_1024, aes=None):
                 "aesni_decrypt_us": 50.0 / pipelining,
                 "aesni_speedup": speedup,
                 "cbc_decrypt_pipelining": pipelining,
+            },
+        })
+    if adx is not None:
+        rows.append({
+            "name": "BM_MontgomeryAdxRatio",
+            "params": "512",
+            "counters": {
+                "portable_modpow_us": 110.0,
+                "adx_modpow_us": 110.0 / adx,
+                "montgomery_adx_speedup": adx,
             },
         })
     return {"schema": "discsec-bench-v1", "bench": "crypto", "results": rows}
@@ -290,6 +304,20 @@ def main():
         1,
         ["BM_ScriptFrontEndRatio/400: script_front_end_over_xml_parse=2.700 "
          "violates absolute gate <= 1.6"],
+    )
+
+    rc, out = run_checker(crypto_doc(13.0, adx=2.0))
+    expect("2x montgomery_adx_speedup passes", rc, out, 0,
+           ["check_ratios: OK (3 gates"])
+
+    rc, out = run_checker(crypto_doc(13.0, adx=1.2))
+    expect(
+        "1.2x montgomery_adx_speedup fails the absolute floor",
+        rc,
+        out,
+        1,
+        ["BM_MontgomeryAdxRatio/512: montgomery_adx_speedup=1.200 violates "
+         "absolute gate >= 1.5"],
     )
 
     if failures:

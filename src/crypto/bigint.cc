@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "crypto/bigint_hw.h"
+
 namespace discsec {
 namespace crypto {
 
@@ -25,6 +27,9 @@ void PackLimbs(const std::vector<uint32_t>& in, size_t k, uint64_t* out) {
   }
 }
 
+// The backend ScopedMontgomeryBackend forces on this thread, if any.
+thread_local const MontgomeryBackend* forced_backend = nullptr;
+
 /// Montgomery multiplication modulo an odd n of `k` 64-bit limbs, with
 /// R = 2^(64k). Borrows its k + 2 words of scratch from the caller.
 struct Montgomery {
@@ -32,10 +37,19 @@ struct Montgomery {
   const uint64_t* n;
   uint64_t n_prime;  // -n^-1 mod 2^64
   uint64_t* t;
+  /// MontMul8Adx (bigint_hw.cc) instead of the loop below; it computes the
+  /// same product. Picked once per ModPow by UseAdxKernel.
+  bool adx;
 
   /// out = a * b * R^-1 mod n for a, b < n (CIOS: multiply and reduce
   /// interleaved one limb of b at a time). `out` may alias `a` or `b`.
   void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out) const {
+#if DISCSEC_HAVE_BIGINT_HW
+    if (adx) {
+      MontMul8Adx(a, b, n, n_prime, out);
+      return;
+    }
+#endif
     std::fill(t, t + k + 2, 0);
     for (size_t i = 0; i < k; ++i) {
       u128 c = 0;
@@ -73,6 +87,14 @@ struct Montgomery {
   }
 };
 
+/// True when a `k`-limb ModPow on this thread multiplies with MontMul8Adx:
+/// 8 limbs, a BMI2/ADX CPU, and no scope forcing the portable kernel.
+bool UseAdxKernel(size_t k) {
+  return k == 8 && MontgomeryAdxAvailable() &&
+         (forced_backend == nullptr ||
+          *forced_backend == MontgomeryBackend::kAdx);
+}
+
 /// -n0^-1 mod 2^64 for odd n0: Newton's iteration doubles the correct low
 /// bits each step, from 3 (n0 * n0 == 1 mod 8) to 96.
 uint64_t NegInverse64(uint64_t n0) {
@@ -81,6 +103,19 @@ uint64_t NegInverse64(uint64_t n0) {
   return 0 - x;
 }
 }  // namespace
+
+#if !DISCSEC_HAVE_BIGINT_HW
+bool MontgomeryAdxAvailable() { return false; }
+#endif
+
+ScopedMontgomeryBackend::ScopedMontgomeryBackend(MontgomeryBackend backend)
+    : previous_(forced_backend), backend_(backend) {
+  forced_backend = &backend_;
+}
+
+ScopedMontgomeryBackend::~ScopedMontgomeryBackend() {
+  forced_backend = previous_;
+}
 
 BigInt::BigInt(uint64_t value) : negative_(false) {
   if (value != 0) {
@@ -96,16 +131,13 @@ void BigInt::Trim() {
 }
 
 BigInt BigInt::FromBytesBE(const Bytes& bytes) {
+  // Each byte goes straight into its limb: the last byte is the least
+  // significant.
   BigInt out;
-  for (uint8_t b : bytes) {
-    // out = out * 256 + b, done limb-wise for efficiency.
-    uint32_t carry = b;
-    for (size_t i = 0; i < out.limbs_.size(); ++i) {
-      uint64_t v = (static_cast<uint64_t>(out.limbs_[i]) << 8) | carry;
-      out.limbs_[i] = static_cast<uint32_t>(v);
-      carry = static_cast<uint32_t>(v >> 32);
-    }
-    if (carry != 0) out.limbs_.push_back(carry);
+  out.limbs_.assign((bytes.size() + 3) / 4, 0);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    const size_t pos = bytes.size() - 1 - i;
+    out.limbs_[pos / 4] |= static_cast<uint32_t>(bytes[i]) << (8 * (pos % 4));
   }
   out.Trim();
   return out;
@@ -496,7 +528,8 @@ Result<BigInt> BigInt::ModPow(const BigInt& base, const BigInt& exponent,
     uint64_t* table = acc + k;
     PackLimbs(modulus.limbs_, k, n);
     PackLimbs(r2.limbs_, k, rr);
-    const Montgomery mont{k, n, NegInverse64(n[0]), table + entries * k};
+    const Montgomery mont{k, n, NegInverse64(n[0]), table + entries * k,
+                          UseAdxKernel(k)};
     std::fill(plain, plain + k, 0);
     plain[0] = 1;
     mont.Mul(plain, rr, table);  // table[0] = R mod n, Montgomery one

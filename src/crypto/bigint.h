@@ -22,7 +22,8 @@ namespace crypto {
 /// Complexity: schoolbook multiplication and Knuth Algorithm D division for
 /// the general operators. ModPow does not use them per step for an odd
 /// modulus (every RSA and Miller–Rabin modulus): it runs Montgomery
-/// multiplication over 64-bit limbs instead (see ModPow).
+/// multiplication over 64-bit limbs instead (see ModPow), with a BMI2/ADX
+/// kernel for 8-limb moduli (bigint_hw.h).
 class BigInt {
  public:
   /// Zero.
@@ -94,11 +95,14 @@ class BigInt {
   /// An odd modulus takes the Montgomery path: the modulus is packed into
   /// 64-bit limbs once per call, R^2 mod n comes from one Mod, and every
   /// step is a CIOS Montgomery multiplication in scratch allocated once per
-  /// call. Exponents over 64 bits use fixed 4-bit windows: four squarings
-  /// and one table multiply per window whatever its digit (table[0] is
-  /// Montgomery one), so the sequence of operations does not depend on the
-  /// exponent's bits. The table index does, so this is not a constant-time
-  /// implementation. Shorter exponents (65537) use left-to-right binary.
+  /// call. A modulus of 8 limbs (449-512 bits: RSA-1024's CRT halves) on a
+  /// CPU with BMI2 and ADX multiplies with MontMul8Adx, the same product in
+  /// registers; every result is the same integer either way. Exponents over
+  /// 64 bits use fixed 4-bit windows: four squarings and one table multiply
+  /// per window whatever its digit (table[0] is Montgomery one), so the
+  /// sequence of operations does not depend on the exponent's bits. The
+  /// table index does, so this is not a constant-time implementation.
+  /// Shorter exponents (65537) use left-to-right binary.
   /// An even modulus or a zero exponent takes square-and-multiply with a
   /// full division after every step.
   static Result<BigInt> ModPow(const BigInt& base, const BigInt& exponent,

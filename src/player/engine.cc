@@ -182,9 +182,11 @@ Status InteractiveApplicationEngine::PolicyPhase(
                    "player.policy", Hist("player.policy_us"));
   access::PermissionRequest request;
   if (!manifest.permission_request_xml.empty()) {
+    DISCSEC_ASSIGN_OR_RETURN(
+        xml::Document doc,
+        xml::Parse(manifest.permission_request_xml, config_.parse_limits));
     DISCSEC_ASSIGN_OR_RETURN(request,
-                             access::PermissionRequest::FromXmlString(
-                                 manifest.permission_request_xml));
+                             access::PermissionRequest::FromXml(*doc.root()));
   }
   // The PEP subject is the verified signer; unsigned disc content acts as
   // the generic disc principal.
@@ -208,8 +210,10 @@ Status InteractiveApplicationEngine::MarkupPhase(
     layout = &manifest.markups.front();
   }
   if (layout != nullptr) {
+    DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
+                             xml::Parse(layout->content, config_.parse_limits));
     DISCSEC_ASSIGN_OR_RETURN(smil::Presentation presentation,
-                             smil::ParseSmil(layout->content));
+                             smil::ParseSmil(doc));
     DISCSEC_RETURN_IF_ERROR(
         presentation.Validate().WithContext("SMIL markup '" + layout->name +
                                             "'"));
@@ -219,8 +223,9 @@ Status InteractiveApplicationEngine::MarkupPhase(
   // Graphics SubMarkups (SVG): rendered into the report's draw list.
   for (const disc::SubMarkup& markup : manifest.markups) {
     if (markup.role != "graphics") continue;
-    DISCSEC_ASSIGN_OR_RETURN(svg::Scene scene,
-                             svg::ParseSvg(markup.content));
+    DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
+                             xml::Parse(markup.content, config_.parse_limits));
+    DISCSEC_ASSIGN_OR_RETURN(svg::Scene scene, svg::ParseSvg(doc));
     DISCSEC_RETURN_IF_ERROR(scene.Validate().WithContext(
         "SVG markup '" + markup.name + "'"));
     for (const svg::Shape& shape : scene.shapes) {

@@ -72,7 +72,9 @@ struct PlayerConfig {
   bool trust_disc_content = true;
   /// Parser input limits applied to every attacker-reachable parse: the
   /// cluster document itself, transform re-parses inside signature
-  /// verification, and decrypted plaintext fragments.
+  /// verification, decrypted plaintext fragments, and the manifest's
+  /// embedded documents (the permission request, the SMIL layout and the
+  /// SVG markups).
   xml::ParseOptions parse_limits;
   /// See-what-is-signed defense: when a signature is required, every
   /// verified same-document reference that does not cover the whole

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/bigint.h"
+#include "crypto/bigint_hw.h"
 
 namespace discsec {
 namespace crypto {
@@ -21,19 +22,63 @@ TEST(BigIntTest, FromUint64) {
   EXPECT_EQ(v.BitLength(), 57u);
 }
 
+// `size` bytes following i * step + offset (mod 256), most significant
+// first.
+Bytes PatternBytes(size_t size, unsigned step, unsigned offset) {
+  Bytes out(size);
+  for (size_t i = 0; i < size; ++i) {
+    out[i] = static_cast<uint8_t>(i * step + offset);
+  }
+  return out;
+}
+
 TEST(BigIntTest, BytesRoundTrip) {
   Bytes in = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09};
   BigInt v = BigInt::FromBytesBE(in);
   EXPECT_EQ(v.ToBytesBE(), in);
+  EXPECT_EQ(v.ToDecimalString(), "18591708106338011145");
+  // A 1024-bit modulus's worth of bytes, and one byte more (a limb boundary
+  // falls mid-way through the top limb).
+  const Bytes b128 = PatternBytes(128, 37, 11);
+  BigInt v128 = BigInt::FromBytesBE(b128);
+  EXPECT_EQ(v128.ToBytesBE(), b128);
+  EXPECT_EQ(v128.ToDecimalString(),
+            "7857045581359016041770077311635554601919158027760923117664027992"
+            "4390099923733618325008949649721735124505348625940714283001863915"
+            "0495794295008079607703142537090801891327794645532976792958672486"
+            "5965381734143454322774491256951963907419487910010411272890115529"
+            "485369345418505622821100108178642705663876591796582");
+  const Bytes b129 = PatternBytes(129, 73, 5);
+  BigInt v129 = BigInt::FromBytesBE(b129);
+  EXPECT_EQ(v129.ToBytesBE(), b129);
+  EXPECT_EQ(v129.ToDecimalString(),
+            "9540366344153145210787850840298114568889400518348005826050661767"
+            "4718745251593361329767958600465624707204008924207480004656218500"
+            "2774105236500887119646934041017982692145117075545622855467694976"
+            "3130005369396892957511698827675109930417154532767491584059753967"
+            "86897886489618774380885276934864590240662048914750597");
 }
 
 TEST(BigIntTest, LeadingZerosIgnored) {
   Bytes in = {0x00, 0x00, 0x12, 0x34};
   BigInt v = BigInt::FromBytesBE(in);
   EXPECT_EQ(v.ToBytesBE(), Bytes({0x12, 0x34}));
+  EXPECT_EQ(v.ToDecimalString(), "4660");
   auto padded = v.ToBytesBE(4);
   ASSERT_TRUE(padded.ok());
   EXPECT_EQ(padded.value(), in);
+  // Empty and all-zero inputs are zero, with no limbs left over.
+  for (const Bytes& zero : {Bytes(), Bytes(1, 0), Bytes(129, 0)}) {
+    BigInt z = BigInt::FromBytesBE(zero);
+    EXPECT_TRUE(z.IsZero()) << zero.size();
+    EXPECT_TRUE(z.ToBytesBE().empty()) << zero.size();
+    EXPECT_EQ(z.ToDecimalString(), "0") << zero.size();
+  }
+  // Leading zeros in front of a full 128-byte value.
+  Bytes long_in(3, 0);
+  Append(&long_in, PatternBytes(128, 37, 11));
+  EXPECT_EQ(BigInt::FromBytesBE(long_in).ToBytesBE(),
+            PatternBytes(128, 37, 11));
 }
 
 TEST(BigIntTest, ToBytesFixedLengthFails) {
@@ -216,10 +261,11 @@ void ExpectModPowMatchesReference(const BigInt& m, Rng* rng) {
 
 TEST(BigIntTest, ModPowOddModuliMatchReference) {
   // 3 and 5 32-bit limbs pad a zero high half when packed into 64-bit
-  // limbs; the rest cover one to 32 full 64-bit limbs.
+  // limbs, as 449 and 480 bits leave the top of the eighth limb zero; the
+  // rest cover one to 32 full 64-bit limbs.
   Rng rng(1405);
-  for (size_t bits : {65u, 96u, 127u, 128u, 129u, 160u, 255u, 512u, 513u,
-                      1024u, 1055u, 2048u}) {
+  for (size_t bits : {65u, 96u, 127u, 128u, 129u, 160u, 255u, 449u, 480u,
+                      512u, 513u, 1024u, 1055u, 2048u}) {
     ExpectModPowMatchesReference(RandomOdd(bits, &rng), &rng);
   }
 }
@@ -235,6 +281,74 @@ TEST(BigIntTest, ModPowAllOnesTopLimbMatchesReference) {
     ExpectModPowMatchesReference(all_ones - low.ShiftLeft(1), &rng);
   }
 }
+
+#if defined(__x86_64__)
+TEST(MontgomeryAdxProbeTest, MatchesCompilerCpuProbe) {
+  // A probe that wrongly reported "absent" would fall back to the portable
+  // kernel silently; pin it to the compiler's own CPUID view.
+  EXPECT_EQ(MontgomeryAdxAvailable(), __builtin_cpu_supports("bmi2") &&
+                                          __builtin_cpu_supports("adx"));
+}
+#endif
+
+// Runs the 8-limb cases (449-512 bits) once per Montgomery kernel; the ADX
+// half skips only on a CPU that lacks BMI2 or ADX.
+class MontgomeryBackendTest
+    : public ::testing::TestWithParam<MontgomeryBackend> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == MontgomeryBackend::kAdx && !MontgomeryAdxAvailable()) {
+      GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    }
+  }
+
+  ScopedMontgomeryBackend scope_{GetParam()};
+};
+
+TEST_P(MontgomeryBackendTest, EightLimbOddModuliMatchReference) {
+  Rng rng(1410);
+  for (size_t bits : {449u, 480u, 512u}) {
+    ExpectModPowMatchesReference(RandomOdd(bits, &rng), &rng);
+  }
+}
+
+TEST_P(MontgomeryBackendTest, EightLimbAllOnesTopLimbMatchesReference) {
+  Rng rng(1411);
+  const BigInt all_ones = PowerOfTwo(512) - BigInt(1);
+  ExpectModPowMatchesReference(all_ones, &rng);
+  BigInt low = BigInt::RandomBelow(PowerOfTwo(512 - 65), &rng);
+  ExpectModPowMatchesReference(all_ones - low.ShiftLeft(1), &rng);
+}
+
+TEST_P(MontgomeryBackendTest, EightLimbTopWordCarryMatchesReference) {
+  // Modulo 2^512 - 1, R = 2^512 is 1, so ModPow(a, 2) squares a itself in
+  // one Montgomery product. These squares leave the ADX rows' t8 at
+  // 2^64 - 1 with a carry still pending into it: they fail if that carry
+  // is not passed on to t9. Random operands reach the case with
+  // probability ~2^-64 per row.
+  const BigInt m = PowerOfTwo(512) - BigInt(1);
+  for (const char* hex :
+       {"fffffffffffffffdc68deb5d403a960afffffffffffffffd76531737f129c8c6"
+        "ffffffffffffffffffffffffffffffff00000000000000020000000000000000",
+        "fffffffffffffffdfffffffffffffffefffffffffffffffe0000000000000000"
+        "a6523995570f0cbe4b39e336b74acffbc50e2b9943cdc356fffffffffffffffe",
+        "fffffffffffffffffffffffffffffffe0000000000000001fffffffffffffffe"
+        "7ffffffffffffffffffffffffffffffefffffffffffffffdfffffffffffffffe"}) {
+    const BigInt a = BigInt::FromBytesBE(FromHex(hex).value());
+    EXPECT_EQ(BigInt::ModPow(a, BigInt(2), m).value(),
+              ReferenceModPow(a, BigInt(2), m))
+        << hex;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, MontgomeryBackendTest,
+                         ::testing::Values(MontgomeryBackend::kPortable,
+                                           MontgomeryBackend::kAdx),
+                         [](const auto& info) {
+                           return info.param == MontgomeryBackend::kPortable
+                                      ? "Portable"
+                                      : "Adx";
+                         });
 
 TEST(BigIntTest, ModPowZeroResultFromNonzeroBase) {
   // m = p^2 and base p: every power from the second on is 0 mod m, so a

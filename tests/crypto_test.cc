@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "common/bytes.h"
 #include "crypto/aes.h"
 #include "crypto/aes_hw.h"
 #include "crypto/algorithms.h"
+#include "crypto/bigint_hw.h"
 #include "crypto/digest.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
@@ -652,18 +655,33 @@ RsaKeyPair SeededKeyPair(size_t bits) {
   return RsaGenerateKeyPair(bits, &rng).value();
 }
 
-class RsaKeySizeTest : public ::testing::TestWithParam<size_t> {
+// Key size x Montgomery kernel. A 1024-bit key's CRT halves (and the
+// Miller-Rabin rounds that generate them) are 8-limb moduli, the size the
+// ADX kernel serves; the ADX runs skip only on a CPU that lacks BMI2 or ADX.
+class RsaKeySizeTest
+    : public ::testing::TestWithParam<std::tuple<size_t, MontgomeryBackend>> {
  protected:
+  void SetUp() override {
+    if (std::get<1>(GetParam()) == MontgomeryBackend::kAdx &&
+        !MontgomeryAdxAvailable()) {
+      GTEST_SKIP() << "CPU lacks BMI2/ADX";
+    }
+  }
+
+  size_t bits() const { return std::get<0>(GetParam()); }
+
   const RsaKeyPair& pair() const {
     static const RsaKeyPair k512 = SeededKeyPair(512);
     static const RsaKeyPair k1024 = SeededKeyPair(1024);
-    return GetParam() == 512 ? k512 : k1024;
+    return bits() == 512 ? k512 : k1024;
   }
+
+  ScopedMontgomeryBackend scope_{std::get<1>(GetParam())};
 };
 
 TEST_P(RsaKeySizeTest, PrivateOpMatchesReference) {
   const RsaPrivateKey& key = pair().private_key;
-  Rng rng(GetParam() + 1);
+  Rng rng(bits() + 1);
   const BigInt messages[] = {
       BigInt(),
       BigInt(1),
@@ -685,7 +703,7 @@ TEST_P(RsaKeySizeTest, SignVerifyRoundTrip) {
     Bytes digest = Sha256::Hash(ToBytes("downloaded application"));
   auto sig = RsaSignDigest(pair().private_key, kAlgSha256, digest);
   ASSERT_TRUE(sig.ok());
-  EXPECT_EQ(sig.value().size(), GetParam() / 8);
+  EXPECT_EQ(sig.value().size(), bits() / 8);
   EXPECT_TRUE(
       RsaVerifyDigest(pair().public_key, kAlgSha256, digest, sig.value()).ok());
   Bytes tampered = sig.value();
@@ -695,8 +713,8 @@ TEST_P(RsaKeySizeTest, SignVerifyRoundTrip) {
 }
 
 TEST_P(RsaKeySizeTest, EncryptDecryptRoundTrip) {
-    Rng rng(GetParam() + 2);
-  Bytes message = rng.NextBytes(GetParam() / 8 - 11);
+    Rng rng(bits() + 2);
+  Bytes message = rng.NextBytes(bits() / 8 - 11);
   auto ct = RsaEncrypt(pair().public_key, message, &rng);
   ASSERT_TRUE(ct.ok());
   auto pt = RsaDecrypt(pair().private_key, ct.value());
@@ -704,8 +722,59 @@ TEST_P(RsaKeySizeTest, EncryptDecryptRoundTrip) {
   EXPECT_EQ(pt.value(), message);
 }
 
-INSTANTIATE_TEST_SUITE_P(Bits, RsaKeySizeTest,
-                         ::testing::Values<size_t>(512, 1024));
+INSTANTIATE_TEST_SUITE_P(
+    Bits, RsaKeySizeTest,
+    ::testing::Combine(::testing::Values<size_t>(512, 1024),
+                       ::testing::Values(MontgomeryBackend::kPortable,
+                                         MontgomeryBackend::kAdx)),
+    [](const auto& info) {
+      return std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) == MontgomeryBackend::kPortable
+                  ? "Portable"
+                  : "Adx");
+    });
+
+// Known answers under the seeded 1024-bit key, whose CRT halves are 8 64-bit
+// limbs each: two PKCS#1 v1.5 signatures and one decryption, pinned as the
+// exact bytes so any change to ModPow's 512-bit arithmetic shows here. The
+// golden vectors sign with 512-bit keys and never reach this size.
+constexpr char kKnownAnswerModulus[] =
+    "bf8f746ba83394bf559a0ff3dbec96ff9a3a03a55b61ac9d34275872627b27e6f007f6a1"
+    "80911742f568e7795da82c831bc1a3e5587f7fc6dc6b0d1f7bc8b814b414df9712bac9df"
+    "c78c331a7b6b79abd741767deece8ef9312daed2e3f944d5ea3b8ce5435a47ef17baea14"
+    "c1ef2869fae2e1487eebd7253a834152851b54f1";
+
+TEST(RsaKnownAnswerTest, Rsa1024SignaturesAndDecryption) {
+  const RsaKeyPair pair = SeededKeyPair(1024);
+  ASSERT_EQ(ToHex(pair.public_key.modulus.ToBytesBE()), kKnownAnswerModulus);
+  const Bytes message = ToBytes("RSA-1024 known answer");
+  auto sha256 =
+      RsaSignDigest(pair.private_key, kAlgSha256, Sha256::Hash(message));
+  ASSERT_TRUE(sha256.ok());
+  EXPECT_EQ(ToHex(sha256.value()),
+            "0c6f4cc134ce95392b1ea775a22cd751120f905f1ae7b3c6c410a155a66e45a1"
+            "fac2c755af325d872ef7af02a4b8b2af9fb17fcc4ea101f1af5d74fb75ea818f"
+            "a4585d11a2a1fc006accefd6ade1cbe05406639b2fd7ec405e78e87cd3fc024e"
+            "c8ed900bbef72e9bde446838f712533ccc03e781ee8d73f4be7e3c6fad96e871");
+  auto sha1 = RsaSignDigest(pair.private_key, kAlgSha1, Sha1::Hash(message));
+  ASSERT_TRUE(sha1.ok());
+  EXPECT_EQ(ToHex(sha1.value()),
+            "515f8a4a0d72231d86c89726161fcbe0aba84fcf077cf63c95e4bcbc56bc2baf"
+            "cda8b191008a9b8cb86d2e4837e8e9a57d80c834e9af5e15008a9c239db7f88a"
+            "cc5592c36b0a1234c76db05dd2c5351675020d82c37a94f68375db18eca73f7f"
+            "b1d07847ea49f724ae4c50759398af4578a3f145adc676db1b7abf9c3ba34ae0");
+  // RsaEncrypt of "premaster secret" under Rng(1025).
+  const Bytes ciphertext =
+      FromHex(
+          "2c75d1144beddf6ede171bdb8c956ad01f7f064645e7218b6c1f1061e420f7c3"
+          "f5ec312cf0a85391c1a0fe45885f50f0515f36edbf1e54a4976badb27f57b09f"
+          "d974d8bc40a8359a39411182add93466b9ec36a2a6be4e216e23462bf84ceedb"
+          "f4428a4ad31fdf4c470ef6c85eb5891d6e15f6411b771ce0b4fb21ac6449c957")
+          .value();
+  auto plaintext = RsaDecrypt(pair.private_key, ciphertext);
+  ASSERT_TRUE(plaintext.ok());
+  EXPECT_EQ(ToString(plaintext.value()), "premaster secret");
+}
 
 TEST(RsaKeygenTest, RejectsTinyModulus) {
   Rng rng(1);

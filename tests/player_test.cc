@@ -106,6 +106,37 @@ TEST_F(PlayerFixture, LaunchFromDiscParsesOnlyUnderTheConfiguredLimits) {
             "ResourceExhausted: XML nesting exceeds max_depth");
 }
 
+TEST_F(PlayerFixture, EmbeddedDocumentsParseUnderTheConfiguredLimits) {
+  // The permission request and the SMIL layout travel as text inside the
+  // manifest and are parsed as documents of their own. Nested 60 deep, each
+  // is refused under a depth limit of 16 and launches under the defaults.
+  std::string nest;
+  for (int i = 0; i < 60; ++i) nest += "<x>";
+  for (int i = 0; i < 60; ++i) nest += "</x>";
+  disc::InteractiveCluster deep_request = world_->DemoCluster();
+  std::string& request =
+      deep_request.tracks[1].manifest.permission_request_xml;
+  request.insert(request.find("</permissionrequestfile>"), nest);
+  disc::InteractiveCluster deep_layout = world_->DemoCluster();
+  std::string& layout = deep_layout.tracks[1].manifest.markups[0].content;
+  layout.insert(layout.find("</head>"), nest);
+  authoring::Author author = world_->MakeAuthor();
+  for (const disc::InteractiveCluster& cluster : {deep_request, deep_layout}) {
+    auto doc = author.BuildSigned(cluster, authoring::SignLevel::kCluster);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    const std::string text = xml::Serialize(doc.value());
+    PlayerConfig config = world_->MakePlayerConfig();
+    config.parse_limits.max_depth = 16;
+    InteractiveApplicationEngine limited(std::move(config));
+    EXPECT_EQ(
+        limited.LaunchClusterXml(text, Origin::kNetwork).status().ToString(),
+        "ResourceExhausted: XML nesting exceeds max_depth");
+    InteractiveApplicationEngine engine(world_->MakePlayerConfig());
+    auto report = engine.LaunchClusterXml(text, Origin::kNetwork);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+  }
+}
+
 TEST_F(PlayerFixture, DiscWithoutClusterRejected) {
   disc::DiscImage empty;
   InteractiveApplicationEngine engine(world_->MakePlayerConfig());
