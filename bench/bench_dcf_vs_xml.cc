@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <functional>
@@ -19,10 +20,13 @@
 #include "bench/bench_util.h"
 #include "common/base64.h"
 #include "crypto/aes_hw.h"
+#include "crypto/sha1.h"
 #include "script/lexer.h"
 #include "script/parser.h"
 #include "tests/base64_reference.h"
 #include "dcf/dcf.h"
+#include "xml/c14n.h"
+#include "xmldsig/constants.h"
 #include "xmldsig/verifier.h"
 #include "xmlenc/decryptor.h"
 
@@ -263,7 +267,8 @@ BENCHMARK(BM_XmlVsDcfRatioAesNi)
 // not asymmetric crypto. Rows:
 //
 //   dom_verify_us        wire -> verdict: xml::Parse + VerifyFirstSignature
-//                        (clone + enveloped removal + C14N tree walk)
+//                        (C14N tree walk over the parsed DOM, enveloped
+//                        signature omitted in place)
 //   dcf_unprotect_us     binary container baseline (AES + HMAC)
 //   dom_over_dcf         XML verify over the DCF baseline
 //   dom_verify_allocs    heap allocations per wire->verdict
@@ -534,6 +539,114 @@ void BM_ScriptFrontEndRatio(benchmark::State& state) {
       parse_us > 0.0 ? front_end_us / parse_us : 0.0;
 }
 BENCHMARK(BM_ScriptFrontEndRatio)->Arg(400);
+
+// Same-document references against canonicalization alone, on the
+// element-dense cluster with an enveloped ds:Signature appended to its root
+// (DESIGN.md §7.2). Two references, each digested into one SHA-1 sink:
+//
+//   id        URI="#<Code part>" with a C14N transform; the baseline is
+//             CanonicalizeElement of the Code part
+//   enveloped URI="" with [enveloped-signature, C14N]; the baseline is
+//             CanonicalizeElement of the root with the signature omitted
+//
+// Counters, per reference: *_reference_allocs and *_c14n_allocs (heap
+// allocations of one ProcessReferenceTo and of one baseline call) and
+// *_reference_us and *_c14n_us (best of interleaved rounds).
+//
+//   same_doc_reference_allocs_over_c14n   the larger allocation quotient
+//                                         (gated: the pipeline adds no
+//                                         per-reference document copy)
+//   same_doc_reference_time_over_c14n     the larger time quotient
+//                                         (reported, not gated: too noisy
+//                                         on a shared machine)
+void BM_SameDocReferenceRatio(benchmark::State& state) {
+  const disc::InteractiveCluster cluster =
+      bench::ElementDenseCluster(static_cast<size_t>(state.range(0)));
+  xml::Document doc = cluster.ToXml();
+  const xml::Element* code =
+      doc.FindById(cluster.tracks[1].manifest.id + "-code");
+  if (code == nullptr) {
+    state.SkipWithError("no Code part");
+    return;
+  }
+  xml::Element* signature = doc.root()->AppendElement("ds:Signature");
+  signature->SetAttribute("xmlns:ds", xmldsig::kDsNamespace);
+
+  auto make_reference = [](const std::string& uri,
+                           const std::vector<std::string>& transforms) {
+    auto ref = std::make_unique<xml::Element>("ds:Reference");
+    ref->SetAttribute("URI", uri);
+    xml::Element* chain = ref->AppendElement("ds:Transforms");
+    for (const std::string& alg : transforms) {
+      chain->AppendElement("ds:Transform")->SetAttribute("Algorithm", alg);
+    }
+    return ref;
+  };
+  const auto id_ref =
+      make_reference("#" + *code->GetAttribute("Id"), {crypto::kAlgC14N});
+  const auto enveloped_ref = make_reference(
+      "", {crypto::kAlgEnvelopedSignature, crypto::kAlgC14N});
+  xmldsig::ReferenceContext ctx;
+  ctx.document = &doc;
+  ctx.signature_path = xmldsig::ComputePath(signature);
+
+  crypto::Sha1 sha1;
+  crypto::DigestSink sink(&sha1);
+  const xml::C14NOptions c14n;
+  auto reference = [&](const xml::Element& ref) {
+    return [&]() {
+      if (!xmldsig::ProcessReferenceTo(ref, ctx, &sink).ok()) {
+        state.SkipWithError("reference failed");
+      }
+    };
+  };
+  const std::array<std::function<void()>, 4> ops = {
+      reference(*id_ref),
+      [&]() { xml::CanonicalizeElement(*code, c14n, &sink); },
+      reference(*enveloped_ref),
+      [&]() { xml::CanonicalizeElement(*doc.root(), c14n, &sink, signature); },
+  };
+
+  std::array<double, 4> allocs{};
+  for (size_t k = 0; k < ops.size(); ++k) {
+    ops[k]();  // warm up so lazy one-time allocations don't count
+    bench::ResetAllocStats();
+    ops[k]();
+    allocs[k] = static_cast<double>(bench::AllocCount());
+  }
+  // Minimum over a fixed number of rounds, as the other ratio rows do.
+  constexpr int kRounds = 16;
+  std::array<double, 4> best_us{};
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t k = 0; k < ops.size(); ++k) {
+      auto start = std::chrono::steady_clock::now();
+      ops[k]();
+      double us = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count() /
+                  1e3;
+      if (round == 0 || us < best_us[k]) best_us[k] = us;
+    }
+  }
+
+  for (auto _ : state) {
+    ops[0]();
+  }
+  auto quotient = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
+  state.counters["id_reference_allocs"] = allocs[0];
+  state.counters["id_c14n_allocs"] = allocs[1];
+  state.counters["enveloped_reference_allocs"] = allocs[2];
+  state.counters["enveloped_c14n_allocs"] = allocs[3];
+  state.counters["id_reference_us"] = best_us[0];
+  state.counters["id_c14n_us"] = best_us[1];
+  state.counters["enveloped_reference_us"] = best_us[2];
+  state.counters["enveloped_c14n_us"] = best_us[3];
+  state.counters["same_doc_reference_allocs_over_c14n"] =
+      std::max(quotient(allocs[0], allocs[1]), quotient(allocs[2], allocs[3]));
+  state.counters["same_doc_reference_time_over_c14n"] = std::max(
+      quotient(best_us[0], best_us[1]), quotient(best_us[2], best_us[3]));
+}
+BENCHMARK(BM_SameDocReferenceRatio)->Arg(400);
 
 }  // namespace
 }  // namespace discsec

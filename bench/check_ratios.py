@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Perf-smoke gate for XML verify against DCF (EXPERIMENTS.md E2), the
 Montgomery ModPow path and its BMI2/ADX kernel, the AES-NI backend, the
-run-scanning text kernels (DESIGN.md §3) and the script front end
-(DESIGN.md §16).
+run-scanning text kernels (DESIGN.md §3), the script front end
+(DESIGN.md §16) and the copy-free same-document reference (DESIGN.md §7).
 
 Compares the dom_over_dcf ratio of a fresh BENCH_ratio.json run against
 the checked-in baseline (bench/baselines/BENCH_ratio.baseline.json) and
@@ -36,10 +36,15 @@ from the introducing PRs are enforced absolutely:
                                (script::ParseProgram over the dense Code
                                 part's 401 scripts within 1.6x of
                                 xml::Parse of that Code part)
+    same_doc_reference_allocs_over_c14n <= 1.25
+                               (xmldsig::ProcessReferenceTo of a #id and of
+                                an enveloped URI="" reference allocates
+                                within 1.25x of canonicalizing the same
+                                target into the same SHA-1 sink)
 
-A row with no baseline entry (BENCH_crypto.json, and BM_TextKernelRatio and
-BM_ScriptFrontEndRatio in BENCH_ratio.json) is checked against the absolute
-gates only.
+A row with no baseline entry (BENCH_crypto.json, and BM_TextKernelRatio,
+BM_ScriptFrontEndRatio and BM_SameDocReferenceRatio in BENCH_ratio.json) is
+checked against the absolute gates only.
 
 Usage: check_ratios.py BENCH_ratio.json [--baseline FILE] [--slack 0.10]
 """
@@ -77,6 +82,14 @@ RELATIVE_GATES = ("dom_over_dcf",)
 # part, both sides interleaved in one process (BM_ScriptFrontEndRatio;
 # measured 0.80-1.00, against 2.53-2.83 when keywords were looked up in a
 # std::set and operators matched by string).
+# same_doc_reference_allocs_over_c14n pins the read-only reference pipeline
+# (DESIGN.md §7): the larger, over a #id and an enveloped URI="" reference
+# on the element-dense cluster, of ProcessReferenceTo's heap allocations
+# over those of CanonicalizeElement of the same target into the same sink
+# (BM_SameDocReferenceRatio; measured 1.002: 808 over 807 and 826 over 824
+# allocations, against 5.2 and 3.7 when every reference cloned the document
+# and built an Id map). Allocation counts do not depend on the machine's
+# speed, so this quotient does not drift with load.
 ABSOLUTE_GATES = {
     "dom_over_dcf": ("<", 2.5),
     "serialize_allocs": ("<=", 4.0),
@@ -87,6 +100,7 @@ ABSOLUTE_GATES = {
     "base64_decode_speedup": (">=", 3.0),
     "text_parse_over_escape": ("<=", 3.0),
     "script_front_end_over_xml_parse": ("<=", 1.6),
+    "same_doc_reference_allocs_over_c14n": ("<=", 1.25),
 }
 
 

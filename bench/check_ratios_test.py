@@ -39,6 +39,13 @@ asserts the exit codes and failure messages it MUST produce:
  16. BM_MontgomeryAdxRatio
      montgomery_adx_speedup 2x               -> pass (absolute gate only)
  17. montgomery_adx_speedup 1.2x             -> fail (absolute floor >= 1.5)
+ 18. baseline + BM_SameDocReferenceRatio,
+     same_doc_reference_allocs_over_c14n
+     1.01                                    -> pass (no baseline row, so
+                                                absolute gates only)
+ 19. same_doc_reference_allocs_over_c14n
+     5.7                                     -> fail (absolute ceiling
+                                                <= 1.25)
 
 Runs standalone (python3 bench/check_ratios_test.py) and as the
 check_ratios_gate ctest.
@@ -168,6 +175,21 @@ def with_script_front_end(doc, ratio):
             "script_front_end_us": 250.0 * ratio,
             "code_part_parse_us": 250.0,
             "script_front_end_over_xml_parse": ratio,
+        },
+    })
+    return out
+
+
+def with_same_doc_reference(doc, ratio):
+    """A deep copy of `doc` plus a BM_SameDocReferenceRatio row."""
+    out = copy.deepcopy(doc)
+    out["results"].append({
+        "name": "BM_SameDocReferenceRatio",
+        "params": "400",
+        "counters": {
+            "id_reference_allocs": 800.0 * ratio,
+            "id_c14n_allocs": 800.0,
+            "same_doc_reference_allocs_over_c14n": ratio,
         },
     })
     return out
@@ -318,6 +340,20 @@ def main():
         1,
         ["BM_MontgomeryAdxRatio/512: montgomery_adx_speedup=1.200 violates "
          "absolute gate >= 1.5"],
+    )
+
+    rc, out = run_checker(with_same_doc_reference(baseline, 1.01))
+    expect("1.01 same_doc_reference_allocs_over_c14n passes", rc, out, 0,
+           ["check_ratios: OK"])
+
+    rc, out = run_checker(with_same_doc_reference(baseline, 5.7))
+    expect(
+        "5.7 same_doc_reference_allocs_over_c14n fails the absolute ceiling",
+        rc,
+        out,
+        1,
+        ["BM_SameDocReferenceRatio/400: same_doc_reference_allocs_over_c14n="
+         "5.700 violates absolute gate <= 1.25"],
     )
 
     if failures:

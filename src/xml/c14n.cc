@@ -20,6 +20,8 @@ using NsMap = std::map<std::string, std::string>;
 struct C14NWriter {
   const C14NOptions& options;
   ByteSink* out;
+  /// Subtree left out of the node-set (null = none).
+  const Element* omitted;
   /// Namespace nodes rendered on the open ancestor chain, innermost last.
   /// A flat overlay stack instead of the per-element NsMap copy the walk
   /// used to make: lookups scan backward (nearest rendering wins) and each
@@ -193,7 +195,9 @@ struct C14NWriter {
   void WriteNode(const Node& node) {
     switch (node.kind()) {
       case NodeKind::kElement:
-        WriteElement(static_cast<const Element&>(node), {}, {});
+        if (&node != omitted) {
+          WriteElement(static_cast<const Element&>(node), {}, {});
+        }
         break;
       case NodeKind::kText:
         WriteText(static_cast<const Text&>(node));
@@ -224,10 +228,10 @@ void AnnotateC14NSpan(obs::ScopedSpan* span, const C14NOptions& options) {
 }  // namespace
 
 void Canonicalize(const Document& doc, const C14NOptions& options,
-                  ByteSink* sink) {
+                  ByteSink* sink, const Element* omitted) {
   obs::ScopedSpan span(options.tracer, "xml.c14n");
   AnnotateC14NSpan(&span, options);
-  C14NWriter writer{options, sink};
+  C14NWriter writer{options, sink, omitted};
   // Document-level children: PIs (and comments in WithComments mode) that
   // precede the root are followed by #xA; those after are preceded by #xA.
   bool seen_root = false;
@@ -258,13 +262,13 @@ std::string Canonicalize(const Document& doc) {
 }
 
 void CanonicalizeElement(const Element& apex, const C14NOptions& options,
-                         ByteSink* sink) {
+                         ByteSink* sink, const Element* omitted) {
   obs::ScopedSpan span(options.tracer, "xml.c14n");
   AnnotateC14NSpan(&span, options);
   if (options.exclusive) {
     // Exclusive C14N does not inherit ancestor xml:* attributes, and
     // namespace context comes from LookupNamespaceUri on demand.
-    C14NWriter writer{options, sink};
+    C14NWriter writer{options, sink, omitted};
     writer.WriteElement(apex, {}, {});
     return;
   }
@@ -299,7 +303,7 @@ void CanonicalizeElement(const Element& apex, const C14NOptions& options,
   if (def != inherited_ns.end() && def->second.empty()) {
     inherited_ns.erase(def);
   }
-  C14NWriter writer{options, sink};
+  C14NWriter writer{options, sink, omitted};
   writer.WriteElement(apex, inherited_ns, inherited_xml_attrs);
 }
 

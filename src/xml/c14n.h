@@ -44,8 +44,12 @@ struct C14NOptions {
 /// them — this is the form the XML-DSig hot path uses (a crypto::DigestSink
 /// fuses canonicalization into the digest). The string-returning forms wrap
 /// a StringSink and count toward BufferedCanonicalizationCount().
+///
+/// `omitted`, when set, names an element whose whole subtree is left out of
+/// the node-set, as if it had been removed from the document: the
+/// enveloped-signature transform's output, read without a copy.
 void Canonicalize(const Document& doc, const C14NOptions& options,
-                  ByteSink* sink);
+                  ByteSink* sink, const Element* omitted = nullptr);
 std::string Canonicalize(const Document& doc, const C14NOptions& options);
 std::string Canonicalize(const Document& doc);
 
@@ -53,7 +57,7 @@ std::string Canonicalize(const Document& doc);
 /// element inherits its ancestors' in-scope namespace declarations and xml:*
 /// attributes, per the C14N rules for document subsets.
 void CanonicalizeElement(const Element& apex, const C14NOptions& options,
-                         ByteSink* sink);
+                         ByteSink* sink, const Element* omitted = nullptr);
 std::string CanonicalizeElement(const Element& apex,
                                 const C14NOptions& options);
 std::string CanonicalizeElement(const Element& apex);

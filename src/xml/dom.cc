@@ -30,6 +30,10 @@ void Element::SetAttribute(std::string_view name, std::string_view value) {
   attributes_.push_back({std::string(name), std::string(value)});
 }
 
+void Element::AppendAttribute(std::string name, std::string value) {
+  attributes_.push_back({std::move(name), std::move(value)});
+}
+
 bool Element::RemoveAttribute(std::string_view name) {
   for (auto it = attributes_.begin(); it != attributes_.end(); ++it) {
     if (it->name == name) {
@@ -173,11 +177,30 @@ std::string Element::LookupNamespaceUri(std::string_view prefix) const {
 namespace {
 
 /// The value of the element's ID attribute (`Id` preferred over `id`), or
-/// null when it carries neither.
+/// null when it carries neither. One pass over the attributes.
 const std::string* IdAttributeOf(const Element& e) {
-  const std::string* v = e.GetAttribute("Id");
-  if (v == nullptr) v = e.GetAttribute("id");
-  return v;
+  const std::string* lower = nullptr;
+  for (const Attribute& attr : e.attributes()) {
+    if (attr.name == "Id") return &attr.value;
+    if (attr.name == "id") lower = &attr.value;
+  }
+  return lower;
+}
+
+/// Strict resolution from a match count: NotFound for none, Corruption for
+/// more than one (the duplicate-ID wrapping vector).
+Result<Element*> StrictMatch(std::string_view id, size_t count,
+                             Element* first) {
+  if (count == 0) {
+    return Status::NotFound("no element with Id '" + std::string(id) + "'");
+  }
+  if (count > 1) {
+    return Status::Corruption("Id '" + std::string(id) +
+                              "' is ambiguous: declared by " +
+                              std::to_string(count) +
+                              " elements (duplicate-ID wrapping)");
+  }
+  return first;
 }
 
 }  // namespace
@@ -241,7 +264,9 @@ Document Document::Clone() const {
 }
 
 Result<Element*> Document::FindByIdStrict(std::string_view id) const {
-  return IdRegistry(*this).Find(id);
+  size_t count = 0;
+  Element* first = FindById(id, &count);
+  return StrictMatch(id, count, first);
 }
 
 IdRegistry::IdRegistry(const Document& doc) : IdRegistry(doc.root()) {}
@@ -259,16 +284,8 @@ IdRegistry::IdRegistry(Element* root) {
 
 Result<Element*> IdRegistry::Find(std::string_view id) const {
   auto it = by_id_.find(id);
-  if (it == by_id_.end()) {
-    return Status::NotFound("no element with Id '" + std::string(id) + "'");
-  }
-  if (it->second.size() > 1) {
-    return Status::Corruption(
-        "Id '" + std::string(id) + "' is ambiguous: declared by " +
-        std::to_string(it->second.size()) +
-        " elements (duplicate-ID wrapping)");
-  }
-  return it->second.front();
+  if (it == by_id_.end()) return StrictMatch(id, 0, nullptr);
+  return StrictMatch(id, it->second.size(), it->second.front());
 }
 
 const std::vector<Element*>* IdRegistry::AllOf(std::string_view id) const {

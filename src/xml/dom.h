@@ -132,6 +132,10 @@ class Element final : public Node {
   const std::string* GetAttribute(std::string_view name) const;
   /// Adds or replaces.
   void SetAttribute(std::string_view name, std::string_view value);
+  /// Appends an attribute the element does not carry yet, taking both
+  /// strings without the lookup SetAttribute makes (the parser has already
+  /// rejected the duplicate).
+  void AppendAttribute(std::string name, std::string value);
   /// Removes if present; returns whether it was present.
   bool RemoveAttribute(std::string_view name);
 
@@ -255,7 +259,9 @@ class Document {
   }
 
   /// Strict resolution: NotFound when no element declares `id`, Corruption
-  /// when more than one does (the duplicate-ID wrapping vector).
+  /// when more than one does (the duplicate-ID wrapping vector). One
+  /// pre-order walk that counts every match; no index is built, so a
+  /// caller resolving many Ids in one document should use IdRegistry.
   Result<Element*> FindByIdStrict(std::string_view id) const;
 
  private:

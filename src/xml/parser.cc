@@ -1,7 +1,5 @@
 #include "xml/parser.h"
 
-#include <cctype>
-
 #include "common/scan.h"
 #include "common/strings.h"
 
@@ -13,15 +11,29 @@ namespace {
 /// Bytes that end a run of character data in element content.
 constexpr StopTable kContentStops = MakeStopTable("<&]\r");
 
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
-         static_cast<unsigned char>(c) >= 0x80;
+/// Bytes that end a run of attribute-value text: the closing quote, markup,
+/// references and the whitespace that normalizes to a space.
+constexpr StopTable kDoubleQuotedStops = MakeStopTable("\"<&\t\n\r");
+constexpr StopTable kSingleQuotedStops = MakeStopTable("'<&\t\n\r");
+
+constexpr bool IsNameStartChar(unsigned char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == ':' || c >= 0x80;
 }
 
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
+constexpr bool IsNameChar(unsigned char c) {
+  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
 }
+
+/// Bytes that end a name: every byte that is not a name character.
+constexpr StopTable MakeNameStops() {
+  StopTable table{};
+  for (size_t c = 0; c < table.size(); ++c) {
+    table[c] = !IsNameChar(static_cast<unsigned char>(c));
+  }
+  return table;
+}
+constexpr StopTable kNameStops = MakeNameStops();
 
 /// XML 1.0 §2.2 Char: the code points a character reference may name
 /// (WFC: Legal Character). Excludes NUL and other C0 controls, surrogates,
@@ -185,21 +197,25 @@ class ParserImpl {
 
   Result<std::unique_ptr<Node>> ParsePi() {
     pos_ += 2;  // "<?"
-    DISCSEC_ASSIGN_OR_RETURN(std::string target, ParseName());
+    DISCSEC_ASSIGN_OR_RETURN(std::string_view target, ParseName());
     if (target == "xml") return Error("XML declaration not allowed here");
     SkipWhitespace();
     size_t end = input_.find("?>", pos_);
     if (end == std::string_view::npos) return Error("unterminated PI");
     std::string data(input_.substr(pos_, end - pos_));
     pos_ = end + 2;
-    return std::unique_ptr<Node>(new Pi(std::move(target), std::move(data)));
+    return std::unique_ptr<Node>(new Pi(std::string(target), std::move(data)));
   }
 
-  Result<std::string> ParseName() {
-    if (AtEnd() || !IsNameStartChar(Peek())) return Error("expected name");
+  /// Scans a name in one run. The view points into the input, so a name is
+  /// copied only where the DOM keeps it.
+  Result<std::string_view> ParseName() {
+    if (AtEnd() || !IsNameStartChar(static_cast<unsigned char>(Peek()))) {
+      return Error("expected name");
+    }
     size_t start = pos_;
-    while (!AtEnd() && IsNameChar(Peek())) Advance();
-    return std::string(input_.substr(start, pos_ - start));
+    pos_ = ScanRun(input_, pos_ + 1, kNameStops);
+    return input_.substr(start, pos_ - start);
   }
 
   /// Resolves an entity or character reference starting after '&'. The
@@ -216,6 +232,20 @@ class ParserImpl {
   }
 
   Status AppendReferenceUncounted(std::string* out) {
+    // The escapes a serializer writes in text resolve without a search for
+    // the ';'.
+    if (Consume("lt;")) {
+      out->push_back('<');
+      return Status::OK();
+    }
+    if (Consume("gt;")) {
+      out->push_back('>');
+      return Status::OK();
+    }
+    if (Consume("amp;")) {
+      out->push_back('&');
+      return Status::OK();
+    }
     size_t semi = input_.find(';', pos_);
     if (semi == std::string_view::npos || semi - pos_ > 10) {
       return Error("unterminated entity reference");
@@ -270,23 +300,27 @@ class ParserImpl {
     if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
       return Error("expected quoted attribute value");
     }
-    char quote = Peek();
+    const char quote = Peek();
+    const StopTable& stops =
+        quote == '"' ? kDoubleQuotedStops : kSingleQuotedStops;
     Advance();
     std::string out;
-    while (!AtEnd() && Peek() != quote) {
+    for (;;) {
+      // Copy the run up to the next byte that needs handling in one step.
+      size_t end = ScanRun(input_, pos_, stops);
+      out.append(input_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (AtEnd()) return Error("unterminated attribute value");
       char c = Peek();
+      if (c == quote) break;
       if (c == '<') return Error("'<' in attribute value");
+      Advance();
       if (c == '&') {
-        Advance();
         DISCSEC_RETURN_IF_ERROR(AppendReference(&out));
       } else {
-        // Attribute-value normalization: whitespace chars become spaces.
-        if (c == '\t' || c == '\n' || c == '\r') c = ' ';
-        out.push_back(c);
-        Advance();
+        out.push_back(' ');  // attribute-value normalization of \t \n \r
       }
     }
-    if (AtEnd()) return Error("unterminated attribute value");
     Advance();  // closing quote
     return out;
   }
@@ -296,8 +330,8 @@ class ParserImpl {
       return Status::ResourceExhausted("XML nesting exceeds max_depth");
     }
     Advance();  // '<'
-    DISCSEC_ASSIGN_OR_RETURN(std::string name, ParseName());
-    auto elem = std::make_unique<Element>(name);
+    DISCSEC_ASSIGN_OR_RETURN(std::string_view name, ParseName());
+    auto elem = std::make_unique<Element>(std::string(name));
     // Attributes.
     size_t attribute_count = 0;
     for (;;) {
@@ -306,17 +340,18 @@ class ParserImpl {
       if (Peek() == '>' || Lookahead("/>")) break;
       if (++attribute_count > options_.max_attributes) {
         return Status::ResourceExhausted(
-            "attribute count exceeds max_attributes on <" + name + ">");
+            "attribute count exceeds max_attributes on <" + std::string(name) +
+            ">");
       }
-      DISCSEC_ASSIGN_OR_RETURN(std::string attr_name, ParseName());
+      DISCSEC_ASSIGN_OR_RETURN(std::string_view attr_name, ParseName());
       SkipWhitespace();
       if (!Consume("=")) return Error("expected '=' after attribute name");
       SkipWhitespace();
       DISCSEC_ASSIGN_OR_RETURN(std::string value, ParseAttributeValue());
       if (elem->GetAttribute(attr_name) != nullptr) {
-        return Error("duplicate attribute '" + attr_name + "'");
+        return Error("duplicate attribute '" + std::string(attr_name) + "'");
       }
-      elem->SetAttribute(attr_name, value);
+      elem->AppendAttribute(std::string(attr_name), std::move(value));
     }
     if (Consume("/>")) return elem;
     Advance();  // '>'
@@ -330,16 +365,18 @@ class ParserImpl {
       }
     };
     for (;;) {
-      if (AtEnd()) return Error("unterminated element <" + name + ">");
+      if (AtEnd()) {
+        return Error("unterminated element <" + std::string(name) + ">");
+      }
       char c = Peek();
       if (c == '<') {
         if (Lookahead("</")) {
           flush_text();
           pos_ += 2;
-          DISCSEC_ASSIGN_OR_RETURN(std::string end_name, ParseName());
+          DISCSEC_ASSIGN_OR_RETURN(std::string_view end_name, ParseName());
           if (end_name != name) {
-            return Error("mismatched end tag </" + end_name + "> for <" +
-                         name + ">");
+            return Error("mismatched end tag </" + std::string(end_name) +
+                         "> for <" + std::string(name) + ">");
           }
           SkipWhitespace();
           if (!Consume(">")) return Error("expected '>' in end tag");

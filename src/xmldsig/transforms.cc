@@ -37,14 +37,31 @@ xml::Element* ResolvePath(const xml::Document& doc,
 
 namespace {
 
-/// The transform pipeline state: either a node-set (a working clone of the
-/// source document, optionally narrowed to a subtree apex) or raw octets.
+/// The transform pipeline state. A node-set is the subtree of `doc` rooted
+/// at `apex` (the whole document when null) minus the subtree rooted at
+/// `omitted` (the enveloped signature; null when nothing is omitted). `doc`
+/// is the caller's parsed document, read and never written, until a
+/// transform needs a document of its own: a re-parse of octets, or the
+/// Decryption Transform's private copy. Either lives in `working`. Octet
+/// state holds `octets` instead.
 struct PipelineState {
+  const xml::Document* doc = nullptr;
+  const xml::Element* apex = nullptr;
+  const xml::Element* omitted = nullptr;
   std::optional<xml::Document> working;
-  xml::Element* apex = nullptr;  // inside *working; null = whole document
   Bytes octets;
   bool is_octets = false;
 };
+
+/// Switches `state` to octet form, dropping the node-set.
+void SetOctets(PipelineState* state, Bytes octets) {
+  state->octets = std::move(octets);
+  state->is_octets = true;
+  state->doc = nullptr;
+  state->apex = nullptr;
+  state->omitted = nullptr;
+  state->working.reset();
+}
 
 /// Streams the current node-set's canonical form into `sink` (no-op
 /// conversion for octet state: the buffered octets are appended as-is).
@@ -55,9 +72,9 @@ void CanonicalizeStateTo(const PipelineState& state,
     return;
   }
   if (state.apex != nullptr) {
-    xml::CanonicalizeElement(*state.apex, options, sink);
+    xml::CanonicalizeElement(*state.apex, options, sink, state.omitted);
   } else {
-    xml::Canonicalize(*state.working, options, sink);
+    xml::Canonicalize(*state.doc, options, sink, state.omitted);
   }
 }
 
@@ -69,10 +86,7 @@ Status ToOctets(PipelineState* state, const xml::C14NOptions& options) {
   Bytes canonical;
   BytesSink sink(&canonical);
   CanonicalizeStateTo(*state, options, &sink);
-  state->octets = std::move(canonical);
-  state->is_octets = true;
-  state->working.reset();
-  state->apex = nullptr;
+  SetOctets(state, std::move(canonical));
   return Status::OK();
 }
 
@@ -99,12 +113,17 @@ Status ToNodeSet(PipelineState* state, const xml::ParseOptions& options) {
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
                            xml::Parse(ToString(state->octets), options));
   state->working = std::move(doc);
+  state->doc = &*state->working;
   state->apex = nullptr;
+  state->omitted = nullptr;
   state->is_octets = false;
   state->octets.clear();
   return Status::OK();
 }
 
+/// The enveloped-signature transform omits the signature's subtree from
+/// the node-set; nothing is removed from the document. A reference target
+/// inside that subtree would leave nothing to digest, so it is rejected.
 Status ApplyEnvelopedSignature(PipelineState* state,
                                const ReferenceContext& ctx) {
   DISCSEC_RETURN_IF_ERROR(ToNodeSet(state, ctx.parse_options));
@@ -112,36 +131,75 @@ Status ApplyEnvelopedSignature(PipelineState* state,
     return Status::InvalidArgument(
         "enveloped-signature transform without an in-document signature");
   }
-  xml::Element* sig = ResolvePath(*state->working, ctx.signature_path);
+  const xml::Element* sig = ResolvePath(*state->doc, ctx.signature_path);
   if (sig == nullptr) {
     return Status::Corruption(
-        "enveloped-signature: signature element not found in working copy");
+        "enveloped-signature: signature element not found in the document");
   }
   if (sig->parent() == nullptr) {
     return Status::InvalidArgument(
         "enveloped-signature: signature is the document root");
   }
-  sig->parent()->RemoveChild(sig);
+  for (const xml::Element* e = state->apex; e != nullptr; e = e->parent()) {
+    if (e == sig) {
+      return Status::VerificationFailed(
+          "enveloped-signature: reference target lies inside the omitted "
+          "signature");
+    }
+  }
+  state->omitted = sig;
   return Status::OK();
+}
+
+/// Appends the character data of `e`'s subtree, skipping `omitted`.
+void AppendNodeSetText(const xml::Element& e, const xml::Element* omitted,
+                       std::string* out) {
+  for (const auto& child : e.children()) {
+    if (child->IsText()) {
+      *out += static_cast<const xml::Text*>(child.get())->data();
+    } else if (child->IsElement() && child.get() != omitted) {
+      AppendNodeSetText(*static_cast<const xml::Element*>(child.get()),
+                        omitted, out);
+    }
+  }
 }
 
 Status ApplyBase64(PipelineState* state) {
   std::string text;
   if (state->is_octets) {
     text = ToString(state->octets);
-  } else if (state->apex != nullptr) {
-    text = state->apex->TextContent();
-  } else if (state->working->root() != nullptr) {
-    text = state->working->root()->TextContent();
+  } else {
+    const xml::Element* scope =
+        state->apex != nullptr ? state->apex : state->doc->root();
+    if (scope != nullptr) AppendNodeSetText(*scope, state->omitted, &text);
   }
   DISCSEC_ASSIGN_OR_RETURN(Bytes decoded, Base64Decode(text));
-  state->octets = std::move(decoded);
-  state->is_octets = true;
-  state->working.reset();
-  state->apex = nullptr;
+  SetOctets(state, std::move(decoded));
   return Status::OK();
 }
 
+/// True when the subtree at `e`, less `omitted`, holds an element named
+/// EncryptedData: the only thing the Decryption Transform rewrites.
+bool HoldsEncryptedData(const xml::Element& e, const xml::Element* omitted) {
+  if (&e == omitted) return false;
+  if (e.LocalName() == "EncryptedData") return true;
+  for (const auto& child : e.children()) {
+    if (child->IsElement() &&
+        HoldsEncryptedData(*static_cast<const xml::Element*>(child.get()),
+                           omitted)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The Decryption Transform rewrites ciphertext in place, so it runs on a
+/// document of the pipeline's own: the caller's document is cloned the
+/// first time (the only clone a reference ever makes), the omitted
+/// signature is removed from that copy, and the apex is carried over by
+/// its child-index path. A node-set without ciphertext, such as the one a
+/// signer digests before encrypting, passes through with no copy and no
+/// hook call.
 Status ApplyDecryption(const xml::Element& transform, PipelineState* state,
                        const ReferenceContext& ctx) {
   if (!ctx.decrypt_hook) {
@@ -162,7 +220,40 @@ Status ApplyDecryption(const xml::Element& transform, PipelineState* state,
     }
     except_ids.push_back(uri->substr(1));
   }
-  return ctx.decrypt_hook(&*state->working, state->apex, except_ids);
+  // A target that is itself an EncryptedData would be replaced by its
+  // plaintext, leaving the node-set without an apex.
+  if (state->apex != nullptr && state->apex->LocalName() == "EncryptedData") {
+    return Status::VerificationFailed(
+        "decryption transform: reference target is itself an EncryptedData "
+        "element");
+  }
+  const xml::Element* scope =
+      state->apex != nullptr ? state->apex : state->doc->root();
+  if (scope == nullptr || !HoldsEncryptedData(*scope, state->omitted)) {
+    return Status::OK();
+  }
+  // The apex and the omitted signature are carried into the private
+  // document by their child-index paths.
+  std::vector<size_t> apex_path;
+  if (state->apex != nullptr) apex_path = ComputePath(state->apex);
+  std::vector<size_t> omitted_path;
+  if (state->omitted != nullptr) omitted_path = ComputePath(state->omitted);
+  if (!state->working.has_value()) {
+    state->working = state->doc->Clone();
+    state->doc = &*state->working;
+  }
+  xml::Document& working = *state->working;
+  xml::Element* apex =
+      state->apex != nullptr ? ResolvePath(working, apex_path) : nullptr;
+  if (state->omitted != nullptr) {
+    // The hook must not see, or decrypt, anything inside the omitted
+    // signature, so it leaves the private copy. The apex lies outside it.
+    xml::Element* sig = ResolvePath(working, omitted_path);
+    sig->parent()->RemoveChild(sig);
+    state->omitted = nullptr;
+  }
+  state->apex = apex;
+  return ctx.decrypt_hook(&working, apex, except_ids);
 }
 
 }  // namespace
@@ -194,28 +285,24 @@ Status ProcessReferenceTo(const xml::Element& reference,
   std::string uri = uri_attr != nullptr ? *uri_attr : std::string();
 
   PipelineState state;
-  if (uri.empty()) {
+  if (uri.empty() || uri[0] == '#') {
     if (ctx.document == nullptr) {
       return Status::InvalidArgument(
           "same-document reference without a document");
     }
-    state.working = ctx.document->Clone();
-    if (resolution != nullptr && state.working->root() != nullptr) {
+    state.doc = ctx.document;
+  }
+  if (uri.empty()) {
+    if (resolution != nullptr && state.doc->root() != nullptr) {
       resolution->same_document = true;
       resolution->covers_root = true;
-      resolution->element_name = state.working->root()->name();
-      resolution->element_path = xml::ElementPath(state.working->root());
+      resolution->element_name = state.doc->root()->name();
+      resolution->element_path = xml::ElementPath(state.doc->root());
     }
   } else if (uri[0] == '#') {
-    if (ctx.document == nullptr) {
-      return Status::InvalidArgument(
-          "same-document reference without a document");
-    }
-    state.working = ctx.document->Clone();
     // Strict resolution: a duplicate Id is the classic signature-wrapping
     // vector, so it is a hard verification failure, never a first-match.
-    std::string id = uri.substr(1);
-    Result<xml::Element*> apex = xml::IdRegistry(*state.working).Find(id);
+    Result<xml::Element*> apex = state.doc->FindByIdStrict(uri.substr(1));
     if (!apex.ok()) {
       if (apex.status().IsNotFound()) {
         return Status::NotFound("reference target '" + uri + "' not found");
@@ -226,7 +313,7 @@ Status ProcessReferenceTo(const xml::Element& reference,
     state.apex = apex.value();
     if (resolution != nullptr) {
       resolution->same_document = true;
-      resolution->covers_root = (state.apex == state.working->root());
+      resolution->covers_root = (state.apex == state.doc->root());
       resolution->element_name = state.apex->name();
       resolution->element_path = xml::ElementPath(state.apex);
     }

@@ -21,8 +21,10 @@ using ExternalResolver = std::function<Result<Bytes>(const std::string& uri)>;
 /// Hook invoked by the Decryption Transform (W3C xmlenc-decrypt): must
 /// decrypt every EncryptedData element in `working` (within the subtree at
 /// `apex`, or the whole document when apex is null) whose Id is NOT in
-/// `except_ids`, replacing ciphertext with plaintext in place. The xmlenc
-/// module provides the standard implementation (MakeDecryptHook).
+/// `except_ids`, replacing ciphertext with plaintext in place. `working` is
+/// the reference's private copy of the document, never the caller's, with
+/// any enveloped signature already removed from it. The xmlenc module
+/// provides the standard implementation (xmlenc::Decryptor::MakeHook).
 using DecryptHook = std::function<Status(
     xml::Document* working, xml::Element* apex,
     const std::vector<std::string>& except_ids)>;
@@ -30,7 +32,8 @@ using DecryptHook = std::function<Status(
 /// Everything reference processing needs besides the Reference element.
 struct ReferenceContext {
   /// The document containing same-document targets; null when every
-  /// Reference is external.
+  /// Reference is external. References read it and never write it, so
+  /// several may run over one document at once.
   const xml::Document* document = nullptr;
   /// Child-index path from the document root to the ds:Signature element
   /// being created/validated (for the enveloped-signature transform).
@@ -61,7 +64,8 @@ struct ReferenceResolution {
 
 /// Computes the child-index path of `e` from its document root. The element
 /// at ResolvePath(clone, ComputePath(e)) is the corresponding element in any
-/// structural clone of the original document.
+/// structural clone of the original document (how the Decryption
+/// Transform's private copy finds the reference target again).
 std::vector<size_t> ComputePath(const xml::Element* e);
 
 /// Resolves a child-index path inside `doc`. Returns null when out of range
@@ -79,6 +83,12 @@ xml::Element* ResolvePath(const xml::Document& doc,
 /// mid-chain node-set -> octet boundary (an explicit C14N followed by more
 /// transforms, a base64 transform, an external URI) buffers, because the
 /// next stage needs the full octet stream.
+///
+/// Same-document references read ctx.document in place. The
+/// enveloped-signature transform leaves the signature's subtree out of the
+/// node-set instead of removing it, and fails with VerificationFailed when
+/// the reference target lies inside that subtree. Only the Decryption
+/// Transform, which rewrites ciphertext in place, copies the document.
 ///
 /// Supported URIs: "" (whole document), "#id" (same-document element), and
 /// anything else via ctx.resolver. Supported transforms: Canonical XML

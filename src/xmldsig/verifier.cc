@@ -206,12 +206,13 @@ Result<VerifyInfo> Verifier::Verify(const xml::Document* doc,
   verify_span.SetAttr("references", static_cast<uint64_t>(refs.size()));
 
   // Each Reference canonicalizes + digests independently: same-document
-  // targets clone the source document into a private working copy and the
-  // shared context is read-only, so references fan out over the pool and
-  // join before the SignedInfo signature check below. With a null pool
-  // this degrades to the serial loop. The first failing reference in
-  // document order decides the error either way, so parallel and serial
-  // verification are observably identical.
+  // targets read `doc` in place without writing it (only a Decryption
+  // Transform works on a private copy) and the shared context is
+  // read-only, so references fan out over the pool and join before the
+  // SignedInfo signature check below. With a null pool this degrades to
+  // the serial loop. The first failing reference in document order decides
+  // the error either way, so parallel and serial verification are
+  // observably identical.
   struct RefOutcome {
     Status status;
     VerifiedReference verified;

@@ -76,6 +76,8 @@ class Decryptor {
   /// Decrypts every EncryptedData under `apex` (or the whole document when
   /// apex is null) whose Id is not in `except_ids`. Nested encryption is
   /// handled by iterating until no further decryptable elements remain.
+  /// `apex` must not itself be an EncryptedData: it would be replaced and
+  /// then walked again (the Decryption Transform rejects such a target).
   Status DecryptAll(xml::Document* doc, xml::Element* apex,
                     const std::vector<std::string>& except_ids) const;
 

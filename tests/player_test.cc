@@ -257,6 +257,33 @@ TEST_F(PlayerFixture, AttackerSignedApplicationRejected) {
   EXPECT_TRUE(report.status().IsVerificationFailed());
 }
 
+TEST_F(PlayerFixture, NetworkLaunchRejectsReferenceToItsOwnSignature) {
+  // The whole-cluster Reference retargeted at an Id given to its own
+  // ds:Signature, enveloped-signature transform kept: the transform would
+  // leave out the very target it digests. References are digested before
+  // any key is resolved, so anyone can send this; the launch is refused.
+  authoring::Author author = world_->MakeAuthor();
+  auto doc = author.BuildSigned(world_->DemoCluster(),
+                                authoring::SignLevel::kCluster);
+  ASSERT_TRUE(doc.ok());
+  std::string wire = xml::Serialize(doc.value());
+  const std::string open = "<ds:Signature";
+  size_t sig = wire.find(open);
+  ASSERT_NE(sig, std::string::npos);
+  wire.insert(sig + open.size(), " Id=\"own\"");
+  size_t uri = wire.find("URI=\"\"", sig);
+  ASSERT_NE(uri, std::string::npos);
+  wire.replace(uri, 6, "URI=\"#own\"");
+  InteractiveApplicationEngine engine(world_->MakePlayerConfig());
+  auto report = engine.LaunchClusterXml(wire, Origin::kNetwork);
+  ASSERT_TRUE(report.status().IsVerificationFailed())
+      << report.status().ToString();
+  EXPECT_NE(report.status().message().find(
+                "reference target lies inside the omitted signature"),
+            std::string::npos)
+      << report.status().ToString();
+}
+
 // ------------------------------------------------------------- encryption
 
 TEST_F(PlayerFixture, ProtectedApplicationDecryptsAndVerifies) {

@@ -276,6 +276,75 @@ TEST(ParserRunTest, CdataAfterRunJoinsTheText) {
             "]" + run + "\n" + run + "]]&" + run);
 }
 
+// Names and attribute values are scanned in runs too, and each attribute
+// is moved into its element after the duplicate check.
+
+TEST(ParserRunTest, AttributeValuesAcrossRunBoundaries) {
+  const std::string run = Filler(4096);
+  auto doc = Parse("<a x=\"&lt;" + run + "\t" + run + "&amp;\r\n" + run +
+                   "&gt;\" y='\"" + run + "&apos;'/>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->root()->attributes().size(), 2u);
+  // TAB, CR and LF each normalize to one space; CR LF is two.
+  EXPECT_EQ(*doc->root()->GetAttribute("x"),
+            "<" + run + " " + run + "&  " + run + ">");
+  EXPECT_EQ(*doc->root()->GetAttribute("y"), "\"" + run + "'");
+}
+
+TEST(ParserRunTest, AttributeErrorsKeepTheirPositions) {
+  const std::string run = Filler(4096);
+  auto lt = Parse("<a x=\"" + run + "<\"/>");
+  EXPECT_EQ(lt.status().message(),
+            "'<' in attribute value at line 1, column 4103");
+  auto open = Parse("<a x='" + run);
+  EXPECT_EQ(open.status().message(),
+            "unterminated attribute value at line 1, column 4103");
+  auto dup = Parse("<a x=\"1\" y=\"" + run + "\" x=\"2\"/>");
+  EXPECT_EQ(dup.status().message(),
+            "duplicate attribute 'x' at line 1, column 4116");
+  auto long_dup = Parse("<a " + run + "=\"v\" " + run + "='w'/>");
+  EXPECT_EQ(long_dup.status().message(),
+            "duplicate attribute '" + run + "' at line 1, column 8205");
+}
+
+TEST(ParserRunTest, LongNamesEndAtTheFirstNonNameByte) {
+  const std::string name = "n" + Filler(4096, 'a') + "-1.x:y_z";
+  auto doc = Parse("<" + name + " " + name + "='v'>t</" + name + ">");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->root()->name(), name);
+  ASSERT_NE(doc->root()->GetAttribute(name), nullptr);
+  auto mismatch = Parse("<" + name + "></" + name + "q>");
+  EXPECT_EQ(mismatch.status().message(),
+            "mismatched end tag </" + name + "q> for <" + name +
+                "> at line 1, column 8216");
+  EXPECT_EQ(Parse("<a><1b/></a>").status().message(),
+            "expected name at line 1, column 5");
+  // Bytes of multi-byte UTF-8 sequences are name characters.
+  auto utf8 = Parse("<\xc3\xa9t\xc3\xa9 \xc3\xa9='1'/>");
+  ASSERT_TRUE(utf8.ok()) << utf8.status().ToString();
+  EXPECT_EQ(utf8->root()->name(), "\xc3\xa9t\xc3\xa9");
+}
+
+TEST(ParserRunTest, SerializerEscapesResolveLikeAnyReference) {
+  auto doc = Parse("<a x=\"&#x3C;&lt;&#60;&amp;lt;\">&lt;&amp;&gt;&amp;amp;</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(*doc->root()->GetAttribute("x"), "<<<&lt;");
+  EXPECT_EQ(doc->root()->TextContent(), "<&>&amp;");
+  // A name that only starts like lt, gt or amp is still an unknown entity,
+  // and one without its ';' is still unterminated.
+  const std::string run = Filler(4096);
+  EXPECT_EQ(Parse("<a x=\"" + run + "&ltx;\"/>").status().message(),
+            "unknown entity 'ltx' (custom entities are not supported) at "
+            "line 1, column 4108");
+  EXPECT_EQ(Parse("<a>" + run + "&gtx;</a>").status().message(),
+            "unknown entity 'gtx' (custom entities are not supported) at "
+            "line 1, column 4105");
+  EXPECT_EQ(Parse("<a x=\"&lt\"/>").status().message(),
+            "unterminated entity reference at line 1, column 8");
+  EXPECT_EQ(Parse("<a>&amp</a>").status().message(),
+            "unterminated entity reference at line 1, column 5");
+}
+
 TEST(ParserRunTest, RunToEndOfInputIsUnterminatedElement) {
   auto doc = Parse("<a>\n" + Filler(64 * 1024));
   ASSERT_FALSE(doc.ok());

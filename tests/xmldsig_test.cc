@@ -4,8 +4,10 @@
 
 #include "crypto/algorithms.h"
 #include "pki/key_codec.h"
+#include "xml/c14n.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
+#include "xmldsig/constants.h"
 #include "xmldsig/signer.h"
 #include "xmldsig/transforms.h"
 #include "xmldsig/verifier.h"
@@ -762,6 +764,175 @@ TEST_F(DsigFixture, Base64TransformChainStillBuffersCorrectly) {
   BytesSink sink(&streamed);
   ASSERT_TRUE(ProcessReferenceTo(*ref, ctx, &sink).ok());
   EXPECT_EQ(ToString(streamed), "hello");
+}
+
+// ------------------------------------------------- the omitted signature
+
+/// Signs a small document enveloped, gives the element `local` of the
+/// signature (the ds:Signature itself or one inside it) an Id and points
+/// the one Reference at it, keeping the enveloped-signature transform: the
+/// reference now names a target that the transform leaves out. A network
+/// attacker can send this with no key at all, since references are
+/// digested before any key is resolved.
+Status VerifyRetargetedAt(const Signer& signer, const VerifyOptions& options,
+                          const std::string& local) {
+  auto doc = xml::Parse("<root><a>x</a><b/></root>").value();
+  auto sig = signer.SignEnveloped(&doc, doc.root());
+  if (!sig.ok()) return sig.status();
+  xml::Element* target = sig.value();
+  if (local != "Signature") target = target->FirstChildElementByLocalName(local);
+  target->SetAttribute("Id", "own");
+  sig.value()
+      ->FirstChildElementByLocalName("SignedInfo")
+      ->FirstChildElementByLocalName("Reference")
+      ->SetAttribute("URI", "#own");
+  // Through the wire form, as a downloaded application arrives.
+  auto wire = xml::Parse(xml::Serialize(doc)).value();
+  return Verifier::VerifyFirstSignature(wire, options).status();
+}
+
+constexpr char kOmittedTargetMessage[] =
+    "enveloped-signature: reference target lies inside the omitted "
+    "signature";
+
+TEST_F(DsigFixture, ReferenceToItsOwnSignatureIsRejected) {
+  Status status = VerifyRetargetedAt(BareSigner(), BareOptions(), "Signature");
+  ASSERT_TRUE(status.IsVerificationFailed()) << status.ToString();
+  EXPECT_EQ(status.message(), kOmittedTargetMessage);
+}
+
+TEST_F(DsigFixture, ReferenceToItsOwnSignedInfoIsRejected) {
+  Status status = VerifyRetargetedAt(BareSigner(), BareOptions(), "SignedInfo");
+  ASSERT_TRUE(status.IsVerificationFailed()) << status.ToString();
+  EXPECT_EQ(status.message(), kOmittedTargetMessage);
+}
+
+/// `<root>` holding `body` and then a ds:Signature whose one Reference has
+/// URI "" and the given transform chain; the SignatureValue text is "REVG"
+/// (base64 of "DEF") and `object` goes into a ds:Object.
+std::string EnvelopedDocument(const std::string& body,
+                              const std::vector<std::string>& transforms,
+                              const std::string& object) {
+  std::string chain;
+  for (const std::string& alg : transforms) {
+    chain += "<ds:Transform Algorithm=\"" + alg + "\"/>";
+  }
+  return "<root>" + body + "<ds:Signature xmlns:ds=\"" +
+         std::string(kDsNamespace) +
+         "\"><ds:SignedInfo><ds:Reference URI=\"\"><ds:Transforms>" + chain +
+         "</ds:Transforms></ds:Reference></ds:SignedInfo>"
+         "<ds:SignatureValue>REVG</ds:SignatureValue><ds:Object>" +
+         object + "</ds:Object></ds:Signature></root>";
+}
+
+/// Runs the document's one Reference over it.
+Result<Bytes> ProcessOnlyReference(const xml::Document& doc,
+                                   const DecryptHook& hook = nullptr) {
+  const xml::Element* sig = doc.root()->FirstChildElement("ds:Signature");
+  const xml::Element* ref = sig->FirstChildElement("ds:SignedInfo")
+                                ->FirstChildElement("ds:Reference");
+  ReferenceContext ctx;
+  ctx.document = &doc;
+  ctx.signature_path = ComputePath(sig);
+  ctx.decrypt_hook = hook;
+  return ProcessReference(*ref, ctx);
+}
+
+TEST(OmittedSignatureTest, Base64TransformSeesTheSignatureRemoved) {
+  // Every node-set consumer, not only canonicalization, must see the
+  // enveloped signature as gone: base64 decodes the root's text without
+  // the SignatureValue's "REVG" (octets as the copying pipeline produced).
+  auto doc = xml::Parse(EnvelopedDocument(
+                            "QUJD",
+                            {crypto::kAlgEnvelopedSignature,
+                             crypto::kAlgBase64Transform},
+                            ""))
+                 .value();
+  auto octets = ProcessOnlyReference(doc);
+  ASSERT_TRUE(octets.ok()) << octets.status().ToString();
+  EXPECT_EQ(ToString(octets.value()), "ABC");
+}
+
+/// A stand-in decrypt hook: replaces every EncryptedData in scope with a
+/// <plain> element holding its text, and records the canonical form of
+/// the document it was handed.
+DecryptHook RecordingHook(std::string* seen) {
+  return [seen](xml::Document* working, xml::Element* apex,
+                const std::vector<std::string>&) {
+    *seen = xml::Canonicalize(*working);
+    std::vector<xml::Element*> targets;
+    (apex != nullptr ? apex : working->root())
+        ->ForEachElement([&](xml::Element* e) {
+          if (e->LocalName() == "EncryptedData") targets.push_back(e);
+        });
+    for (xml::Element* e : targets) {
+      auto plain = std::make_unique<xml::Element>("plain");
+      plain->AppendText(e->TextContent());
+      e->parent()->ReplaceChild(e, std::move(plain));
+    }
+    return Status::OK();
+  };
+}
+
+TEST(OmittedSignatureTest, DecryptionTransformCopiesWithoutTheSignature) {
+  // The Decryption Transform's hook gets a private copy without the
+  // signature, so an EncryptedData inside ds:Object is never seen or
+  // rewritten, and the caller's document is left as it was. The octets
+  // are those of the copying pipeline.
+  auto doc = xml::Parse(EnvelopedDocument(
+                            "<data>x</data><EncryptedData>cipher"
+                            "</EncryptedData>",
+                            {crypto::kAlgEnvelopedSignature,
+                             crypto::kAlgDecryptionTransform},
+                            "<EncryptedData>inner</EncryptedData>"))
+                 .value();
+  const std::string before = xml::Canonicalize(doc);
+  std::string seen;
+  auto octets = ProcessOnlyReference(doc, RecordingHook(&seen));
+  ASSERT_TRUE(octets.ok()) << octets.status().ToString();
+  EXPECT_EQ(ToString(octets.value()),
+            "<root><data>x</data><plain>cipher</plain></root>");
+  EXPECT_EQ(seen,
+            "<root><data>x</data><EncryptedData>cipher</EncryptedData>"
+            "</root>");
+  EXPECT_EQ(xml::Canonicalize(doc), before);
+}
+
+TEST(OmittedSignatureTest, DecryptionTransformWithoutCiphertextIsIdentity) {
+  // No EncryptedData outside the omitted signature: nothing to decrypt, so
+  // the node-set passes through without a copy and the hook is not called.
+  auto doc = xml::Parse(EnvelopedDocument(
+                            "<data>x</data>",
+                            {crypto::kAlgEnvelopedSignature,
+                             crypto::kAlgDecryptionTransform},
+                            "<EncryptedData>inner</EncryptedData>"))
+                 .value();
+  std::string seen = "not called";
+  auto octets = ProcessOnlyReference(doc, RecordingHook(&seen));
+  ASSERT_TRUE(octets.ok()) << octets.status().ToString();
+  EXPECT_EQ(ToString(octets.value()), "<root><data>x</data></root>");
+  EXPECT_EQ(seen, "not called");
+}
+
+TEST(OmittedSignatureTest, SameDocumentReferencesLeaveTheDocumentAlone) {
+  // URI "" with the enveloped transform and a #id reference both read the
+  // caller's document in place; neither writes it.
+  auto doc = xml::Parse(EnvelopedDocument(
+                            "<part Id=\"p\">body</part>",
+                            {crypto::kAlgEnvelopedSignature}, ""))
+                 .value();
+  const std::string before = xml::Canonicalize(doc);
+  auto whole = ProcessOnlyReference(doc);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(ToString(whole.value()), "<root><part Id=\"p\">body</part></root>");
+  auto ref = std::make_unique<xml::Element>("ds:Reference");
+  ref->SetAttribute("URI", "#p");
+  ReferenceContext ctx;
+  ctx.document = &doc;
+  auto part = ProcessReference(*ref, ctx);
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  EXPECT_EQ(ToString(part.value()), "<part Id=\"p\">body</part>");
+  EXPECT_EQ(xml::Canonicalize(doc), before);
 }
 
 // ------------------------------------------------- adversarial negatives

@@ -335,6 +335,35 @@ TEST_F(XmlEncFixture, SignThenEncryptThenVerifyViaDecryptionTransform) {
   }
 }
 
+TEST_F(XmlEncFixture, DecryptionTransformRejectsAnEncryptedDataTarget) {
+  // A #id Reference naming an EncryptedData itself: decrypting it in place
+  // would replace the node-set's apex, which the Decryption Transform used
+  // to keep using after the decryptor had freed it.
+  auto doc = xml::Parse("<manifest><markup>layout</markup>"
+                        "<code>var s=1;</code></manifest>")
+                 .value();
+  auto enc = Encryptor::Create(DirectSpec(), rng_.get()).value();
+  auto encrypted =
+      enc.EncryptElement(&doc, doc.root()->FirstChildElement("code"));
+  ASSERT_TRUE(encrypted.ok()) << encrypted.status().ToString();
+  encrypted.value()->SetAttribute("Id", "ed");
+  auto ref = std::make_unique<xml::Element>("ds:Reference");
+  ref->SetAttribute("URI", "#ed");
+  ref->AppendElement("ds:Transforms")
+      ->AppendElement("ds:Transform")
+      ->SetAttribute("Algorithm", crypto::kAlgDecryptionTransform);
+  Decryptor dec(DirectRing());
+  xmldsig::ReferenceContext ctx;
+  ctx.document = &doc;
+  ctx.decrypt_hook = dec.MakeHook();
+  auto octets = xmldsig::ProcessReference(*ref, ctx);
+  ASSERT_TRUE(octets.status().IsVerificationFailed())
+      << octets.status().ToString();
+  EXPECT_EQ(octets.status().message(),
+            "decryption transform: reference target is itself an "
+            "EncryptedData element");
+}
+
 }  // namespace
 }  // namespace xmlenc
 }  // namespace discsec

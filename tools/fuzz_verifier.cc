@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -89,13 +90,38 @@ class DocGenerator {
   size_t next_id_ = 0;
 };
 
+/// Points the first Reference after `open_tag` (the start of the
+/// signature's own ds:Signature or ds:SignedInfo tag) at that element,
+/// giving it an Id when it has none. With the enveloped-signature
+/// transform kept, the reference names a target the transform leaves out.
+void RetargetReferenceAt(std::string* wire, std::string_view open_tag) {
+  size_t open = wire->find(open_tag);
+  if (open == std::string::npos) return;
+  size_t tag_end = wire->find('>', open);
+  if (tag_end == std::string::npos) return;
+  std::string id = "fz-own";
+  size_t id_pos = wire->find(" Id=\"", open);
+  if (id_pos != std::string::npos && id_pos < tag_end) {
+    size_t id_end = wire->find('"', id_pos + 5);
+    if (id_end == std::string::npos) return;
+    id = wire->substr(id_pos + 5, id_end - id_pos - 5);
+  } else {
+    wire->insert(open + open_tag.size(), " Id=\"" + id + "\"");
+  }
+  size_t uri = wire->find("URI=\"", open);
+  if (uri == std::string::npos) return;
+  size_t uri_end = wire->find('"', uri + 5);
+  if (uri_end == std::string::npos) return;
+  wire->replace(uri + 5, uri_end - uri - 5, "#" + id);
+}
+
 /// One structure-aware mutation of the wire bytes. The menu mixes generic
 /// byte noise with XML-shaped edits that keep documents well-formed often
 /// enough to reach the verifier (plain byte noise almost always dies in
 /// the parser).
 void Mutate(std::string* wire, Rng* rng) {
   if (wire->empty()) return;
-  switch (rng->NextBelow(9)) {
+  switch (rng->NextBelow(10)) {
     case 0: {  // byte flip
       (*wire)[rng->NextBelow(wire->size())] =
           static_cast<char>(rng->NextUint64());
@@ -163,6 +189,11 @@ void Mutate(std::string* wire, Rng* rng) {
       size_t pos = wire->find("Id=\"");
       if (pos == std::string::npos) break;
       (*wire)[pos] = 'i';
+      break;
+    }
+    case 9: {  // retarget a Reference at its own Signature or SignedInfo
+      RetargetReferenceAt(wire, rng->NextBelow(2) == 0 ? "<ds:Signature "
+                                                       : "<ds:SignedInfo");
       break;
     }
   }
