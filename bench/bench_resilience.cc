@@ -14,6 +14,7 @@
 #include "disc/local_storage.h"
 #include "player/engine.h"
 #include "xkms/retrying_transport.h"
+#include "xkms/xkmsd.h"
 
 namespace discsec {
 namespace player {
@@ -123,28 +124,29 @@ BENCHMARK(BM_StorageChecksummedRoundTrip)
     ->Unit(benchmark::kMicrosecond);
 
 /// XKMS Locate through the retrying wrapper on the all-success path: the
-/// breaker bookkeeping and closure hop it adds over the direct transport.
-void BM_XkmsLocate_Direct(benchmark::State& state) {
+/// breaker bookkeeping and closure hop it adds over the in-process
+/// transport to an inline responder.
+void BM_XkmsLocate_ServerTransport(benchmark::State& state) {
   auto& world = SharedWorld();
-  xkms::XkmsService service;
-  (void)service.Register({"k", world.studio_key.public_key, {"Signature"},
-                          xkms::KeyStatus::kValid});
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  (void)responder.SeedBinding({"k", world.studio_key.public_key,
+                               {"Signature"}, xkms::KeyStatus::kValid});
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
   for (auto _ : state) {
     auto binding = client.Locate("k");
     if (!binding.ok()) state.SkipWithError("locate failed");
     benchmark::DoNotOptimize(binding.value().name);
   }
 }
-BENCHMARK(BM_XkmsLocate_Direct)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_XkmsLocate_ServerTransport)->Unit(benchmark::kMicrosecond);
 
 void BM_XkmsLocate_Retrying(benchmark::State& state) {
   auto& world = SharedWorld();
-  xkms::XkmsService service;
-  (void)service.Register({"k", world.studio_key.public_key, {"Signature"},
-                          xkms::KeyStatus::kValid});
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  (void)responder.SeedBinding({"k", world.studio_key.public_key,
+                               {"Signature"}, xkms::KeyStatus::kValid});
   xkms::XkmsClient client(xkms::MakeRetryingTransport(
-      xkms::XkmsClient::DirectTransport(&service), {}));
+      xkms::MakeServerTransport(&responder), {}));
   for (auto _ : state) {
     auto binding = client.Locate("k");
     if (!binding.ok()) state.SkipWithError("locate failed");

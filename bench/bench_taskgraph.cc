@@ -25,7 +25,7 @@
 #include "player/engine.h"
 #include "player/session.h"
 #include "xkms/client.h"
-#include "xkms/service.h"
+#include "xkms/xkmsd.h"
 
 namespace discsec {
 namespace {
@@ -42,15 +42,6 @@ disc::DiscImage SignedDemoImage() {
   return author.Master(cluster, doc.value()).value();
 }
 
-xkms::XkmsService RegisteredService() {
-  auto& world = SharedWorld();
-  xkms::XkmsService service;
-  std::string fingerprint = pki::KeyFingerprint(world.studio_key.public_key);
-  (void)service.Register({fingerprint, world.studio_key.public_key,
-                          {"Signature"}, xkms::KeyStatus::kValid});
-  return service;
-}
-
 /// One batch of identical signed discs through PlayDiscs, with every XKMS
 /// transport hop carrying an injected kDelay of range(1) milliseconds.
 /// `async_mode` parks the delays on a timer wheel; otherwise the pool
@@ -61,7 +52,10 @@ void RunBatch(benchmark::State& state, bool async_mode) {
   const int64_t delay_us = state.range(1) * 1000;
 
   disc::DiscImage image = SignedDemoImage();
-  xkms::XkmsService service = RegisteredService();
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  (void)responder.SeedBinding(
+      {pki::KeyFingerprint(world.studio_key.public_key),
+       world.studio_key.public_key, {"Signature"}, xkms::KeyStatus::kValid});
   fault::FaultInjector injector;
   fault::FaultSpec spec;
   spec.point = std::string(fault::kXkmsTransport);
@@ -71,8 +65,8 @@ void RunBatch(benchmark::State& state, bool async_mode) {
 
   ThreadPool pool(kPoolThreads);
   TimerWheel wheel;
-  xkms::XkmsClient client(xkms::XkmsClient::DirectTransport(
-      &service, async_mode ? &wheel : nullptr, &injector));
+  xkms::XkmsClient client(xkms::MakeServerTransport(
+      &responder, 0, async_mode ? &wheel : nullptr, &injector));
   player::PlayerConfig config = world.MakePlayerConfig();
   config.pool = &pool;
   config.xkms = &client;

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "examples/demo_setup.h"
-#include "xkms/client.h"
+#include "xkms/xkmsd.h"
 #include "xml/serializer.h"
 
 using namespace discsec;
@@ -25,16 +25,18 @@ int main() {
     std::printf("sign failed: %s\n", doc.status().ToString().c_str());
     return 1;
   }
+  // The CDN co-hosts the trust server (XKMS).
+  xkms::Xkmsd trust_server{xkms::XkmsdOptions{}};
   net::ContentServer server;
   server.SetIdentity({d.server_cert, d.root_cert}, d.server_key.private_key);
+  server.AttachXkmsd(&trust_server);
   (void)author.Publish(&server, "/apps/quiz.xml", doc.value());
 
-  // The studio registers its signing key with the trust server (XKMS).
+  // The studio registers its signing key with the trust server.
+  xkms::XkmsClient trust_client(xkms::MakeServerTransport(&trust_server));
   std::string fingerprint = pki::KeyFingerprint(d.studio_key.public_key);
-  (void)server.xkms()->Register(
-      {fingerprint, d.studio_key.public_key, {"Signature"},
-       xkms::KeyStatus::kValid});
-  xkms::XkmsClient trust_client = xkms::XkmsClient::Direct(server.xkms());
+  (void)trust_client.Register({fingerprint, d.studio_key.public_key,
+                               {"Signature"}, xkms::KeyStatus::kValid});
 
   pki::CertStore channel_trust;
   (void)channel_trust.AddTrustedRoot(d.root_cert);
@@ -82,7 +84,7 @@ int main() {
 
   // --- 3. Key revoked at the trust server --------------------------
   {
-    (void)server.xkms()->Revoke(fingerprint);
+    (void)trust_client.Revoke(fingerprint);
     player::PlayerConfig config = d.MakePlayerConfig();
     config.xkms = &trust_client;
     player::InteractiveApplicationEngine engine(std::move(config));

@@ -39,22 +39,20 @@ Result<Bytes> Downloader::Roundtrip(const Bytes& request, bool is_xkms,
       if (service_error != nullptr) *service_error = true;
     };
     if (is_xkms) {
-      // An attached xkmsd takes precedence over the in-line toy service:
-      // the request goes through its admission front door and (blocking
-      // here, as this transport is synchronous) comes back with the same
-      // wire markup. Sheds are service-side answers — their kUnavailable
-      // and retry-after hint survive the classification below.
-      auto handle = [this](const std::string& request) {
-        if (xkms::Xkmsd* xkmsd = server_->attached_xkmsd()) {
-          xkms::XkmsdRequestOptions req;
-          if (server_->xkmsd_budget_us() > 0) {
-            req.deadline_us = xkmsd->NowUs() + server_->xkmsd_budget_us();
-          }
-          return xkmsd->Handle(request, req);
-        }
-        return server_->xkms()->HandleRequest(request);
-      };
-      Result<std::string> response = handle(ToString(plain));
+      // The request goes through the attached xkmsd's admission front door
+      // (blocking here, as this transport is synchronous). Sheds are
+      // service-side answers — their kUnavailable and retry-after hint
+      // survive the classification below.
+      xkms::Xkmsd* xkmsd = server_->attached_xkmsd();
+      if (xkmsd == nullptr) {
+        mark();
+        return Status::Unsupported("server hosts no XKMS responder");
+      }
+      xkms::XkmsdRequestOptions req;
+      if (server_->xkmsd_budget_us() > 0) {
+        req.deadline_us = xkmsd->NowUs() + server_->xkmsd_budget_us();
+      }
+      Result<std::string> response = xkmsd->Handle(ToString(plain), req);
       if (!response.ok()) {
         mark();
         return response.status();

@@ -9,7 +9,6 @@
 #include "common/fault.h"
 #include "common/result.h"
 #include "net/channel.h"
-#include "xkms/service.h"
 #include "xkms/xkmsd.h"
 
 namespace discsec {
@@ -17,8 +16,8 @@ namespace net {
 
 /// The content server of the paper's Fig. 1/Fig. 3: hosts downloadable
 /// interactive applications (and bonus material) by path, and exposes the
-/// XKMS trust service endpoint. In-process; transport is either plain or
-/// the secure channel.
+/// XKMS trust service endpoint of an attached xkmsd responder (paper §7).
+/// In-process; transport is either plain or the secure channel.
 class ContentServer {
  public:
   /// Publishes content at `path` (e.g. "/apps/bonus-game.xml").
@@ -29,16 +28,13 @@ class ContentServer {
   bool Hosts(const std::string& path) const;
   size_t HostedCount() const { return content_.size(); }
 
-  /// The trust service co-hosted at this server (paper §7).
-  xkms::XkmsService* xkms() { return &xkms_; }
-
-  /// Routes XKMS traffic through a fleet-scale responder instead of the
-  /// in-line toy service: every Downloader::XkmsExchange then goes through
-  /// xkmsd's admission front door (same wire markup, so clients are none
-  /// the wiser — except that overload now sheds with retry-after hints
-  /// instead of queueing forever). `request_budget_us` > 0 gives each
-  /// dispatched request that much of the responder's clock as deadline.
-  /// The responder must outlive this server; null detaches.
+  /// Attaches the trust service this server answers XKMS requests with:
+  /// every Downloader::XkmsExchange goes through xkmsd's admission front
+  /// door, so overload sheds with retry-after hints. `request_budget_us` > 0
+  /// gives each dispatched request that much of the responder's clock as
+  /// deadline. With none attached (null detaches) an XKMS request fails as
+  /// a service error: kUnsupported, "server hosts no XKMS responder". The
+  /// responder must outlive this server.
   void AttachXkmsd(xkms::Xkmsd* xkmsd, int64_t request_budget_us = 0) {
     xkmsd_ = xkmsd;
     xkmsd_budget_us_ = request_budget_us;
@@ -57,7 +53,6 @@ class ContentServer {
 
  private:
   std::map<std::string, Bytes> content_;
-  xkms::XkmsService xkms_;
   xkms::Xkmsd* xkmsd_ = nullptr;
   int64_t xkmsd_budget_us_ = 0;
   std::vector<pki::Certificate> chain_;

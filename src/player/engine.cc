@@ -53,7 +53,9 @@ DiscPlayback::DiscPlayback(DiscPlayback&&) noexcept = default;
 DiscPlayback& DiscPlayback::operator=(DiscPlayback&&) noexcept = default;
 
 InteractiveApplicationEngine::InteractiveApplicationEngine(PlayerConfig config)
-    : config_(std::move(config)), storage_(config_.storage_quota) {
+    : config_(std::move(config)),
+      decryptor_(config_.keys),
+      storage_(config_.storage_quota) {
   storage_.set_fault_injector(config_.fault);
   // Observability opt-in propagates to every component the config reaches:
   // the parser limits carry the tracer into all attacker-input parses, and
@@ -67,6 +69,8 @@ InteractiveApplicationEngine::InteractiveApplicationEngine(PlayerConfig config)
       config_.xkms_cache->set_observability(config_.tracer);
     }
   }
+  decryptor_.set_parse_options(config_.parse_limits);
+  decryptor_.set_observability(config_.tracer, config_.metrics);
   if (config_.tracer != nullptr || config_.metrics != nullptr) {
     if (config_.xkms != nullptr) {
       config_.xkms->set_observability(config_.tracer, config_.metrics);
@@ -101,9 +105,6 @@ Status InteractiveApplicationEngine::VerifyPhase(
     std::vector<std::string>* signer_keys) {
   PhaseTimer timer(&report->timings.verify_us, config_.tracer,
                    "player.verify", Hist("player.verify_us"));
-  xmlenc::Decryptor decryptor(config_.keys);
-  decryptor.set_parse_options(config_.parse_limits);
-  decryptor.set_observability(config_.tracer, config_.metrics);
   auto signatures = xmldsig::Verifier::FindSignatures(doc->root());
   report->signature_present = !signatures.empty();
 
@@ -121,7 +122,7 @@ Status InteractiveApplicationEngine::VerifyPhase(
   xmldsig::VerifyOptions options;
   options.cert_store = &config_.trust;
   options.now = config_.now;
-  options.decrypt_hook = decryptor.MakeHook();
+  options.decrypt_hook = decryptor_.MakeHook();
   options.resolver = resolver;
   options.parse_options = config_.parse_limits;
   options.pool = config_.pool;
@@ -166,11 +167,8 @@ Status InteractiveApplicationEngine::DecryptPhase(xml::Document* doc,
     }
   });
   if (encrypted == 0) return Status::OK();
-  xmlenc::Decryptor decryptor(config_.keys);
-  decryptor.set_parse_options(config_.parse_limits);
-  decryptor.set_observability(config_.tracer, config_.metrics);
   DISCSEC_RETURN_IF_ERROR(
-      decryptor.DecryptAll(doc, nullptr, {}).WithContext("content decrypt"));
+      decryptor_.DecryptAll(doc, nullptr, {}).WithContext("content decrypt"));
   report->content_decrypted = true;
   return Status::OK();
 }

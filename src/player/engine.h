@@ -310,6 +310,10 @@ class InteractiveApplicationEngine {
                      script::Interpreter* interpreter, LaunchReport* report);
 
   PlayerConfig config_;
+  /// Built once from config_.keys and parse_limits; the verify phase's
+  /// Decryption Transform and the decrypt phase share it (its calls are
+  /// const, so concurrent launches may too).
+  xmlenc::Decryptor decryptor_;
   disc::LocalStorage storage_;
   /// LocalStorage (and the script host API over it) is unsynchronized, so
   /// concurrent discs' execute stages take turns; the security stages — the

@@ -1,8 +1,5 @@
 #include "xkms/client.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/wait.h"
 #include "pki/key_codec.h"
 #include "xml/parser.h"
@@ -11,20 +8,6 @@ namespace discsec {
 namespace xkms {
 
 namespace {
-
-/// Runs `fn` once `delay_us` has passed: parked on `wheel` when there is
-/// one, otherwise after sleeping through the delay on this thread.
-void AfterDelay(TimerWheel* wheel, int64_t delay_us,
-                std::function<void()> fn) {
-  if (delay_us > 0 && wheel != nullptr) {
-    wheel->ScheduleAfter(delay_us, std::move(fn));
-    return;
-  }
-  if (delay_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-  }
-  fn();
-}
 
 /// Parses response markup, labelling failures as response-layer errors.
 Result<xml::Document> ParseResponse(const std::string& response_xml) {
@@ -95,51 +78,6 @@ Result<KeyStatus> ParseValidateResponse(const std::string& response_xml,
 }
 
 }  // namespace
-
-XkmsClient XkmsClient::Direct(XkmsService* service) {
-  return XkmsClient(DirectTransport(service));
-}
-
-Transport XkmsClient::DirectTransport(XkmsService* service, TimerWheel* wheel,
-                                      fault::FaultInjector* injector) {
-  return [service, wheel, injector](const std::string& request,
-                                    AsyncCallback done) {
-    fault::FaultInjector* fi = fault::Effective(injector);
-    std::string wire_request = request;
-    int64_t request_delay_us = 0;
-    Status hit = fi->HitDataDeferred(fault::kXkmsTransport, &wire_request,
-                                     "request", &request_delay_us)
-                     .WithContext("XKMS transport");
-    if (!hit.ok()) {
-      done(std::move(hit));
-      return;
-    }
-    // The service call plus the response-side fault point; runs after the
-    // request-side latency (if any) has been served.
-    auto respond = [service, wheel, fi,
-                    wire_request = std::move(wire_request), done]() {
-      Result<std::string> response = service->HandleRequest(wire_request);
-      if (!response.ok()) {
-        done(response.status().WithContext("XKMS service"));
-        return;
-      }
-      std::string wire_response = std::move(response).value();
-      int64_t response_delay_us = 0;
-      Status hit = fi->HitDataDeferred(fault::kXkmsTransport, &wire_response,
-                                       "response", &response_delay_us)
-                       .WithContext("XKMS transport");
-      if (!hit.ok()) {
-        done(std::move(hit));
-        return;
-      }
-      AfterDelay(wheel, response_delay_us,
-                 [done, wire_response = std::move(wire_response)]() mutable {
-                   done(std::move(wire_response));
-                 });
-    };
-    AfterDelay(wheel, request_delay_us, std::move(respond));
-  };
-}
 
 Result<std::string> XkmsClient::SendAndWait(const std::string& request_xml) {
   return WaitForCompletion<Result<std::string>>(

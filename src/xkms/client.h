@@ -4,9 +4,7 @@
 #include <functional>
 #include <string>
 
-#include "common/fault.h"
 #include "common/result.h"
-#include "common/timer_wheel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "xkms/service.h"
@@ -20,10 +18,11 @@ using AsyncCallback = std::function<void(Result<std::string>)>;
 
 /// Transport used by the client: ships a serialized request and completes
 /// with the serialized response through the callback. The net module
-/// provides one over the secure channel; tests bind it straight to an
-/// XkmsService. A transport that completes later lets an XKMS round-trip
-/// ride a task-graph async node — the pool worker that issued the request
-/// is released while the "network" is in flight.
+/// provides one over the secure channel, and MakeServerTransport (xkmsd.h)
+/// binds one straight to an in-process responder. A transport that
+/// completes later lets an XKMS round-trip ride a task-graph async node —
+/// the pool worker that issued the request is released while the
+/// "network" is in flight.
 using Transport =
     std::function<void(const std::string& request_xml, AsyncCallback done)>;
 
@@ -65,22 +64,6 @@ class XkmsClient {
 
   /// Revokes a binding.
   Status Revoke(const std::string& name);
-
-  /// Binds a client directly to an in-process service (no wire).
-  static XkmsClient Direct(XkmsService* service);
-
-  /// The transport Direct() uses, exposed so callers can wrap it (retry,
-  /// fault injection). Consults `injector` (null = global) at the
-  /// fault::kXkmsTransport point on the request and response strings
-  /// (details "request"/"response"); service-side failures are labelled
-  /// "XKMS service", injected transport errors "XKMS transport". A fired
-  /// kDelay fault parks the continuation on `wheel` for its latency, so the
-  /// injected "broadband round-trip" costs wall-clock, not a worker; with
-  /// a null wheel the calling thread sleeps through it and every call
-  /// completes inline. The service and wheel must outlive the closure.
-  static Transport DirectTransport(XkmsService* service,
-                                   TimerWheel* wheel = nullptr,
-                                   fault::FaultInjector* injector = nullptr);
 
   /// Observability (DESIGN.md §10): "xkms.locate" / "xkms.validate" /
   /// "xkms.register" / "xkms.revoke" spans (attributes: name, and the

@@ -53,7 +53,7 @@ struct RetryingTransportStats {
 /// counters are atomic, and each call runs its own retry loop (jitter
 /// streams are decorrelated per call), so concurrent players may share one
 /// transport. The inner transport is invoked concurrently and must be
-/// thread-safe itself (DirectTransport over XkmsService's read paths is).
+/// thread-safe itself (MakeServerTransport over an Xkmsd is).
 ///
 /// The returned closure and `stats` share state owned by a shared_ptr, so
 /// the Transport may be copied freely (std::function copies); `stats`, if

@@ -1,7 +1,6 @@
 #include "xkms/service.h"
 
 #include "pki/key_codec.h"
-#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace discsec {
@@ -65,118 +64,6 @@ const char* KeyStatusName(KeyStatus status) {
       return "Indeterminate";
   }
   return "Indeterminate";
-}
-
-Status XkmsService::Register(const KeyBinding& binding) {
-  if (binding.name.empty()) {
-    return Status::InvalidArgument("key binding needs a name");
-  }
-  if (binding.key.modulus.IsZero()) {
-    return Status::InvalidArgument("key binding needs a key");
-  }
-  KeyBinding stored = binding;
-  stored.status = KeyStatus::kValid;
-  bindings_[binding.name] = stored;
-  return Status::OK();
-}
-
-Status XkmsService::Revoke(const std::string& name) {
-  auto it = bindings_.find(name);
-  if (it == bindings_.end()) {
-    return Status::NotFound("no binding named '" + name + "'");
-  }
-  it->second.status = KeyStatus::kInvalid;
-  return Status::OK();
-}
-
-Result<KeyBinding> XkmsService::Locate(const std::string& name) const {
-  auto it = bindings_.find(name);
-  if (it == bindings_.end()) {
-    return Status::NotFound("no binding named '" + name + "'");
-  }
-  return it->second;
-}
-
-KeyStatus XkmsService::Validate(const std::string& name,
-                                const crypto::RsaPublicKey& key) const {
-  auto it = bindings_.find(name);
-  if (it == bindings_.end()) return KeyStatus::kIndeterminate;
-  if (!(it->second.key == key)) return KeyStatus::kInvalid;
-  return it->second.status;
-}
-
-Result<std::string> XkmsService::HandleRequest(
-    const std::string& request_xml) {
-  DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, xml::Parse(request_xml));
-  const xml::Element* root = doc.root();
-  std::string op(root->LocalName());
-
-  if (op == "LocateRequest") {
-    const xml::Element* name = root->FirstChildElementByLocalName("KeyName");
-    if (name == nullptr) {
-      return Status::ParseError("LocateRequest missing KeyName");
-    }
-    auto response = MakeXkmsRoot("LocateResult");
-    auto found = Locate(name->TextContent());
-    if (found.ok()) {
-      response->SetAttribute("ResultMajor", "Success");
-      AppendKeyBinding(response.get(), found.value());
-    } else {
-      response->SetAttribute("ResultMajor", "Success");
-      response->SetAttribute("ResultMinor", "NoMatch");
-    }
-    return SerializeXkmsDocument(std::move(response));
-  }
-
-  if (op == "ValidateRequest") {
-    const xml::Element* kb =
-        root->FirstChildElementByLocalName("KeyBinding");
-    if (kb == nullptr) {
-      return Status::ParseError("ValidateRequest missing KeyBinding");
-    }
-    DISCSEC_ASSIGN_OR_RETURN(KeyBinding binding, ParseKeyBinding(*kb));
-    KeyStatus status = Validate(binding.name, binding.key);
-    auto response = MakeXkmsRoot("ValidateResult");
-    response->SetAttribute("ResultMajor", "Success");
-    response->AppendElement("xkms:Status")
-        ->SetTextContent(KeyStatusName(status));
-    return SerializeXkmsDocument(std::move(response));
-  }
-
-  if (op == "RegisterRequest") {
-    const xml::Element* kb = root->FirstChildElementByLocalName("KeyBinding");
-    if (kb == nullptr) {
-      return Status::ParseError("RegisterRequest missing KeyBinding");
-    }
-    DISCSEC_ASSIGN_OR_RETURN(KeyBinding binding, ParseKeyBinding(*kb));
-    auto response = MakeXkmsRoot("RegisterResult");
-    Status status = Register(binding);
-    response->SetAttribute("ResultMajor",
-                           status.ok() ? "Success" : "Receiver");
-    if (!status.ok()) {
-      response->AppendElement("xkms:Reason")
-          ->SetTextContent(status.ToString());
-    }
-    return SerializeXkmsDocument(std::move(response));
-  }
-
-  if (op == "RevokeRequest") {
-    const xml::Element* name = root->FirstChildElementByLocalName("KeyName");
-    if (name == nullptr) {
-      return Status::ParseError("RevokeRequest missing KeyName");
-    }
-    Status status = Revoke(name->TextContent());
-    auto response = MakeXkmsRoot("RevokeResult");
-    response->SetAttribute("ResultMajor",
-                           status.ok() ? "Success" : "Receiver");
-    if (!status.ok()) {
-      response->AppendElement("xkms:Reason")
-          ->SetTextContent(status.ToString());
-    }
-    return SerializeXkmsDocument(std::move(response));
-  }
-
-  return Status::Unsupported("XKMS operation: " + op);
 }
 
 std::string BuildLocateRequest(const std::string& name) {

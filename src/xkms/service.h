@@ -1,17 +1,20 @@
 #ifndef DISCSEC_XKMS_SERVICE_H_
 #define DISCSEC_XKMS_SERVICE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "crypto/rsa.h"
-#include "pki/cert_store.h"
 #include "xml/dom.h"
 
 namespace discsec {
 namespace xkms {
+
+// The XKMS wire codec of the paper's §7 trust server, which carries the
+// §3.1 Key Management requirement (registration, revocation, location,
+// validation) as XML messages. The responder is Xkmsd (xkmsd.h), the
+// client XkmsClient (client.h).
 
 /// The XKMS namespace used in request/response markup.
 inline constexpr char kXkmsNamespace[] = "http://www.w3.org/2002/03/xkms#";
@@ -35,43 +38,6 @@ struct KeyBinding {
   KeyStatus status = KeyStatus::kValid;
 };
 
-/// An in-process XKMS trust service — the "trusted source (trust server)" of
-/// the paper's §7, handling the §3.1 Key Management requirement
-/// (registration, revocation, update, location, validation) over XML
-/// messages. The message layer is exercised by the client in client.h; this
-/// class is the service logic plus its XML codec.
-class XkmsService {
- public:
-  /// Handles a serialized XKMS request document and returns the serialized
-  /// response document. This is the wire entry point the content server
-  /// exposes (see net/server.h).
-  Result<std::string> HandleRequest(const std::string& request_xml);
-
-  // --- direct (in-process) operations, used by the codec and tests ---
-
-  /// Registers (or re-registers) a key binding. Re-registration updates the
-  /// key and resets status to Valid.
-  Status Register(const KeyBinding& binding);
-
-  /// Marks the binding revoked; Locate still finds it, Validate reports
-  /// Invalid.
-  Status Revoke(const std::string& name);
-
-  /// Returns the binding for `name` (whatever its status).
-  Result<KeyBinding> Locate(const std::string& name) const;
-
-  /// Full validation: binding must exist, be unrevoked, and (when a
-  /// certificate store is attached) its key must match a currently valid
-  /// certificate subject.
-  KeyStatus Validate(const std::string& name,
-                     const crypto::RsaPublicKey& key) const;
-
-  size_t BindingCount() const { return bindings_.size(); }
-
- private:
-  std::map<std::string, KeyBinding> bindings_;
-};
-
 /// Builds XKMS request documents (client side).
 std::string BuildLocateRequest(const std::string& name);
 std::string BuildValidateRequest(const std::string& name,
@@ -79,9 +45,8 @@ std::string BuildValidateRequest(const std::string& name,
 std::string BuildRegisterRequest(const KeyBinding& binding);
 std::string BuildRevokeRequest(const std::string& name);
 
-/// Server-side codec helpers, shared by the toy single-threaded XkmsService
-/// above and the fleet-scale responder in xkmsd.h so the two emit
-/// byte-identical response markup and the client cannot tell them apart.
+/// Server-side codec helpers: the responder in xkmsd.h builds its response
+/// markup from these, and the client in client.h parses what they emit.
 std::unique_ptr<xml::Element> MakeXkmsRoot(const std::string& name);
 std::string SerializeXkmsDocument(std::unique_ptr<xml::Element> root);
 void AppendKeyBinding(xml::Element* parent, const KeyBinding& binding);

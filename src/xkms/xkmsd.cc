@@ -6,6 +6,7 @@
 #include <deque>
 #include <mutex>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "common/wait.h"
@@ -797,14 +798,74 @@ XkmsdStats Xkmsd::stats() const {
 const ShardedKeyStore& Xkmsd::store() const { return core_->store; }
 const SnapshotStore& Xkmsd::snapshot() const { return core_->snapshot; }
 
-Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us) {
-  return [server, request_budget_us](const std::string& request_xml,
-                                     AsyncCallback done) {
-    XkmsdRequestOptions req;
-    if (request_budget_us > 0) {
-      req.deadline_us = server->NowUs() + request_budget_us;
+namespace {
+
+/// Runs `fn` once `delay_us` has passed: parked on `wheel` when there is
+/// one, otherwise after sleeping through the delay on this thread.
+template <typename Fn>
+void AfterDelay(TimerWheel* wheel, int64_t delay_us, Fn fn) {
+  if (delay_us > 0 && wheel != nullptr) {
+    wheel->ScheduleAfter(delay_us, std::move(fn));
+    return;
+  }
+  if (delay_us > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+  }
+  fn();
+}
+
+}  // namespace
+
+Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us,
+                              TimerWheel* wheel,
+                              fault::FaultInjector* injector) {
+  return [server, request_budget_us, wheel, injector](
+             const std::string& request_xml, AsyncCallback done) {
+    fault::FaultInjector* fi = fault::Effective(injector);
+    std::string wire_request = request_xml;
+    int64_t request_delay_us = 0;
+    Status hit = fi->HitDataDeferred(fault::kXkmsTransport, &wire_request,
+                                     "request", &request_delay_us)
+                     .WithContext("XKMS transport");
+    if (!hit.ok()) {
+      done(std::move(hit));
+      return;
     }
-    server->Submit(request_xml, req, std::move(done));
+    // The responder call plus the response-side fault point; runs after
+    // the request-side latency (if any) has been served.
+    auto respond = [server, request_budget_us, wheel, fi,
+                    wire_request = std::move(wire_request),
+                    done = std::move(done)]() mutable {
+      XkmsdRequestOptions req;
+      if (request_budget_us > 0) {
+        req.deadline_us = server->NowUs() + request_budget_us;
+      }
+      server->Submit(
+          std::move(wire_request), req,
+          [wheel, fi,
+           done = std::move(done)](Result<std::string> response) mutable {
+            if (!response.ok()) {
+              done(response.status().WithContext("XKMS service"));
+              return;
+            }
+            std::string wire_response = std::move(response).value();
+            int64_t response_delay_us = 0;
+            Status hit =
+                fi->HitDataDeferred(fault::kXkmsTransport, &wire_response,
+                                    "response", &response_delay_us)
+                    .WithContext("XKMS transport");
+            if (!hit.ok()) {
+              done(std::move(hit));
+              return;
+            }
+            AfterDelay(wheel, response_delay_us,
+                       [done = std::move(done),
+                        wire_response = std::move(wire_response)]() mutable {
+                         done(std::move(wire_response));
+                       });
+          });
+    };
+    AfterDelay(wheel, request_delay_us, std::move(respond));
   };
 }
 

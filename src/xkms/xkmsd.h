@@ -23,12 +23,11 @@
 namespace discsec {
 namespace xkms {
 
-/// discsec::xkmsd — the fleet-scale XKMS responder (DESIGN.md §13).
-///
-/// The toy XkmsService in service.h answers one request at a time on the
-/// caller's thread; it is the codec and semantics reference. Xkmsd is what
-/// the paper's trust server has to look like when 10^5 players hit it at
-/// once: the same wire protocol, but behind
+/// discsec::xkmsd — the XKMS responder: the paper's §7 trust server
+/// (DESIGN.md §13), speaking the wire codec in service.h. With no pool it
+/// serves each request inline on the submitting thread, through the same
+/// admission path; with one it is built for 10^5 players hitting it at
+/// once, behind
 ///
 ///  - a *sharded, generation-versioned key store* (per-shard mutex, a
 ///    generation bumped on every mutation) so Register/Revoke on one shard
@@ -81,8 +80,8 @@ class ShardedKeyStore {
   /// Returns the binding for `name` (whatever its status).
   Result<KeyBinding> Locate(const std::string& name) const;
 
-  /// Same semantics as XkmsService::Validate: unknown name is
-  /// Indeterminate, key mismatch is Invalid, otherwise the stored status.
+  /// Unknown name is Indeterminate, key mismatch is Invalid, otherwise the
+  /// stored status.
   KeyStatus Validate(const std::string& name,
                      const crypto::RsaPublicKey& key) const;
 
@@ -263,15 +262,28 @@ class Xkmsd {
   std::shared_ptr<Core> core_;
 };
 
-/// Server-transport glue: binds an XkmsClient (or the retrying transport
-/// in retrying_transport.h) straight to an in-process Xkmsd, the fleet
-/// analogue of XkmsClient::DirectTransport. Each call is a Submit that
-/// completes on whatever thread the responder finished on (inline when it
-/// has no pool). Its deadline derives from `request_budget_us` (0 = none)
-/// against the responder's clock, so a shed at the front door reaches the
-/// client with its retry-after hint intact. The responder must outlive the
-/// returned closure.
-Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us = 0);
+/// The in-process transport: binds an XkmsClient (or the retrying
+/// transport in retrying_transport.h) straight to an Xkmsd. Each call is a
+/// Submit that completes on whatever thread the responder finished on
+/// (inline when it has no pool). Its deadline derives from
+/// `request_budget_us` (0 = none) against the responder's clock. Responder
+/// failures keep their code and retry-after hint under an "XKMS service"
+/// context, so a shed at the front door reaches the client's retry loop
+/// intact.
+///
+/// Consults `injector` (null = global) at the fault::kXkmsTransport point
+/// on the request and response strings (details "request"/"response");
+/// injected errors carry an "XKMS transport" context. A fired kDelay fault
+/// parks the continuation on `wheel` for its latency, so the injected
+/// "broadband round-trip" costs wall-clock, not a worker. With a null
+/// wheel the calling thread sleeps through the request leg, and the thread
+/// the responder completes on sleeps through the response leg: the
+/// caller's, a pool worker, or, for a Locate that coalesced onto another's
+/// lookup, the thread serving that lookup. The responder and wheel must
+/// outlive the returned closure.
+Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us = 0,
+                              TimerWheel* wheel = nullptr,
+                              fault::FaultInjector* injector = nullptr);
 
 }  // namespace xkms
 }  // namespace discsec

@@ -124,27 +124,32 @@ const disc::DiscImage& NoEssenceRefsImage() {
   return *image;
 }
 
-/// Retrying XKMS client over a direct (in-process) transport, with a fake
-/// clock and sleep so deadline/backoff handling runs without real sleeping.
+/// Retrying XKMS client over the in-process transport to an inline xkmsd,
+/// with a fake clock and sleep so deadline/backoff handling runs without
+/// real sleeping. The sweep's injector reaches both the transport
+/// (xkms.transport) and the responder (xkmsd.*).
 struct ChaosXkms {
-  xkms::XkmsService service;
+  std::unique_ptr<xkms::Xkmsd> responder;
   int64_t fake_now_us = 0;
   std::unique_ptr<xkms::XkmsClient> client;
 
   explicit ChaosXkms(fault::FaultInjector* injector) {
     World& world = SharedWorld();
+    xkms::XkmsdOptions responder_options;
+    responder_options.fault = injector;
+    responder = std::make_unique<xkms::Xkmsd>(responder_options);
     std::string fingerprint =
         pki::KeyFingerprint(world.studio_key.public_key);
-    EXPECT_TRUE(service
-                    .Register({fingerprint, world.studio_key.public_key,
-                               {"Signature"}, xkms::KeyStatus::kValid})
+    EXPECT_TRUE(responder
+                    ->SeedBinding({fingerprint, world.studio_key.public_key,
+                                   {"Signature"}, xkms::KeyStatus::kValid})
                     .ok());
     xkms::RetryingTransportOptions options;
     options.retry.max_attempts = 3;
     options.clock = [this] { return fake_now_us; };
     options.sleep = [this](int64_t us) { fake_now_us += us; };
     client = std::make_unique<xkms::XkmsClient>(xkms::MakeRetryingTransport(
-        xkms::XkmsClient::DirectTransport(&service, nullptr, injector),
+        xkms::MakeServerTransport(responder.get(), 0, nullptr, injector),
         options));
   }
 };
@@ -189,7 +194,8 @@ struct ScenarioOutcome {
 
 /// Disc path: PlayDisc over the fully protected image, signature required
 /// (trust_disc_content = false), XKMS validation through the retrying
-/// transport. Exercises disc.read, storage.*, and xkms.transport.
+/// transport. Exercises disc.read, storage.*, xkms.transport, xkmsd.queue
+/// and xkmsd.store.
 ScenarioOutcome RunDiscScenario(fault::FaultInjector* injector,
                                 bool allow_degraded) {
   World& world = SharedWorld();
@@ -314,7 +320,10 @@ std::string ExpectedContext(const std::string& point) {
     return "secure channel";
   }
   if (point == fault::kNetWire) return "network";
-  if (point == fault::kXkmsTransport) return "XKMS";
+  if (point == fault::kXkmsTransport || point == fault::kXkmsdQueue ||
+      point == fault::kXkmsdStore || point == fault::kXkmsdSnapshot) {
+    return "XKMS";
+  }
   if (point == fault::kToolRead) return "tool input";
   ADD_FAILURE() << "unmapped fault point " << point;
   return "<unmapped>";
@@ -333,6 +342,7 @@ class ChaosSweep : public ::testing::TestWithParam<ChaosCase> {
   void CheckOutcome(const ScenarioOutcome& outcome, uint64_t fires,
                     const std::string& baseline) const {
     const ChaosCase& chaos_case = GetParam();
+    RecordProperty("fires", static_cast<int>(fires));
     if (fires == 0) {
       // The fault never triggered on this path; nothing may have broken.
       EXPECT_TRUE(outcome.status.ok())
@@ -381,6 +391,7 @@ TEST_P(ChaosSweep, DiscPathDegradedModeContainsFaults) {
   ArmInjector(&injector);
   ScenarioOutcome outcome = RunDiscScenario(&injector, true);
   uint64_t fires = injector.fires(GetParam().point);
+  RecordProperty("fires", static_cast<int>(fires));
   if (fires == 0) {
     EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
     EXPECT_FALSE(outcome.degraded);
@@ -543,6 +554,36 @@ TEST(ChaosRetry, PersistentXkmsOutageExhaustsRetriesWithContext) {
   EXPECT_NE(outcome.status.ToString().find("XKMS"), std::string::npos);
   // max_attempts = 3 in the scenario's retry policy, all failing.
   EXPECT_EQ(injector.fires(fault::kXkmsTransport), 3u);
+}
+
+// ------------------------------------------------ xkmsd on the disc path
+
+TEST(ChaosXkmsd, ResponderErrorsOnTheDiscPathFailClosed) {
+  // The sweep's injector reaches the responder behind the retrying client:
+  // an error at its front door or in its store fails all three attempts,
+  // and the application never launches.
+  for (std::string_view point : {fault::kXkmsdQueue, fault::kXkmsdStore}) {
+    for (bool allow_degraded : {false, true}) {
+      SCOPED_TRACE(std::string(point) +
+                   (allow_degraded ? " degraded" : " strict"));
+      fault::FaultInjector injector(ChaosSeed());
+      fault::FaultSpec spec;
+      spec.point = std::string(point);
+      spec.kind = fault::Kind::kError;
+      injector.Arm(spec);
+      ScenarioOutcome outcome = RunDiscScenario(&injector, allow_degraded);
+      EXPECT_EQ(injector.fires(point), 3u);
+      if (outcome.status.ok()) {
+        EXPECT_TRUE(allow_degraded);
+        EXPECT_TRUE(outcome.degraded);
+        EXPECT_NE(outcome.summary.find("app[none]"), std::string::npos)
+            << outcome.summary;
+      } else {
+        EXPECT_NE(outcome.status.ToString().find("XKMS"), std::string::npos)
+            << outcome.status.ToString();
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ xkmsd revocation storm

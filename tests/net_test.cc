@@ -4,6 +4,7 @@
 #include "net/server.h"
 #include "pki/key_codec.h"
 #include "xkms/client.h"
+#include "xkms/xkmsd.h"
 
 namespace discsec {
 namespace net {
@@ -244,12 +245,14 @@ TEST_F(NetFixture, SecureChannelHidesPlaintextFromTap) {
 }
 
 TEST_F(NetFixture, XkmsOverSecureChannel) {
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
   ContentServer server = MakeServer();
+  server.AttachXkmsd(&responder);
   Rng rng(777);
   auto studio = crypto::RsaGenerateKeyPair(512, &rng).value();
-  ASSERT_TRUE(server.xkms()
-                  ->Register({"studio-key", studio.public_key, {"Signature"},
-                              xkms::KeyStatus::kValid})
+  ASSERT_TRUE(responder
+                  .SeedBinding({"studio-key", studio.public_key, {"Signature"},
+                                xkms::KeyStatus::kValid})
                   .ok());
 
   pki::CertStore trust = Trust();
@@ -356,7 +359,9 @@ TEST_F(NetFixture, EndpointSealAndOpenFaultsCarryChannelContext) {
 }
 
 TEST_F(NetFixture, XkmsExchangeClassifiesTransportVersusService) {
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
   ContentServer server = MakeServer();
+  server.AttachXkmsd(&responder);
   pki::CertStore trust = Trust();
 
   // Transport leg broken: retryable kUnavailable, "XKMS transport".
@@ -398,12 +403,14 @@ TEST_F(NetFixture, XkmsExchangeClassifiesTransportVersusService) {
 }
 
 TEST_F(NetFixture, XkmsTransportClosureFeedsTheClient) {
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
   ContentServer server = MakeServer();
+  server.AttachXkmsd(&responder);
   Rng rng(778);
   auto studio = crypto::RsaGenerateKeyPair(512, &rng).value();
-  ASSERT_TRUE(server.xkms()
-                  ->Register({"studio-key", studio.public_key, {"Signature"},
-                              xkms::KeyStatus::kValid})
+  ASSERT_TRUE(responder
+                  .SeedBinding({"studio-key", studio.public_key, {"Signature"},
+                                xkms::KeyStatus::kValid})
                   .ok());
   pki::CertStore trust = Trust();
   Downloader::Options options;
@@ -415,6 +422,35 @@ TEST_F(NetFixture, XkmsTransportClosureFeedsTheClient) {
   auto binding = client.Locate("studio-key");
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();
   EXPECT_TRUE(binding->key == studio.public_key);
+}
+
+TEST_F(NetFixture, XkmsWithoutAttachedResponderIsAServiceError) {
+  // A server with no trust service attached answers every XKMS request with
+  // one pinned terminal status, marked as the service answering: no
+  // NoMatch, no Indeterminate, nothing a player could mistake for a lookup.
+  ContentServer server = MakeServer();
+  pki::CertStore trust = Trust();
+  Downloader::Options options;
+  options.use_secure_channel = true;
+  options.trust = &trust;
+  options.now = kNow;
+  Downloader downloader(&server, options, rng_);
+
+  auto response = downloader.XkmsExchange(xkms::BuildLocateRequest("k"));
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsUnsupported())
+      << response.status().ToString();
+  EXPECT_FALSE(response.status().IsRetryable());
+  EXPECT_EQ(response.status().message(),
+            "XKMS service: server hosts no XKMS responder");
+
+  xkms::XkmsClient client(downloader.XkmsTransport());
+  Status locate = client.Locate("k").status();
+  EXPECT_TRUE(locate.IsUnsupported()) << locate.ToString();
+  Result<xkms::KeyStatus> verdict =
+      client.Validate("k", server_key_->public_key);
+  EXPECT_TRUE(verdict.status().IsUnsupported())
+      << verdict.status().ToString();
 }
 
 }  // namespace

@@ -26,7 +26,7 @@
 #include "xkms/client.h"
 #include "xkms/locate_cache.h"
 #include "xkms/retrying_transport.h"
-#include "xkms/service.h"
+#include "xkms/xkmsd.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xmldsig/verifier.h"
@@ -64,8 +64,8 @@ xkms::KeyBinding TestBinding(const std::string& name) {
 
 TEST(LocateCacheTest, SingleFlightCoalescesConcurrentLookups) {
   constexpr size_t kThreads = 8;
-  xkms::XkmsService service;
-  ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  ASSERT_TRUE(responder.SeedBinding(TestBinding("studio-key")).ok());
 
   std::atomic<size_t> transport_calls{0};
   std::atomic<size_t> entered{0};
@@ -78,7 +78,7 @@ TEST(LocateCacheTest, SingleFlightCoalescesConcurrentLookups) {
     for (int spin = 0; spin < 5000 && entered.load() < kThreads; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    done(service.HandleRequest(request));
+    done(responder.Handle(request));
   };
   xkms::XkmsClient client(transport);
   xkms::LocateCache cache(&client);
@@ -152,9 +152,9 @@ TEST(LocateCacheTest, SingleFlightFailureIsSharedNotAmplified) {
 }
 
 TEST(LocateCacheTest, TtlExpiryForcesRefresh) {
-  xkms::XkmsService service;
-  ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  ASSERT_TRUE(responder.SeedBinding(TestBinding("studio-key")).ok());
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
 
   std::atomic<int64_t> now{0};
   xkms::LocateCache::Options options;
@@ -175,8 +175,8 @@ TEST(LocateCacheTest, TtlExpiryForcesRefresh) {
 }
 
 TEST(LocateCacheTest, ErrorsAreDeliveredButNeverCached) {
-  xkms::XkmsService service;
-  ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  ASSERT_TRUE(responder.SeedBinding(TestBinding("studio-key")).ok());
   std::atomic<size_t> calls{0};
   xkms::Transport transport = [&](const std::string& request,
                                    xkms::AsyncCallback done) {
@@ -184,7 +184,7 @@ TEST(LocateCacheTest, ErrorsAreDeliveredButNeverCached) {
       done(Status::Unavailable("XKMS transport: injected outage"));
       return;
     }
-    done(service.HandleRequest(request));
+    done(responder.Handle(request));
   };
   xkms::XkmsClient client(transport);
   xkms::LocateCache cache(&client);
@@ -196,9 +196,9 @@ TEST(LocateCacheTest, ErrorsAreDeliveredButNeverCached) {
 }
 
 TEST(LocateCacheTest, InvalidateDropsTheEntry) {
-  xkms::XkmsService service;
-  ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  ASSERT_TRUE(responder.SeedBinding(TestBinding("studio-key")).ok());
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
   xkms::LocateCache cache(&client);
   ASSERT_TRUE(cache.Locate("studio-key").ok());
   EXPECT_EQ(cache.size(), 1u);
@@ -424,8 +424,8 @@ TEST(ParallelPlayDiscTest, SerialAndPooledAgreeAcrossSignatures) {
   Result<disc::DiscImage> image = author.Master(cluster, doc.value());
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 
-  xkms::XkmsService service;  // no key registered
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};  // no key registered
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
   ThreadPool pool(4);
   for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &pool}) {
     SCOPED_TRACE(executor == nullptr ? "null pool" : "4-worker pool");
@@ -471,16 +471,16 @@ TEST(ParallelPlayDiscTest, DeferredXkmsChainThroughCacheNeverBlocksTheWheel) {
   Result<disc::DiscImage> image = author.Master(cluster, doc.value());
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 
-  xkms::XkmsService service;
-  ASSERT_TRUE(service
-                  .Register({pki::KeyFingerprint(world.studio_key.public_key),
-                             world.studio_key.public_key,
-                             {"Signature"},
-                             xkms::KeyStatus::kValid})
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  ASSERT_TRUE(responder
+                  .SeedBinding({pki::KeyFingerprint(world.studio_key.public_key),
+                                world.studio_key.public_key,
+                                {"Signature"},
+                                xkms::KeyStatus::kValid})
                   .ok());
 
   // Serial reference: no pool, no wheel, no cache.
-  xkms::XkmsClient direct = xkms::XkmsClient::Direct(&service);
+  xkms::XkmsClient direct(xkms::MakeServerTransport(&responder));
   player::PlayerConfig serial_config = world.MakePlayerConfig();
   serial_config.xkms = &direct;
   player::InteractiveApplicationEngine serial(serial_config);
@@ -502,7 +502,7 @@ TEST(ParallelPlayDiscTest, DeferredXkmsChainThroughCacheNeverBlocksTheWheel) {
     spec.delay_us = 2000;
     injector.Arm(spec);
     xkms::XkmsClient client(
-        xkms::XkmsClient::DirectTransport(&service, &wheel, &injector));
+        xkms::MakeServerTransport(&responder, 0, &wheel, &injector));
     xkms::LocateCache::Options cache_options;
     cache_options.ttl_us = 0;
     xkms::LocateCache cache(&client, cache_options);
@@ -637,11 +637,11 @@ TEST(FaultInjectorConcurrencyTest, ConcurrentArmHitDisarmIsRaceFree) {
 TEST(RetryingTransportConcurrencyTest, SharedTransportCountsEveryCall) {
   constexpr size_t kThreads = 4;
   constexpr size_t kCallsPerThread = 50;
-  xkms::XkmsService service;
-  ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  ASSERT_TRUE(responder.SeedBinding(TestBinding("studio-key")).ok());
   std::shared_ptr<const xkms::RetryingTransportStats> stats;
   xkms::Transport transport = xkms::MakeRetryingTransport(
-      xkms::XkmsClient::DirectTransport(&service), {}, nullptr, &stats);
+      xkms::MakeServerTransport(&responder), {}, nullptr, &stats);
   xkms::XkmsClient client(transport);
 
   std::atomic<size_t> failures{0};

@@ -532,14 +532,14 @@ TEST_F(PlayerFixture, StorageQuotaEnforcedThroughHostApi) {
 // ------------------------------------------------------------- XKMS
 
 TEST_F(PlayerFixture, XkmsValidationAcceptsRegisteredSigner) {
-  xkms::XkmsService service;
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
   std::string fingerprint =
       pki::KeyFingerprint(world_->studio_key.public_key);
-  ASSERT_TRUE(service
-                  .Register({fingerprint, world_->studio_key.public_key,
-                             {"Signature"}, xkms::KeyStatus::kValid})
+  ASSERT_TRUE(responder
+                  .SeedBinding({fingerprint, world_->studio_key.public_key,
+                                {"Signature"}, xkms::KeyStatus::kValid})
                   .ok());
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
 
   authoring::Author author = world_->MakeAuthor();
   auto doc = author.BuildSigned(world_->DemoCluster(),
@@ -557,15 +557,15 @@ TEST_F(PlayerFixture, XkmsValidationAcceptsRegisteredSigner) {
 TEST_F(PlayerFixture, XkmsRevocationBlocksOtherwiseValidSignature) {
   // The §3.1 key-management scenario: the certificate is still time-valid,
   // but the trust server has revoked the key binding.
-  xkms::XkmsService service;
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
   std::string fingerprint =
       pki::KeyFingerprint(world_->studio_key.public_key);
-  ASSERT_TRUE(service
-                  .Register({fingerprint, world_->studio_key.public_key,
-                             {"Signature"}, xkms::KeyStatus::kValid})
+  ASSERT_TRUE(responder
+                  .SeedBinding({fingerprint, world_->studio_key.public_key,
+                                {"Signature"}, xkms::KeyStatus::kValid})
                   .ok());
-  ASSERT_TRUE(service.Revoke(fingerprint).ok());
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
+  ASSERT_TRUE(client.Revoke(fingerprint).ok());
 
   authoring::Author author = world_->MakeAuthor();
   auto doc = author.BuildSigned(world_->DemoCluster(),
@@ -580,8 +580,8 @@ TEST_F(PlayerFixture, XkmsRevocationBlocksOtherwiseValidSignature) {
 }
 
 TEST_F(PlayerFixture, XkmsUnregisteredSignerRejected) {
-  xkms::XkmsService service;  // nothing registered
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};  // nothing registered
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
   authoring::Author author = world_->MakeAuthor();
   auto doc = author.BuildSigned(world_->DemoCluster(),
                                 authoring::SignLevel::kCluster);

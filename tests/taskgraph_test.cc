@@ -25,7 +25,7 @@
 #include "crypto/rsa.h"
 #include "xkms/client.h"
 #include "xkms/retrying_transport.h"
-#include "xkms/service.h"
+#include "xkms/xkmsd.h"
 
 namespace discsec {
 namespace {
@@ -431,10 +431,10 @@ struct XkmsFixture {
     binding.key = key.public_key;
     binding.key_usage = {"Signature"};
     binding.status = xkms::KeyStatus::kValid;
-    EXPECT_TRUE(service.Register(binding).ok());
+    EXPECT_TRUE(responder.SeedBinding(binding).ok());
   }
   crypto::RsaKeyPair key;
-  xkms::XkmsService service;
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
 };
 
 TEST(AsyncXkmsTest, InjectedDelayParksOnWheelNotOnACaller) {
@@ -448,7 +448,7 @@ TEST(AsyncXkmsTest, InjectedDelayParksOnWheelNotOnACaller) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&fx.service, &wheel, &injector));
+      xkms::MakeServerTransport(&fx.responder, 0, &wheel, &injector));
 
   std::atomic<bool> done{false};
   Result<xkms::KeyBinding> out = Status::Unavailable("not completed");
@@ -485,7 +485,7 @@ TEST(AsyncXkmsTest, RetryBackoffParksOnWheelAndEventuallySucceeds) {
           done_cb(Status::Unavailable("trust service warming up"));
           return;
         }
-        done_cb(fx.service.HandleRequest(request));
+        done_cb(fx.responder.Handle(request));
       };
 
   xkms::RetryingTransportOptions options;
@@ -535,7 +535,7 @@ TEST(AsyncXkmsTest, GraphNodeDrivenByWheelReleasesPoolWorkers) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&fx.service, &wheel, &injector));
+      xkms::MakeServerTransport(&fx.responder, 0, &wheel, &injector));
 
   ThreadPool pool(1);
   std::atomic<int> sibling_runs{0};

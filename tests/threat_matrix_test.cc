@@ -138,14 +138,14 @@ TEST_F(ThreatMatrix, WiretapSeesNoPlaintext) {
 // Row 4 — Replayed/revoked key: revoke via XKMS; the next launch fails
 // validation although the certificate itself is still time-valid.
 TEST_F(ThreatMatrix, RevokedKeyViaXkms) {
-  xkms::XkmsService service;
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
   std::string fingerprint =
       pki::KeyFingerprint(world_->studio_key.public_key);
-  ASSERT_TRUE(service
-                  .Register({fingerprint, world_->studio_key.public_key,
-                             {"Signature"}, xkms::KeyStatus::kValid})
+  ASSERT_TRUE(responder
+                  .SeedBinding({fingerprint, world_->studio_key.public_key,
+                                {"Signature"}, xkms::KeyStatus::kValid})
                   .ok());
-  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  xkms::XkmsClient client(xkms::MakeServerTransport(&responder));
   std::string wire = SignedApp();
 
   player::PlayerConfig before = world_->MakePlayerConfig();
@@ -153,7 +153,7 @@ TEST_F(ThreatMatrix, RevokedKeyViaXkms) {
   player::InteractiveApplicationEngine engine1(std::move(before));
   ASSERT_TRUE(engine1.LaunchClusterXml(wire, player::Origin::kNetwork).ok());
 
-  ASSERT_TRUE(service.Revoke(fingerprint).ok());
+  ASSERT_TRUE(client.Revoke(fingerprint).ok());
   player::PlayerConfig after = world_->MakePlayerConfig();
   after.xkms = &client;
   player::InteractiveApplicationEngine engine2(std::move(after));

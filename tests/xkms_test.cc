@@ -4,7 +4,6 @@
 #include "pki/key_codec.h"
 #include "xkms/client.h"
 #include "xkms/retrying_transport.h"
-#include "xkms/service.h"
 #include "xkms/xkmsd.h"
 
 namespace discsec {
@@ -37,81 +36,15 @@ class XkmsFixture : public ::testing::Test {
 crypto::RsaKeyPair* XkmsFixture::key_a_ = nullptr;
 crypto::RsaKeyPair* XkmsFixture::key_b_ = nullptr;
 
-// --------------------------------------------------------- service core
-
-TEST_F(XkmsFixture, RegisterAndLocate) {
-  XkmsService service;
-  ASSERT_TRUE(
-      service.Register(MakeBinding("studio-1", key_a_->public_key)).ok());
-  auto found = service.Locate("studio-1");
-  ASSERT_TRUE(found.ok());
-  EXPECT_TRUE(found->key == key_a_->public_key);
-  EXPECT_EQ(found->status, KeyStatus::kValid);
-  EXPECT_EQ(found->key_usage, std::vector<std::string>{"Signature"});
-}
-
-TEST_F(XkmsFixture, LocateUnknownIsNotFound) {
-  XkmsService service;
-  EXPECT_TRUE(service.Locate("nobody").status().IsNotFound());
-}
-
-TEST_F(XkmsFixture, RegisterRejectsIncomplete) {
-  XkmsService service;
-  KeyBinding nameless;
-  nameless.key = key_a_->public_key;
-  EXPECT_TRUE(service.Register(nameless).IsInvalidArgument());
-  KeyBinding keyless;
-  keyless.name = "x";
-  EXPECT_TRUE(service.Register(keyless).IsInvalidArgument());
-}
-
-TEST_F(XkmsFixture, ValidateStates) {
-  XkmsService service;
-  ASSERT_TRUE(
-      service.Register(MakeBinding("studio-1", key_a_->public_key)).ok());
-  // Registered key with right key material: Valid.
-  EXPECT_EQ(service.Validate("studio-1", key_a_->public_key),
-            KeyStatus::kValid);
-  // Same name but different key: Invalid (an impersonation attempt).
-  EXPECT_EQ(service.Validate("studio-1", key_b_->public_key),
-            KeyStatus::kInvalid);
-  // Unknown name: Indeterminate.
-  EXPECT_EQ(service.Validate("ghost", key_a_->public_key),
-            KeyStatus::kIndeterminate);
-}
-
-TEST_F(XkmsFixture, RevocationFlow) {
-  XkmsService service;
-  ASSERT_TRUE(
-      service.Register(MakeBinding("studio-1", key_a_->public_key)).ok());
-  ASSERT_TRUE(service.Revoke("studio-1").ok());
-  EXPECT_EQ(service.Validate("studio-1", key_a_->public_key),
-            KeyStatus::kInvalid);
-  // Locate still finds the (revoked) binding, per XKMS semantics.
-  auto found = service.Locate("studio-1");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found->status, KeyStatus::kInvalid);
-  // Re-registration (key update) restores validity.
-  ASSERT_TRUE(
-      service.Register(MakeBinding("studio-1", key_b_->public_key)).ok());
-  EXPECT_EQ(service.Validate("studio-1", key_b_->public_key),
-            KeyStatus::kValid);
-}
-
-TEST_F(XkmsFixture, RevokeUnknownFails) {
-  XkmsService service;
-  EXPECT_TRUE(service.Revoke("ghost").IsNotFound());
-}
-
 // --------------------------------------------------------- wire protocol
 
 TEST_F(XkmsFixture, FullClientServerFlowOverXmlMessages) {
-  XkmsService service;
-  XkmsClient client = XkmsClient::Direct(&service);
+  Xkmsd responder{XkmsdOptions{}};
+  XkmsClient client(MakeServerTransport(&responder));
 
   // Register over the wire.
   ASSERT_TRUE(client.Register(MakeBinding("acme", key_a_->public_key)).ok());
-  EXPECT_EQ(service.BindingCount(), 1u);
+  EXPECT_EQ(responder.store().BindingCount(), 1u);
 
   // Locate over the wire.
   auto located = client.Locate("acme");
@@ -134,8 +67,8 @@ TEST_F(XkmsFixture, FullClientServerFlowOverXmlMessages) {
 }
 
 TEST_F(XkmsFixture, LocateMissOverWire) {
-  XkmsService service;
-  XkmsClient client = XkmsClient::Direct(&service);
+  Xkmsd responder{XkmsdOptions{}};
+  XkmsClient client(MakeServerTransport(&responder));
   EXPECT_TRUE(client.Locate("ghost").status().IsNotFound());
 }
 
@@ -149,12 +82,12 @@ TEST_F(XkmsFixture, RequestsAreWellFormedXml) {
 }
 
 TEST_F(XkmsFixture, ServiceRejectsGarbageAndUnknownOps) {
-  XkmsService service;
-  EXPECT_TRUE(service.HandleRequest("not xml").status().IsParseError());
-  EXPECT_TRUE(service.HandleRequest("<xkms:FooRequest xmlns:xkms=\"x\"/>")
+  Xkmsd responder{XkmsdOptions{}};
+  EXPECT_TRUE(responder.Handle("not xml").status().IsParseError());
+  EXPECT_TRUE(responder.Handle("<xkms:FooRequest xmlns:xkms=\"x\"/>")
                   .status()
                   .IsUnsupported());
-  EXPECT_TRUE(service.HandleRequest("<xkms:LocateRequest xmlns:xkms=\"x\"/>")
+  EXPECT_TRUE(responder.Handle("<xkms:LocateRequest xmlns:xkms=\"x\"/>")
                   .status()
                   .IsParseError());
 }
@@ -175,9 +108,10 @@ TEST_F(XkmsFixture, TransportFailureIsRetryableWithTransportContext) {
   fault::FaultSpec spec;
   spec.point = std::string(fault::kXkmsTransport);
   injector.Arm(spec);
-  XkmsService service;
-  EXPECT_TRUE(service.Register(MakeBinding("k1", key_a_->public_key)).ok());
-  XkmsClient client(XkmsClient::DirectTransport(&service, nullptr, &injector));
+  Xkmsd responder{XkmsdOptions{}};
+  EXPECT_TRUE(
+      responder.SeedBinding(MakeBinding("k1", key_a_->public_key)).ok());
+  XkmsClient client(MakeServerTransport(&responder, 0, nullptr, &injector));
 
   Status s = client.Locate("k1").status();
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
@@ -189,15 +123,32 @@ TEST_F(XkmsFixture, TransportFailureIsRetryableWithTransportContext) {
 TEST_F(XkmsFixture, ServiceFailureIsTerminalWithServiceContext) {
   // The service handling the request and *rejecting* it is a terminal
   // outcome — retrying an unparseable request cannot help.
-  XkmsService service;
-  XkmsClient probe([&service](const std::string&, AsyncCallback done) {
-    XkmsClient::DirectTransport(&service)("definitely not xml",
-                                          std::move(done));
+  Xkmsd responder{XkmsdOptions{}};
+  XkmsClient probe([&responder](const std::string&, AsyncCallback done) {
+    MakeServerTransport(&responder)("definitely not xml", std::move(done));
   });
   Status s = probe.Locate("k1").status();
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(s.IsRetryable());
   EXPECT_NE(s.ToString().find("XKMS service"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(XkmsFixture, ResponderShedKeepsCodeAndHintUnderServiceContext) {
+  // A shed is the responder answering: its kUnavailable and retry-after
+  // hint cross the transport unchanged, labelled "XKMS service" like any
+  // other responder failure.
+  XkmsdOptions options;
+  options.queue_limits[0] = options.queue_limits[1] = options.queue_limits[2] =
+      0;
+  options.retry_after_base_us = 3000;
+  Xkmsd responder(options);
+  XkmsClient client(MakeServerTransport(&responder));
+
+  Status s = client.Locate("k1").status();
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_EQ(s.retry_after_us(), 3000);
+  EXPECT_EQ(s.message().rfind("XKMS service: xkmsd admission: ", 0), 0u)
       << s.ToString();
 }
 
@@ -222,9 +173,10 @@ TEST_F(XkmsFixture, CorruptedResponseBytesSurfaceAsResponseError) {
   spec.kind = fault::Kind::kTruncate;
   spec.detail_filter = "response";  // damage only the response leg
   injector.Arm(spec);
-  XkmsService service;
-  EXPECT_TRUE(service.Register(MakeBinding("k1", key_a_->public_key)).ok());
-  XkmsClient client(XkmsClient::DirectTransport(&service, nullptr, &injector));
+  Xkmsd responder{XkmsdOptions{}};
+  EXPECT_TRUE(
+      responder.SeedBinding(MakeBinding("k1", key_a_->public_key)).ok());
+  XkmsClient client(MakeServerTransport(&responder, 0, nullptr, &injector));
 
   Status s = client.Locate("k1").status();
   EXPECT_FALSE(s.ok());
@@ -255,17 +207,17 @@ TEST_F(XkmsFixture, RetryingTransportRecoversWhenFirstTwoAttemptsFail) {
   spec.point = std::string(fault::kXkmsTransport);
   spec.max_fires = 2;  // transport fails the first 2 of 3 attempts
   injector.Arm(spec);
-  XkmsService service;
-  EXPECT_TRUE(service.Register(MakeBinding("k1", key_a_->public_key)).ok());
+  Xkmsd responder{XkmsdOptions{}};
+  EXPECT_TRUE(
+      responder.SeedBinding(MakeBinding("k1", key_a_->public_key)).ok());
 
   FakeTransportTime time;
   RetryingTransportOptions options = time.Options();
   options.retry.max_attempts = 3;
   std::shared_ptr<const RetryingTransportStats> stats;
-  XkmsClient client(
-      MakeRetryingTransport(XkmsClient::DirectTransport(&service, nullptr,
-                                                        &injector),
-                            options, nullptr, &stats));
+  XkmsClient client(MakeRetryingTransport(
+      MakeServerTransport(&responder, 0, nullptr, &injector), options,
+      nullptr, &stats));
 
   auto binding = client.Locate("k1");
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();
@@ -279,7 +231,6 @@ TEST_F(XkmsFixture, RetryingTransportRecoversWhenFirstTwoAttemptsFail) {
 }
 
 TEST_F(XkmsFixture, RetryingTransportHonorsOverallDeadline) {
-  XkmsService service;
   FakeTransportTime time;
   RetryingTransportOptions options = time.Options();
   options.retry.max_attempts = 100;
@@ -342,8 +293,6 @@ TEST_F(XkmsFixture, CircuitBreakerFailsFastAfterConsecutiveFailedCalls) {
   // After the cool-down the probe goes through; a success closes the
   // circuit and normal service resumes.
   time.now_us += 1000000;
-  XkmsService service;
-  EXPECT_TRUE(service.Register(MakeBinding("k1", key_a_->public_key)).ok());
   // (The inner transport still fails; verify the probe was attempted.)
   EXPECT_TRUE(client.Locate("k1").status().IsUnavailable());
   EXPECT_EQ(sends, 3);

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -76,16 +77,27 @@ class PoolGate {
 
 // ----------------------------------------------------- sharded key store
 
-TEST_F(XkmsdFixture, ShardedStoreMatchesToySemantics) {
+TEST_F(XkmsdFixture, ShardedStoreRegisterRevokeLocateValidate) {
   ShardedKeyStore store(8);
+  KeyBinding nameless;
+  nameless.key = key_a_->public_key;
+  EXPECT_TRUE(store.Register(nameless).IsInvalidArgument());
+  KeyBinding keyless;
+  keyless.name = "x";
+  EXPECT_TRUE(store.Register(keyless).IsInvalidArgument());
+  EXPECT_EQ(store.BindingCount(), 0u);
+
   ASSERT_TRUE(store.Register(MakeBinding("studio-1", key_a_->public_key)).ok());
   auto found = store.Locate("studio-1");
   ASSERT_TRUE(found.ok());
+  EXPECT_TRUE(found->key == key_a_->public_key);
   EXPECT_EQ(found->status, KeyStatus::kValid);
+  EXPECT_EQ(found->key_usage, std::vector<std::string>{"Signature"});
   EXPECT_TRUE(store.Locate("ghost").status().IsNotFound());
 
   EXPECT_EQ(store.Validate("studio-1", key_a_->public_key),
             KeyStatus::kValid);
+  // Same name but different key: Invalid (an impersonation attempt).
   EXPECT_EQ(store.Validate("studio-1", key_b_->public_key),
             KeyStatus::kInvalid);
   EXPECT_EQ(store.Validate("ghost", key_a_->public_key),
@@ -94,7 +106,17 @@ TEST_F(XkmsdFixture, ShardedStoreMatchesToySemantics) {
   ASSERT_TRUE(store.Revoke("studio-1").ok());
   EXPECT_EQ(store.Validate("studio-1", key_a_->public_key),
             KeyStatus::kInvalid);
+  // Locate still finds the (revoked) binding, per XKMS semantics.
+  found = store.Locate("studio-1");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found->status, KeyStatus::kInvalid);
   EXPECT_TRUE(store.Revoke("ghost").IsNotFound());
+  EXPECT_EQ(store.BindingCount(), 1u);
+
+  // Re-registration (key update) restores validity.
+  ASSERT_TRUE(store.Register(MakeBinding("studio-1", key_b_->public_key)).ok());
+  EXPECT_EQ(store.Validate("studio-1", key_b_->public_key),
+            KeyStatus::kValid);
   EXPECT_EQ(store.BindingCount(), 1u);
 }
 
@@ -165,28 +187,48 @@ TEST_F(XkmsdFixture, ServesFullLifecycleThroughClient) {
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
-TEST_F(XkmsdFixture, EmitsByteIdenticalMarkupToToyService) {
+TEST_F(XkmsdFixture, EmitsPinnedResponseMarkup) {
+  // The six responses of a register/locate/validate/revoke lifecycle, byte
+  // for byte: the wire contract XkmsClient parses.
   fault::FaultInjector injector(1);
-  XkmsService toy;
   XkmsdOptions options;
   options.fault = &injector;
-  Xkmsd fleet(options);
+  Xkmsd server(options);
 
+  const std::string ns = "xmlns:xkms=\"http://www.w3.org/2002/03/xkms#\"";
+  const std::string key_value =
+      "<xkms:RSAKeyValue><xkms:Modulus>o/IcwvDOfhqjNUsnHnkBnrZd1BbcoSCBwAih"
+      "513GPdAp1P14hWMxWGgYkeGYm5rFIiZHdw0QsvVcp9r7D4GXRw==</xkms:Modulus>"
+      "<xkms:Exponent>AQAB</xkms:Exponent></xkms:RSAKeyValue>";
   KeyBinding binding = MakeBinding("studio-1", key_a_->public_key);
-  std::vector<std::string> requests = {
-      BuildRegisterRequest(binding),
-      BuildLocateRequest("studio-1"),
-      BuildValidateRequest("studio-1", key_a_->public_key),
-      BuildRevokeRequest("studio-1"),
-      BuildLocateRequest("ghost"),
-      BuildRevokeRequest("ghost"),
+  const std::vector<std::pair<std::string, std::string>> exchanges = {
+      {BuildRegisterRequest(binding),
+       "<xkms:RegisterResult " + ns + " ResultMajor=\"Success\"/>"},
+      {BuildLocateRequest("studio-1"),
+       "<xkms:LocateResult " + ns +
+           " ResultMajor=\"Success\"><xkms:KeyBinding><xkms:KeyName>"
+           "studio-1</xkms:KeyName>" +
+           key_value +
+           "<xkms:KeyUsage>Signature</xkms:KeyUsage><xkms:Status>Valid"
+           "</xkms:Status></xkms:KeyBinding></xkms:LocateResult>"},
+      {BuildValidateRequest("studio-1", key_a_->public_key),
+       "<xkms:ValidateResult " + ns +
+           " ResultMajor=\"Success\"><xkms:Status>Valid</xkms:Status>"
+           "</xkms:ValidateResult>"},
+      {BuildRevokeRequest("studio-1"),
+       "<xkms:RevokeResult " + ns + " ResultMajor=\"Success\"/>"},
+      {BuildLocateRequest("ghost"),
+       "<xkms:LocateResult " + ns +
+           " ResultMajor=\"Success\" ResultMinor=\"NoMatch\"/>"},
+      {BuildRevokeRequest("ghost"),
+       "<xkms:RevokeResult " + ns +
+           " ResultMajor=\"Receiver\"><xkms:Reason>NotFound: no binding "
+           "named 'ghost'</xkms:Reason></xkms:RevokeResult>"},
   };
-  for (const std::string& request : requests) {
-    auto toy_response = toy.HandleRequest(request);
-    auto fleet_response = fleet.Handle(request);
-    ASSERT_TRUE(toy_response.ok());
-    ASSERT_TRUE(fleet_response.ok());
-    EXPECT_EQ(toy_response.value(), fleet_response.value()) << request;
+  for (const auto& [request, expected] : exchanges) {
+    auto response = server.Handle(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value(), expected) << request;
   }
 }
 
@@ -741,8 +783,6 @@ TEST_F(XkmsdFixture, ContentServerRoutesXkmsThroughAttachedXkmsd) {
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->status, KeyStatus::kValid);
   EXPECT_EQ(xkmsd.stats().served, 1u);
-  // The toy service co-hosted on the server was bypassed entirely.
-  EXPECT_EQ(content_server.xkms()->BindingCount(), 0u);
 }
 
 TEST_F(XkmsdFixture, ShedRetryAfterSurvivesContentServerDispatch) {

@@ -3,7 +3,6 @@
 #include "xml/c14n.h"
 #include "xml/dom.h"
 #include "xml/parser.h"
-#include "xml/select.h"
 #include "xml/serializer.h"
 
 namespace discsec {
@@ -695,47 +694,6 @@ TEST(C14NTest, SubtreeOfStandaloneElementNeedsNoContext) {
   Element e("solo");
   e.SetAttribute("k", "v");
   EXPECT_EQ(CanonicalizeElement(e), "<solo k=\"v\"></solo>");
-}
-
-// ---------------------------------------------------------------- select
-
-TEST(SelectTest, RootAnchoredPath) {
-  auto doc = Parse("<cluster><track><manifest/></track><track/></cluster>");
-  ASSERT_TRUE(doc.ok());
-  auto tracks = SelectAll(doc->root(), "/cluster/track");
-  EXPECT_EQ(tracks.size(), 2u);
-  Element* m = SelectFirst(doc->root(), "/cluster/track/manifest");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->name(), "manifest");
-}
-
-TEST(SelectTest, RelativePath) {
-  auto doc = Parse("<a><b><c/></b></a>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_NE(SelectFirst(doc->root(), "b/c"), nullptr);
-  EXPECT_EQ(SelectFirst(doc->root(), "c"), nullptr);
-}
-
-TEST(SelectTest, DescendantSearch) {
-  auto doc = Parse("<a><b><script/></b><script/></a>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(SelectAll(doc->root(), "//script").size(), 2u);
-}
-
-TEST(SelectTest, WildcardAndPrefixMatching) {
-  auto doc = Parse("<a xmlns:x=\"u\"><x:b/><b/></a>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(SelectAll(doc->root(), "/a/*").size(), 2u);
-  // Unprefixed step matches local names regardless of prefix.
-  EXPECT_EQ(SelectAll(doc->root(), "/a/b").size(), 2u);
-  // Prefixed step matches the exact qualified name.
-  EXPECT_EQ(SelectAll(doc->root(), "/a/x:b").size(), 1u);
-}
-
-TEST(SelectTest, EmptyAndNullInputs) {
-  EXPECT_TRUE(SelectAll(nullptr, "/a").empty());
-  Element e("a");
-  EXPECT_TRUE(SelectAll(&e, "").empty());
 }
 
 }  // namespace

@@ -39,7 +39,7 @@
 //   --trace-text FILE   the same spans as an indented plain-text tree
 //   --metrics FILE      write the final metrics snapshot as JSON
 // `play-demo` masters a protected demo disc (signed + encrypted manifest +
-// AV-essence references), stands up an in-process XKMS service behind a
+// AV-essence references), stands up an in-process xkmsd responder behind a
 // retrying transport, and plays the disc --repeat times (default 2, so the
 // second pass shows locate cache hits) — the quickest way to get a real
 // trace of the whole pipeline.
@@ -540,7 +540,7 @@ int CmdC14n(const Args& args) {
 struct PlayRig {
   testing_world::World world;
   Result<disc::DiscImage> image = Status::Unavailable("not mastered");
-  xkms::XkmsService service;
+  xkms::Xkmsd xkmsd{xkms::XkmsdOptions{}};
   std::unique_ptr<TimerWheel> wheel;  // only with --async
   std::shared_ptr<const xkms::RetryingTransportStats> transport_stats;
   std::unique_ptr<xkms::XkmsClient> client;
@@ -566,11 +566,11 @@ struct PlayRig {
     std::string fingerprint =
         pki::KeyFingerprint(world.studio_key.public_key);
     DISCSEC_RETURN_IF_ERROR(
-        service.Register({fingerprint, world.studio_key.public_key,
-                          {"Signature"}, xkms::KeyStatus::kValid}));
+        xkmsd.SeedBinding({fingerprint, world.studio_key.public_key,
+                           {"Signature"}, xkms::KeyStatus::kValid}));
     if (async) wheel = std::make_unique<TimerWheel>();
     client = std::make_unique<xkms::XkmsClient>(xkms::MakeRetryingTransport(
-        xkms::XkmsClient::DirectTransport(&service, wheel.get()),
+        xkms::MakeServerTransport(&xkmsd, 0, wheel.get()),
         xkms::RetryingTransportOptions{}, wheel.get(), &transport_stats));
     locate_cache = std::make_unique<xkms::LocateCache>(client.get());
     if (jobs > 0) pool = std::make_unique<ThreadPool>(jobs);
