@@ -357,7 +357,7 @@ void BM_LocateCacheHitRate(benchmark::State& state) {
     xkms::LocateCacheStats stats = cache.stats();
     hit_rate = static_cast<double>(stats.hits) /
                static_cast<double>(stats.hits + stats.misses);
-    transport_calls = stats.transport_calls;
+    transport_calls = stats.misses;  // one transport call per miss
   }
 
   state.SetItemsProcessed(state.iterations() *

@@ -1,27 +1,11 @@
 #include "crypto/digest.h"
 
-#include <atomic>
-
 #include "crypto/algorithms.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
 
 namespace discsec {
 namespace crypto {
-
-namespace {
-std::atomic<uint64_t> g_digest_bytes{0};
-}  // namespace
-
-namespace internal {
-void NoteDigestBytes(size_t len) {
-  g_digest_bytes.fetch_add(len, std::memory_order_relaxed);
-}
-}  // namespace internal
-
-uint64_t DigestBytesStreamed() {
-  return g_digest_bytes.load(std::memory_order_relaxed);
-}
 
 Result<std::unique_ptr<Digest>> MakeDigest(const std::string& algorithm_uri) {
   if (algorithm_uri == kAlgSha1) {

@@ -51,33 +51,18 @@ class Digest {
   }
 };
 
-namespace internal {
-/// Bumps the process-wide DigestBytesStreamed() counter (one relaxed atomic
-/// add per DigestSink, when it is destroyed).
-void NoteDigestBytes(size_t len);
-}  // namespace internal
-
-/// Instrumentation: process-wide total of bytes streamed through DigestSink.
-/// The observability layer reads this into the "digest.bytes_streamed"
-/// metric; benches take deltas to confirm hot paths stream rather than
-/// buffer. Atomic and monotonic.
-uint64_t DigestBytesStreamed();
-
 /// ByteSink that feeds a running digest: serialization layers stream into
 /// it, so canonicalize-then-digest never materializes the canonical form.
 class DigestSink final : public ByteSink {
  public:
   explicit DigestSink(Digest* digest) : digest_(digest) {}
-  ~DigestSink() override { internal::NoteDigestBytes(bytes_); }
   using ByteSink::Append;
   void Append(const uint8_t* data, size_t len) override {
-    bytes_ += len;
     digest_->Update(data, len);
   }
 
  private:
   Digest* digest_;
-  size_t bytes_ = 0;
 };
 
 /// Factory keyed by W3C algorithm URI (see crypto/algorithms.h). Returns

@@ -21,17 +21,8 @@ class Counter {
   void Add(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  /// Sets to `value` if it exceeds the current reading. Used when absorbing
-  /// component stats that are themselves cumulative (idempotent re-absorbs).
-  void MaxTo(uint64_t value) {
-    uint64_t cur = value_.load(std::memory_order_relaxed);
-    while (cur < value &&
-           !value_.compare_exchange_weak(cur, value,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  /// Overwrites the reading. For gauge-like values (cache entry counts,
-  /// breaker state) that can move both ways.
+  /// Overwrites the reading. For gauge-like values (queue depth, breaker
+  /// state) that can move both ways.
   void Set(uint64_t value) { value_.store(value, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 

@@ -5,8 +5,6 @@
 
 #include "access/permission_request.h"
 #include "common/task_graph.h"
-#include "crypto/digest.h"
-#include "obs/bridge.h"
 #include "pki/key_codec.h"
 #include "player/host_api.h"
 #include "player/session.h"
@@ -86,17 +84,6 @@ InteractiveApplicationEngine::InteractiveApplicationEngine(PlayerConfig config)
 obs::Histogram* InteractiveApplicationEngine::Hist(const char* name) const {
   return config_.metrics != nullptr ? config_.metrics->GetHistogram(name)
                                     : nullptr;
-}
-
-void InteractiveApplicationEngine::AbsorbComponentMetrics() {
-  if (config_.metrics == nullptr) return;
-  if (config_.xkms_cache != nullptr) {
-    obs::AbsorbLocateCacheStats(config_.xkms_cache->stats(), config_.metrics);
-  }
-  obs::AbsorbFaultInjectorStats(*fault::Effective(config_.fault),
-                                config_.metrics);
-  config_.metrics->GetCounter("digest.bytes_streamed")
-      ->MaxTo(crypto::DigestBytesStreamed());
 }
 
 Status InteractiveApplicationEngine::VerifyPhase(

@@ -120,8 +120,10 @@ struct PlayerConfig {
   /// per-phase spans, and propagates the tracer into parsing, signature
   /// verification, decryption, PEP checks and XKMS calls. When `metrics` is
   /// set, phase-latency histograms ("player.<phase>_us") and pipeline
-  /// counters are recorded, and SnapshotMetrics() absorbs the configured
-  /// caches' stats. Both null (the default) adds nothing to the hot path.
+  /// counters are recorded, and the XKMS client counts "xkms.<op>" there;
+  /// the locate cache counts into the registry it was built with
+  /// (LocateCache::Options::metrics). Both null (the default) adds nothing
+  /// to the hot path.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -260,12 +262,6 @@ class InteractiveApplicationEngine {
   Result<std::unique_ptr<ApplicationSession>> BeginSession(
       const std::string& cluster_xml, Origin origin,
       xmldsig::ExternalResolver resolver = nullptr);
-
-  /// Folds the cumulative stats of the configured components (XKMS locate
-  /// cache, retrying-transport stats when registered via PlayerConfig,
-  /// fault injector) into PlayerConfig::metrics. Idempotent;
-  /// no-op when metrics is null. Call right before Snapshot()/ToJson().
-  void AbsorbComponentMetrics();
 
  private:
   /// One launch of a parsed cluster as task graph stages (defined in

@@ -40,7 +40,6 @@ xkms::LocateCacheStats Delta(const xkms::LocateCacheStats& now,
   d.misses = now.misses - base.misses;
   d.expirations = now.expirations - base.expirations;
   d.coalesced = now.coalesced - base.coalesced;
-  d.transport_calls = now.transport_calls - base.transport_calls;
   return d;
 }
 
@@ -305,7 +304,10 @@ Status ScenarioRun::Setup() {
 
   client_ =
       std::make_unique<xkms::XkmsClient>(xkms::MakeServerTransport(xkmsd_.get()));
-  locate_cache_ = std::make_unique<xkms::LocateCache>(client_.get());
+  xkms::LocateCache::Options cache_options;
+  cache_options.metrics = &metrics_;
+  locate_cache_ =
+      std::make_unique<xkms::LocateCache>(client_.get(), cache_options);
 
   if (spec_.jobs > 0) engine_pool_ = std::make_unique<ThreadPool>(spec_.jobs);
 
@@ -644,7 +646,6 @@ Result<ScenarioResult> ScenarioRun::Execute() {
   result_.responder = Delta(xkmsd_->stats(), responder_base);
   result_.event_digest = ToHex(trace_.Finalize());
 
-  primary_->AbsorbComponentMetrics();
   result_.metrics = metrics_.Snapshot();
   return std::move(result_);
 }

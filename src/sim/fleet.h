@@ -120,7 +120,8 @@ struct ScenarioResult {
   std::string event_digest;
 
   /// Machine-dependent: per-phase histograms ("player.verify_us", ...,
-  /// "sim.event_us") and absorbed component counters.
+  /// "sim.event_us") and the counters the engine, responder and locate
+  /// cache wrote into the scenario's registry, warm-up included.
   obs::MetricsSnapshot metrics;
   double wall_seconds = 0.0;
 };

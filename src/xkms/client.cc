@@ -1,7 +1,6 @@
 #include "xkms/client.h"
 
 #include "common/wait.h"
-#include "pki/key_codec.h"
 #include "xml/parser.h"
 
 namespace discsec {
@@ -31,31 +30,8 @@ Result<KeyBinding> ParseLocateResponse(const std::string& name,
     return Status::ParseError("LocateResult missing KeyBinding")
         .WithContext("XKMS response");
   }
-  KeyBinding binding;
-  const xml::Element* key_name = kb->FirstChildElementByLocalName("KeyName");
-  const xml::Element* key = kb->FirstChildElementByLocalName("RSAKeyValue");
-  if (key_name == nullptr || key == nullptr) {
-    return Status::ParseError("KeyBinding missing fields")
-        .WithContext("XKMS response");
-  }
-  binding.name = key_name->TextContent();
-  Result<crypto::RsaPublicKey> parsed_key = pki::RsaKeyFromXml(*key);
-  if (!parsed_key.ok()) {
-    return parsed_key.status().WithContext("XKMS response");
-  }
-  binding.key = std::move(parsed_key).value();
-  for (const auto& child : kb->children()) {
-    if (!child->IsElement()) continue;
-    const auto* e = static_cast<const xml::Element*>(child.get());
-    if (e->LocalName() == "KeyUsage") {
-      binding.key_usage.push_back(e->TextContent());
-    } else if (e->LocalName() == "Status") {
-      std::string s = e->TextContent();
-      binding.status = s == "Valid"     ? KeyStatus::kValid
-                       : s == "Invalid" ? KeyStatus::kInvalid
-                                        : KeyStatus::kIndeterminate;
-    }
-  }
+  Result<KeyBinding> binding = ParseKeyBinding(*kb);
+  if (!binding.ok()) return binding.status().WithContext("XKMS response");
   return binding;
 }
 
@@ -71,10 +47,9 @@ Result<KeyStatus> ParseValidateResponse(const std::string& response_xml,
         .WithContext("XKMS response");
   }
   std::string s = status->TextContent();
-  if (raw_status != nullptr) *raw_status = s;
-  if (s == "Valid") return KeyStatus::kValid;
-  if (s == "Invalid") return KeyStatus::kInvalid;
-  return KeyStatus::kIndeterminate;
+  KeyStatus parsed = KeyStatusFromName(s);
+  if (raw_status != nullptr) *raw_status = std::move(s);
+  return parsed;
 }
 
 }  // namespace

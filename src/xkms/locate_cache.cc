@@ -22,7 +22,14 @@ LocateCache::LocateCache(XkmsClient* client, Options options)
     : client_(client),
       options_(std::move(options)),
       clock_(options_.clock ? options_.clock
-                            : std::function<int64_t()>(SteadyNowUs)) {}
+                            : std::function<int64_t()>(SteadyNowUs)) {
+  obs::MetricsRegistry* metrics =
+      options_.metrics != nullptr ? options_.metrics : &own_metrics_;
+  hits_ = metrics->GetCounter("locate_cache.hits");
+  misses_ = metrics->GetCounter("locate_cache.misses");
+  expirations_ = metrics->GetCounter("locate_cache.expirations");
+  coalesced_ = metrics->GetCounter("locate_cache.coalesced");
+}
 
 void LocateCache::LocateAsync(const std::string& name,
                               std::function<void(Result<KeyBinding>)> done) {
@@ -33,7 +40,7 @@ void LocateCache::LocateAsync(const std::string& name,
     auto it = entries_.find(name);
     if (it != entries_.end()) {
       if (clock_() < it->second.expires_us) {
-        ++stats_.hits;
+        hits_->Add();
         span.SetAttr("outcome", "hit");
         KeyBinding binding = it->second.binding;
         lock.unlock();
@@ -41,17 +48,16 @@ void LocateCache::LocateAsync(const std::string& name,
         return;
       }
       entries_.erase(it);
-      ++stats_.expirations;
+      expirations_->Add();
     }
     auto [flight, leader] = flights_.try_emplace(name);
     flight->second.push_back(std::move(done));
     if (!leader) {
-      ++stats_.coalesced;
+      coalesced_->Add();
       span.SetAttr("outcome", "coalesced");
       return;
     }
-    ++stats_.misses;
-    ++stats_.transport_calls;
+    misses_->Add();
     span.SetAttr("outcome", "miss");
   }
   // Leader: the transport call happens outside every cache lock, so slow
@@ -106,7 +112,12 @@ void LocateCache::Clear() {
 
 LocateCacheStats LocateCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  LocateCacheStats out;
+  out.hits = hits_->value();
+  out.misses = misses_->value();
+  out.expirations = expirations_->value();
+  out.coalesced = coalesced_->value();
+  return out;
 }
 
 size_t LocateCache::size() const {

@@ -9,20 +9,21 @@
 #include <vector>
 
 #include "common/result.h"
+#include "obs/metrics.h"
 #include "xkms/client.h"
 
 namespace discsec {
 namespace xkms {
 
-/// Counter snapshot; taken under the cache lock, so values are consistent
-/// with each other.
+/// Read-only view of the cache's counters (LocateCache::stats()); read
+/// under the cache lock, so values are consistent with each other.
 struct LocateCacheStats {
-  uint64_t hits = 0;          ///< served from a fresh cached binding
-  uint64_t misses = 0;        ///< no usable entry; a transport call resulted
-  uint64_t expirations = 0;   ///< entries discarded because their TTL lapsed
-  uint64_t coalesced = 0;     ///< callers that joined another's in-flight
-                              ///< Locate instead of issuing their own
-  uint64_t transport_calls = 0;  ///< actual XkmsClient::LocateAsync calls
+  uint64_t hits = 0;         ///< served from a fresh cached binding
+  uint64_t misses = 0;       ///< no usable entry: this caller led a flight,
+                             ///< one XkmsClient::LocateAsync call
+  uint64_t expirations = 0;  ///< entries discarded because their TTL lapsed
+  uint64_t coalesced = 0;    ///< callers that joined another's in-flight
+                             ///< Locate instead of issuing their own
 };
 
 /// A TTL cache with single-flight deduplication over XkmsClient::LocateAsync.
@@ -44,6 +45,11 @@ class LocateCache {
     std::function<int64_t()> clock;
     /// Entry budget; the oldest-expiring entry is dropped past it.
     size_t max_entries = 1024;
+    /// Where the cache counts: "locate_cache.hits", ".misses",
+    /// ".expirations" and ".coalesced", resolved once at construction.
+    /// Null = counted into a registry the cache owns. Must outlive the
+    /// cache.
+    obs::MetricsRegistry* metrics = nullptr;
   };
 
   /// `client` must outlive the cache, and the cache every in-flight lookup.
@@ -69,14 +75,14 @@ class LocateCache {
   void Invalidate(const std::string& name);
   void Clear();
 
+  /// Reads the counters back from the registry they live in.
   LocateCacheStats stats() const;
   size_t size() const;
 
   /// Observability (DESIGN.md §10): "xkms.locate_cache" spans with an
   /// "outcome" attribute (hit / miss / coalesced), covering the cache
-  /// decision and, for a leader, issuing the lookup. Null = no-op. The
-  /// cache's own counters stay authoritative; obs::AbsorbLocateCacheStats
-  /// folds them into a MetricsRegistry.
+  /// decision and, for a leader, issuing the lookup. Null = no-op. Counts
+  /// go to Options::metrics.
   void set_observability(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
@@ -93,13 +99,19 @@ class LocateCache {
   XkmsClient* client_;
   Options options_;
   std::function<int64_t()> clock_;
+  obs::MetricsRegistry own_metrics_;  ///< holds the counts when
+                                      ///< options_.metrics is null
+  /// Incremented under mu_, so stats() reads a consistent set.
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* expirations_;
+  obs::Counter* coalesced_;
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
   /// One in-flight lookup per name, holding the callbacks of every caller
   /// attached to it (the leader's first).
   std::map<std::string, std::vector<Waiter>> flights_;
-  LocateCacheStats stats_;
   obs::Tracer* tracer_ = nullptr;
 };
 

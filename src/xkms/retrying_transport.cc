@@ -1,5 +1,6 @@
 #include "xkms/retrying_transport.h"
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <optional>
@@ -19,12 +20,31 @@ int64_t SteadyNowUs() {
 /// Shared by every copy of the returned std::function.
 struct TransportState {
   TransportState(Transport t, const RetryingTransportOptions& o,
-                 TimerWheel* w)
+                 TimerWheel* w, obs::MetricsRegistry* metrics)
       : inner(std::move(t)),
         options(o),
         wheel(w),
         breaker(o.breaker),
-        clock(o.clock ? o.clock : RetryClock(SteadyNowUs)) {}
+        clock(o.clock ? o.clock : RetryClock(SteadyNowUs)) {
+    if (metrics == nullptr) return;
+    calls = metrics->GetCounter("xkms_transport.calls");
+    attempts = metrics->GetCounter("xkms_transport.attempts");
+    retries = metrics->GetCounter("xkms_transport.retries");
+    breaker_rejections =
+        metrics->GetCounter("xkms_transport.breaker_rejections");
+    breaker_state = metrics->GetCounter("xkms_transport.breaker_state");
+  }
+
+  static void Add(obs::Counter* counter, uint64_t n = 1) {
+    if (counter != nullptr) counter->Add(n);
+  }
+
+  /// Publishes the breaker's state to the gauge; called under breaker_mu.
+  void PublishBreakerState(CircuitBreaker::State state) {
+    if (breaker_state != nullptr) {
+      breaker_state->Set(static_cast<uint64_t>(state));
+    }
+  }
 
   Transport inner;
   RetryingTransportOptions options;
@@ -32,7 +52,14 @@ struct TransportState {
   std::mutex breaker_mu;  ///< guards breaker (not thread-safe itself)
   CircuitBreaker breaker;
   RetryClock clock;
-  RetryingTransportStats stats;
+  /// Index of the next call, mixed into its jitter seed.
+  std::atomic<uint64_t> next_call{0};
+  /// Handles into the caller's registry; all null when it gave none.
+  obs::Counter* calls = nullptr;
+  obs::Counter* attempts = nullptr;
+  obs::Counter* retries = nullptr;
+  obs::Counter* breaker_rejections = nullptr;
+  obs::Counter* breaker_state = nullptr;  ///< gauge
 };
 
 /// Per-call scratch shared between the retrying attempts and the final
@@ -44,26 +71,23 @@ struct AsyncCallScratch {
 
 }  // namespace
 
-Transport MakeRetryingTransport(
-    Transport inner, RetryingTransportOptions options, TimerWheel* wheel,
-    std::shared_ptr<const RetryingTransportStats>* stats) {
-  auto state =
-      std::make_shared<TransportState>(std::move(inner), options, wheel);
-  if (stats != nullptr) {
-    // Aliasing share: the counters live exactly as long as the transport.
-    *stats = std::shared_ptr<const RetryingTransportStats>(state,
-                                                           &state->stats);
-  }
+Transport MakeRetryingTransport(Transport inner,
+                                RetryingTransportOptions options,
+                                TimerWheel* wheel,
+                                obs::MetricsRegistry* metrics) {
+  auto state = std::make_shared<TransportState>(std::move(inner), options,
+                                                wheel, metrics);
   return [state](const std::string& request, AsyncCallback done) {
-    const uint64_t call_index = state->stats.calls.fetch_add(1) + 1;
+    const uint64_t call_index = state->next_call.fetch_add(1) + 1;
+    TransportState::Add(state->calls);
     std::optional<Status> rejected;
     {
       std::lock_guard<std::mutex> lock(state->breaker_mu);
       if (!state->breaker.Allow(state->clock())) {
-        ++state->stats.breaker_rejections;
+        TransportState::Add(state->breaker_rejections);
         CircuitBreaker::State breaker_state =
             state->breaker.state(state->clock());
-        state->stats.breaker_state = breaker_state;
+        state->PublishBreakerState(breaker_state);
         rejected = Status::Unavailable(
                        std::string("circuit breaker is ") +
                        CircuitStateName(breaker_state) + " after " +
@@ -101,9 +125,9 @@ Transport MakeRetryingTransport(
         [state, scratch, done = std::move(done)](Status verdict) {
           const uint64_t attempts_this_call =
               scratch->attempts.load(std::memory_order_relaxed);
-          state->stats.attempts += attempts_this_call;
+          TransportState::Add(state->attempts, attempts_this_call);
           if (attempts_this_call > 0) {
-            state->stats.retries += attempts_this_call - 1;
+            TransportState::Add(state->retries, attempts_this_call - 1);
           }
           // One *call* is one breaker verdict, however many attempts it
           // took: a call that only succeeded on retry is still a success.
@@ -114,7 +138,7 @@ Transport MakeRetryingTransport(
             } else {
               state->breaker.RecordFailure(state->clock());
             }
-            state->stats.breaker_state = state->breaker.state(state->clock());
+            state->PublishBreakerState(state->breaker.state(state->clock()));
           }
           if (verdict.ok()) {
             done(std::move(scratch->response));

@@ -1,10 +1,8 @@
 #ifndef DISCSEC_XKMS_RETRYING_TRANSPORT_H_
 #define DISCSEC_XKMS_RETRYING_TRANSPORT_H_
 
-#include <atomic>
-#include <memory>
-
 #include "common/retry.h"
+#include "obs/metrics.h"
 #include "xkms/client.h"
 
 namespace discsec {
@@ -23,21 +21,6 @@ struct RetryingTransportOptions {
   uint64_t jitter_seed = 0;
 };
 
-/// Counters describing what the wrapper has done, for tests and telemetry.
-/// Every field is atomic, so N concurrent players sharing one transport
-/// read and bump them race-free; cross-field consistency is still only
-/// guaranteed when read between calls.
-struct RetryingTransportStats {
-  std::atomic<uint64_t> calls{0};     ///< transport invocations by the client
-  std::atomic<uint64_t> attempts{0};  ///< underlying sends, incl. retries
-  std::atomic<uint64_t> retries{0};   ///< attempts beyond the first, per call
-  std::atomic<uint64_t> breaker_rejections{0};  ///< calls refused while the
-                                                ///< circuit was open (no send
-                                                ///< happened)
-  std::atomic<CircuitBreaker::State> breaker_state{
-      CircuitBreaker::State::kClosed};
-};
-
 /// Wraps an xkms::Transport with a RetryPolicy and a circuit breaker:
 /// retryable (kUnavailable) failures are retried under the policy by
 /// RetryAsync, and a run of consecutive failed *calls* opens the circuit so
@@ -53,16 +36,20 @@ struct RetryingTransportStats {
 /// counters are atomic, and each call runs its own retry loop (jitter
 /// streams are decorrelated per call), so concurrent players may share one
 /// transport. The inner transport is invoked concurrently and must be
-/// thread-safe itself (MakeServerTransport over an Xkmsd is).
+/// thread-safe itself (MakeServerTransport over an Xkmsd is). The returned
+/// closure's state is shared by every copy (std::function copies).
 ///
-/// The returned closure and `stats` share state owned by a shared_ptr, so
-/// the Transport may be copied freely (std::function copies); `stats`, if
-/// non-null, receives the shared counters and stays valid as long as any
-/// copy of the transport lives.
-Transport MakeRetryingTransport(
-    Transport inner, RetryingTransportOptions options,
-    TimerWheel* wheel = nullptr,
-    std::shared_ptr<const RetryingTransportStats>* stats = nullptr);
+/// Counts into `metrics` (null = counts nothing), resolved once here:
+/// "xkms_transport.calls" (transport invocations by the client),
+/// ".attempts" (underlying sends, retries included), ".retries" (attempts
+/// beyond the first, per call), ".breaker_rejections" (calls refused while
+/// the circuit was open; no send happened) and the ".breaker_state" gauge
+/// (a CircuitBreaker::State). `metrics` must outlive every copy of the
+/// transport.
+Transport MakeRetryingTransport(Transport inner,
+                                RetryingTransportOptions options,
+                                TimerWheel* wheel = nullptr,
+                                obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace xkms
 }  // namespace discsec

@@ -45,10 +45,7 @@ Result<KeyBinding> ParseKeyBinding(const xml::Element& kb) {
     if (e->LocalName() == "KeyUsage") {
       binding.key_usage.push_back(e->TextContent());
     } else if (e->LocalName() == "Status") {
-      std::string s = e->TextContent();
-      binding.status = s == "Valid"     ? KeyStatus::kValid
-                       : s == "Invalid" ? KeyStatus::kInvalid
-                                        : KeyStatus::kIndeterminate;
+      binding.status = KeyStatusFromName(e->TextContent());
     }
   }
   return binding;
@@ -64,6 +61,12 @@ const char* KeyStatusName(KeyStatus status) {
       return "Indeterminate";
   }
   return "Indeterminate";
+}
+
+KeyStatus KeyStatusFromName(std::string_view name) {
+  if (name == "Valid") return KeyStatus::kValid;
+  if (name == "Invalid") return KeyStatus::kInvalid;
+  return KeyStatus::kIndeterminate;
 }
 
 std::string BuildLocateRequest(const std::string& name) {

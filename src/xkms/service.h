@@ -2,6 +2,7 @@
 #define DISCSEC_XKMS_SERVICE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -27,6 +28,8 @@ enum class KeyStatus {
 };
 
 const char* KeyStatusName(KeyStatus status);
+/// Inverse of KeyStatusName; any other text is Indeterminate.
+KeyStatus KeyStatusFromName(std::string_view name);
 
 /// One registered key binding: a name (application identifier such as a
 /// signer subject or key fingerprint) bound to a public key, with use hints

@@ -188,20 +188,37 @@ size_t SnapshotStore::size() const {
 
 namespace {
 
-/// Atomic counterparts of XkmsdStats, written from workers, the wheel
-/// thread and submitters without a stats lock.
-struct AtomicStats {
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> served{0};
-  std::atomic<uint64_t> shed_queue_full{0};
-  std::atomic<uint64_t> shed_deadline{0};
-  std::atomic<uint64_t> shed_oversized{0};
-  std::atomic<uint64_t> shed_malformed{0};
-  std::atomic<uint64_t> shed_fault{0};
-  std::atomic<uint64_t> coalesced_locates{0};
-  std::atomic<uint64_t> store_lookups{0};
-  std::atomic<uint64_t> degraded_locates{0};
-  std::atomic<uint64_t> store_errors{0};
+/// The responder's counter handles, resolved once from the registry it was
+/// built with. Each event increments exactly one of them, from workers,
+/// the wheel thread and submitters alike (Counter::Add is a relaxed
+/// atomic).
+struct Counters {
+  explicit Counters(obs::MetricsRegistry* metrics)
+      : admitted(metrics->GetCounter("xkmsd.admitted")),
+        served(metrics->GetCounter("xkmsd.served")),
+        shed_queue_full(metrics->GetCounter("xkmsd.shed.queue_full")),
+        shed_deadline(metrics->GetCounter("xkmsd.shed.deadline")),
+        shed_oversized(metrics->GetCounter("xkmsd.shed.oversized")),
+        shed_malformed(metrics->GetCounter("xkmsd.shed.malformed")),
+        shed_fault(metrics->GetCounter("xkmsd.shed.fault")),
+        coalesced(metrics->GetCounter("xkmsd.coalesced")),
+        store_lookups(metrics->GetCounter("xkmsd.store_lookups")),
+        degraded(metrics->GetCounter("xkmsd.degraded")),
+        store_errors(metrics->GetCounter("xkmsd.store_errors")),
+        queue_depth(metrics->GetCounter("xkmsd.queue_depth")) {}
+
+  obs::Counter* admitted;
+  obs::Counter* served;
+  obs::Counter* shed_queue_full;
+  obs::Counter* shed_deadline;
+  obs::Counter* shed_oversized;
+  obs::Counter* shed_malformed;
+  obs::Counter* shed_fault;
+  obs::Counter* coalesced;
+  obs::Counter* store_lookups;
+  obs::Counter* degraded;
+  obs::Counter* store_errors;
+  obs::Counter* queue_depth;  ///< gauge, Set under queue_mu
 };
 
 }  // namespace
@@ -229,7 +246,9 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
       : options(std::move(opts)),
         store(options.store_shards),
         clock(options.clock ? options.clock
-                            : std::function<int64_t()>(SteadyNowUs)) {
+                            : std::function<int64_t()>(SteadyNowUs)),
+        counters(options.metrics != nullptr ? options.metrics
+                                            : &own_metrics) {
     if (options.metrics != nullptr) {
       queue_wait_hist = options.metrics->GetHistogram("xkmsd.queue_wait_us");
       serve_hist = options.metrics->GetHistogram("xkmsd.serve_us");
@@ -239,8 +258,10 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
   XkmsdOptions options;
   ShardedKeyStore store;
   SnapshotStore snapshot;
-  AtomicStats stats;
   std::function<int64_t()> clock;
+  obs::MetricsRegistry own_metrics;  ///< holds the counts when
+                                     ///< options.metrics is null
+  Counters counters;
   obs::Histogram* queue_wait_hist = nullptr;
   obs::Histogram* serve_hist = nullptr;
 
@@ -262,10 +283,12 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
     return fault::Effective(options.fault);
   }
 
-  void BumpCounter(const char* name) {
-    if (options.metrics != nullptr) {
-      options.metrics->GetCounter(name)->Add(1);
-    }
+  /// Publishes the "xkmsd.queue_depth" gauge; called under queue_mu
+  /// wherever live[] changes.
+  void PublishQueueDepth() {
+    size_t depth = 0;
+    for (size_t i = 0; i < kXkmsdPriorities; ++i) depth += live[i];
+    counters.queue_depth->Set(depth);
   }
 
   void TrackPending(int delta) {
@@ -335,8 +358,7 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
   Status chaos =
       injector()->Hit(fault::kXkmsdQueue, XkmsdPriorityName(priority));
   if (!chaos.ok()) {
-    stats.shed_fault.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.fault");
+    counters.shed_fault->Add();
     done(chaos.WithContext("xkmsd admission"));
     return;
   }
@@ -345,8 +367,7 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
   // the same limit the parser would enforce, but without paying for a
   // parse attempt on a 16 MiB bomb.
   if (request_xml.size() > options.parse.max_input) {
-    stats.shed_oversized.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.oversized");
+    counters.shed_oversized->Add();
     done(Status::ResourceExhausted(
              "XKMS request of " + std::to_string(request_xml.size()) +
              " bytes exceeds max_input " +
@@ -360,8 +381,7 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
   // 3. Deadline-aware rejection: if the client's deadline already passed,
   // any work we do is wasted — shed before parsing, before queueing.
   if (req.deadline_us > 0 && now_us >= req.deadline_us) {
-    stats.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.deadline");
+    counters.shed_deadline->Add();
     done(Status::DeadlineExceeded("client deadline expired " +
                                   std::to_string(now_us - req.deadline_us) +
                                   "us before admission")
@@ -388,12 +408,12 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
       depth_at_rejection = live[pi];
     } else {
       live[pi]++;
+      PublishQueueDepth();
       queues[pi].push_back(item);
     }
   }
   if (rejected) {
-    stats.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.queue_full");
+    counters.shed_queue_full->Add();
     // The hint is computed outside the queue lock (RetryAfterHint
     // re-acquires it to read the depth).
     item->done(Status::Unavailable(
@@ -406,8 +426,7 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
     return;
   }
 
-  stats.admitted.fetch_add(1, std::memory_order_relaxed);
-  BumpCounter("xkmsd.admitted");
+  counters.admitted->Add();
   TrackPending(+1);
 
   // 5. Mid-queue deadline shedding: park a wheel entry at the deadline
@@ -420,9 +439,9 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
       {
         std::lock_guard<std::mutex> lock(self->queue_mu);
         self->live[static_cast<size_t>(item->priority)]--;
+        self->PublishQueueDepth();
       }
-      self->stats.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      self->BumpCounter("xkmsd.shed.deadline");
+      self->counters.shed_deadline->Add();
       self->Complete(
           item, Status::DeadlineExceeded(
                     "client deadline expired while queued behind " +
@@ -455,6 +474,7 @@ void Xkmsd::Core::ProcessOne() {
           continue;
         }
         live[static_cast<size_t>(candidate->priority)]--;
+        PublishQueueDepth();
         item = std::move(candidate);
         break;
       }
@@ -472,8 +492,7 @@ void Xkmsd::Core::ProcessOne() {
 
   // Deadline re-check at dequeue (covers the no-wheel configuration).
   if (item->deadline_us > 0 && now_us >= item->deadline_us) {
-    stats.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.deadline");
+    counters.shed_deadline->Add();
     Complete(item, Status::DeadlineExceeded(
                        "client deadline expired while queued")
                        .WithContext("xkmsd admission"));
@@ -495,8 +514,7 @@ void Xkmsd::Core::Serve(const std::shared_ptr<Item>& item) {
   parse_options.tracer = options.tracer;
   Result<xml::Document> doc = xml::Parse(item->request, parse_options);
   if (!doc.ok()) {
-    stats.shed_malformed.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.malformed");
+    counters.shed_malformed->Add();
     span.SetAttr("outcome", "malformed");
     Complete(item, doc.status().WithContext("xkmsd request"));
     return;
@@ -509,8 +527,7 @@ void Xkmsd::Core::Serve(const std::shared_ptr<Item>& item) {
   if (op == "LocateRequest") {
     const xml::Element* name = root->FirstChildElementByLocalName("KeyName");
     if (name == nullptr) {
-      stats.shed_malformed.fetch_add(1, std::memory_order_relaxed);
-      BumpCounter("xkmsd.shed.malformed");
+      counters.shed_malformed->Add();
       span.SetAttr("outcome", "malformed");
       Complete(item, Status::ParseError("LocateRequest missing KeyName")
                          .WithContext("xkmsd request"));
@@ -529,8 +546,7 @@ void Xkmsd::Core::Serve(const std::shared_ptr<Item>& item) {
                 Status::Unsupported("XKMS operation: " + op)
                     .WithContext("xkmsd request"));
   if (response.ok()) {
-    stats.served.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.served");
+    counters.served->Add();
     span.SetAttr("outcome", "served");
   } else {
     span.SetAttr("outcome", "error");
@@ -552,8 +568,7 @@ void Xkmsd::Core::ServeLocate(const std::shared_ptr<Item>& item,
     auto it = flights.find(name);
     if (it != flights.end() && it->second->generation == generation) {
       it->second->waiters.push_back(item);
-      stats.coalesced_locates.fetch_add(1, std::memory_order_relaxed);
-      BumpCounter("xkmsd.coalesced");
+      counters.coalesced->Add();
       return;
     }
     flight = std::make_shared<Flight>();
@@ -575,8 +590,7 @@ void Xkmsd::Core::ServeLocate(const std::shared_ptr<Item>& item,
   }
   for (const auto& waiter : waiters) {
     if (response.ok()) {
-      stats.served.fetch_add(1, std::memory_order_relaxed);
-      BumpCounter("xkmsd.served");
+      counters.served->Add();
     }
     Complete(waiter, response);
   }
@@ -588,29 +602,25 @@ Result<std::string> Xkmsd::Core::LookupLocate(const std::string& name) {
     // Authoritative store is broken. Graceful degradation: answer from
     // the stale snapshot, downgraded to Indeterminate-on-doubt — or admit
     // unavailability if the snapshot is broken/empty too.
-    if (options.degrade_to_snapshot) {
-      Status snap_chaos =
-          injector()->Hit(fault::kXkmsdSnapshot, "locate " + name);
-      if (snap_chaos.ok()) {
-        std::optional<KeyBinding> stale = snapshot.Lookup(name);
-        if (stale.has_value()) {
-          stale->status = SnapshotStore::ForcedStatus(stale->status);
-          stats.degraded_locates.fetch_add(1, std::memory_order_relaxed);
-          BumpCounter("xkmsd.degraded");
-          auto response = MakeXkmsRoot("LocateResult");
-          response->SetAttribute("ResultMajor", "Success");
-          response->SetAttribute("ResultMinor", "Degraded");
-          AppendKeyBinding(response.get(), *stale);
-          return SerializeXkmsDocument(std::move(response));
-        }
+    Status snap_chaos =
+        injector()->Hit(fault::kXkmsdSnapshot, "locate " + name);
+    if (snap_chaos.ok()) {
+      std::optional<KeyBinding> stale = snapshot.Lookup(name);
+      if (stale.has_value()) {
+        stale->status = SnapshotStore::ForcedStatus(stale->status);
+        counters.degraded->Add();
+        auto response = MakeXkmsRoot("LocateResult");
+        response->SetAttribute("ResultMajor", "Success");
+        response->SetAttribute("ResultMinor", "Degraded");
+        AppendKeyBinding(response.get(), *stale);
+        return SerializeXkmsDocument(std::move(response));
       }
     }
-    stats.store_errors.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.store_errors");
+    counters.store_errors->Add();
     return chaos.WithContext("xkmsd store");
   }
 
-  stats.store_lookups.fetch_add(1, std::memory_order_relaxed);
+  counters.store_lookups->Add();
   Result<KeyBinding> found = store.Locate(name);
   auto response = MakeXkmsRoot("LocateResult");
   response->SetAttribute("ResultMajor", "Success");
@@ -625,15 +635,13 @@ Result<std::string> Xkmsd::Core::LookupLocate(const std::string& name) {
 Result<std::string> Xkmsd::Core::ServeValidate(const xml::Element& root) {
   const xml::Element* kb = root.FirstChildElementByLocalName("KeyBinding");
   if (kb == nullptr) {
-    stats.shed_malformed.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.malformed");
+    counters.shed_malformed->Add();
     return Status::ParseError("ValidateRequest missing KeyBinding")
         .WithContext("xkmsd request");
   }
   Result<KeyBinding> binding = ParseKeyBinding(*kb);
   if (!binding.ok()) {
-    stats.shed_malformed.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.malformed");
+    counters.shed_malformed->Add();
     return binding.status().WithContext("xkmsd request");
   }
 
@@ -644,8 +652,7 @@ Result<std::string> Xkmsd::Core::ServeValidate(const xml::Element& root) {
   Status chaos = injector()->Hit(fault::kXkmsdStore,
                                  "validate " + binding.value().name);
   if (!chaos.ok()) {
-    stats.store_errors.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.store_errors");
+    counters.store_errors->Add();
     return chaos.WithContext("xkmsd store");
   }
 
@@ -661,23 +668,20 @@ Result<std::string> Xkmsd::Core::ServeValidate(const xml::Element& root) {
 Result<std::string> Xkmsd::Core::ServeRegister(const xml::Element& root) {
   const xml::Element* kb = root.FirstChildElementByLocalName("KeyBinding");
   if (kb == nullptr) {
-    stats.shed_malformed.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.malformed");
+    counters.shed_malformed->Add();
     return Status::ParseError("RegisterRequest missing KeyBinding")
         .WithContext("xkmsd request");
   }
   Result<KeyBinding> binding = ParseKeyBinding(*kb);
   if (!binding.ok()) {
-    stats.shed_malformed.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.malformed");
+    counters.shed_malformed->Add();
     return binding.status().WithContext("xkmsd request");
   }
 
   Status chaos = injector()->Hit(fault::kXkmsdStore,
                                  "register " + binding.value().name);
   if (!chaos.ok()) {
-    stats.store_errors.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.store_errors");
+    counters.store_errors->Add();
     return chaos.WithContext("xkmsd store");
   }
 
@@ -694,8 +698,7 @@ Result<std::string> Xkmsd::Core::ServeRegister(const xml::Element& root) {
 Result<std::string> Xkmsd::Core::ServeRevoke(const xml::Element& root) {
   const xml::Element* name = root.FirstChildElementByLocalName("KeyName");
   if (name == nullptr) {
-    stats.shed_malformed.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.shed.malformed");
+    counters.shed_malformed->Add();
     return Status::ParseError("RevokeRequest missing KeyName")
         .WithContext("xkmsd request");
   }
@@ -703,8 +706,7 @@ Result<std::string> Xkmsd::Core::ServeRevoke(const xml::Element& root) {
 
   Status chaos = injector()->Hit(fault::kXkmsdStore, "revoke " + key_name);
   if (!chaos.ok()) {
-    stats.store_errors.fetch_add(1, std::memory_order_relaxed);
-    BumpCounter("xkmsd.store_errors");
+    counters.store_errors->Add();
     return chaos.WithContext("xkmsd store");
   }
 
@@ -771,27 +773,20 @@ void Xkmsd::RefreshSnapshot() { core_->RefreshSnapshot(); }
 int64_t Xkmsd::NowUs() const { return core_->clock(); }
 
 XkmsdStats Xkmsd::stats() const {
+  const Counters& c = core_->counters;
   XkmsdStats out;
-  const AtomicStats& s = core_->stats;
-  out.admitted = s.admitted.load(std::memory_order_relaxed);
-  out.served = s.served.load(std::memory_order_relaxed);
-  out.shed_queue_full = s.shed_queue_full.load(std::memory_order_relaxed);
-  out.shed_deadline = s.shed_deadline.load(std::memory_order_relaxed);
-  out.shed_oversized = s.shed_oversized.load(std::memory_order_relaxed);
-  out.shed_malformed = s.shed_malformed.load(std::memory_order_relaxed);
-  out.shed_fault = s.shed_fault.load(std::memory_order_relaxed);
-  out.coalesced_locates =
-      s.coalesced_locates.load(std::memory_order_relaxed);
-  out.store_lookups = s.store_lookups.load(std::memory_order_relaxed);
-  out.degraded_locates =
-      s.degraded_locates.load(std::memory_order_relaxed);
-  out.store_errors = s.store_errors.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(core_->queue_mu);
-    for (size_t i = 0; i < kXkmsdPriorities; ++i) {
-      out.queue_depth += core_->live[i];
-    }
-  }
+  out.admitted = c.admitted->value();
+  out.served = c.served->value();
+  out.shed_queue_full = c.shed_queue_full->value();
+  out.shed_deadline = c.shed_deadline->value();
+  out.shed_oversized = c.shed_oversized->value();
+  out.shed_malformed = c.shed_malformed->value();
+  out.shed_fault = c.shed_fault->value();
+  out.coalesced_locates = c.coalesced->value();
+  out.store_lookups = c.store_lookups->value();
+  out.degraded_locates = c.degraded->value();
+  out.store_errors = c.store_errors->value();
+  out.queue_depth = c.queue_depth->value();
   return out;
 }
 

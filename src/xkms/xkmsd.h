@@ -156,9 +156,6 @@ struct XkmsdOptions {
   /// hint scales with total queue depth. 0 disables the hint.
   int64_t retry_after_base_us = 20000;
 
-  /// Whether Locate may answer from the snapshot when the store is broken.
-  bool degrade_to_snapshot = true;
-
   /// Refresh the snapshot from the store every N successful mutations
   /// (plus the explicit RefreshSnapshot()). 0 disables periodic refresh.
   uint64_t snapshot_refresh_every = 64;
@@ -179,18 +176,24 @@ struct XkmsdOptions {
   /// "<op> <key name>"). Null falls back to the global injector.
   fault::FaultInjector* fault = nullptr;
 
-  /// Observability (null = off): "xkmsd.request" spans; counters
-  /// "xkmsd.admitted", "xkmsd.served", "xkmsd.shed.*", "xkmsd.coalesced",
-  /// "xkmsd.degraded"; histograms "xkmsd.queue_wait_us" (option-clock
-  /// domain) and "xkmsd.serve_us" (steady clock).
+  /// Observability. `tracer` (null = off): "xkmsd.request" spans.
+  /// `metrics`: where the responder counts, through handles resolved once
+  /// at construction: "xkmsd.admitted", "xkmsd.served", "xkmsd.shed.*",
+  /// "xkmsd.coalesced", "xkmsd.store_lookups", "xkmsd.degraded",
+  /// "xkmsd.store_errors" and the "xkmsd.queue_depth" gauge; null =
+  /// counted into a registry the responder owns. Histograms
+  /// "xkmsd.queue_wait_us" (option-clock domain) and "xkmsd.serve_us"
+  /// (steady clock) are recorded only into a given registry, which must
+  /// outlive the responder.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Counters. Sheds are disjoint: each rejected request increments exactly
-/// one shed_* counter. `coalesced_locates` counts waiters who rode another
-/// request's lookup; `store_lookups` counts actual store reads, so under a
-/// thundering herd admitted ≈ coalesced + store_lookups for Locate traffic.
+/// Read-only view of the responder's counters (Xkmsd::stats()). Sheds are
+/// disjoint: each rejected request increments exactly one shed_* counter.
+/// `coalesced_locates` counts waiters who rode another request's lookup;
+/// `store_lookups` counts actual store reads, so under a thundering herd
+/// admitted ≈ coalesced + store_lookups for Locate traffic.
 struct XkmsdStats {
   uint64_t admitted = 0;
   uint64_t served = 0;           ///< completed with a response document
@@ -253,6 +256,8 @@ class Xkmsd {
   /// Now in the responder clock's domain, for computing Submit deadlines.
   int64_t NowUs() const;
 
+  /// Reads the counters back from the registry they live in (a registry
+  /// shared by two responders reports their sum).
   XkmsdStats stats() const;
   const ShardedKeyStore& store() const;
   const SnapshotStore& snapshot() const;

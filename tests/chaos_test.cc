@@ -608,7 +608,6 @@ TEST(ChaosXkmsd, RevocationStormWithShardFaultNeverServesStaleValid) {
   xkms::XkmsdOptions options;
   options.pool = &pool;
   options.fault = &injector;
-  options.degrade_to_snapshot = true;
   xkms::Xkmsd xkmsd(options);
 
   Rng key_rng(ChaosSeed());

@@ -90,8 +90,8 @@ def check_xkmsd_demo(tool):
           c["locate_cache.hits"] > c["locate_cache.misses"] > 0,
           f"hits={c['locate_cache.hits']} misses={c['locate_cache.misses']}")
     check("xkmsd-demo: every cache miss became exactly one transport call",
-          c["locate_cache.transport_calls"] == c["locate_cache.misses"],
-          f"transport_calls={c['locate_cache.transport_calls']} "
+          c["xkms.locate"] == c["locate_cache.misses"],
+          f"xkms.locate={c['xkms.locate']} "
           f"misses={c['locate_cache.misses']}")
     wait = h["xkmsd.queue_wait_us"]
     check("xkmsd-demo: queue-wait histogram saw every served request",

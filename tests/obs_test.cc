@@ -1,6 +1,6 @@
 // Observability-layer correctness: span nesting (including across
 // ThreadPool workers), exporter round-trips through the in-tree JSON
-// parser, metrics/bridge arithmetic, and the zero-allocation guarantee of
+// parser, metrics arithmetic, and the zero-allocation guarantee of
 // the disabled fast path (checked with the bench heap tracker linked into
 // this binary).
 
@@ -16,7 +16,6 @@
 #include "common/task_graph.h"
 #include "common/thread_pool.h"
 #include "crypto/algorithms.h"
-#include "obs/bridge.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -181,15 +180,11 @@ TEST(TracerTest, TextReportIndentsChildrenUnderParents) {
 
 // ------------------------------------------------------------ metrics
 
-TEST(MetricsTest, CounterAddMaxToAndSet) {
+TEST(MetricsTest, CounterAddAndSet) {
   obs::Counter counter;
   counter.Add();
   counter.Add(4);
   EXPECT_EQ(counter.value(), 5u);
-  counter.MaxTo(3);  // never decreases
-  EXPECT_EQ(counter.value(), 5u);
-  counter.MaxTo(9);
-  EXPECT_EQ(counter.value(), 9u);
   counter.Set(2);  // gauges may decrease
   EXPECT_EQ(counter.value(), 2u);
 }
@@ -237,36 +232,6 @@ TEST(MetricsTest, SnapshotIsSortedAndJsonRoundTrips) {
   const obs::json::Value* count = latency->Find("count");
   ASSERT_NE(count, nullptr);
   EXPECT_EQ(count->number_value, 1.0);
-}
-
-TEST(MetricsTest, BridgeAbsorbsComponentStatsExactlyAndIdempotently) {
-  obs::MetricsRegistry registry;
-
-  xkms::LocateCacheStats locate;
-  locate.hits = 5;
-  locate.misses = 2;
-  locate.coalesced = 3;
-  locate.transport_calls = 2;
-  obs::AbsorbLocateCacheStats(locate, &registry);
-  obs::AbsorbLocateCacheStats(locate, &registry);  // idempotent
-  obs::MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counter("locate_cache.hits"), 5u);
-  EXPECT_EQ(snapshot.counter("locate_cache.misses"), 2u);
-  EXPECT_EQ(snapshot.counter("locate_cache.coalesced"), 3u);
-
-  xkms::RetryingTransportStats transport;
-  transport.calls.store(4);
-  transport.attempts.store(6);
-  transport.retries.store(2);
-  obs::AbsorbRetryingTransportStats(transport, &registry);
-  snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counter("xkms_transport.calls"), 4u);
-  EXPECT_EQ(snapshot.counter("xkms_transport.retries"), 2u);
-
-  fault::FaultInjector injector;
-  obs::AbsorbFaultInjectorStats(injector, &registry);
-  snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counter("fault.total_fires"), injector.total_fires());
 }
 
 // ------------------------------------------------- pipeline integration
@@ -364,7 +329,6 @@ TEST_F(ObsPipelineTest, PlayDiscSpansNestCorrectlyAcrossPoolWorkers) {
   EXPECT_FALSE(SpansNamed(spans, "xml.parse").empty());
   EXPECT_FALSE(SpansNamed(spans, "xmldsig.verify").empty());
 
-  engine.AbsorbComponentMetrics();
   obs::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.counter("player.discs_inserted"), 1u);
   EXPECT_EQ(snapshot.counter("player.tracks_played"), 2u);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/timer_wheel.h"
+#include "obs/metrics.h"
 #include "player/engine.h"
 #include "player/session.h"
 #include "tests/attacks/attack_corpus.h"
@@ -97,7 +99,6 @@ TEST(LocateCacheTest, SingleFlightCoalescesConcurrentLookups) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(transport_calls.load(), 1u);
   xkms::LocateCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.transport_calls, 1u);
   EXPECT_EQ(stats.misses, 1u);
   // All-but-the-leader either waited on the flight or hit the fresh entry.
   EXPECT_EQ(stats.coalesced + stats.hits, kThreads - 1);
@@ -143,7 +144,7 @@ TEST(LocateCacheTest, SingleFlightFailureIsSharedNotAmplified) {
   EXPECT_EQ(transport_calls.load(), 1u);
   EXPECT_EQ(got_error.load(), kThreads);
   xkms::LocateCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.transport_calls, 1u);
+  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.coalesced, kThreads - 1);
   // The shared failure was never cached: the next call retries upstream.
   EXPECT_EQ(cache.size(), 0u);
@@ -168,10 +169,62 @@ TEST(LocateCacheTest, TtlExpiryForcesRefresh) {
   ASSERT_TRUE(cache.Locate("studio-key").ok());  // expired -> transport again
 
   xkms::LocateCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.transport_calls, 2u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.expirations, 1u);
+}
+
+TEST(LocateCacheTest, RegistryCountsMissHitExpiryAndCoalescedFollower) {
+  // The cache counts straight into the registry it was built with, and
+  // stats() reads those counts back.
+  xkms::Xkmsd responder{xkms::XkmsdOptions{}};
+  ASSERT_TRUE(responder.SeedBinding(TestBinding("studio-key")).ok());
+  // Parks each transport call until the test completes it, so a second
+  // caller finds the first one's flight still open.
+  std::vector<std::function<void()>> parked;
+  xkms::XkmsClient client([&](const std::string& request,
+                              xkms::AsyncCallback done) {
+    parked.push_back([&responder, request, done = std::move(done)] {
+      done(responder.Handle(request));
+    });
+  });
+
+  obs::MetricsRegistry metrics;
+  int64_t now = 0;
+  xkms::LocateCache::Options options;
+  options.ttl_us = 1000;
+  options.clock = [&now] { return now; };
+  options.metrics = &metrics;
+  xkms::LocateCache cache(&client, options);
+
+  std::vector<Result<xkms::KeyBinding>> results;
+  auto collect = [&](Result<xkms::KeyBinding> r) {
+    results.push_back(std::move(r));
+  };
+  cache.LocateAsync("studio-key", collect);  // miss: leads a flight
+  cache.LocateAsync("studio-key", collect);  // coalesced onto it
+  ASSERT_EQ(parked.size(), 1u);
+  parked[0]();
+  cache.LocateAsync("studio-key", collect);  // fresh entry: hit
+  now = 2000;                                // past the TTL
+  cache.LocateAsync("studio-key", collect);  // expired: a second miss
+  ASSERT_EQ(parked.size(), 2u);
+  parked[1]();
+  ASSERT_EQ(results.size(), 4u);
+  for (const Result<xkms::KeyBinding>& result : results) {
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
+
+  obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  xkms::LocateCacheStats stats = cache.stats();
+  EXPECT_EQ(snapshot.counter("locate_cache.misses"), 2u);
+  EXPECT_EQ(snapshot.counter("locate_cache.coalesced"), 1u);
+  EXPECT_EQ(snapshot.counter("locate_cache.hits"), 1u);
+  EXPECT_EQ(snapshot.counter("locate_cache.expirations"), 1u);
+  EXPECT_EQ(stats.misses, snapshot.counter("locate_cache.misses"));
+  EXPECT_EQ(stats.coalesced, snapshot.counter("locate_cache.coalesced"));
+  EXPECT_EQ(stats.hits, snapshot.counter("locate_cache.hits"));
+  EXPECT_EQ(stats.expirations, snapshot.counter("locate_cache.expirations"));
 }
 
 TEST(LocateCacheTest, ErrorsAreDeliveredButNeverCached) {
@@ -205,7 +258,7 @@ TEST(LocateCacheTest, InvalidateDropsTheEntry) {
   cache.Invalidate("studio-key");
   EXPECT_EQ(cache.size(), 0u);
   ASSERT_TRUE(cache.Locate("studio-key").ok());
-  EXPECT_EQ(cache.stats().transport_calls, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 // ---------------------------------------------------------- parallel PlayDisc
@@ -518,7 +571,7 @@ TEST(ParallelPlayDiscTest, DeferredXkmsChainThroughCacheNeverBlocksTheWheel) {
     EXPECT_TRUE(playback->app->report().xkms_validated);
     EXPECT_EQ(LaunchSummary(playback->app->report()),
               LaunchSummary(reference.value()));
-    EXPECT_EQ(cache.stats().transport_calls, 2u);
+    EXPECT_EQ(cache.stats().misses, 2u);
     // Two Locates and two Validates, each a delayed request and response
     // leg.
     EXPECT_EQ(injector.fires(fault::kXkmsTransport), 8u);
@@ -639,9 +692,9 @@ TEST(RetryingTransportConcurrencyTest, SharedTransportCountsEveryCall) {
   constexpr size_t kCallsPerThread = 50;
   xkms::Xkmsd responder{xkms::XkmsdOptions{}};
   ASSERT_TRUE(responder.SeedBinding(TestBinding("studio-key")).ok());
-  std::shared_ptr<const xkms::RetryingTransportStats> stats;
+  obs::MetricsRegistry metrics;
   xkms::Transport transport = xkms::MakeRetryingTransport(
-      xkms::MakeServerTransport(&responder), {}, nullptr, &stats);
+      xkms::MakeServerTransport(&responder), {}, nullptr, &metrics);
   xkms::XkmsClient client(transport);
 
   std::atomic<size_t> failures{0};
@@ -655,9 +708,11 @@ TEST(RetryingTransportConcurrencyTest, SharedTransportCountsEveryCall) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(stats->calls, kThreads * kCallsPerThread);
-  EXPECT_EQ(stats->attempts, kThreads * kCallsPerThread);
-  EXPECT_EQ(stats->retries, 0u);
+  obs::MetricsSnapshot counts = metrics.Snapshot();
+  EXPECT_EQ(counts.counter("xkms_transport.calls"), kThreads * kCallsPerThread);
+  EXPECT_EQ(counts.counter("xkms_transport.attempts"),
+            kThreads * kCallsPerThread);
+  EXPECT_EQ(counts.counter("xkms_transport.retries"), 0u);
 }
 
 TEST(GlobalRngTest, EachThreadOwnsAnIndependentGenerator) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "obs/metrics.h"
 #include "pki/key_codec.h"
 #include "xkms/client.h"
 #include "xkms/retrying_transport.h"
@@ -166,6 +167,23 @@ TEST_F(XkmsFixture, MangledResponseIsAResponseParseErrorNotTransport) {
       << s.ToString();
 }
 
+TEST_F(XkmsFixture, KeyBindingWithoutKeyIsAResponseParseError) {
+  // The client decodes a LocateResult's KeyBinding with the codec's one
+  // decoder, under the response layer's context.
+  XkmsClient client([](const std::string&, AsyncCallback done) {
+    auto root = MakeXkmsRoot("LocateResult");
+    root->SetAttribute("ResultMajor", "Success");
+    xml::Element* kb = root->AppendElement("xkms:KeyBinding");
+    kb->AppendElement("xkms:KeyName")->SetTextContent("k1");
+    kb->AppendElement("xkms:Status")->SetTextContent("Valid");
+    done(SerializeXkmsDocument(std::move(root)));
+  });
+  Status s = client.Locate("k1").status();
+  EXPECT_TRUE(s.IsParseError()) << s.ToString();
+  EXPECT_EQ(s.message(),
+            "XKMS response: KeyBinding missing KeyName or RSAKeyValue");
+}
+
 TEST_F(XkmsFixture, CorruptedResponseBytesSurfaceAsResponseError) {
   fault::FaultInjector injector(7);
   fault::FaultSpec spec;
@@ -214,18 +232,19 @@ TEST_F(XkmsFixture, RetryingTransportRecoversWhenFirstTwoAttemptsFail) {
   FakeTransportTime time;
   RetryingTransportOptions options = time.Options();
   options.retry.max_attempts = 3;
-  std::shared_ptr<const RetryingTransportStats> stats;
+  obs::MetricsRegistry metrics;
   XkmsClient client(MakeRetryingTransport(
       MakeServerTransport(&responder, 0, nullptr, &injector), options,
-      nullptr, &stats));
+      nullptr, &metrics));
 
   auto binding = client.Locate("k1");
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();
   EXPECT_EQ(binding->name, "k1");
-  EXPECT_EQ(stats->calls, 1u);
-  EXPECT_EQ(stats->attempts, 3u);
-  EXPECT_EQ(stats->retries, 2u);
-  EXPECT_EQ(stats->breaker_rejections, 0u);
+  obs::MetricsSnapshot counts = metrics.Snapshot();
+  EXPECT_EQ(counts.counter("xkms_transport.calls"), 1u);
+  EXPECT_EQ(counts.counter("xkms_transport.attempts"), 3u);
+  EXPECT_EQ(counts.counter("xkms_transport.retries"), 2u);
+  EXPECT_EQ(counts.counter("xkms_transport.breaker_rejections"), 0u);
   // Backoffs came from the fake sleep: no real time passed.
   EXPECT_EQ(time.sleeps, (std::vector<int64_t>{1000, 2000}));
 }
@@ -268,18 +287,19 @@ TEST_F(XkmsFixture, CircuitBreakerFailsFastAfterConsecutiveFailedCalls) {
   options.breaker.failure_threshold = 2;
   options.breaker.open_duration_us = 1000000;
   int sends = 0;
-  std::shared_ptr<const RetryingTransportStats> stats;
+  obs::MetricsRegistry metrics;
   XkmsClient client(MakeRetryingTransport(
       [&sends](const std::string&, AsyncCallback done) {
         ++sends;
         done(Status::Unavailable("down hard"));
       },
-      options, nullptr, &stats));
+      options, nullptr, &metrics));
 
   EXPECT_TRUE(client.Locate("k1").status().IsUnavailable());
   EXPECT_TRUE(client.Locate("k1").status().IsUnavailable());
   EXPECT_EQ(sends, 2);
-  EXPECT_EQ(stats->breaker_state, CircuitBreaker::State::kOpen);
+  EXPECT_EQ(metrics.Snapshot().counter("xkms_transport.breaker_state"),
+            static_cast<uint64_t>(CircuitBreaker::State::kOpen));
 
   // Circuit open: the next call is rejected without touching the wire.
   Status rejected = client.Locate("k1").status();
@@ -288,7 +308,8 @@ TEST_F(XkmsFixture, CircuitBreakerFailsFastAfterConsecutiveFailedCalls) {
       << rejected.ToString();
   EXPECT_NE(rejected.ToString().find("XKMS transport"), std::string::npos);
   EXPECT_EQ(sends, 2);
-  EXPECT_EQ(stats->breaker_rejections, 1u);
+  EXPECT_EQ(metrics.Snapshot().counter("xkms_transport.breaker_rejections"),
+            1u);
 
   // After the cool-down the probe goes through; a success closes the
   // circuit and normal service resumes.

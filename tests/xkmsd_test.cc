@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -14,7 +15,6 @@
 #include "common/thread_pool.h"
 #include "common/timer_wheel.h"
 #include "net/server.h"
-#include "obs/bridge.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "xkms/client.h"
@@ -653,27 +653,6 @@ TEST_F(XkmsdFixture, BrokenStoreAndSnapshotIsUnavailable) {
   EXPECT_EQ(server.stats().degraded_locates, 0u);
 }
 
-TEST_F(XkmsdFixture, DegradationDisabledFailsFast) {
-  fault::FaultInjector injector(1);
-  XkmsdOptions options;
-  options.fault = &injector;
-  options.degrade_to_snapshot = false;
-  Xkmsd server(options);
-  ASSERT_TRUE(server.SeedBinding(MakeBinding("studio-1", key_a_->public_key))
-                  .ok());
-  server.RefreshSnapshot();
-
-  fault::FaultSpec broken;
-  broken.point = std::string(fault::kXkmsdStore);
-  broken.kind = fault::Kind::kError;
-  injector.Arm(broken);
-
-  auto response = server.Handle(BuildLocateRequest("studio-1"));
-  ASSERT_FALSE(response.ok());
-  EXPECT_TRUE(response.status().IsUnavailable());
-  EXPECT_EQ(server.stats().degraded_locates, 0u);
-}
-
 TEST_F(XkmsdFixture, SnapshotRefreshesEveryNMutations) {
   fault::FaultInjector injector(1);
   XkmsdOptions options;
@@ -742,10 +721,10 @@ TEST_F(XkmsdFixture, ShedHintDrivesRetryingTransportBackoff) {
     sleeps.push_back(us);
     fake_now += us;
   };
-  std::shared_ptr<const RetryingTransportStats> stats;
+  obs::MetricsRegistry metrics;
   Transport retrying =
       MakeRetryingTransport(MakeServerTransport(&server), retry_options,
-                            nullptr, &stats);
+                            nullptr, &metrics);
 
   Result<std::string> response = Status::InvalidArgument("not completed");
   retrying(BuildLocateRequest("studio-1"),
@@ -757,7 +736,7 @@ TEST_F(XkmsdFixture, ShedHintDrivesRetryingTransportBackoff) {
   ASSERT_EQ(sleeps.size(), 2u);
   EXPECT_EQ(sleeps[0], 7000);
   EXPECT_EQ(sleeps[1], 7000);
-  EXPECT_EQ(stats->attempts.load(), 3u);
+  EXPECT_EQ(metrics.Snapshot().counter("xkms_transport.attempts"), 3u);
   EXPECT_EQ(server.stats().shed_queue_full, 3u);
 }
 
@@ -827,7 +806,6 @@ TEST_F(XkmsdFixture, ObservabilityCountersAndHistogramsPopulate) {
                   .ok());
 
   ASSERT_TRUE(server.Handle(BuildLocateRequest("studio-1")).ok());
-  obs::AbsorbXkmsdStats(server.stats(), &metrics);
 
   obs::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.counter("xkmsd.admitted"), 1u);
@@ -845,6 +823,92 @@ TEST_F(XkmsdFixture, ObservabilityCountersAndHistogramsPopulate) {
     if (span.name == "xkmsd.request") saw_request_span = true;
   }
   EXPECT_TRUE(saw_request_span);
+}
+
+TEST_F(XkmsdFixture, RegistryHoldsStoreLookupsAndQueueDepth) {
+  // The responder writes every count, the store lookup and the queue-depth
+  // gauge included, into the registry it was built with: nothing is copied
+  // in afterwards.
+  fault::FaultInjector injector(1);
+  obs::MetricsRegistry metrics;
+  XkmsdOptions options;
+  options.fault = &injector;
+  options.metrics = &metrics;
+  Xkmsd server(options);
+  ASSERT_TRUE(server.SeedBinding(MakeBinding("studio-1", key_a_->public_key))
+                  .ok());
+
+  ASSERT_TRUE(server.Handle(BuildLocateRequest("studio-1")).ok());
+
+  obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.counter("xkmsd.store_lookups"), 1u);
+  auto depth = std::find_if(
+      snapshot.counters.begin(), snapshot.counters.end(),
+      [](const auto& counter) { return counter.first == "xkmsd.queue_depth"; });
+  ASSERT_NE(depth, snapshot.counters.end());
+  EXPECT_EQ(depth->second, 0u);
+}
+
+TEST_F(XkmsdFixture, PooledResponderCountsEveryConcurrentLocateOnce) {
+  // Pool workers, submitting threads and the leader of each coalesced
+  // flight all count through the handles the responder resolved at
+  // construction; the registry and stats() read the same counts.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kLocatesPerThread = 16;
+  constexpr size_t kLocates = kThreads * kLocatesPerThread;
+  fault::FaultInjector injector(1);
+  obs::MetricsRegistry metrics;
+  ThreadPool pool(4);
+  XkmsdOptions options;
+  options.fault = &injector;
+  options.pool = &pool;
+  options.metrics = &metrics;
+  Xkmsd server(options);
+  const std::vector<std::string> names = {"studio-1", "studio-2"};
+  for (const std::string& name : names) {
+    ASSERT_TRUE(server.SeedBinding(MakeBinding(name, key_a_->public_key))
+                    .ok());
+  }
+  Transport transport = MakeServerTransport(&server);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t completed = 0;
+  size_t failed = 0;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kLocatesPerThread; ++i) {
+        transport(BuildLocateRequest(names[(t + i) % names.size()]),
+                  [&](Result<std::string> response) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    if (!response.ok()) ++failed;
+                    ++completed;
+                    cv.notify_one();
+                  });
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return completed == kLocates; });
+  }
+  EXPECT_EQ(failed, 0u);
+
+  obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  XkmsdStats stats = server.stats();
+  EXPECT_EQ(snapshot.counter("xkmsd.admitted"), kLocates);
+  EXPECT_EQ(snapshot.counter("xkmsd.served"), kLocates);
+  EXPECT_EQ(snapshot.counter("xkmsd.store_lookups") +
+                snapshot.counter("xkmsd.coalesced"),
+            kLocates);
+  EXPECT_EQ(snapshot.counter("xkmsd.queue_depth"), 0u);
+  EXPECT_EQ(stats.admitted, snapshot.counter("xkmsd.admitted"));
+  EXPECT_EQ(stats.served, snapshot.counter("xkmsd.served"));
+  EXPECT_EQ(stats.store_lookups, snapshot.counter("xkmsd.store_lookups"));
+  EXPECT_EQ(stats.coalesced_locates, snapshot.counter("xkmsd.coalesced"));
+  EXPECT_EQ(stats.queue_depth, snapshot.counter("xkmsd.queue_depth"));
 }
 
 }  // namespace

@@ -83,13 +83,13 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "common/timer_wheel.h"
-#include "obs/bridge.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pki/cert_store.h"
@@ -542,7 +542,6 @@ struct PlayRig {
   Result<disc::DiscImage> image = Status::Unavailable("not mastered");
   xkms::Xkmsd xkmsd{xkms::XkmsdOptions{}};
   std::unique_ptr<TimerWheel> wheel;  // only with --async
-  std::shared_ptr<const xkms::RetryingTransportStats> transport_stats;
   std::unique_ptr<xkms::XkmsClient> client;
   std::unique_ptr<xkms::LocateCache> locate_cache;
   std::unique_ptr<ThreadPool> pool;
@@ -571,8 +570,11 @@ struct PlayRig {
     if (async) wheel = std::make_unique<TimerWheel>();
     client = std::make_unique<xkms::XkmsClient>(xkms::MakeRetryingTransport(
         xkms::MakeServerTransport(&xkmsd, 0, wheel.get()),
-        xkms::RetryingTransportOptions{}, wheel.get(), &transport_stats));
-    locate_cache = std::make_unique<xkms::LocateCache>(client.get());
+        xkms::RetryingTransportOptions{}, wheel.get(), g_metrics));
+    xkms::LocateCache::Options cache_options;
+    cache_options.metrics = g_metrics;
+    locate_cache =
+        std::make_unique<xkms::LocateCache>(client.get(), cache_options);
     if (jobs > 0) pool = std::make_unique<ThreadPool>(jobs);
 
     player::PlayerConfig config = world.MakePlayerConfig();
@@ -586,17 +588,13 @@ struct PlayRig {
     return Status::OK();
   }
 
-  /// Folds component counters into the --metrics snapshot and prints the
-  /// cache/trace summary lines.
+  /// Prints the cache/trace summary lines. Each cache miss led the one
+  /// transport call of its flight.
   void PrintStats() {
-    engine->AbsorbComponentMetrics();
-    if (g_metrics != nullptr && transport_stats != nullptr) {
-      obs::AbsorbRetryingTransportStats(*transport_stats, g_metrics);
-    }
     xkms::LocateCacheStats locate_stats = locate_cache->stats();
     std::printf("xkms locate cache: %llu hit(s), %llu transport call(s)\n",
                 static_cast<unsigned long long>(locate_stats.hits),
-                static_cast<unsigned long long>(locate_stats.transport_calls));
+                static_cast<unsigned long long>(locate_stats.misses));
     if (g_tracer != nullptr) {
       std::printf("captured %zu span(s)\n", g_tracer->size());
     }
@@ -714,7 +712,10 @@ int CmdXkmsdDemo(const Args& args) {
 
   // Phase 1: the fleet locates through one shared edge cache.
   xkms::XkmsClient client(xkms::MakeServerTransport(&xkmsd));
-  xkms::LocateCache cache(&client);
+  client.set_observability(g_tracer, g_metrics);
+  xkms::LocateCache::Options cache_options;
+  cache_options.metrics = g_metrics;
+  xkms::LocateCache cache(&client, cache_options);
   size_t fleet_errors = 0;
   for (size_t p = 0; p < players; ++p) {
     for (int r = 0; r < 3; ++r) {
@@ -775,8 +776,6 @@ int CmdXkmsdDemo(const Args& args) {
 
   xkms::XkmsdStats stats = xkmsd.stats();
   xkms::LocateCacheStats edge = cache.stats();
-  if (g_metrics != nullptr) obs::AbsorbXkmsdStats(stats, g_metrics);
-  if (g_metrics != nullptr) obs::AbsorbLocateCacheStats(edge, g_metrics);
 
   std::printf("xkmsd-demo: %zu player(s), %zu key(s), %zu job(s)\n", players,
               keys, jobs);
@@ -805,7 +804,7 @@ int CmdXkmsdDemo(const Args& args) {
   std::printf(
       "edge cache: %.1f%% hit rate (%llu hit(s), %llu transport call(s))\n",
       hit_rate * 100.0, static_cast<unsigned long long>(edge.hits),
-      static_cast<unsigned long long>(edge.transport_calls));
+      static_cast<unsigned long long>(edge.misses));
   std::printf("storm: %zu revoked, %zu stale Valid answer(s)%s\n", keys / 2,
               stale_valids, stale_valids == 0 ? " (good)" : "  <-- BUG");
   if (fleet_errors > 0) {
@@ -928,6 +927,20 @@ int CmdRegenGolden(const Args& args) {
   return 0;
 }
 
+/// Copies the global injector's per-point hits and fires into `metrics`.
+/// The injector keeps those counts itself (its skip/every-Nth/max-fires
+/// triggers read them), so the registry gets them set once, right before
+/// the snapshot is written.
+void SetFaultCounters(obs::MetricsRegistry* metrics) {
+  const fault::FaultInjector& injector = fault::GlobalFaultInjector();
+  for (std::string_view point : fault::kAllPoints) {
+    std::string base = "fault." + std::string(point);
+    metrics->GetCounter(base + ".hits")->Set(injector.hits(point));
+    metrics->GetCounter(base + ".fires")->Set(injector.fires(point));
+  }
+  metrics->GetCounter("fault.total_fires")->Set(injector.total_fires());
+}
+
 int Dispatch(const Args& args) {
   if (args.command == "keygen") return CmdKeygen(args);
   if (args.command == "cert-root") return CmdCertRoot(args);
@@ -1001,6 +1014,7 @@ int main(int argc, char** argv) {
     if (!st.ok()) return Fail(st);
   }
   if (args.Has("metrics")) {
+    SetFaultCounters(&metrics);
     Status st = WriteFile(args.Get("metrics"), metrics.Snapshot().ToJson());
     if (!st.ok()) return Fail(st);
     std::fprintf(stderr, "metrics -> %s\n", args.Get("metrics").c_str());
