@@ -66,7 +66,7 @@ void RunBatch(benchmark::State& state, bool async_mode) {
   ThreadPool pool(kPoolThreads);
   TimerWheel wheel;
   xkms::XkmsClient client(xkms::MakeServerTransport(
-      &responder, 0, async_mode ? &wheel : nullptr, &injector));
+      &responder, async_mode ? &wheel : nullptr, &injector));
   player::PlayerConfig config = world.MakePlayerConfig();
   config.pool = &pool;
   config.xkms = &client;

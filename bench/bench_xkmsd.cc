@@ -6,10 +6,11 @@
 //
 //   BM_XkmsdZipfianFleet   open-loop flood of N player Locates straight
 //                          into the admission front door. Reports served
-//                          throughput, served p50/p99, shed and coalesce
-//                          rates. The front door is allowed (expected!) to
-//                          shed under the flood — what it may not do is
-//                          let the served tail blow out or lose a request.
+//                          throughput, served p50/p99, the shed rate and
+//                          store lookups. The front door is allowed
+//                          (expected!) to shed under the flood — what it
+//                          may not do is let the served tail blow out or
+//                          lose a request.
 //
 //   BM_XkmsdRevocationStorm  closed-loop fleet first against a healthy
 //                          responder (idle p99 baseline), then through a
@@ -125,7 +126,7 @@ void BM_XkmsdZipfianFleet(benchmark::State& state) {
   const size_t players = static_cast<size_t>(state.range(0));
   Zipf zipf(kKeys);
 
-  uint64_t served = 0, shed = 0, coalesced = 0, lookups = 0;
+  uint64_t served = 0, shed = 0, lookups = 0;
   std::vector<int64_t> latencies;
   for (auto _ : state) {
     ThreadPool pool(kPoolThreads);
@@ -160,7 +161,7 @@ void BM_XkmsdZipfianFleet(benchmark::State& state) {
         for (size_t i = static_cast<size_t>(g); i < players;
              i += kClientThreads) {
           const int64_t start = NowSteadyUs();
-          xkmsd.Submit(*plan[i], {},
+          xkmsd.Submit(*plan[i],
                        [&, i, start](Result<std::string> response) {
                          if (response.ok()) lat[i] = NowSteadyUs() - start;
                          if (done_count.fetch_add(1) + 1 == players) {
@@ -183,8 +184,7 @@ void BM_XkmsdZipfianFleet(benchmark::State& state) {
     }
     xkms::XkmsdStats stats = xkmsd.stats();
     served = stats.served;
-    shed = stats.shed_queue_full + stats.shed_deadline + stats.shed_fault;
-    coalesced = stats.coalesced_locates;
+    shed = stats.shed_queue_full + stats.shed_fault;
     lookups = stats.store_lookups;
   }
 
@@ -195,10 +195,6 @@ void BM_XkmsdZipfianFleet(benchmark::State& state) {
   state.counters["shed"] = static_cast<double>(shed);
   state.counters["shed_rate"] =
       static_cast<double>(shed) / static_cast<double>(players);
-  state.counters["coalesced"] = static_cast<double>(coalesced);
-  state.counters["coalesce_rate"] =
-      served > 0 ? static_cast<double>(coalesced) / static_cast<double>(served)
-                 : 0.0;
   state.counters["store_lookups"] = static_cast<double>(lookups);
   state.counters["served_p50_us"] =
       static_cast<double>(Percentile(&latencies, 0.50));

@@ -51,6 +51,13 @@ void FaultInjector::Reset() {
   armed_.store(false, std::memory_order_release);
 }
 
+std::vector<std::string> FaultInjector::armed_points() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> names;
+  for (const auto& [point, state] : points_) names.push_back(point);
+  return names;
+}
+
 uint64_t FaultInjector::hits(std::string_view point) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = points_.find(point);

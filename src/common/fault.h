@@ -6,6 +6,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/random.h"
@@ -133,6 +134,9 @@ class FaultInjector {
                          int64_t* deferred_delay_us) {
     return HitImpl(point, detail, data, deferred_delay_us);
   }
+
+  /// The points with an armed spec, in name order. Only they count hits.
+  std::vector<std::string> armed_points() const;
 
   /// Instrumentation counters, for "did the fault actually land" asserts.
   uint64_t hits(std::string_view point) const;

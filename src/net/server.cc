@@ -48,11 +48,7 @@ Result<Bytes> Downloader::Roundtrip(const Bytes& request, bool is_xkms,
         mark();
         return Status::Unsupported("server hosts no XKMS responder");
       }
-      xkms::XkmsdRequestOptions req;
-      if (server_->xkmsd_budget_us() > 0) {
-        req.deadline_us = xkmsd->NowUs() + server_->xkmsd_budget_us();
-      }
-      Result<std::string> response = xkmsd->Handle(ToString(plain), req);
+      Result<std::string> response = xkmsd->Handle(ToString(plain));
       if (!response.ok()) {
         mark();
         return response.status();

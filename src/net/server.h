@@ -30,17 +30,12 @@ class ContentServer {
 
   /// Attaches the trust service this server answers XKMS requests with:
   /// every Downloader::XkmsExchange goes through xkmsd's admission front
-  /// door, so overload sheds with retry-after hints. `request_budget_us` > 0
-  /// gives each dispatched request that much of the responder's clock as
-  /// deadline. With none attached (null detaches) an XKMS request fails as
-  /// a service error: kUnsupported, "server hosts no XKMS responder". The
-  /// responder must outlive this server.
-  void AttachXkmsd(xkms::Xkmsd* xkmsd, int64_t request_budget_us = 0) {
-    xkmsd_ = xkmsd;
-    xkmsd_budget_us_ = request_budget_us;
-  }
+  /// door, so overload sheds with retry-after hints. With none attached
+  /// (null detaches) an XKMS request fails as a service error:
+  /// kUnsupported, "server hosts no XKMS responder". The responder must
+  /// outlive this server.
+  void AttachXkmsd(xkms::Xkmsd* xkmsd) { xkmsd_ = xkmsd; }
   xkms::Xkmsd* attached_xkmsd() const { return xkmsd_; }
-  int64_t xkmsd_budget_us() const { return xkmsd_budget_us_; }
 
   /// Server identity for the secure channel.
   void SetIdentity(std::vector<pki::Certificate> chain,
@@ -54,7 +49,6 @@ class ContentServer {
  private:
   std::map<std::string, Bytes> content_;
   xkms::Xkmsd* xkmsd_ = nullptr;
-  int64_t xkmsd_budget_us_ = 0;
   std::vector<pki::Certificate> chain_;
   crypto::RsaPrivateKey key_;
 };

@@ -49,11 +49,9 @@ xkms::XkmsdStats Delta(const xkms::XkmsdStats& now,
   d.admitted = now.admitted - base.admitted;
   d.served = now.served - base.served;
   d.shed_queue_full = now.shed_queue_full - base.shed_queue_full;
-  d.shed_deadline = now.shed_deadline - base.shed_deadline;
   d.shed_oversized = now.shed_oversized - base.shed_oversized;
   d.shed_malformed = now.shed_malformed - base.shed_malformed;
   d.shed_fault = now.shed_fault - base.shed_fault;
-  d.coalesced_locates = now.coalesced_locates - base.coalesced_locates;
   d.store_lookups = now.store_lookups - base.store_lookups;
   d.degraded_locates = now.degraded_locates - base.degraded_locates;
   d.store_errors = now.store_errors - base.store_errors;
@@ -541,7 +539,7 @@ void ScenarioRun::RunBurst() {
       was_revoked = revoked_[decoy];
     }
     xkmsd_->Submit(
-        xkms::BuildLocateRequest(name), xkms::XkmsdRequestOptions{},
+        xkms::BuildLocateRequest(name),
         [&, was_revoked](Result<std::string> response) {
           std::lock_guard<std::mutex> lock(done_mu);
           if (response.ok() && was_revoked &&

@@ -48,8 +48,8 @@ double Ratio(uint64_t num, uint64_t den) {
 }
 
 uint64_t TotalShed(const xkms::XkmsdStats& s) {
-  return s.shed_queue_full + s.shed_deadline + s.shed_oversized +
-         s.shed_malformed + s.shed_fault;
+  return s.shed_queue_full + s.shed_oversized + s.shed_malformed +
+         s.shed_fault;
 }
 
 std::string Params(const ScenarioSpec& spec) {
@@ -137,8 +137,6 @@ std::string FleetBenchJson(const FleetReport& report) {
     counters["locate_cache.hit_rate"] =
         Ratio(row.locate.hits, row.locate.hits + row.locate.misses);
     counters["xkmsd.served"] = static_cast<double>(row.responder.served);
-    counters["xkmsd.coalesced"] =
-        static_cast<double>(row.responder.coalesced_locates);
     counters["xkmsd.degraded_locates"] =
         static_cast<double>(row.responder.degraded_locates);
     const uint64_t shed = TotalShed(row.responder);

@@ -15,8 +15,6 @@ Result<xml::Document> ParseResponse(const std::string& response_xml) {
   return doc;
 }
 
-/// Response decoding shared by the blocking and async call shapes, so the
-/// two cannot drift in error taxonomy or field handling.
 Result<KeyBinding> ParseLocateResponse(const std::string& name,
                                        const std::string& response_xml) {
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
@@ -35,8 +33,8 @@ Result<KeyBinding> ParseLocateResponse(const std::string& name,
   return binding;
 }
 
-/// `raw_status`, when non-null, receives the Status element's literal text
-/// (recorded as the span attribute).
+/// `raw_status` receives the Status element's literal text (recorded as
+/// the span attribute).
 Result<KeyStatus> ParseValidateResponse(const std::string& response_xml,
                                         std::string* raw_status) {
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
@@ -46,10 +44,8 @@ Result<KeyStatus> ParseValidateResponse(const std::string& response_xml,
     return Status::ParseError("ValidateResult missing Status")
         .WithContext("XKMS response");
   }
-  std::string s = status->TextContent();
-  KeyStatus parsed = KeyStatusFromName(s);
-  if (raw_status != nullptr) *raw_status = std::move(s);
-  return parsed;
+  *raw_status = status->TextContent();
+  return KeyStatusFromName(*raw_status);
 }
 
 }  // namespace
@@ -60,25 +56,18 @@ Result<std::string> XkmsClient::SendAndWait(const std::string& request_xml) {
 }
 
 Result<KeyBinding> XkmsClient::Locate(const std::string& name) {
-  obs::ScopedSpan span(tracer_, "xkms.locate");
-  span.SetAttr("name", name);
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.locate")->Add();
-  DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           SendAndWait(BuildLocateRequest(name)));
-  return ParseLocateResponse(name, response_xml);
+  return WaitForCompletion<Result<KeyBinding>>(
+      [&](std::function<void(Result<KeyBinding>)> done) {
+        LocateAsync(name, std::move(done));
+      });
 }
 
 Result<KeyStatus> XkmsClient::Validate(const std::string& name,
                                        const crypto::RsaPublicKey& key) {
-  obs::ScopedSpan span(tracer_, "xkms.validate");
-  span.SetAttr("name", name);
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.validate")->Add();
-  DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           SendAndWait(BuildValidateRequest(name, key)));
-  std::string raw_status;
-  Result<KeyStatus> parsed = ParseValidateResponse(response_xml, &raw_status);
-  if (parsed.ok()) span.SetAttr("status", raw_status);
-  return parsed;
+  return WaitForCompletion<Result<KeyStatus>>(
+      [&](std::function<void(Result<KeyStatus>)> done) {
+        ValidateAsync(name, key, std::move(done));
+      });
 }
 
 void XkmsClient::LocateAsync(const std::string& name,

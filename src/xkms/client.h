@@ -35,9 +35,11 @@ using Transport =
 /// that arrived but does not parse as the expected result markup gets an
 /// "XKMS response" context here — three distinct, testable layers.
 ///
-/// Locate, Validate, Register and Revoke are blocking wait adapters over the
-/// transport: they must not run on a thread the transport needs in order
-/// to complete (the TimerWheel thread, or the responder's pool workers).
+/// Locate and Validate are blocking wait adapters over LocateAsync and
+/// ValidateAsync, so each response is decoded, counted and spanned in one
+/// place; Register and Revoke wait on the transport directly. No blocking
+/// call may run on a thread the transport needs in order to complete (the
+/// TimerWheel thread, or the responder's pool workers).
 class XkmsClient {
  public:
   explicit XkmsClient(Transport transport)
@@ -50,9 +52,9 @@ class XkmsClient {
   Result<KeyStatus> Validate(const std::string& name,
                              const crypto::RsaPublicKey& key);
 
-  /// Async counterparts: identical request markup, response parsing and
-  /// error taxonomy as the blocking calls, completing through `done`
-  /// (invoked exactly once, on whatever thread the transport completed).
+  /// The implementations under Locate and Validate, completing through
+  /// `done` (invoked exactly once, on whatever thread the transport
+  /// completed).
   void LocateAsync(const std::string& name,
                    std::function<void(Result<KeyBinding>)> done);
   void ValidateAsync(const std::string& name,
@@ -68,13 +70,16 @@ class XkmsClient {
   /// Observability (DESIGN.md §10): "xkms.locate" / "xkms.validate" /
   /// "xkms.register" / "xkms.revoke" spans (attributes: name, and the
   /// binding status on validate) and "xkms.<op>" counters. Null = no-op.
+  /// A locate or validate span covers response decoding, opened on the
+  /// thread the transport completed on; register and revoke spans cover
+  /// the whole round-trip.
   void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
     tracer_ = tracer;
     metrics_ = metrics;
   }
 
  private:
-  /// The wait adapter under the blocking calls: sends `request_xml` and
+  /// The wait adapter under Register and Revoke: sends `request_xml` and
   /// blocks the calling thread until the transport completes, so it is
   /// bound by the thread rule in the class comment.
   Result<std::string> SendAndWait(const std::string& request_xml);

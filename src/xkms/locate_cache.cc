@@ -10,6 +10,9 @@ namespace xkms {
 
 namespace {
 
+/// Entry budget; the oldest-expiring entry is dropped past it.
+constexpr size_t kMaxEntries = 1024;
+
 int64_t SteadyNowUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -80,7 +83,7 @@ void LocateCache::Land(const std::string& name, Result<KeyBinding> result) {
     std::lock_guard<std::mutex> lock(mu_);
     if (result.ok()) {
       entries_[name] = Entry{result.value(), clock_() + options_.ttl_us};
-      while (entries_.size() > options_.max_entries) {
+      while (entries_.size() > kMaxEntries) {
         auto victim = entries_.begin();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
           if (it->second.expires_us < victim->second.expires_us) victim = it;
@@ -103,11 +106,6 @@ Result<KeyBinding> LocateCache::Locate(const std::string& name) {
 void LocateCache::Invalidate(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.erase(name);
-}
-
-void LocateCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
 }
 
 LocateCacheStats LocateCache::stats() const {

@@ -35,7 +35,8 @@ struct LocateCacheStats {
 /// attached caller but never cached, so the next call retries). Successful
 /// bindings are cached for `ttl_us` of the injected clock; revocation
 /// latency is therefore bounded by the TTL, which is why Validate verdicts
-/// are deliberately NOT cached here — see DESIGN.md §9.
+/// are deliberately NOT cached here — see DESIGN.md §9. At most 1024
+/// bindings are kept; past that the oldest-expiring one is dropped.
 class LocateCache {
  public:
   struct Options {
@@ -43,8 +44,6 @@ class LocateCache {
     int64_t ttl_us = 60 * 1000 * 1000;
     /// Injectable clock for tests; defaults to the steady clock.
     std::function<int64_t()> clock;
-    /// Entry budget; the oldest-expiring entry is dropped past it.
-    size_t max_entries = 1024;
     /// Where the cache counts: "locate_cache.hits", ".misses",
     /// ".expirations" and ".coalesced", resolved once at construction.
     /// Null = counted into a registry the cache owns. Must outlive the
@@ -73,7 +72,6 @@ class LocateCache {
 
   /// Drops one entry (e.g. after a revocation the caller performed).
   void Invalidate(const std::string& name);
-  void Clear();
 
   /// Reads the counters back from the registry they live in.
   LocateCacheStats stats() const;

@@ -1,6 +1,7 @@
 #include "xkms/xkmsd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -81,7 +82,6 @@ Status ShardedKeyStore::Register(const KeyBinding& binding) {
   stored.status = KeyStatus::kValid;
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.bindings[binding.name] = std::move(stored);
-  shard.generation.fetch_add(1, std::memory_order_release);
   return Status::OK();
 }
 
@@ -93,7 +93,6 @@ Status ShardedKeyStore::Revoke(const std::string& name) {
     return Status::NotFound("no binding named '" + name + "'");
   }
   it->second.status = KeyStatus::kInvalid;
-  shard.generation.fetch_add(1, std::memory_order_release);
   return Status::OK();
 }
 
@@ -115,10 +114,6 @@ KeyStatus ShardedKeyStore::Validate(const std::string& name,
   if (it == shard.bindings.end()) return KeyStatus::kIndeterminate;
   if (!(it->second.key == key)) return KeyStatus::kInvalid;
   return it->second.status;
-}
-
-uint64_t ShardedKeyStore::GenerationFor(const std::string& name) const {
-  return ShardFor(name).generation.load(std::memory_order_acquire);
 }
 
 size_t ShardedKeyStore::BindingCount() const {
@@ -189,19 +184,16 @@ size_t SnapshotStore::size() const {
 namespace {
 
 /// The responder's counter handles, resolved once from the registry it was
-/// built with. Each event increments exactly one of them, from workers,
-/// the wheel thread and submitters alike (Counter::Add is a relaxed
-/// atomic).
+/// built with. Each event increments exactly one of them, from workers and
+/// submitters alike (Counter::Add is a relaxed atomic).
 struct Counters {
   explicit Counters(obs::MetricsRegistry* metrics)
       : admitted(metrics->GetCounter("xkmsd.admitted")),
         served(metrics->GetCounter("xkmsd.served")),
         shed_queue_full(metrics->GetCounter("xkmsd.shed.queue_full")),
-        shed_deadline(metrics->GetCounter("xkmsd.shed.deadline")),
         shed_oversized(metrics->GetCounter("xkmsd.shed.oversized")),
         shed_malformed(metrics->GetCounter("xkmsd.shed.malformed")),
         shed_fault(metrics->GetCounter("xkmsd.shed.fault")),
-        coalesced(metrics->GetCounter("xkmsd.coalesced")),
         store_lookups(metrics->GetCounter("xkmsd.store_lookups")),
         degraded(metrics->GetCounter("xkmsd.degraded")),
         store_errors(metrics->GetCounter("xkmsd.store_errors")),
@@ -210,16 +202,19 @@ struct Counters {
   obs::Counter* admitted;
   obs::Counter* served;
   obs::Counter* shed_queue_full;
-  obs::Counter* shed_deadline;
   obs::Counter* shed_oversized;
   obs::Counter* shed_malformed;
   obs::Counter* shed_fault;
-  obs::Counter* coalesced;
   obs::Counter* store_lookups;
   obs::Counter* degraded;
   obs::Counter* store_errors;
   obs::Counter* queue_depth;  ///< gauge, Set under queue_mu
 };
+
+/// Shards in the authoritative store, and the successful mutations between
+/// periodic snapshot refreshes (RefreshSnapshot() refreshes on demand).
+constexpr size_t kStoreShards = 16;
+constexpr uint64_t kSnapshotRefreshEvery = 64;
 
 }  // namespace
 
@@ -227,24 +222,13 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
   struct Item {
     std::string request;
     XkmsdPriority priority = XkmsdPriority::kMutate;
-    int64_t deadline_us = 0;
     int64_t enqueued_at_us = 0;
     Completion done;
-    /// Claimed exactly once, by the worker that dequeues it or by the
-    /// wheel's deadline callback that sheds it mid-queue.
-    std::atomic<bool> taken{false};
-  };
-
-  /// One in-flight coalesced Locate: the leader performs the lookup, every
-  /// request that attached while it was in flight shares the result.
-  struct Flight {
-    uint64_t generation = 0;  ///< owning shard's generation at creation
-    std::vector<std::shared_ptr<Item>> waiters;
   };
 
   explicit Core(XkmsdOptions opts)
       : options(std::move(opts)),
-        store(options.store_shards),
+        store(kStoreShards),
         clock(options.clock ? options.clock
                             : std::function<int64_t()>(SteadyNowUs)),
         counters(options.metrics != nullptr ? options.metrics
@@ -266,12 +250,8 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
   obs::Histogram* serve_hist = nullptr;
 
   std::mutex queue_mu;
-  std::deque<std::shared_ptr<Item>> queues[kXkmsdPriorities];
-  size_t live[kXkmsdPriorities] = {0, 0, 0};  // enqueued and unclaimed
+  std::deque<Item> queues[kXkmsdPriorities];
   bool shutting_down = false;
-
-  std::mutex flights_mu;
-  std::map<std::string, std::shared_ptr<Flight>> flights;
 
   std::mutex pending_mu;
   std::condition_variable pending_cv;
@@ -283,12 +263,11 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
     return fault::Effective(options.fault);
   }
 
-  /// Publishes the "xkmsd.queue_depth" gauge; called under queue_mu
-  /// wherever live[] changes.
-  void PublishQueueDepth() {
+  /// Requests queued across every priority; called under queue_mu.
+  size_t QueuedLocked() const {
     size_t depth = 0;
-    for (size_t i = 0; i < kXkmsdPriorities; ++i) depth += live[i];
-    counters.queue_depth->Set(depth);
+    for (const auto& queue : queues) depth += queue.size();
+    return depth;
   }
 
   void TrackPending(int delta) {
@@ -304,34 +283,27 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
 
   /// Completes an admitted item and releases its pending slot. Sheds at
   /// the front door (never admitted) call `done` directly instead.
-  void Complete(const std::shared_ptr<Item>& item, Result<std::string> r) {
-    item->done(std::move(r));
+  void Complete(Item& item, Result<std::string> r) {
+    item.done(std::move(r));
     TrackPending(-1);
   }
 
-  int64_t RetryAfterHint(XkmsdPriority priority) {
+  /// Deeper backlog, longer hint: base * (1 + backlog/limit), where
+  /// `backlog` is every queued request. The client's jitter decorrelates
+  /// the fleet around it.
+  int64_t RetryAfterHint(XkmsdPriority priority, size_t backlog) const {
     if (options.retry_after_base_us <= 0) return 0;
-    size_t total_live = 0;
     size_t limit =
         std::max<size_t>(1, options.queue_limits[static_cast<size_t>(
                                 priority)]);
-    {
-      std::lock_guard<std::mutex> lock(queue_mu);
-      for (size_t i = 0; i < kXkmsdPriorities; ++i) total_live += live[i];
-    }
-    // Deeper backlog, longer hint: base * (1 + depth/limit). The client's
-    // jitter decorrelates the fleet around it.
     return options.retry_after_base_us *
-           static_cast<int64_t>(1 + total_live / limit);
+           static_cast<int64_t>(1 + backlog / limit);
   }
 
-  void Submit(std::string request_xml, XkmsdRequestOptions req,
-              Completion done);
+  void Submit(std::string request_xml, Completion done);
   void ProcessOne();
-  void Serve(const std::shared_ptr<Item>& item);
-  void ServeLocate(const std::shared_ptr<Item>& item,
-                   const std::string& name);
-  Result<std::string> LookupLocate(const std::string& name);
+  void Serve(Item& item);
+  Result<std::string> ServeLocate(const xml::Element& root);
   Result<std::string> ServeValidate(const xml::Element& root);
   Result<std::string> ServeRegister(const xml::Element& root);
   Result<std::string> ServeRevoke(const xml::Element& root);
@@ -339,8 +311,7 @@ struct Xkmsd::Core : std::enable_shared_from_this<Xkmsd::Core> {
   void AfterMutation();
 };
 
-void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
-                         Completion done) {
+void Xkmsd::Core::Submit(std::string request_xml, Completion done) {
   const XkmsdPriority priority = ClassifyRequest(request_xml);
 
   {
@@ -376,81 +347,38 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
     return;
   }
 
-  const int64_t now_us = clock();
-
-  // 3. Deadline-aware rejection: if the client's deadline already passed,
-  // any work we do is wasted — shed before parsing, before queueing.
-  if (req.deadline_us > 0 && now_us >= req.deadline_us) {
-    counters.shed_deadline->Add();
-    done(Status::DeadlineExceeded("client deadline expired " +
-                                  std::to_string(now_us - req.deadline_us) +
-                                  "us before admission")
-             .WithContext("xkmsd admission"));
-    return;
-  }
-
-  // 4. Queue-depth load shedding, with a retry-after hint sized to the
+  // 3. Queue-depth load shedding, with a retry-after hint sized to the
   // backlog so the fleet spreads its return instead of hammering.
-  auto item = std::make_shared<Item>();
-  item->request = std::move(request_xml);
-  item->priority = priority;
-  item->deadline_us = req.deadline_us;
-  item->enqueued_at_us = now_us;
-  item->done = std::move(done);
-
+  const int64_t now_us = clock();
   const size_t pi = static_cast<size_t>(priority);
-  size_t depth_at_rejection = 0;
-  bool rejected = false;
+  size_t depth = 0;
+  size_t backlog = 0;
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu);
-    if (live[pi] >= options.queue_limits[pi]) {
-      rejected = true;
-      depth_at_rejection = live[pi];
+    depth = queues[pi].size();
+    if (depth < options.queue_limits[pi]) {
+      queues[pi].push_back(
+          Item{std::move(request_xml), priority, now_us, std::move(done)});
+      counters.queue_depth->Set(QueuedLocked());
+      admitted = true;
     } else {
-      live[pi]++;
-      PublishQueueDepth();
-      queues[pi].push_back(item);
+      backlog = QueuedLocked();
     }
   }
-  if (rejected) {
+  if (!admitted) {
     counters.shed_queue_full->Add();
-    // The hint is computed outside the queue lock (RetryAfterHint
-    // re-acquires it to read the depth).
-    item->done(Status::Unavailable(
-                   "xkmsd overloaded: " +
-                   std::string(XkmsdPriorityName(priority)) + " queue at " +
-                   std::to_string(depth_at_rejection) + "/" +
-                   std::to_string(options.queue_limits[pi]))
-                   .WithRetryAfter(RetryAfterHint(priority))
-                   .WithContext("xkmsd admission"));
+    done(Status::Unavailable("xkmsd overloaded: " +
+                             std::string(XkmsdPriorityName(priority)) +
+                             " queue at " + std::to_string(depth) + "/" +
+                             std::to_string(options.queue_limits[pi]))
+             .WithRetryAfter(RetryAfterHint(priority, backlog))
+             .WithContext("xkmsd admission"));
     return;
   }
 
   counters.admitted->Add();
   TrackPending(+1);
-
-  // 5. Mid-queue deadline shedding: park a wheel entry at the deadline
-  // that claims-and-sheds the item if no worker got to it first.
-  if (item->deadline_us > 0 && options.wheel != nullptr) {
-    auto self = shared_from_this();
-    int64_t delay_us = item->deadline_us - now_us;
-    options.wheel->ScheduleAfter(delay_us, [self, item] {
-      if (item->taken.exchange(true, std::memory_order_acq_rel)) return;
-      {
-        std::lock_guard<std::mutex> lock(self->queue_mu);
-        self->live[static_cast<size_t>(item->priority)]--;
-        self->PublishQueueDepth();
-      }
-      self->counters.shed_deadline->Add();
-      self->Complete(
-          item, Status::DeadlineExceeded(
-                    "client deadline expired while queued behind " +
-                    std::string(XkmsdPriorityName(item->priority)) +
-                    " backlog")
-                    .WithContext("xkmsd admission"));
-    });
-  }
-
   if (options.pool != nullptr) {
     auto self = shared_from_this();
     options.pool->Submit([self] { self->ProcessOne(); });
@@ -460,51 +388,29 @@ void Xkmsd::Core::Submit(std::string request_xml, XkmsdRequestOptions req,
 }
 
 void Xkmsd::Core::ProcessOne() {
-  std::shared_ptr<Item> item;
+  Item item;
   {
     std::lock_guard<std::mutex> lock(queue_mu);
-    for (size_t pi = 0; pi < kXkmsdPriorities && item == nullptr; ++pi) {
-      auto& queue = queues[pi];
-      while (!queue.empty()) {
-        std::shared_ptr<Item> candidate = queue.front();
-        queue.pop_front();
-        // Items the wheel already shed stay in the deque until popped
-        // here; they hold no live slot.
-        if (candidate->taken.exchange(true, std::memory_order_acq_rel)) {
-          continue;
-        }
-        live[static_cast<size_t>(candidate->priority)]--;
-        PublishQueueDepth();
-        item = std::move(candidate);
-        break;
-      }
-    }
+    // Every enqueue submits exactly one ProcessOne after pushing its item,
+    // so some queue is non-empty here: take from the most important one.
+    size_t pi = 0;
+    while (queues[pi].empty()) ++pi;
+    item = std::move(queues[pi].front());
+    queues[pi].pop_front();
+    counters.queue_depth->Set(QueuedLocked());
   }
-  // Every enqueue submits exactly one ProcessOne; when the wheel shed our
-  // item there is nothing left to claim.
-  if (item == nullptr) return;
 
   const int64_t now_us = clock();
-  if (queue_wait_hist != nullptr && now_us >= item->enqueued_at_us) {
+  if (queue_wait_hist != nullptr && now_us >= item.enqueued_at_us) {
     queue_wait_hist->Observe(
-        static_cast<uint64_t>(now_us - item->enqueued_at_us));
+        static_cast<uint64_t>(now_us - item.enqueued_at_us));
   }
-
-  // Deadline re-check at dequeue (covers the no-wheel configuration).
-  if (item->deadline_us > 0 && now_us >= item->deadline_us) {
-    counters.shed_deadline->Add();
-    Complete(item, Status::DeadlineExceeded(
-                       "client deadline expired while queued")
-                       .WithContext("xkmsd admission"));
-    return;
-  }
-
   Serve(item);
 }
 
-void Xkmsd::Core::Serve(const std::shared_ptr<Item>& item) {
+void Xkmsd::Core::Serve(Item& item) {
   obs::ScopedSpan span(options.tracer, "xkmsd.request");
-  span.SetAttr("priority", XkmsdPriorityName(item->priority));
+  span.SetAttr("priority", XkmsdPriorityName(item.priority));
   obs::ScopedLatency latency(serve_hist);
 
   // The bounded parse happens here, in the worker, after admission but
@@ -512,7 +418,7 @@ void Xkmsd::Core::Serve(const std::shared_ptr<Item>& item) {
   // costs one rejected parse, never a store lock.
   xml::ParseOptions parse_options = options.parse;
   parse_options.tracer = options.tracer;
-  Result<xml::Document> doc = xml::Parse(item->request, parse_options);
+  Result<xml::Document> doc = xml::Parse(item.request, parse_options);
   if (!doc.ok()) {
     counters.shed_malformed->Add();
     span.SetAttr("outcome", "malformed");
@@ -524,21 +430,9 @@ void Xkmsd::Core::Serve(const std::shared_ptr<Item>& item) {
   std::string op(root->LocalName());
   span.SetAttr("op", op);
 
-  if (op == "LocateRequest") {
-    const xml::Element* name = root->FirstChildElementByLocalName("KeyName");
-    if (name == nullptr) {
-      counters.shed_malformed->Add();
-      span.SetAttr("outcome", "malformed");
-      Complete(item, Status::ParseError("LocateRequest missing KeyName")
-                         .WithContext("xkmsd request"));
-      return;
-    }
-    ServeLocate(item, name->TextContent());
-    return;
-  }
-
   Result<std::string> response =
-      op == "ValidateRequest"   ? ServeValidate(*root)
+      op == "LocateRequest"     ? ServeLocate(*root)
+      : op == "ValidateRequest" ? ServeValidate(*root)
       : op == "RegisterRequest" ? ServeRegister(*root)
       : op == "RevokeRequest"
           ? ServeRevoke(*root)
@@ -554,49 +448,15 @@ void Xkmsd::Core::Serve(const std::shared_ptr<Item>& item) {
   Complete(item, std::move(response));
 }
 
-void Xkmsd::Core::ServeLocate(const std::shared_ptr<Item>& item,
-                              const std::string& name) {
-  // Coalescing: if a lookup for this name is already in flight *and* the
-  // owning shard has not mutated since it started, ride it. A mutation in
-  // between makes the in-flight answer stale for us — start a fresh
-  // flight instead: an answer computed before a mutation never reaches a
-  // request that arrived after it.
-  std::shared_ptr<Flight> flight;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu);
-    uint64_t generation = store.GenerationFor(name);
-    auto it = flights.find(name);
-    if (it != flights.end() && it->second->generation == generation) {
-      it->second->waiters.push_back(item);
-      counters.coalesced->Add();
-      return;
-    }
-    flight = std::make_shared<Flight>();
-    flight->generation = generation;
-    flight->waiters.push_back(item);
-    flights[name] = flight;  // replaces a stale flight; its leader still
-                             // holds a reference and completes its own
-                             // waiters with the older answer
+Result<std::string> Xkmsd::Core::ServeLocate(const xml::Element& root) {
+  const xml::Element* key_name = root.FirstChildElementByLocalName("KeyName");
+  if (key_name == nullptr) {
+    counters.shed_malformed->Add();
+    return Status::ParseError("LocateRequest missing KeyName")
+        .WithContext("xkmsd request");
   }
+  const std::string name = key_name->TextContent();
 
-  Result<std::string> response = LookupLocate(name);
-
-  std::vector<std::shared_ptr<Item>> waiters;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu);
-    auto it = flights.find(name);
-    if (it != flights.end() && it->second == flight) flights.erase(it);
-    waiters = std::move(flight->waiters);
-  }
-  for (const auto& waiter : waiters) {
-    if (response.ok()) {
-      counters.served->Add();
-    }
-    Complete(waiter, response);
-  }
-}
-
-Result<std::string> Xkmsd::Core::LookupLocate(const std::string& name) {
   Status chaos = injector()->Hit(fault::kXkmsdStore, "locate " + name);
   if (!chaos.ok()) {
     // Authoritative store is broken. Graceful degradation: answer from
@@ -645,8 +505,8 @@ Result<std::string> Xkmsd::Core::ServeValidate(const xml::Element& root) {
     return binding.status().WithContext("xkmsd request");
   }
 
-  // Validate never degrades and is never coalesced: a trust verdict must
-  // come from the authoritative store or not at all. A broken store means
+  // Validate never degrades: a trust verdict must come from the
+  // authoritative store or not at all. A broken store means
   // kUnavailable — the client retries or fails closed, it never receives
   // a stale Valid.
   Status chaos = injector()->Hit(fault::kXkmsdStore,
@@ -732,10 +592,7 @@ void Xkmsd::Core::RefreshSnapshot() {
 
 void Xkmsd::Core::AfterMutation() {
   uint64_t count = mutations.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (options.snapshot_refresh_every > 0 &&
-      count % options.snapshot_refresh_every == 0) {
-    RefreshSnapshot();
-  }
+  if (count % kSnapshotRefreshEvery == 0) RefreshSnapshot();
 }
 
 Xkmsd::Xkmsd(XkmsdOptions options)
@@ -746,20 +603,18 @@ Xkmsd::~Xkmsd() {
     std::lock_guard<std::mutex> lock(core_->queue_mu);
     core_->shutting_down = true;
   }
-  // Every admitted request completes before the shell dies; wheel/pool
+  // Every admitted request completes before the shell dies; pool
   // callbacks that outlive us only touch the shared Core.
   core_->DrainPending();
 }
 
-void Xkmsd::Submit(std::string request_xml, XkmsdRequestOptions req,
-                   Completion done) {
-  core_->Submit(std::move(request_xml), req, std::move(done));
+void Xkmsd::Submit(std::string request_xml, Completion done) {
+  core_->Submit(std::move(request_xml), std::move(done));
 }
 
-Result<std::string> Xkmsd::Handle(const std::string& request_xml,
-                                  XkmsdRequestOptions req) {
+Result<std::string> Xkmsd::Handle(const std::string& request_xml) {
   return WaitForCompletion<Result<std::string>>(
-      [&](Completion done) { Submit(request_xml, req, std::move(done)); });
+      [&](Completion done) { Submit(request_xml, std::move(done)); });
 }
 
 Status Xkmsd::SeedBinding(const KeyBinding& binding) {
@@ -770,19 +625,15 @@ Status Xkmsd::SeedBinding(const KeyBinding& binding) {
 
 void Xkmsd::RefreshSnapshot() { core_->RefreshSnapshot(); }
 
-int64_t Xkmsd::NowUs() const { return core_->clock(); }
-
 XkmsdStats Xkmsd::stats() const {
   const Counters& c = core_->counters;
   XkmsdStats out;
   out.admitted = c.admitted->value();
   out.served = c.served->value();
   out.shed_queue_full = c.shed_queue_full->value();
-  out.shed_deadline = c.shed_deadline->value();
   out.shed_oversized = c.shed_oversized->value();
   out.shed_malformed = c.shed_malformed->value();
   out.shed_fault = c.shed_fault->value();
-  out.coalesced_locates = c.coalesced->value();
   out.store_lookups = c.store_lookups->value();
   out.degraded_locates = c.degraded->value();
   out.store_errors = c.store_errors->value();
@@ -811,10 +662,9 @@ void AfterDelay(TimerWheel* wheel, int64_t delay_us, Fn fn) {
 
 }  // namespace
 
-Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us,
-                              TimerWheel* wheel,
+Transport MakeServerTransport(Xkmsd* server, TimerWheel* wheel,
                               fault::FaultInjector* injector) {
-  return [server, request_budget_us, wheel, injector](
+  return [server, wheel, injector](
              const std::string& request_xml, AsyncCallback done) {
     fault::FaultInjector* fi = fault::Effective(injector);
     std::string wire_request = request_xml;
@@ -828,15 +678,10 @@ Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us,
     }
     // The responder call plus the response-side fault point; runs after
     // the request-side latency (if any) has been served.
-    auto respond = [server, request_budget_us, wheel, fi,
-                    wire_request = std::move(wire_request),
+    auto respond = [server, wheel, fi, wire_request = std::move(wire_request),
                     done = std::move(done)]() mutable {
-      XkmsdRequestOptions req;
-      if (request_budget_us > 0) {
-        req.deadline_us = server->NowUs() + request_budget_us;
-      }
       server->Submit(
-          std::move(wire_request), req,
+          std::move(wire_request),
           [wheel, fi,
            done = std::move(done)](Result<std::string> response) mutable {
             if (!response.ok()) {

@@ -1,11 +1,11 @@
 #ifndef DISCSEC_XKMS_XKMSD_H_
 #define DISCSEC_XKMS_XKMSD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,19 +29,13 @@ namespace xkms {
 /// admission path; with one it is built for 10^5 players hitting it at
 /// once, behind
 ///
-///  - a *sharded, generation-versioned key store* (per-shard mutex, a
-///    generation bumped on every mutation) so Register/Revoke on one shard
-///    never serializes Locate/Validate on another;
-///  - *request coalescing*: concurrent Locates for the same key name
-///    collapse onto a single store lookup, with a shard-generation check so
-///    a lookup started before a revocation never fans its stale answer out
-///    to waiters that arrived after it;
+///  - a *sharded key store* (per-shard mutex) so Register/Revoke on one
+///    shard never serializes Locate/Validate on another;
 ///  - an *admission-control front door*: bounded per-priority queues
-///    (Validate > Locate > Register/Revoke), deadline-aware rejection
-///    (expired requests are shed before any parsing or store work),
-///    queue-depth load shedding returning kUnavailable with a retry-after
-///    hint the client's RetryAsync honors, and oversized payload rejection
-///    against the configured ParseOptions limits before the parser runs;
+///    (Validate > Locate > Register/Revoke), queue-depth load shedding
+///    returning kUnavailable with a retry-after hint the client's
+///    RetryAsync honors, and oversized payload rejection against the
+///    configured ParseOptions limits before the parser runs;
 ///  - *graceful degradation*: when the authoritative store is broken
 ///    (chaos at fault point "xkmsd.store"), Locate falls back to a stale
 ///    snapshot whose answers are forced to Indeterminate-on-doubt — a
@@ -63,18 +57,15 @@ inline constexpr size_t kXkmsdPriorities = 3;
 const char* XkmsdPriorityName(XkmsdPriority priority);
 
 /// The authoritative binding store, sharded by key-name hash. Each shard
-/// carries its own mutex and a monotonically increasing generation counter
-/// bumped on every mutation, which is what the coalescing layer checks to
-/// refuse fanning a pre-revocation lookup out to post-revocation waiters.
+/// carries its own mutex, so a mutation locks one shard only.
 class ShardedKeyStore {
  public:
   explicit ShardedKeyStore(size_t shard_count);
 
-  /// Registers (or re-registers) a binding; resets status to Valid and
-  /// bumps the owning shard's generation.
+  /// Registers (or re-registers) a binding; resets status to Valid.
   Status Register(const KeyBinding& binding);
 
-  /// Marks the binding revoked and bumps the owning shard's generation.
+  /// Marks the binding revoked.
   Status Revoke(const std::string& name);
 
   /// Returns the binding for `name` (whatever its status).
@@ -85,11 +76,6 @@ class ShardedKeyStore {
   KeyStatus Validate(const std::string& name,
                      const crypto::RsaPublicKey& key) const;
 
-  /// The generation of the shard owning `name`. Any mutation of any
-  /// binding on that shard bumps it.
-  uint64_t GenerationFor(const std::string& name) const;
-
-  size_t shard_count() const { return shards_.size(); }
   size_t BindingCount() const;
 
   /// Copies every binding out (shard by shard; not a point-in-time
@@ -100,7 +86,6 @@ class ShardedKeyStore {
   struct Shard {
     mutable std::mutex mu;
     std::map<std::string, KeyBinding> bindings;
-    std::atomic<uint64_t> generation{0};
   };
 
   Shard& ShardFor(const std::string& name) const;
@@ -139,10 +124,6 @@ class SnapshotStore {
 };
 
 struct XkmsdOptions {
-  /// Shards in the authoritative store. More shards = less Register/Revoke
-  /// vs Locate/Validate contention.
-  size_t store_shards = 16;
-
   /// Parser limits enforced at the front door (request size, before
   /// admission) and in the worker (structure, before any store work).
   xml::ParseOptions parse;
@@ -156,19 +137,13 @@ struct XkmsdOptions {
   /// hint scales with total queue depth. 0 disables the hint.
   int64_t retry_after_base_us = 20000;
 
-  /// Refresh the snapshot from the store every N successful mutations
-  /// (plus the explicit RefreshSnapshot()). 0 disables periodic refresh.
-  uint64_t snapshot_refresh_every = 64;
-
   /// Execution substrate. Null pool = requests are served inline on the
   /// submitting thread (still through the full admission path, so tests
-  /// are deterministic by default). Null wheel = queued requests are only
-  /// deadline-checked at dequeue, not proactively shed mid-queue.
+  /// are deterministic by default).
   ThreadPool* pool = nullptr;
-  TimerWheel* wheel = nullptr;
 
-  /// Clock for deadlines and the retry-after math, microseconds. Defaults
-  /// to the steady clock; tests inject a fake.
+  /// Clock for the queue-wait histogram and the snapshot's refresh stamp,
+  /// microseconds. Defaults to the steady clock; tests inject a fake.
   std::function<int64_t()> clock;
 
   /// Chaos: consulted at fault::kXkmsdQueue (front door, detail
@@ -179,7 +154,7 @@ struct XkmsdOptions {
   /// Observability. `tracer` (null = off): "xkmsd.request" spans.
   /// `metrics`: where the responder counts, through handles resolved once
   /// at construction: "xkmsd.admitted", "xkmsd.served", "xkmsd.shed.*",
-  /// "xkmsd.coalesced", "xkmsd.store_lookups", "xkmsd.degraded",
+  /// "xkmsd.store_lookups", "xkmsd.degraded",
   /// "xkmsd.store_errors" and the "xkmsd.queue_depth" gauge; null =
   /// counted into a registry the responder owns. Histograms
   /// "xkmsd.queue_wait_us" (option-clock domain) and "xkmsd.serve_us"
@@ -191,39 +166,26 @@ struct XkmsdOptions {
 
 /// Read-only view of the responder's counters (Xkmsd::stats()). Sheds are
 /// disjoint: each rejected request increments exactly one shed_* counter.
-/// `coalesced_locates` counts waiters who rode another request's lookup;
-/// `store_lookups` counts actual store reads, so under a thundering herd
-/// admitted ≈ coalesced + store_lookups for Locate traffic.
+/// `store_lookups` counts authoritative store reads: one per Locate the
+/// store answered.
 struct XkmsdStats {
   uint64_t admitted = 0;
   uint64_t served = 0;           ///< completed with a response document
   uint64_t shed_queue_full = 0;  ///< kUnavailable + retry-after
-  uint64_t shed_deadline = 0;    ///< client deadline passed (front door,
-                                 ///< in-queue via wheel, or at dequeue)
   uint64_t shed_oversized = 0;   ///< request bytes > parse.max_input
   uint64_t shed_malformed = 0;   ///< bounded parse failed in the worker
   uint64_t shed_fault = 0;       ///< chaos fired at xkmsd.queue
-  uint64_t coalesced_locates = 0;
   uint64_t store_lookups = 0;
   uint64_t degraded_locates = 0;  ///< answered from the snapshot
   uint64_t store_errors = 0;      ///< store chaos with no degradation path
   uint64_t queue_depth = 0;       ///< gauge: requests queued right now
 };
 
-/// Per-request submission options.
-struct XkmsdRequestOptions {
-  /// Absolute deadline in the responder clock's domain (XkmsdOptions::clock
-  /// / Xkmsd::NowUs). 0 = none. A request past its deadline is shed at the
-  /// front door, mid-queue (when a wheel is attached) or at dequeue —
-  /// always before parsing or store work.
-  int64_t deadline_us = 0;
-};
-
 /// The responder. Thread-safe; Submit may be called from any thread and
-/// completions fire on whatever thread finished the request (a pool worker,
-/// the timer wheel, or the submitting thread when pool is null). The
-/// destructor waits for every admitted request to complete, then detaches
-/// from the wheel, so completions never touch a dead responder.
+/// completions fire on whatever thread served the request (a pool worker,
+/// or the submitting thread when pool is null). The destructor waits for
+/// every admitted request to complete, so completions never touch a dead
+/// responder.
 class Xkmsd {
  public:
   using Completion = std::function<void(Result<std::string>)>;
@@ -239,22 +201,17 @@ class Xkmsd {
   /// invoked exactly once. Errors carry an "xkmsd admission" context when
   /// shed at the front door and an "xkmsd request"/"xkmsd store" context
   /// when the failure happened while serving.
-  void Submit(std::string request_xml, XkmsdRequestOptions req,
-              Completion done);
+  void Submit(std::string request_xml, Completion done);
 
   /// Blocking convenience over Submit. Must not be called from this
   /// responder's own pool workers (it would deadlock a full pool).
-  Result<std::string> Handle(const std::string& request_xml,
-                             XkmsdRequestOptions req = {});
+  Result<std::string> Handle(const std::string& request_xml);
 
   /// Seeds a binding directly (bypasses admission; for setup/tools/tests).
   Status SeedBinding(const KeyBinding& binding);
 
   /// Rebuilds the degradation snapshot from the authoritative store now.
   void RefreshSnapshot();
-
-  /// Now in the responder clock's domain, for computing Submit deadlines.
-  int64_t NowUs() const;
 
   /// Reads the counters back from the registry they live in (a registry
   /// shared by two responders reports their sum).
@@ -269,12 +226,10 @@ class Xkmsd {
 
 /// The in-process transport: binds an XkmsClient (or the retrying
 /// transport in retrying_transport.h) straight to an Xkmsd. Each call is a
-/// Submit that completes on whatever thread the responder finished on
-/// (inline when it has no pool). Its deadline derives from
-/// `request_budget_us` (0 = none) against the responder's clock. Responder
-/// failures keep their code and retry-after hint under an "XKMS service"
-/// context, so a shed at the front door reaches the client's retry loop
-/// intact.
+/// Submit that completes on whatever thread the responder served it on
+/// (inline when it has no pool). Responder failures keep their code and
+/// retry-after hint under an "XKMS service" context, so a shed at the
+/// front door reaches the client's retry loop intact.
 ///
 /// Consults `injector` (null = global) at the fault::kXkmsTransport point
 /// on the request and response strings (details "request"/"response");
@@ -283,11 +238,9 @@ class Xkmsd {
 /// "broadband round-trip" costs wall-clock, not a worker. With a null
 /// wheel the calling thread sleeps through the request leg, and the thread
 /// the responder completes on sleeps through the response leg: the
-/// caller's, a pool worker, or, for a Locate that coalesced onto another's
-/// lookup, the thread serving that lookup. The responder and wheel must
-/// outlive the returned closure.
-Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us = 0,
-                              TimerWheel* wheel = nullptr,
+/// caller's or a pool worker. The responder and wheel must outlive the
+/// returned closure.
+Transport MakeServerTransport(Xkmsd* server, TimerWheel* wheel = nullptr,
                               fault::FaultInjector* injector = nullptr);
 
 }  // namespace xkms

@@ -149,7 +149,7 @@ struct ChaosXkms {
     options.clock = [this] { return fake_now_us; };
     options.sleep = [this](int64_t us) { fake_now_us += us; };
     client = std::make_unique<xkms::XkmsClient>(xkms::MakeRetryingTransport(
-        xkms::MakeServerTransport(responder.get(), 0, nullptr, injector),
+        xkms::MakeServerTransport(responder.get(), nullptr, injector),
         options));
   }
 };

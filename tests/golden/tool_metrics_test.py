@@ -57,12 +57,12 @@ def run_with_metrics(tool, args):
 
 
 def check_xkmsd_demo(tool):
-    # jobs=2 against a 4000-request async burst guarantees the 256-slot
-    # Locate queue overflows whatever the scheduler does; the admitted/shed
-    # SPLIT varies run to run, but their sum is the demo's fixed request
-    # count (200 players x 3 warm lookups feed the cache, so only the 32
-    # first-touch misses plus the storm and burst phases reach the
-    # responder: 4064 server-side requests total).
+    # The demo holds its workers while it submits the 4000-request async
+    # burst, so the 256-slot Locate queue overflows whatever the scheduler
+    # does; admitted + shed is the demo's fixed request count (200 players
+    # x 3 warm lookups feed the cache, so only the 32 first-touch misses
+    # plus the storm and burst phases reach the responder: 4064
+    # server-side requests total).
     snap = run_with_metrics(tool, ["xkmsd-demo", "--jobs", "2",
                                    "--burst", "4000"])
     if snap is None:
@@ -129,6 +129,14 @@ def check_play_async(tool):
           and c["fault.total_fires"] >= c["fault.xkms.transport.fires"],
           f"fires={c['fault.xkms.transport.fires']} "
           f"total={c['fault.total_fires']}")
+    # Fault counters exist only for armed points: the armed one counted
+    # its hits, and a point nobody armed has no entry at all.
+    check("play --async: the armed transport point counted its hits",
+          c.get("fault.xkms.transport.hits", 0) > 0,
+          f"hits={c.get('fault.xkms.transport.hits')}")
+    check("play --async: no counters for the unarmed disc.read point",
+          "fault.disc.read.hits" not in c,
+          f"hits={c.get('fault.disc.read.hits')}")
     # The per-disc locate fans out through the shared LocateCache; which
     # disc wins the miss vs who piggybacks is a scheduling race, but the
     # three lookups are always fully accounted for.

@@ -555,7 +555,7 @@ TEST(ParallelPlayDiscTest, DeferredXkmsChainThroughCacheNeverBlocksTheWheel) {
     spec.delay_us = 2000;
     injector.Arm(spec);
     xkms::XkmsClient client(
-        xkms::MakeServerTransport(&responder, 0, &wheel, &injector));
+        xkms::MakeServerTransport(&responder, &wheel, &injector));
     xkms::LocateCache::Options cache_options;
     cache_options.ttl_us = 0;
     xkms::LocateCache cache(&client, cache_options);

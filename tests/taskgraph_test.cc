@@ -448,7 +448,7 @@ TEST(AsyncXkmsTest, InjectedDelayParksOnWheelNotOnACaller) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::MakeServerTransport(&fx.responder, 0, &wheel, &injector));
+      xkms::MakeServerTransport(&fx.responder, &wheel, &injector));
 
   std::atomic<bool> done{false};
   Result<xkms::KeyBinding> out = Status::Unavailable("not completed");
@@ -535,7 +535,7 @@ TEST(AsyncXkmsTest, GraphNodeDrivenByWheelReleasesPoolWorkers) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::MakeServerTransport(&fx.responder, 0, &wheel, &injector));
+      xkms::MakeServerTransport(&fx.responder, &wheel, &injector));
 
   ThreadPool pool(1);
   std::atomic<int> sibling_runs{0};

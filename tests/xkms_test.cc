@@ -112,7 +112,7 @@ TEST_F(XkmsFixture, TransportFailureIsRetryableWithTransportContext) {
   Xkmsd responder{XkmsdOptions{}};
   EXPECT_TRUE(
       responder.SeedBinding(MakeBinding("k1", key_a_->public_key)).ok());
-  XkmsClient client(MakeServerTransport(&responder, 0, nullptr, &injector));
+  XkmsClient client(MakeServerTransport(&responder, nullptr, &injector));
 
   Status s = client.Locate("k1").status();
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
@@ -194,7 +194,7 @@ TEST_F(XkmsFixture, CorruptedResponseBytesSurfaceAsResponseError) {
   Xkmsd responder{XkmsdOptions{}};
   EXPECT_TRUE(
       responder.SeedBinding(MakeBinding("k1", key_a_->public_key)).ok());
-  XkmsClient client(MakeServerTransport(&responder, 0, nullptr, &injector));
+  XkmsClient client(MakeServerTransport(&responder, nullptr, &injector));
 
   Status s = client.Locate("k1").status();
   EXPECT_FALSE(s.ok());
@@ -234,7 +234,7 @@ TEST_F(XkmsFixture, RetryingTransportRecoversWhenFirstTwoAttemptsFail) {
   options.retry.max_attempts = 3;
   obs::MetricsRegistry metrics;
   XkmsClient client(MakeRetryingTransport(
-      MakeServerTransport(&responder, 0, nullptr, &injector), options,
+      MakeServerTransport(&responder, nullptr, &injector), options,
       nullptr, &metrics));
 
   auto binding = client.Locate("k1");

@@ -52,7 +52,7 @@ uint64_t ChaosSeed() {
 
 /// Zipfian sampler over [0, n): precomputed CDF with exponent s=1.0 — the
 /// classic popularity skew where a handful of studio keys take most of the
-/// fleet's traffic (and give coalescing something to coalesce).
+/// fleet's traffic.
 class Zipf {
  public:
   Zipf(size_t n, double s = 1.0) : cdf_(n) {
@@ -207,9 +207,7 @@ void RunFleetSmoke(uint64_t seed) {
   // Every store lookup is held until the hold budget (two per worker) is
   // spent, so all workers sit in held lookups while the producer overfills
   // the queue — the bound trips by construction, not because one producer
-  // happened to outrun the workers. The burst opens with two Locates of
-  // the hottest key: whichever worker registers its flight first is held,
-  // so the other coalesces onto it.
+  // happened to outrun the workers.
   fault::FaultSpec hold;
   hold.point = std::string(fault::kXkmsdStore);
   hold.kind = fault::Kind::kDelay;
@@ -225,11 +223,10 @@ void RunFleetSmoke(uint64_t seed) {
   std::condition_variable done_cv;
   Rng burst_rng(seed + 3000);
   for (size_t i = 0; i < kBurst; ++i) {
-    const std::string& name =
-        i < 2 ? names[0] : names[zipf.Sample(&burst_rng)];
+    const std::string& name = names[zipf.Sample(&burst_rng)];
     bool was_revoked = revoked.count(name) > 0;  // storm threads are done
     xkmsd.Submit(
-        BuildLocateRequest(name), XkmsdRequestOptions{},
+        BuildLocateRequest(name),
         [&, was_revoked](Result<std::string> response) {
           if (!response.ok() &&
               response.status().retry_after_us() > 0) {
@@ -259,9 +256,6 @@ void RunFleetSmoke(uint64_t seed) {
   EXPECT_EQ(shed_with_hint.load(), stats.shed_queue_full)
       << "a queue-full shed went out without a retry-after hint";
   EXPECT_EQ(burst_valid_for_revoked.load(), 0u);
-  // The opening pair on the hottest key coalesced (plus whatever the
-  // zipfian head coalesced across the run).
-  EXPECT_GT(stats.coalesced_locates, 0u);
   // Accounting closes: everything admitted was eventually served or failed
   // in service; nothing vanished.
   EXPECT_EQ(stats.queue_depth, 0u);

@@ -13,7 +13,6 @@
 
 #include "common/fault.h"
 #include "common/thread_pool.h"
-#include "common/timer_wheel.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -118,20 +117,6 @@ TEST_F(XkmsdFixture, ShardedStoreRegisterRevokeLocateValidate) {
   EXPECT_EQ(store.Validate("studio-1", key_b_->public_key),
             KeyStatus::kValid);
   EXPECT_EQ(store.BindingCount(), 1u);
-}
-
-TEST_F(XkmsdFixture, ShardGenerationBumpsOnEveryMutation) {
-  ShardedKeyStore store(4);
-  uint64_t g0 = store.GenerationFor("studio-1");
-  ASSERT_TRUE(store.Register(MakeBinding("studio-1", key_a_->public_key)).ok());
-  uint64_t g1 = store.GenerationFor("studio-1");
-  EXPECT_GT(g1, g0);
-  ASSERT_TRUE(store.Revoke("studio-1").ok());
-  EXPECT_GT(store.GenerationFor("studio-1"), g1);
-  // Reads never bump.
-  (void)store.Locate("studio-1");
-  (void)store.Validate("studio-1", key_a_->public_key);
-  EXPECT_EQ(store.GenerationFor("studio-1"), g1 + 1);
 }
 
 TEST_F(XkmsdFixture, SnapshotForcesValidToIndeterminate) {
@@ -268,12 +253,12 @@ TEST_F(XkmsdFixture, QueueFullShedScalesRetryAfterWithBacklog) {
 
   std::atomic<int> completed{0};
   auto count = [&](Result<std::string>) { completed.fetch_add(1); };
-  server.Submit(BuildLocateRequest("a"), {}, count);
-  server.Submit(BuildLocateRequest("b"), {}, count);
+  server.Submit(BuildLocateRequest("a"), count);
+  server.Submit(BuildLocateRequest("b"), count);
   EXPECT_EQ(server.stats().queue_depth, 2u);
 
   std::optional<Status> shed;
-  server.Submit(BuildLocateRequest("c"), {},
+  server.Submit(BuildLocateRequest("c"),
                 [&](Result<std::string> r) { shed = r.status(); });
   ASSERT_TRUE(shed.has_value());
   EXPECT_TRUE(shed->IsUnavailable());
@@ -284,108 +269,6 @@ TEST_F(XkmsdFixture, QueueFullShedScalesRetryAfterWithBacklog) {
   gate.Release();
   while (completed.load() < 2) std::this_thread::yield();
   EXPECT_EQ(server.stats().served, 2u);
-}
-
-TEST_F(XkmsdFixture, ExpiredDeadlineShedsBeforeAnyWork) {
-  fault::FaultInjector injector(1);
-  int64_t fake_now = 1000000;
-  XkmsdOptions options;
-  options.fault = &injector;
-  options.clock = [&fake_now] { return fake_now; };
-  Xkmsd server(options);
-
-  XkmsdRequestOptions req;
-  req.deadline_us = 999000;  // already in the past
-  auto response = server.Handle(BuildLocateRequest("studio-1"), req);
-  ASSERT_FALSE(response.ok());
-  EXPECT_TRUE(response.status().IsDeadlineExceeded());
-  EXPECT_NE(response.status().ToString().find("xkmsd admission"),
-            std::string::npos);
-  EXPECT_EQ(server.stats().shed_deadline, 1u);
-  EXPECT_EQ(server.stats().admitted, 0u);
-  // The store was never consulted.
-  EXPECT_EQ(server.stats().store_lookups, 0u);
-}
-
-TEST_F(XkmsdFixture, DeadlineShedsAtDequeueWithoutWheel) {
-  fault::FaultInjector injector(1);
-  ThreadPool pool(1);
-  int64_t fake_now = 1000000;
-  std::mutex clock_mu;
-  XkmsdOptions options;
-  options.fault = &injector;
-  options.pool = &pool;
-  options.clock = [&] {
-    std::lock_guard<std::mutex> lock(clock_mu);
-    return fake_now;
-  };
-  Xkmsd server(options);
-  PoolGate gate(&pool);
-
-  std::optional<Status> verdict;
-  std::mutex mu;
-  std::condition_variable cv;
-  XkmsdRequestOptions req;
-  req.deadline_us = 1000500;
-  server.Submit(BuildLocateRequest("studio-1"), req,
-                [&](Result<std::string> r) {
-                  std::lock_guard<std::mutex> lock(mu);
-                  verdict = r.status();
-                  cv.notify_one();
-                });
-  EXPECT_EQ(server.stats().queue_depth, 1u);
-  {
-    std::lock_guard<std::mutex> lock(clock_mu);
-    fake_now = 2000000;  // deadline passes while queued
-  }
-  gate.Release();
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return verdict.has_value(); });
-  }
-  EXPECT_TRUE(verdict->IsDeadlineExceeded());
-  EXPECT_EQ(server.stats().shed_deadline, 1u);
-  EXPECT_EQ(server.stats().store_lookups, 0u);
-}
-
-TEST_F(XkmsdFixture, WheelShedsQueuedRequestAtDeadline) {
-  fault::FaultInjector injector(1);
-  ThreadPool pool(1);
-  TimerWheel wheel((TimerWheel::ManualClock()));
-  XkmsdOptions options;
-  options.fault = &injector;
-  options.pool = &pool;
-  options.wheel = &wheel;
-  options.clock = [&wheel] { return wheel.NowUs(); };
-  Xkmsd server(options);
-  PoolGate gate(&pool);
-
-  std::optional<Status> verdict;
-  std::mutex mu;
-  std::condition_variable cv;
-  XkmsdRequestOptions req;
-  req.deadline_us = 1000;
-  server.Submit(BuildLocateRequest("studio-1"), req,
-                [&](Result<std::string> r) {
-                  std::lock_guard<std::mutex> lock(mu);
-                  verdict = r.status();
-                  cv.notify_one();
-                });
-  ASSERT_FALSE(verdict.has_value());
-  // The wheel fires the deadline while the worker is still gated: the
-  // request is shed mid-queue without waiting for a worker.
-  wheel.AdvanceTo(2000);
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return verdict.has_value(); });
-  }
-  EXPECT_TRUE(verdict->IsDeadlineExceeded());
-  EXPECT_NE(verdict->ToString().find("while queued"), std::string::npos);
-  EXPECT_EQ(server.stats().shed_deadline, 1u);
-  EXPECT_EQ(server.stats().queue_depth, 0u);
-  gate.Release();
-  // The worker's ProcessOne finds the item already claimed; nothing else
-  // completes and the destructor's drain has nothing to wait for.
 }
 
 TEST_F(XkmsdFixture, ChaosAtFrontDoorShedsWithFaultCounter) {
@@ -437,9 +320,9 @@ TEST_F(XkmsdFixture, PriorityOrderValidateFirstUnderBacklog) {
   // Enqueued worst-first; the worker must still serve validate, then
   // locate, then the mutation.
   server.Submit(BuildRegisterRequest(MakeBinding("s2", key_b_->public_key)),
-                {}, record("mutate"));
-  server.Submit(BuildLocateRequest("studio-1"), {}, record("locate"));
-  server.Submit(BuildValidateRequest("studio-1", key_a_->public_key), {},
+                record("mutate"));
+  server.Submit(BuildLocateRequest("studio-1"), record("locate"));
+  server.Submit(BuildValidateRequest("studio-1", key_a_->public_key),
                 record("validate"));
   EXPECT_EQ(server.stats().queue_depth, 3u);
 
@@ -453,19 +336,22 @@ TEST_F(XkmsdFixture, PriorityOrderValidateFirstUnderBacklog) {
   EXPECT_EQ(order[2], "mutate");
 }
 
-// ------------------------------------------------------------ coalescing
+// ------------------------------------------------- concurrent Locates
 
-TEST_F(XkmsdFixture, ConcurrentLocatesCoalesceOntoOneLookup) {
+TEST_F(XkmsdFixture, LocateDoesNotWaitBehindAnotherInFlightLocate) {
+  // Each Locate is its own store read, completed on the worker that served
+  // it: a second Locate for the same name finishes while the first is
+  // still held inside its lookup.
   fault::FaultInjector injector(1);
   fault::FaultSpec delay;
   delay.point = std::string(fault::kXkmsdStore);
   delay.kind = fault::Kind::kDelay;
-  delay.delay_us = 100000;  // hold the leader in flight for 100ms
+  delay.delay_us = 200000;  // hold Locate A in its lookup for 200ms
   delay.detail_filter = "locate studio-1";
   delay.max_fires = 1;
   injector.Arm(delay);
 
-  ThreadPool pool(4);
+  ThreadPool pool(2);
   XkmsdOptions options;
   options.fault = &injector;
   options.pool = &pool;
@@ -475,36 +361,35 @@ TEST_F(XkmsdFixture, ConcurrentLocatesCoalesceOntoOneLookup) {
 
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<Result<std::string>> responses;
-  auto collect = [&](Result<std::string> r) {
-    std::lock_guard<std::mutex> lock(mu);
-    responses.push_back(std::move(r));
-    cv.notify_one();
+  std::vector<std::pair<char, Result<std::string>>> responses;
+  auto collect = [&](char tag) {
+    return [&, tag](Result<std::string> r) {
+      std::lock_guard<std::mutex> lock(mu);
+      responses.emplace_back(tag, std::move(r));
+      cv.notify_one();
+    };
   };
 
-  // Leader first; wait until it is inside the (delayed) store lookup so
-  // the followers deterministically find its flight.
-  server.Submit(BuildLocateRequest("studio-1"), {}, collect);
+  server.Submit(BuildLocateRequest("studio-1"), collect('A'));
   while (injector.hits(fault::kXkmsdStore) == 0) std::this_thread::yield();
-  server.Submit(BuildLocateRequest("studio-1"), {}, collect);
-  server.Submit(BuildLocateRequest("studio-1"), {}, collect);
-  server.Submit(BuildLocateRequest("studio-1"), {}, collect);
+  server.Submit(BuildLocateRequest("studio-1"), collect('B'));
 
   {
     std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return responses.size() == 4; });
+    cv.wait(lock, [&] { return responses.size() == 2; });
   }
-  XkmsdStats stats = server.stats();
-  EXPECT_EQ(stats.store_lookups, 1u);
-  EXPECT_EQ(stats.coalesced_locates, 3u);
-  EXPECT_EQ(stats.served, 4u);
-  for (const auto& response : responses) {
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response.value(), responses[0].value());
+  EXPECT_EQ(responses[0].first, 'B');
+  EXPECT_EQ(responses[1].first, 'A');
+  for (const auto& [tag, response] : responses) {
+    ASSERT_TRUE(response.ok()) << tag;
+    EXPECT_NE(response.value().find("<xkms:KeyName>studio-1</xkms:KeyName>"),
+              std::string::npos)
+        << tag;
   }
+  EXPECT_EQ(server.stats().store_lookups, 2u);
 }
 
-TEST_F(XkmsdFixture, RevocationInvalidatesInFlightCoalescing) {
+TEST_F(XkmsdFixture, LocateAfterRevokeSeesInvalidWhileEarlierLookupIsHeld) {
   fault::FaultInjector injector(1);
   fault::FaultSpec delay;
   delay.point = std::string(fault::kXkmsdStore);
@@ -525,20 +410,18 @@ TEST_F(XkmsdFixture, RevocationInvalidatesInFlightCoalescing) {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<Result<std::string>> slow;
-  server.Submit(BuildLocateRequest("studio-1"), {},
-                [&](Result<std::string> r) {
-                  std::lock_guard<std::mutex> lock(mu);
-                  slow.push_back(std::move(r));
-                  cv.notify_one();
-                });
+  server.Submit(BuildLocateRequest("studio-1"), [&](Result<std::string> r) {
+    std::lock_guard<std::mutex> lock(mu);
+    slow.push_back(std::move(r));
+    cv.notify_one();
+  });
   while (injector.hits(fault::kXkmsdStore) == 0) std::this_thread::yield();
 
-  // Revocation lands while the leader's pre-revocation lookup is still in
-  // flight; it bumps the shard generation.
+  // Revocation lands while the first, pre-revocation lookup is still held.
   ASSERT_TRUE(server.Handle(BuildRevokeRequest("studio-1")).ok());
 
-  // A Locate arriving after the revocation must NOT ride the stale flight:
-  // generation mismatch forces a fresh lookup, which sees Invalid.
+  // A Locate arriving after the revocation reads the store itself and
+  // sees Invalid.
   XkmsClient client(MakeServerTransport(&server));
   auto fresh = client.Locate("studio-1");
   ASSERT_TRUE(fresh.ok());
@@ -548,9 +431,7 @@ TEST_F(XkmsdFixture, RevocationInvalidatesInFlightCoalescing) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return !slow.empty(); });
   }
-  XkmsdStats stats = server.stats();
-  EXPECT_EQ(stats.coalesced_locates, 0u);
-  EXPECT_EQ(stats.store_lookups, 2u);
+  EXPECT_EQ(server.stats().store_lookups, 2u);
 }
 
 // --------------------------------------------------- graceful degradation
@@ -654,19 +535,24 @@ TEST_F(XkmsdFixture, BrokenStoreAndSnapshotIsUnavailable) {
 }
 
 TEST_F(XkmsdFixture, SnapshotRefreshesEveryNMutations) {
+  // The snapshot refreshes at every 64th successful mutation.
   fault::FaultInjector injector(1);
   XkmsdOptions options;
   options.fault = &injector;
-  options.snapshot_refresh_every = 2;
   int64_t fake_now = 100;
   options.clock = [&fake_now] { return fake_now; };
   Xkmsd server(options);
 
-  ASSERT_TRUE(server.SeedBinding(MakeBinding("a", key_a_->public_key)).ok());
+  for (int i = 1; i < 64; ++i) {
+    ASSERT_TRUE(server.SeedBinding(MakeBinding("key-" + std::to_string(i),
+                                               key_a_->public_key))
+                    .ok());
+  }
   EXPECT_EQ(server.snapshot().refreshed_at_us(), -1);
-  ASSERT_TRUE(server.SeedBinding(MakeBinding("b", key_b_->public_key)).ok());
+  ASSERT_TRUE(server.SeedBinding(MakeBinding("key-64", key_b_->public_key))
+                  .ok());
   EXPECT_EQ(server.snapshot().refreshed_at_us(), 100);
-  EXPECT_EQ(server.snapshot().size(), 2u);
+  EXPECT_EQ(server.snapshot().size(), 64u);
 }
 
 // -------------------------------------------- transports and integration
@@ -850,9 +736,9 @@ TEST_F(XkmsdFixture, RegistryHoldsStoreLookupsAndQueueDepth) {
 }
 
 TEST_F(XkmsdFixture, PooledResponderCountsEveryConcurrentLocateOnce) {
-  // Pool workers, submitting threads and the leader of each coalesced
-  // flight all count through the handles the responder resolved at
-  // construction; the registry and stats() read the same counts.
+  // Pool workers and submitting threads all count through the handles the
+  // responder resolved at construction; the registry and stats() read the
+  // same counts, and every Locate is one store read.
   constexpr size_t kThreads = 4;
   constexpr size_t kLocatesPerThread = 16;
   constexpr size_t kLocates = kThreads * kLocatesPerThread;
@@ -900,14 +786,11 @@ TEST_F(XkmsdFixture, PooledResponderCountsEveryConcurrentLocateOnce) {
   XkmsdStats stats = server.stats();
   EXPECT_EQ(snapshot.counter("xkmsd.admitted"), kLocates);
   EXPECT_EQ(snapshot.counter("xkmsd.served"), kLocates);
-  EXPECT_EQ(snapshot.counter("xkmsd.store_lookups") +
-                snapshot.counter("xkmsd.coalesced"),
-            kLocates);
+  EXPECT_EQ(snapshot.counter("xkmsd.store_lookups"), kLocates);
   EXPECT_EQ(snapshot.counter("xkmsd.queue_depth"), 0u);
   EXPECT_EQ(stats.admitted, snapshot.counter("xkmsd.admitted"));
   EXPECT_EQ(stats.served, snapshot.counter("xkmsd.served"));
-  EXPECT_EQ(stats.store_lookups, snapshot.counter("xkmsd.store_lookups"));
-  EXPECT_EQ(stats.coalesced_locates, snapshot.counter("xkmsd.coalesced"));
+  EXPECT_EQ(stats.store_lookups, kLocates);
   EXPECT_EQ(stats.queue_depth, snapshot.counter("xkmsd.queue_depth"));
 }
 

@@ -56,9 +56,9 @@
 // `xkmsd-demo` stands up the overload-safe xkmsd responder (DESIGN.md §13)
 // plus a simulated zipfian player fleet in one process: a warm phase
 // through a shared edge LocateCache, a revocation storm, and an async
-// overload burst past the Locate queue bound. It prints the
-// shed/coalesce/hit-rate summary and exits non-zero if a revoked key was
-// ever reported Valid. Chaos-friendly:
+// overload burst past the Locate queue bound. It prints the shed/hit-rate
+// summary and exits non-zero if a revoked key was ever reported Valid.
+// Chaos-friendly:
 //   discsec_tool xkmsd-demo --inject-fault xkmsd.store:error:0.2 --trace t.json
 //
 // `regen-golden` regenerates the golden conformance vectors and DIFFS them
@@ -569,7 +569,7 @@ struct PlayRig {
                            {"Signature"}, xkms::KeyStatus::kValid}));
     if (async) wheel = std::make_unique<TimerWheel>();
     client = std::make_unique<xkms::XkmsClient>(xkms::MakeRetryingTransport(
-        xkms::MakeServerTransport(&xkmsd, 0, wheel.get()),
+        xkms::MakeServerTransport(&xkmsd, wheel.get()),
         xkms::RetryingTransportOptions{}, wheel.get(), g_metrics));
     xkms::LocateCache::Options cache_options;
     cache_options.metrics = g_metrics;
@@ -658,7 +658,7 @@ int CmdPlay(const Args& args) {
 /// Responder + simulated fleet in one process: seeds a keyspace, drives
 /// zipfian Locate traffic through a shared edge LocateCache, runs a
 /// revocation storm, then an async overload burst past the Locate queue
-/// bound — and prints the shed/coalesce/hit-rate summary. The responder
+/// bound — and prints the shed/hit-rate summary. The responder
 /// rides the global fault injector, so --inject-fault xkmsd.store:error:0.2
 /// (or xkmsd.queue / xkmsd.snapshot) makes the demo degrade live.
 int CmdXkmsdDemo(const Args& args) {
@@ -745,14 +745,25 @@ int CmdXkmsdDemo(const Args& args) {
   }
 
   // Phase 3: async overload burst straight into the front door, far past
-  // the Locate queue bound; the surplus sheds with retry-after hints.
+  // the Locate queue bound; the surplus sheds with retry-after hints. Every
+  // worker is held until the whole burst is submitted, so the bound trips
+  // by construction, not because this thread happened to outrun them.
+  std::mutex hold_mu;
+  std::condition_variable hold_cv;
+  bool holding = true;
+  for (size_t w = 0; w < jobs; ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(hold_mu);
+      hold_cv.wait(lock, [&] { return !holding; });
+    });
+  }
   std::atomic<size_t> completions{0};
   std::atomic<size_t> shed_hints{0};
   std::atomic<int64_t> max_hint_us{0};
   std::mutex done_mu;
   std::condition_variable done_cv;
   for (size_t i = 0; i < burst; ++i) {
-    xkmsd.Submit(xkms::BuildLocateRequest(names[sample()]), {},
+    xkmsd.Submit(xkms::BuildLocateRequest(names[sample()]),
                  [&](Result<std::string> response) {
                    if (!response.ok() &&
                        response.status().retry_after_us() > 0) {
@@ -770,6 +781,11 @@ int CmdXkmsdDemo(const Args& args) {
                  });
   }
   {
+    std::lock_guard<std::mutex> lock(hold_mu);
+    holding = false;
+  }
+  hold_cv.notify_all();
+  {
     std::unique_lock<std::mutex> lock(done_mu);
     done_cv.wait(lock, [&] { return completions.load() == burst; });
   }
@@ -780,18 +796,16 @@ int CmdXkmsdDemo(const Args& args) {
   std::printf("xkmsd-demo: %zu player(s), %zu key(s), %zu job(s)\n", players,
               keys, jobs);
   std::printf(
-      "responder: %llu admitted, %llu served, %llu coalesced, "
-      "%llu store lookup(s), %llu degraded\n",
+      "responder: %llu admitted, %llu served, %llu store lookup(s), "
+      "%llu degraded\n",
       static_cast<unsigned long long>(stats.admitted),
       static_cast<unsigned long long>(stats.served),
-      static_cast<unsigned long long>(stats.coalesced_locates),
       static_cast<unsigned long long>(stats.store_lookups),
       static_cast<unsigned long long>(stats.degraded_locates));
   std::printf(
-      "sheds: %llu queue-full, %llu deadline, %llu oversized, "
-      "%llu malformed, %llu fault (max retry-after %lldus)\n",
+      "sheds: %llu queue-full, %llu oversized, %llu malformed, "
+      "%llu fault (max retry-after %lldus)\n",
       static_cast<unsigned long long>(stats.shed_queue_full),
-      static_cast<unsigned long long>(stats.shed_deadline),
       static_cast<unsigned long long>(stats.shed_oversized),
       static_cast<unsigned long long>(stats.shed_malformed),
       static_cast<unsigned long long>(stats.shed_fault),
@@ -927,14 +941,15 @@ int CmdRegenGolden(const Args& args) {
   return 0;
 }
 
-/// Copies the global injector's per-point hits and fires into `metrics`.
-/// The injector keeps those counts itself (its skip/every-Nth/max-fires
-/// triggers read them), so the registry gets them set once, right before
-/// the snapshot is written.
+/// Copies the global injector's hits and fires of each armed point into
+/// `metrics`. The injector keeps those counts itself (its skip/every-Nth/
+/// max-fires triggers read them), so the registry gets them set once, right
+/// before the snapshot is written. A point that was never armed counts
+/// nothing, so it gets no entry.
 void SetFaultCounters(obs::MetricsRegistry* metrics) {
   const fault::FaultInjector& injector = fault::GlobalFaultInjector();
-  for (std::string_view point : fault::kAllPoints) {
-    std::string base = "fault." + std::string(point);
+  for (const std::string& point : injector.armed_points()) {
+    std::string base = "fault." + point;
     metrics->GetCounter(base + ".hits")->Set(injector.hits(point));
     metrics->GetCounter(base + ".fires")->Set(injector.fires(point));
   }
